@@ -1,7 +1,6 @@
 package bebop
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"bebop/internal/pipeline"
@@ -22,8 +21,8 @@ type Snapshot struct {
 
 func init() {
 	// The aggregate pipeline.Checkpoint carries this payload in an `any`
-	// field; gob needs the concrete type registered to encode it.
-	gob.Register(&Snapshot{})
+	// field; the side-file codec finds its layout through the tag.
+	pipeline.RegisterVPPayload(1, (*Snapshot)(nil))
 }
 
 // SnapshotVP implements pipeline.VPSnapshotter.

@@ -6,7 +6,7 @@ import (
 
 // This file holds the checkpoint forms of the branch substrate. Every
 // snapshot struct has only exported plain-data fields so the aggregate
-// pipeline checkpoint can be serialized with encoding/gob, and every
+// pipeline checkpoint can be written by the side-file codec, and every
 // Restore validates geometry: a checkpoint taken under one configuration
 // must never be silently poured into tables of another shape.
 

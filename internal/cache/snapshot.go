@@ -3,8 +3,9 @@ package cache
 import "fmt"
 
 // Checkpoint forms of the memory hierarchy. Snapshot structs carry only
-// exported plain-data fields (gob-serializable); Restore validates that
-// the snapshot geometry matches the live tables before touching anything.
+// exported plain-data fields, which the side-file codec walks; Restore
+// validates that the snapshot geometry matches the live tables before
+// touching anything.
 
 // CacheSnapshot is the serializable state of one cache level: contents,
 // LRU state, in-flight MSHRs (as parallel arrays — the mshr struct is

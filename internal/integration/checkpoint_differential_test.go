@@ -36,7 +36,7 @@ func recordTestTrace(t *testing.T, dir, bench string, insts int64) trace.FileSou
 // TestCheckpointRestoreBitIdentical is the behavior pin for the
 // checkpoint subsystem: for every pinned perf configuration, warming a
 // processor over [0, k), snapshotting, round-tripping the snapshot
-// through the gob side-file on disk, restoring it into a *recycled*
+// through the side-file on disk, restoring it into a *recycled*
 // (Reset, pool-style) processor whose trace reader was seeked to k, and
 // running detailed to the end of the trace must produce exactly the
 // same pipeline.Result as one processor warming [0, k) and running

@@ -3,8 +3,9 @@ package predictor
 import "fmt"
 
 // Checkpoint forms of the value predictors. Snapshot structs carry only
-// exported plain-data fields (gob-serializable); Restore validates the
-// snapshot geometry against the live tables before touching anything.
+// exported plain-data fields, which the side-file codec walks; Restore
+// validates the snapshot geometry against the live tables before
+// touching anything.
 // The FPC and allocation RNG positions are part of the state: every
 // probabilistic confidence decision after a restore must replay exactly
 // as it would have in the straight-through run.

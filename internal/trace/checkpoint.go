@@ -1,8 +1,9 @@
 package trace
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,12 +19,6 @@ import (
 // processor configurations side by side.
 const CheckpointExt = ".ckpt"
 
-// checkpointVersion is bumped whenever the gob layout of the side-file
-// (or any snapshot struct it transitively embeds) changes shape in a
-// way old readers would mis-decode. Gob tolerates added fields, so most
-// growth does not need a bump.
-const checkpointVersion = 1
-
 // CheckpointFile is the on-disk checkpoint side-file for one
 // (trace, processor configuration) pair. Points hold full
 // microarchitectural snapshots taken during a single continuous
@@ -33,7 +28,14 @@ const checkpointVersion = 1
 // its offset is equivalent to warming straight through from
 // instruction 0 — which is what makes the warmup cost amortizable
 // across sampled-simulation requests.
+//
+// The file format lives in checkpoint_codec.go. It is fixed-width, so a
+// side-file is about as large as the state it restores: roughly 550 KB
+// per point for the baseline configuration and 680 KB for
+// EOLE_4_60/Medium.
 type CheckpointFile struct {
+	// Version is the side-file format version, stamped by
+	// WriteCheckpoints and LoadCheckpoints.
 	Version int
 	// TraceName and TraceInsts identify the trace the snapshots were
 	// trained on; Validate refuses a side-file whose identity does not
@@ -54,16 +56,20 @@ func CheckpointPath(tracePath, configName string) string {
 	return tracePath + "." + safe + CheckpointExt
 }
 
-// WriteCheckpoints gob-encodes the side-file to path via a temp file
-// and rename, so a crashed build never leaves a truncated file a later
-// run would trust. The format version is stamped onto cf here; callers
-// only fill the identity and the points.
+// WriteCheckpoints streams the side-file to path via a temp file and
+// rename, so a crashed build never leaves a truncated file a later run
+// would trust. The format version is stamped onto cf here; callers only
+// fill the identity and the points.
 // IO failures (temp-file creation, write, rename) are classified
 // engine.Transient — a full disk or racing cleanup may clear; a
-// structurally invalid file never will.
+// structurally invalid file or an unencodable snapshot never will.
 func WriteCheckpoints(path string, cf *CheckpointFile) error {
 	cf.Version = checkpointVersion
 	if err := cf.check(); err != nil {
+		return fmt.Errorf("trace: write checkpoints: %w", err)
+	}
+	fp, err := checkpointLayout()
+	if err != nil {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
 	if err := faultinject.Fire("trace.checkpoint.write"); err != nil {
@@ -75,9 +81,14 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 		return engine.Transient(err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(cf); err != nil {
+	e := ckptEncoder{w: bufio.NewWriterSize(tmp, ckptBufSize)}
+	if err := e.encode(cf, fp); err != nil {
 		tmp.Close()
-		return engine.Transient(fmt.Errorf("trace: encode checkpoints: %w", err))
+		return fmt.Errorf("trace: encode checkpoints: %w", err)
+	}
+	if err := e.w.Flush(); err != nil {
+		tmp.Close()
+		return engine.Transient(fmt.Errorf("trace: write checkpoints: %w", err))
 	}
 	if err := tmp.Close(); err != nil {
 		return engine.Transient(err)
@@ -92,10 +103,10 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 // Identity against a particular trace and configuration is the separate
 // Validate step, so callers can report "no checkpoints" and "wrong
 // checkpoints" differently.
-// Open failures are classified engine.Transient (NFS blips, racing
-// writers); decode and validation failures are not — a corrupt or
-// mismatched file stays corrupt, and the caller's rebuild path is the
-// fix, not a retry.
+// Open and Stat failures are classified engine.Transient (NFS blips,
+// racing writers); decode and validation failures are not — a corrupt,
+// truncated, old-format or mismatched file stays that way, and the
+// caller's rebuild path is the fix, not a retry.
 func LoadCheckpoints(path string) (*CheckpointFile, error) {
 	if err := faultinject.Fire("trace.checkpoint.read"); err != nil {
 		return nil, fmt.Errorf("trace: load %s: %w", path, err)
@@ -108,17 +119,34 @@ func LoadCheckpoints(path string) (*CheckpointFile, error) {
 		return nil, engine.Transient(err)
 	}
 	defer f.Close()
-	var cf CheckpointFile
-	if err := gob.NewDecoder(f).Decode(&cf); err != nil {
-		return nil, fmt.Errorf("trace: decode %s: %w", path, err)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, engine.Transient(err)
 	}
-	if cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("trace: %s has checkpoint version %d (want %d)", path, cf.Version, checkpointVersion)
-	}
-	if err := cf.check(); err != nil {
+	cf, err := readCheckpoints(f, st.Size())
+	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return &cf, nil
+	return cf, nil
+}
+
+// readCheckpoints decodes a side-file of size bytes from r and checks
+// its structure. Every length in the file is checked against size
+// before anything is allocated, so the input bounds the allocation.
+func readCheckpoints(r io.Reader, size int64) (*CheckpointFile, error) {
+	fp, err := checkpointLayout()
+	if err != nil {
+		return nil, err
+	}
+	d := ckptDecoder{r: bufio.NewReaderSize(r, int(min(size, ckptBufSize))), left: size}
+	cf, err := d.decode(fp)
+	if err != nil {
+		return nil, fmt.Errorf("decode checkpoints: %w", err)
+	}
+	if err := cf.check(); err != nil {
+		return nil, err
+	}
+	return cf, nil
 }
 
 // check enforces the structural invariants shared by write and load.

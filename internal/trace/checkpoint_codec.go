@@ -1,0 +1,683 @@
+package trace
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"io"
+	"math"
+	"reflect"
+	"sync"
+
+	"bebop/internal/pipeline"
+)
+
+// Side-file layout, format version 2. Every integer is little-endian
+// and fixed-width:
+//
+//	File  := magic "BBCk" | version u16 | fingerprint u64
+//	         | traceName str | traceInsts i64 | configName str
+//	         | count u64 | count × Point
+//	Point := the exported fields of pipeline.Checkpoint in declaration
+//	         order, each encoded by kind:
+//	  bool, intN, uintN  1 or N/8 bytes (int and uint as i64 and u64)
+//	  string             u64 length | bytes
+//	  array              its elements
+//	  slice              u64 length | its elements
+//	  struct             its exported fields in declaration order
+//	  pointer            u8 presence (0 nil, 1 set) | the pointee
+//	  any                u8 payload tag (0 nil) | the registered payload
+//
+// Arrays and slices of bools and fixed-width integers move in bulk
+// through encoding/binary, so loading is a handful of copies per table.
+// Fields are found by reflection: a new snapshot field is encoded with
+// no change here. The fingerprint hashes the field names and kinds the
+// walk visits, registered VP payloads included in tag order, so any
+// change to a snapshot struct changes it and the reader refuses the
+// older side-files it would otherwise misread.
+const (
+	checkpointMagic   = "BBCk"
+	checkpointVersion = 2
+	// ckptBufSize sizes the bufio buffers on both sides; bulk data
+	// moves in chunks of at most this many bytes.
+	ckptBufSize = 64 << 10
+)
+
+// checkpointLayout returns the layout fingerprint, or why
+// pipeline.Checkpoint cannot be encoded. It runs once, on first use,
+// after every package init has registered its VP payloads.
+var checkpointLayout = sync.OnceValues(func() (uint64, error) {
+	h := fnv.New64a()
+	if err := describeLayout(h, reflect.TypeFor[pipeline.Checkpoint](), nil); err != nil {
+		return 0, fmt.Errorf("checkpoint layout: %w", err)
+	}
+	return h.Sum64(), nil
+})
+
+// describeLayout writes the canonical description of t's encoded layout
+// to w, refusing what the codec cannot encode: unexported fields,
+// recursive structs, interfaces other than any, and kinds outside the
+// table above. open holds the structs being described, outermost first.
+func describeLayout(w io.Writer, t reflect.Type, open []reflect.Type) error {
+	switch k := t.Kind(); k {
+	case reflect.Array:
+		fmt.Fprintf(w, "[%d]", t.Len())
+		return describeLayout(w, t.Elem(), open)
+	case reflect.Slice:
+		fmt.Fprint(w, "[]")
+		return describeLayout(w, t.Elem(), open)
+	case reflect.Pointer:
+		fmt.Fprint(w, "*")
+		return describeLayout(w, t.Elem(), open)
+	case reflect.Interface:
+		if t.NumMethod() != 0 {
+			return fmt.Errorf("interface %s has methods; only any carries a registered payload", t)
+		}
+		fmt.Fprint(w, "any{")
+		for _, p := range pipeline.VPPayloads() {
+			fmt.Fprintf(w, "%d:", p.Tag)
+			if err := describeLayout(w, p.Type, open); err != nil {
+				return fmt.Errorf("VP payload %s: %w", p.Type, err)
+			}
+			fmt.Fprint(w, ";")
+		}
+		fmt.Fprint(w, "}")
+	case reflect.Struct:
+		for _, o := range open {
+			if o == t {
+				return fmt.Errorf("recursive struct %s", t)
+			}
+		}
+		open = append(open, t)
+		fmt.Fprint(w, "struct{")
+		for i := range t.NumField() {
+			f := t.Field(i)
+			if !f.IsExported() {
+				return fmt.Errorf("%s.%s is unexported", t, f.Name)
+			}
+			fmt.Fprintf(w, "%s ", f.Name)
+			if err := describeLayout(w, f.Type, open); err != nil {
+				return fmt.Errorf("%s.%s: %w", t, f.Name, err)
+			}
+			fmt.Fprint(w, ";")
+		}
+		fmt.Fprint(w, "}")
+	default:
+		if k != reflect.String && intWidth(k) == 0 {
+			return fmt.Errorf("unsupported kind %s", k)
+		}
+		fmt.Fprint(w, k)
+	}
+	return nil
+}
+
+// intWidth is the encoded width of a bool or integer kind, 0 for every
+// other kind.
+func intWidth(k reflect.Kind) int {
+	switch k {
+	case reflect.Bool, reflect.Int8, reflect.Uint8:
+		return 1
+	case reflect.Int16, reflect.Uint16:
+		return 2
+	case reflect.Int32, reflect.Uint32:
+		return 4
+	case reflect.Int64, reflect.Uint64, reflect.Int, reflect.Uint:
+		return 8
+	}
+	return 0
+}
+
+// bulkSize is the encoded size of one t when encoding/binary can move t
+// in bulk (bools, fixed-width integers and arrays of them), else 0.
+func bulkSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Int, reflect.Uint:
+		return 0 // platform-sized: converted one at a time
+	case reflect.Array:
+		return t.Len() * bulkSize(t.Elem())
+	}
+	return intWidth(t.Kind())
+}
+
+// minSize is the fewest bytes one t encodes to. Length checks divide
+// the bytes left in the file by it, so a declared count can never ask
+// for more elements than the file could still hold.
+func minSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.String, reflect.Slice:
+		return 8
+	case reflect.Pointer, reflect.Interface:
+		return 1
+	case reflect.Array:
+		return t.Len() * minSize(t.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := range t.NumField() {
+			n += minSize(t.Field(i).Type)
+		}
+		return n
+	}
+	return intWidth(t.Kind())
+}
+
+// baseKind is the kind of t's innermost array element.
+func baseKind(t reflect.Type) reflect.Kind {
+	for t.Kind() == reflect.Array {
+		t = t.Elem()
+	}
+	return t.Kind()
+}
+
+func payloadTag(t reflect.Type) (uint8, bool) {
+	for _, p := range pipeline.VPPayloads() {
+		if p.Type == t {
+			return p.Tag, true
+		}
+	}
+	return 0, false
+}
+
+func payloadType(tag uint8) (reflect.Type, bool) {
+	for _, p := range pipeline.VPPayloads() {
+		if p.Tag == tag {
+			return p.Type, true
+		}
+	}
+	return nil, false
+}
+
+// ckptEncoder streams a side-file into a bufio.Writer. A write error
+// sticks in the bufio.Writer, which turns every later write into a
+// no-op and returns the error from Flush, so the encoder never checks
+// individual writes: WriteCheckpoints checks Flush.
+type ckptEncoder struct {
+	w       *bufio.Writer
+	scratch [8]byte
+}
+
+func (e *ckptEncoder) fixed(x uint64, width int) {
+	binary.LittleEndian.PutUint64(e.scratch[:], x)
+	_, _ = e.w.Write(e.scratch[:width]) // sticky, see ckptEncoder
+}
+
+func (e *ckptEncoder) str(s string) {
+	e.fixed(uint64(len(s)), 8)
+	_, _ = e.w.WriteString(s) // sticky, see ckptEncoder
+}
+
+// encode writes the whole side-file; fp is the layout fingerprint.
+func (e *ckptEncoder) encode(cf *CheckpointFile, fp uint64) error {
+	_, _ = e.w.WriteString(checkpointMagic) // sticky, see ckptEncoder
+	e.fixed(checkpointVersion, 2)
+	e.fixed(fp, 8)
+	e.str(cf.TraceName)
+	e.fixed(uint64(cf.TraceInsts), 8)
+	e.str(cf.ConfigName)
+	e.fixed(uint64(len(cf.Points)), 8)
+	for i, ck := range cf.Points {
+		if err := e.value(reflect.ValueOf(ck).Elem()); err != nil {
+			return fmt.Errorf("point %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// value encodes v. Every value reached from a *pipeline.Checkpoint is
+// addressable, which lets arrays be sliced for the bulk path.
+func (e *ckptEncoder) value(v reflect.Value) error {
+	switch k := v.Kind(); k {
+	case reflect.Bool:
+		var b uint64
+		if v.Bool() {
+			b = 1
+		}
+		e.fixed(b, 1)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.fixed(uint64(v.Int()), intWidth(k))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		e.fixed(v.Uint(), intWidth(k))
+	case reflect.String:
+		e.str(v.String())
+	case reflect.Array:
+		return e.elems(v)
+	case reflect.Slice:
+		e.fixed(uint64(v.Len()), 8)
+		return e.elems(v)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if err := e.value(v.Field(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			e.fixed(0, 1)
+			return nil
+		}
+		e.fixed(1, 1)
+		return e.value(v.Elem())
+	case reflect.Interface:
+		if v.IsNil() {
+			e.fixed(0, 1)
+			return nil
+		}
+		tag, ok := payloadTag(v.Elem().Type())
+		if !ok {
+			return fmt.Errorf("VP payload type %s is not registered", v.Elem().Type())
+		}
+		e.fixed(uint64(tag), 1)
+		return e.value(v.Elem())
+	default:
+		return fmt.Errorf("unsupported kind %s", k)
+	}
+	return nil
+}
+
+// elems encodes the elements of an array or slice.
+func (e *ckptEncoder) elems(v reflect.Value) error {
+	n := v.Len()
+	size := bulkSize(v.Type().Elem())
+	if size == 0 {
+		for i := range n {
+			if err := e.value(v.Index(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if v.Kind() == reflect.Array {
+		v = v.Slice(0, n)
+	}
+	per := max(1, e.w.Size()/size)
+	for i := 0; i < n; i += per {
+		chunk := v.Slice(i, min(i+per, n))
+		if e.w.Available() < chunk.Len()*size {
+			_ = e.w.Flush() // sticky, see ckptEncoder
+		}
+		b, err := appendBulk(e.w.AvailableBuffer(), chunk.Interface())
+		if err != nil {
+			return err
+		}
+		_, _ = e.w.Write(b) // sticky, see ckptEncoder
+	}
+	return nil
+}
+
+// appendBulk appends the encoding of s, a slice of plain elements, to
+// b. The common element types run loops over binary.LittleEndian, which
+// the compiler inlines: binary.Append takes its byte order as an
+// interface and is several times slower per element. Arrays and named
+// element types take binary.Append.
+func appendBulk(b []byte, s any) ([]byte, error) {
+	switch s := s.(type) {
+	case []bool:
+		for _, x := range s {
+			c := byte(0)
+			if x {
+				c = 1
+			}
+			b = append(b, c)
+		}
+	case []int8:
+		for _, x := range s {
+			b = append(b, byte(x))
+		}
+	case []uint8:
+		b = append(b, s...)
+	case []int16:
+		b = put16(b, s)
+	case []uint16:
+		b = put16(b, s)
+	case []int32:
+		b = put32(b, s)
+	case []uint32:
+		b = put32(b, s)
+	case []int64:
+		b = put64(b, s)
+	case []uint64:
+		b = put64(b, s)
+	default:
+		return binary.Append(b, binary.LittleEndian, s)
+	}
+	return b, nil
+}
+
+func put16[T ~int16 | ~uint16](b []byte, s []T) []byte {
+	for _, x := range s {
+		b = binary.LittleEndian.AppendUint16(b, uint16(x))
+	}
+	return b
+}
+
+func put32[T ~int32 | ~uint32](b []byte, s []T) []byte {
+	for _, x := range s {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
+	}
+	return b
+}
+
+func put64[T ~int64 | ~uint64](b []byte, s []T) []byte {
+	for _, x := range s {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
+	}
+	return b
+}
+
+// errTruncated reports a side-file that ends before its layout does.
+var errTruncated = errors.New("unexpected end of file")
+
+// ckptDecoder reads a side-file from a bufio.Reader. left counts the
+// bytes not yet consumed, from the size the caller took from Stat:
+// every declared length is checked against it before anything is
+// allocated, so a corrupt length fails instead of allocating.
+type ckptDecoder struct {
+	r    *bufio.Reader
+	left int64
+}
+
+// peek returns the next n bytes without consuming them; skip consumes
+// them. n never exceeds the reader's buffer size.
+func (d *ckptDecoder) peek(n int) ([]byte, error) {
+	if int64(n) > d.left {
+		return nil, errTruncated
+	}
+	b, err := d.r.Peek(n)
+	if err == io.EOF {
+		return nil, errTruncated
+	}
+	return b, err
+}
+
+func (d *ckptDecoder) skip(n int) {
+	_, _ = d.r.Discard(n) // the bytes were peeked, so Discard cannot fail
+	d.left -= int64(n)
+}
+
+func (d *ckptDecoder) fixed(width int) (uint64, error) {
+	b, err := d.peek(width)
+	if err != nil {
+		return 0, err
+	}
+	var x uint64
+	for i := width - 1; i >= 0; i-- {
+		x = x<<8 | uint64(b[i])
+	}
+	d.skip(width)
+	return x, nil
+}
+
+// length reads a u64 element count and checks that the rest of the
+// file can hold that many elements of at least elemMin bytes each.
+func (d *ckptDecoder) length(elemMin int) (int, error) {
+	n, err := d.fixed(8)
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.left)/uint64(max(elemMin, 1)) || n > math.MaxInt {
+		return 0, fmt.Errorf("length %d does not fit in the %d bytes left", n, d.left)
+	}
+	return int(n), nil
+}
+
+func (d *ckptDecoder) str() (string, error) {
+	n, err := d.length(1)
+	if err != nil {
+		return "", err
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errTruncated
+		}
+		return "", err
+	}
+	d.left -= int64(n)
+	return string(b), nil
+}
+
+// decode reads a whole side-file; fp is the layout fingerprint this
+// build writes.
+func (d *ckptDecoder) decode(fp uint64) (*CheckpointFile, error) {
+	const fixed = len(checkpointMagic) + 2 + 8
+	b, err := d.peek(fixed)
+	if err != nil {
+		return nil, err
+	}
+	if string(b[:4]) != checkpointMagic {
+		return nil, fmt.Errorf("bad magic %q (want %q)", b[:4], checkpointMagic)
+	}
+	if v := binary.LittleEndian.Uint16(b[4:6]); v != checkpointVersion {
+		return nil, fmt.Errorf("format version %d (want %d)", v, checkpointVersion)
+	}
+	if got := binary.LittleEndian.Uint64(b[6:14]); got != fp {
+		return nil, fmt.Errorf("layout fingerprint %#016x, this build writes %#016x", got, fp)
+	}
+	d.skip(fixed)
+	cf := &CheckpointFile{Version: checkpointVersion}
+	if cf.TraceName, err = d.str(); err != nil {
+		return nil, err
+	}
+	insts, err := d.fixed(8)
+	if err != nil {
+		return nil, err
+	}
+	cf.TraceInsts = int64(insts)
+	if cf.ConfigName, err = d.str(); err != nil {
+		return nil, err
+	}
+	n, err := d.length(minSize(reflect.TypeFor[pipeline.Checkpoint]()))
+	if err != nil {
+		return nil, err
+	}
+	cf.Points = make([]*pipeline.Checkpoint, n)
+	for i := range cf.Points {
+		ck := new(pipeline.Checkpoint)
+		if err := d.value(reflect.ValueOf(ck).Elem()); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+		cf.Points[i] = ck
+	}
+	if d.left != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", d.left)
+	}
+	return cf, nil
+}
+
+// value decodes into the settable v.
+func (d *ckptDecoder) value(v reflect.Value) error {
+	switch k := v.Kind(); k {
+	case reflect.Bool:
+		x, err := d.fixed(1)
+		if err != nil {
+			return err
+		}
+		if x > 1 {
+			return fmt.Errorf("bool byte %d", x)
+		}
+		v.SetBool(x == 1)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		w := intWidth(k)
+		x, err := d.fixed(w)
+		if err != nil {
+			return err
+		}
+		s := int64(x<<(64-8*w)) >> (64 - 8*w) // sign-extend
+		if v.OverflowInt(s) {
+			return fmt.Errorf("%d overflows %s", s, v.Type())
+		}
+		v.SetInt(s)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		x, err := d.fixed(intWidth(k))
+		if err != nil {
+			return err
+		}
+		if v.OverflowUint(x) {
+			return fmt.Errorf("%d overflows %s", x, v.Type())
+		}
+		v.SetUint(x)
+	case reflect.String:
+		s, err := d.str()
+		if err != nil {
+			return err
+		}
+		v.SetString(s)
+	case reflect.Array:
+		return d.elems(v)
+	case reflect.Slice:
+		n, err := d.length(minSize(v.Type().Elem()))
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			v.SetZero() // an empty slice loads as nil
+			return nil
+		}
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		return d.elems(v)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if err := d.value(v.Field(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Pointer:
+		present, err := d.fixed(1)
+		if err != nil {
+			return err
+		}
+		switch present {
+		case 0:
+			v.SetZero()
+		case 1:
+			p := reflect.New(v.Type().Elem())
+			if err := d.value(p.Elem()); err != nil {
+				return err
+			}
+			v.Set(p)
+		default:
+			return fmt.Errorf("presence byte %d", present)
+		}
+	case reflect.Interface:
+		tag, err := d.fixed(1)
+		if err != nil {
+			return err
+		}
+		if tag == 0 {
+			v.SetZero()
+			return nil
+		}
+		t, ok := payloadType(uint8(tag))
+		if !ok {
+			return fmt.Errorf("unknown VP payload tag %d", tag)
+		}
+		p := reflect.New(t).Elem()
+		if err := d.value(p); err != nil {
+			return err
+		}
+		v.Set(p)
+	default:
+		return fmt.Errorf("unsupported kind %s", k)
+	}
+	return nil
+}
+
+// elems decodes the elements of an array or an already sized slice.
+func (d *ckptDecoder) elems(v reflect.Value) error {
+	n := v.Len()
+	size := bulkSize(v.Type().Elem())
+	if size == 0 || size > d.r.Size() {
+		for i := range n {
+			if err := d.value(v.Index(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if v.Kind() == reflect.Array {
+		v = v.Slice(0, n)
+	}
+	per := d.r.Size() / size
+	for i := 0; i < n; i += per {
+		chunk := v.Slice(i, min(i+per, n))
+		k := chunk.Len() * size
+		b, err := d.peek(k)
+		if err != nil {
+			return err
+		}
+		if err := decodeBulk(chunk.Interface(), b); err != nil {
+			return err
+		}
+		d.skip(k)
+	}
+	return nil
+}
+
+// decodeBulk fills s, a slice of plain elements, from b, which holds
+// exactly its encoding; the counterpart of appendBulk. A bool must be
+// stored as 0 or 1, so a file that loads re-encodes to the same bytes.
+func decodeBulk(s any, b []byte) error {
+	switch s := s.(type) {
+	case []bool:
+		for i, c := range b {
+			if c > 1 {
+				return fmt.Errorf("bool byte %d", c)
+			}
+			s[i] = c == 1
+		}
+	case []int8:
+		for i, c := range b {
+			s[i] = int8(c)
+		}
+	case []uint8:
+		copy(s, b)
+	case []int16:
+		get16(s, b)
+	case []uint16:
+		get16(s, b)
+	case []int32:
+		get32(s, b)
+	case []uint32:
+		get32(s, b)
+	case []int64:
+		get64(s, b)
+	case []uint64:
+		get64(s, b)
+	default:
+		if baseKind(reflect.TypeOf(s).Elem()) == reflect.Bool {
+			for _, c := range b {
+				if c > 1 {
+					return fmt.Errorf("bool byte %d", c)
+				}
+			}
+		}
+		_, err := binary.Decode(b, binary.LittleEndian, s)
+		return err
+	}
+	return nil
+}
+
+// The get loops advance b rather than index it, which lets the
+// compiler drop most bounds checks.
+
+func get16[T ~int16 | ~uint16](s []T, b []byte) {
+	for i := range s {
+		s[i] = T(binary.LittleEndian.Uint16(b))
+		b = b[2:]
+	}
+}
+
+func get32[T ~int32 | ~uint32](s []T, b []byte) {
+	for i := range s {
+		s[i] = T(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+	}
+}
+
+func get64[T ~int64 | ~uint64](s []T, b []byte) {
+	for i := range s {
+		s[i] = T(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+}

@@ -88,6 +88,9 @@ const (
 	maxFrameBytes  = 1 << 26
 	maxNameLen     = 1 << 12
 	maxIndexFrames = 1 << 24
+	// maxIndexBytes bounds the raw index: a frame count, three uvarints
+	// per frame and the two totals, each at most MaxVarintLen64 bytes.
+	maxIndexBytes = binary.MaxVarintLen64 * (3 + 3*maxIndexFrames)
 )
 
 // ErrFormat is wrapped by every malformed-input error, so callers can

@@ -35,6 +35,7 @@ type Reader struct {
 
 	hdr      Header
 	nameBuf  []byte
+	idxBuf   []byte // raw frame index, read in one call at open
 	index    []frameIndexEntry
 	hasIndex bool
 
@@ -383,7 +384,9 @@ func (r *Reader) readHeader() error {
 }
 
 // loadIndex validates the trailer, loads the frame index and recovers
-// the totals, then repositions the source at the first frame.
+// the totals, then repositions the source at the first frame. The
+// index is read in one call, from its offset up to the trailer, into a
+// buffer the Reader reuses across Resets.
 func (r *Reader) loadIndex() error {
 	end, err := r.rs.Seek(-trailerLen, io.SeekEnd)
 	if err != nil {
@@ -401,10 +404,28 @@ func (r *Reader) loadIndex() error {
 	if indexOff < r.dataOff || indexOff >= uint64(end) {
 		return formatErr("index offset %d outside frame region [%d, %d)", indexOff, r.dataOff, end)
 	}
+	if n := uint64(end) - indexOff; n > maxIndexBytes {
+		return formatErr("index of %d bytes exceeds the %d bound", n, maxIndexBytes)
+	}
 	if err := r.seekTo(indexOff); err != nil {
 		return err
 	}
-	numFrames, err := r.readUvarint()
+	var rerr error
+	r.idxBuf, rerr = appendRead(r.idxBuf[:0], r.src, uint64(end)-indexOff)
+	if rerr != nil {
+		return formatErr("index: %v", rerr)
+	}
+	r.off = uint64(end)
+	idx := r.idxBuf
+	uvarint := func() (uint64, error) {
+		v, n := binary.Uvarint(idx)
+		if n <= 0 {
+			return 0, fmt.Errorf("truncated or overlong uvarint at index byte %d", len(r.idxBuf)-len(idx))
+		}
+		idx = idx[n:]
+		return v, nil
+	}
+	numFrames, err := uvarint()
 	if err != nil {
 		return formatErr("index: %v", err)
 	}
@@ -413,15 +434,15 @@ func (r *Reader) loadIndex() error {
 	}
 	var prev frameIndexEntry
 	for i := uint64(0); i < numFrames; i++ {
-		fd, err := r.readUvarint()
+		fd, err := uvarint()
 		if err != nil {
 			return formatErr("index entry %d: %v", i, err)
 		}
-		od, err := r.readUvarint()
+		od, err := uvarint()
 		if err != nil {
 			return formatErr("index entry %d: %v", i, err)
 		}
-		ic, err := r.readUvarint()
+		ic, err := uvarint()
 		if err != nil {
 			return formatErr("index entry %d: %v", i, err)
 		}
@@ -439,11 +460,11 @@ func (r *Reader) loadIndex() error {
 		r.index = append(r.index, e)
 		prev = e
 	}
-	totalInsts, err := r.readUvarint()
+	totalInsts, err := uvarint()
 	if err != nil {
 		return formatErr("index totals: %v", err)
 	}
-	totalUOps, err := r.readUvarint()
+	totalUOps, err := uvarint()
 	if err != nil {
 		return formatErr("index totals: %v", err)
 	}

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -318,5 +319,35 @@ func TestRunSourceRejectsShortTrace(t *testing.T) {
 	// Exactly fitting budget (warmup 3333 + measured 6666 = 9999) runs.
 	if _, err := core.RunSource(src, 6666, core.Baseline()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingReadSeeker counts the Read calls made on it.
+type countingReadSeeker struct {
+	io.ReadSeeker
+	reads int
+}
+
+func (c *countingReadSeeker) Read(p []byte) (int, error) {
+	c.reads++
+	return c.ReadSeeker.Read(p)
+}
+
+// TestOpenReadsIndexInOneCall: opening a seekable trace reads the
+// header, the trailer and the whole frame index in a handful of calls,
+// however many frames the index lists.
+func TestOpenReadsIndexInOneCall(t *testing.T) {
+	prof, _ := workload.ProfileByName("gcc")
+	data := record(t, prof, 40_000, trace.WriterOptions{FrameInsts: 256})
+	src := &countingReadSeeker{ReadSeeker: bytes.NewReader(data)}
+	r, err := trace.NewReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Frames() < 150 {
+		t.Fatalf("trace has %d frames; the test wants a long index", r.Frames())
+	}
+	if src.reads > 6 {
+		t.Errorf("opening a %d-frame trace issued %d reads, want at most 6", r.Frames(), src.reads)
 	}
 }

@@ -115,6 +115,52 @@ func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(rep1, rep2) {
 		t.Errorf("checkpoint reuse changes the report:\n%+v\n%+v", rep1, rep2)
 	}
+
+	// A side-file in the old gob format, or one cut short, is rebuilt
+	// once: counted as rebuilt and never as reused, rewritten in the
+	// current format, and the run reports what the fresh build reported.
+	fresh, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshCF, err := trace.LoadCheckpoints(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("..", "internal", "trace", "testdata", "checkpoint-v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"gob v1", v1},
+		{"truncated", fresh[:len(fresh)/2]},
+	} {
+		if err := os.WriteFile(ckPath, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reused, rebuilt := mCkptReused.Value(), mCkptRebuilt.Value()
+		rep, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s side-file: %v", tc.name, err)
+		}
+		if d := mCkptRebuilt.Value() - rebuilt; d != 1 {
+			t.Errorf("%s side-file: rebuilt counter rose by %d, want 1", tc.name, d)
+		}
+		if d := mCkptReused.Value() - reused; d != 0 {
+			t.Errorf("%s side-file: reused counter rose by %d, want 0", tc.name, d)
+		}
+		if cf, err := trace.LoadCheckpoints(ckPath); err != nil {
+			t.Errorf("%s side-file was not rewritten in the current format: %v", tc.name, err)
+		} else if len(cf.Points) != len(freshCF.Points) {
+			t.Errorf("%s side-file was rewritten with %d points, the fresh build wrote %d", tc.name, len(cf.Points), len(freshCF.Points))
+		}
+		if !reflect.DeepEqual(rep, rep1) {
+			t.Errorf("%s side-file: rebuilt run diverges from the fresh build:\n%+v\n%+v", tc.name, rep1, rep)
+		}
+	}
 }
 
 func TestSamplingSpecValidation(t *testing.T) {

@@ -31,9 +31,6 @@
 // With -pprof the net/http/pprof surface is mounted under /debug/pprof/
 // for live profiling (see README "Profiling the hot loop").
 //
-// Deprecated pre-v1 aliases (kept for existing clients, answered with a
-// Deprecation header): GET /experiments, GET /run?exp=...&w=...
-//
 // Budgets: a RunSpec's insts defaults to -n and is clamped to -max-insts
 // server-side; the response's spec.insts shows what actually ran. Sweep
 // budgets are fixed per process (-n): results are cached by

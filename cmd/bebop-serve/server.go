@@ -103,9 +103,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	}, nil
 }
 
-// routes builds the v1 REST mux. The pre-v1 endpoints stay mounted as
-// deprecated aliases so existing clients keep working; they answer with a
-// Deprecation header pointing at their replacement.
+// routes builds the v1 REST mux.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
@@ -122,9 +120,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}", s.runStatusV1)
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.runEventsV1)
 	mux.Handle("POST /v1/sweeps", s.admit.Wrap(http.HandlerFunc(s.sweepsV1)))
-	// Deprecated pre-v1 surface.
-	mux.HandleFunc("GET /experiments", s.deprecated("/v1/experiments", s.experimentsV1))
-	mux.Handle("GET /run", s.admit.Wrap(s.deprecated("/v1/sweeps", s.runLegacy)))
 	if s.cfg.pprof {
 		mux.Handle("/debug/pprof/", prof.Handler())
 	}
@@ -178,14 +173,6 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := sim.WriteMetrics(w); err != nil {
 		slog.Error("metrics write failed", "err", err)
-	}
-}
-
-func (s *server) deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, req)
 	}
 }
 
@@ -529,26 +516,7 @@ func (s *server) sweepsV1(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
-	s.serveSweep(w, req, spec, req.URL.Query().Get("format"))
-}
-
-// runLegacy is the deprecated GET /run?exp=...&w=...&format=... surface,
-// mapped onto the same sweep path.
-func (s *server) runLegacy(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	exp := q.Get("exp")
-	if exp == "" {
-		httpError(w, http.StatusBadRequest, "missing exp parameter", nil)
-		return
-	}
-	spec := sim.SweepSpec{Experiments: strings.Split(exp, ",")}
-	if wl := q.Get("w"); wl != "" {
-		spec.Workloads = strings.Split(wl, ",")
-	}
-	s.serveSweep(w, req, spec, q.Get("format"))
-}
-
-func (s *server) serveSweep(w http.ResponseWriter, req *http.Request, spec sim.SweepSpec, format string) {
+	format := req.URL.Query().Get("format")
 	if format == "" {
 		format = "json" // unlike the CLI, the service defaults to JSON
 	}
@@ -575,7 +543,7 @@ func (s *server) serveSweep(w http.ResponseWriter, req *http.Request, spec sim.S
 	var buf strings.Builder
 	start := time.Now()
 	s.inflight.Add(1)
-	err := s.sweeper.Write(ctx, &buf, format, spec)
+	err = s.sweeper.Write(ctx, &buf, format, spec)
 	s.inflight.Add(-1)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

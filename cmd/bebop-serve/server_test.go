@@ -389,7 +389,7 @@ func TestV1CatalogEndpoints(t *testing.T) {
 	}
 }
 
-func TestV1SweepsAndDeprecatedRunAlias(t *testing.T) {
+func TestV1Sweeps(t *testing.T) {
 	ts := testServer(t, serverConfig{defaultInsts: 5_000})
 
 	// table3 is static (no simulation), so this exercises the full sweep
@@ -408,28 +408,6 @@ func TestV1SweepsAndDeprecatedRunAlias(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(blob), "table3") {
 		t.Fatalf("unknown experiment: %d %s", resp.StatusCode, blob)
 	}
-
-	// The deprecated GET /run alias answers with the same table and a
-	// Deprecation header.
-	resp, err := http.Get(ts.URL + "/run?exp=table3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy /run: %d (Deprecation=%q)", resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
-	if !bytes.Equal(legacy, blobOf(t, ts.URL)) {
-		t.Fatalf("legacy alias diverged from /v1/sweeps:\n%s\n---\n%s", legacy, blobOf(t, ts.URL))
-	}
-}
-
-// blobOf fetches the canonical /v1/sweeps table3 response.
-func blobOf(t *testing.T, base string) []byte {
-	t.Helper()
-	_, blob := postJSON(t, base+"/v1/sweeps", `{"experiments":["table3"]}`)
-	return blob
 }
 
 func getJSON(t *testing.T, url string, v any) {

@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"sync"
 
@@ -46,17 +45,6 @@ var (
 // stateful, so every simulation run needs its own instance.
 type ConfigFactory func() pipeline.Config
 
-// Run simulates one workload profile under the given configuration and
-// returns the result. The first insts/2 instructions warm all structures
-// (caches, branch predictor, value predictor) and the remaining insts are
-// measured, mirroring the paper's Simpoint methodology (Section V-C:
-// "warm up all structures for 50M instructions, then collect statistics
-// for 100M instructions").
-func Run(prof workload.Profile, insts int64, mk ConfigFactory) pipeline.Result {
-	warmup := insts / 2
-	return RunWarm(prof, warmup, insts, mk)
-}
-
 // procPool recycles processors across simulation jobs: engine workers and
 // sweeps run many (configuration, workload) pairs back to back, and
 // Processor.Reset clears the TAGE/BTB/cache/store-set tables in place
@@ -77,25 +65,27 @@ func acquireProc(cfg pipeline.Config, stream isa.Stream) *pipeline.Processor {
 	return pipeline.New(cfg, stream)
 }
 
-// RunWarm simulates warmup+insts instructions, reporting statistics only
-// for the final insts.
-func RunWarm(prof workload.Profile, warmup, insts int64, mk ConfigFactory) pipeline.Result {
-	gen := workload.New(prof, warmup+insts)
-	proc := acquireProc(mk(), gen)
-	r := proc.RunWarm(warmup, 0)
+// simulate is the one way this package drives a processor: it arms a
+// pooled processor for mk() over stream and hands it to fn. On a normal
+// return, fn's error included, the processor is released back to
+// procPool. A panic anywhere inside (a simulator bug on a pathological
+// input, a trace decoder, chaos injection) becomes an error carrying
+// the stack instead of taking down the process and every other
+// in-flight run; the seized processor is then dropped, not pooled, so
+// its unknown state cannot poison a later run. The caller owns stream
+// and closes it after simulate returns.
+func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			mRunPanics.Inc()
+			err = fmt.Errorf("core: simulation panicked: %v\n%s", rec, debug.Stack())
+		}
+	}()
+	proc := acquireProc(mk(), stream)
+	err = fn(proc)
 	proc.Release()
 	procPool.Put(proc)
-	return r
-}
-
-// RunByName is Run for a named Table II workload.
-func RunByName(bench string, insts int64, mk ConfigFactory) (pipeline.Result, error) {
-	prof, ok := workload.ProfileByName(bench)
-	if !ok {
-		return pipeline.Result{}, fmt.Errorf("core: %w",
-			util.UnknownName("workload", bench, workload.Names()))
-	}
-	return Run(prof, insts, mk), nil
+	return err
 }
 
 // errStream is implemented by streams that can fail mid-run (a corrupt
@@ -106,21 +96,45 @@ type errStream interface{ Err() error }
 // (trace.Reader); generators produce however many are asked for.
 type sizedStream interface{ TotalInsts() (int64, bool) }
 
-// RunSource is Run over any workload source — a synthetic profile or a
-// recorded trace. The warmup/measure split matches Run (first insts/2
-// instructions warm all structures), so replaying a trace of a profile
-// reproduces Run(profile) bit-identically.
-func RunSource(src workload.Source, insts int64, mk ConfigFactory) (pipeline.Result, error) {
-	return RunSourceCtx(context.Background(), src, insts/2, insts, mk)
+// openBudgeted opens src for a run of warmup+insts instructions. A
+// stream that knows its length must cover that budget: a half-warmed
+// run silently labeled as measured would poison every comparison
+// against it. On error nothing is left open.
+func openBudgeted(src workload.Source, warmup, insts int64) (isa.Stream, error) {
+	stream, err := src.Open(warmup + insts)
+	if err != nil {
+		return nil, err
+	}
+	ss, ok := stream.(sizedStream)
+	if !ok {
+		return stream, nil
+	}
+	switch total, known := ss.TotalInsts(); {
+	case !known:
+		// A sized stream that cannot state its length (a trace streamed
+		// without patched header counts) is exactly the case where a
+		// short run would pass silently; refuse it.
+		err = fmt.Errorf(
+			"core: workload %q has an unknown instruction count; replay it from a seekable source",
+			src.Name())
+	case total < warmup+insts:
+		err = fmt.Errorf(
+			"core: workload %q holds %d instructions, need %d (%d warmup + %d measured); shrink -n or record a longer trace",
+			src.Name(), total, warmup+insts, warmup, insts)
+	default:
+		return stream, nil
+	}
+	closeStream(stream)
+	return nil, err
 }
 
 // cancelStream wraps a workload stream so a cancelled context ends the
 // run: Next polls ctx every cancelCheckInsts instructions and reports
 // end-of-stream once the context is done, letting the pipeline drain its
 // in-flight window and return; the recorded context error then surfaces
-// through RunSourceCtx's errStream check. The wrapper is pass-through
-// otherwise, so a run that is never cancelled stays bit-identical to an
-// unwrapped one.
+// through RunSourceProgress's errStream check. The wrapper is
+// pass-through otherwise, so a run that is never cancelled stays
+// bit-identical to an unwrapped one.
 type cancelStream struct {
 	inner isa.Stream
 	ctx   context.Context
@@ -158,12 +172,15 @@ func (c *cancelStream) Err() error {
 	return nil
 }
 
-// RunSourceCtx is RunSource with an explicit warmup budget and a context
-// observed mid-run: warmup+insts instructions are simulated, statistics
-// are reported for the final insts, and a cancelled ctx stops the
-// simulation within ~1K instructions and returns ctx's error. A trace too
-// short for the warmup+measure budget is an error: a half-warmed run
-// silently labeled as measured would poison every comparison against it.
+// RunSourceCtx simulates warmup+insts instructions of a workload source
+// (a synthetic profile through workload.ProfileSource, or a recorded
+// trace) and reports statistics for the final insts only: the warmup
+// trains every structure (caches, branch predictor, value predictor),
+// mirroring the paper's methodology (Section V-C: "warm up all
+// structures for 50M instructions, then collect statistics for 100M
+// instructions"). A cancelled ctx stops the simulation within ~1K
+// instructions and returns ctx's error. A trace too short for the
+// warmup+measure budget is an error.
 func RunSourceCtx(ctx context.Context, src workload.Source, warmup, insts int64, mk ConfigFactory) (pipeline.Result, error) {
 	return RunSourceProgress(ctx, src, warmup, insts, mk, nil)
 }
@@ -176,28 +193,9 @@ func RunSourceProgress(ctx context.Context, src workload.Source, warmup, insts i
 	if err := ctx.Err(); err != nil {
 		return pipeline.Result{}, err
 	}
-	stream, err := src.Open(warmup + insts)
+	stream, err := openBudgeted(src, warmup, insts)
 	if err != nil {
 		return pipeline.Result{}, err
-	}
-	if ss, ok := stream.(sizedStream); ok {
-		total, known := ss.TotalInsts()
-		if !known || total < warmup+insts {
-			if c, ok := stream.(io.Closer); ok {
-				c.Close()
-			}
-			if !known {
-				// A sized stream that cannot state its length (a trace
-				// streamed without patched header counts) is exactly the
-				// case where a short run would pass silently; refuse it.
-				return pipeline.Result{}, fmt.Errorf(
-					"core: workload %q has an unknown instruction count; replay it from a seekable source",
-					src.Name())
-			}
-			return pipeline.Result{}, fmt.Errorf(
-				"core: workload %q holds %d instructions, need %d (%d warmup + %d measured); shrink -n or record a longer trace",
-				src.Name(), total, warmup+insts, warmup, insts)
-		}
 	}
 	// Wrap for cancellation only when the context can actually be
 	// cancelled: the polling wrapper stays off the hot path for plain
@@ -209,41 +207,22 @@ func RunSourceProgress(ctx context.Context, src workload.Source, warmup, insts i
 		run = &cancelStream{inner: stream, ctx: ctx, total: warmup + insts, on: on}
 	}
 	sp := telemetry.TraceFrom(ctx).Start("detailed").SetInsts(warmup + insts)
-	r, err := runDetailed(mk, run, warmup)
+	var r pipeline.Result
+	err = simulate(mk, run, func(p *pipeline.Processor) error {
+		if err := faultinject.Fire("core.run"); err != nil {
+			return err
+		}
+		r = p.RunWarm(warmup, 0)
+		return nil
+	})
 	sp.End()
 	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
 		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
 	}
-	if c, ok := stream.(io.Closer); ok {
-		if cerr := c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := closeStream(stream); cerr != nil && err == nil {
+		err = cerr
 	}
 	return r, err
-}
-
-// runDetailed executes one detailed simulation pass with panic
-// isolation: a panicking pipeline (simulator bug on a pathological
-// input, chaos injection at the "core.run" point) becomes a per-run
-// error carrying the stack instead of taking down the process and every
-// other in-flight run. On panic the processor is deliberately NOT
-// released back to procPool — its tables are in an unknown state and
-// must not poison a later run; the pool re-allocates.
-func runDetailed(mk ConfigFactory, run isa.Stream, warmup int64) (r pipeline.Result, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			mRunPanics.Inc()
-			err = fmt.Errorf("core: simulation panicked: %v\n%s", rec, debug.Stack())
-		}
-	}()
-	if err := faultinject.Fire("core.run"); err != nil {
-		return pipeline.Result{}, err
-	}
-	proc := acquireProc(mk(), run)
-	r = proc.RunWarm(warmup, 0)
-	proc.Release()
-	procPool.Put(proc)
-	return r, nil
 }
 
 // Baseline returns the Baseline_6_60 factory.

@@ -1,13 +1,25 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"bebop/internal/pipeline"
 	"bebop/internal/util"
-	"bebop/internal/workload"
 )
+
+// runProfile simulates a Table II profile the paper's way: insts/2
+// warmup instructions, then insts measured.
+func runProfile(t *testing.T, bench string, insts int64, mk ConfigFactory) pipeline.Result {
+	t.Helper()
+	r, err := RunSourceCtx(context.Background(), sampleProfile(t, bench), insts/2, insts, mk)
+	if err != nil {
+		t.Fatalf("%s: %v", bench, err)
+	}
+	return r
+}
 
 func TestTable3StorageBudgets(t *testing.T) {
 	// The paper's Table III storage budgets, reproduced from first
@@ -100,32 +112,17 @@ func TestEOLEPresetParameters(t *testing.T) {
 	}
 }
 
-func TestRunByName(t *testing.T) {
-	r, err := RunByName("gzip", 5000, Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Insts == 0 || r.Cycles == 0 {
-		t.Fatalf("empty result: %+v", r)
-	}
-	if _, err := RunByName("bogus", 5000, Baseline()); err == nil {
-		t.Fatal("bogus benchmark accepted")
-	}
-}
-
 func TestRunIsDeterministic(t *testing.T) {
-	prof, _ := workload.ProfileByName("vpr")
-	a := Run(prof, 10000, Baseline())
-	b := Run(prof, 10000, Baseline())
+	a := runProfile(t, "vpr", 10000, Baseline())
+	b := runProfile(t, "vpr", 10000, Baseline())
 	if a.Cycles != b.Cycles {
 		t.Fatalf("non-deterministic: %d vs %d", a.Cycles, b.Cycles)
 	}
 }
 
 func TestVPSpeedsUpPredictableWorkload(t *testing.T) {
-	prof, _ := workload.ProfileByName("swim")
-	base := Run(prof, 40000, Baseline())
-	vp := Run(prof, 40000, BaselineVP("D-VTAGE"))
+	base := runProfile(t, "swim", 40000, Baseline())
+	vp := runProfile(t, "swim", 40000, BaselineVP("D-VTAGE"))
 	if vp.Cycles >= base.Cycles {
 		t.Fatalf("VP gave no speedup on swim: %d vs %d", vp.Cycles, base.Cycles)
 	}
@@ -134,8 +131,7 @@ func TestVPSpeedsUpPredictableWorkload(t *testing.T) {
 func TestVPAccuracyAboveDesignPoint(t *testing.T) {
 	// FPC must keep used-prediction accuracy >= 99.5% (Section III-A).
 	for _, bench := range []string{"swim", "gcc", "mcf"} {
-		prof, _ := workload.ProfileByName(bench)
-		r := Run(prof, 40000, BaselineVP("D-VTAGE"))
+		r := runProfile(t, bench, 40000, BaselineVP("D-VTAGE"))
 		if r.VP.Used > 100 && r.VP.Accuracy() < 0.995 {
 			t.Errorf("%s: VP accuracy %.4f below 99.5%%", bench, r.VP.Accuracy())
 		}
@@ -153,8 +149,7 @@ func TestBlockConfigStorageMonotone(t *testing.T) {
 }
 
 func TestEOLEBeBoPRuns(t *testing.T) {
-	prof, _ := workload.ProfileByName("gzip")
-	r := Run(prof, 20000, EOLEBeBoP("Medium", MediumConfig()))
+	r := runProfile(t, "gzip", 20000, EOLEBeBoP("Medium", MediumConfig()))
 	if r.Insts == 0 {
 		t.Fatal("BeBoP run committed nothing")
 	}
@@ -186,10 +181,6 @@ func TestAllPredictorNamesConstructible(t *testing.T) {
 }
 
 func TestUnknownNameErrorsListValidNames(t *testing.T) {
-	if _, err := RunByName("nope", 100, Baseline()); err == nil ||
-		!strings.Contains(err.Error(), "swim") {
-		t.Fatalf("unknown benchmark error does not list the suite: %v", err)
-	}
 	if _, err := NewInstPredictor("nope"); err == nil ||
 		!strings.Contains(err.Error(), "D-FCM") {
 		t.Fatalf("unknown predictor error does not list the predictors: %v", err)
@@ -217,19 +208,5 @@ func TestNamedFactoryCoversConfigNames(t *testing.T) {
 		if mk == nil || mk().Name == "" {
 			t.Fatalf("NamedFactory(%q) built a nameless config", cfg)
 		}
-	}
-}
-
-// TestRunSourceMatchesRun: the Source path is the same simulation as the
-// profile path.
-func TestRunSourceMatchesRun(t *testing.T) {
-	prof, _ := workload.ProfileByName("gcc")
-	direct := Run(prof, 5000, Baseline())
-	viaSource, err := RunSource(workload.ProfileSource{Prof: prof}, 5000, Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct != viaSource {
-		t.Fatalf("RunSource diverged from Run:\ndirect: %+v\nsource: %+v", direct, viaSource)
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"bebop/internal/pipeline"
+	"bebop/internal/workload"
 )
 
 // TestProcessorReuseDeterministic exercises the processor pool the way
@@ -15,12 +17,12 @@ import (
 // never shared between two in-flight jobs.
 func TestProcessorReuseDeterministic(t *testing.T) {
 	jobs := []struct {
-		bench string
-		mk    ConfigFactory
+		src workload.Source
+		mk  ConfigFactory
 	}{
-		{"gcc", Baseline()},
-		{"swim", BaselineVP("D-VTAGE")},
-		{"mcf", EOLEBeBoP("Medium", MediumConfig())},
+		{sampleProfile(t, "gcc"), Baseline()},
+		{sampleProfile(t, "swim"), BaselineVP("D-VTAGE")},
+		{sampleProfile(t, "mcf"), EOLEBeBoP("Medium", MediumConfig())},
 	}
 	const reps = 4
 	results := make([][]pipeline.Result, len(jobs))
@@ -31,7 +33,7 @@ func TestProcessorReuseDeterministic(t *testing.T) {
 			wg.Add(1)
 			go func(j, r int) {
 				defer wg.Done()
-				res, err := RunByName(jobs[j].bench, 6000, jobs[j].mk)
+				res, err := RunSourceCtx(context.Background(), jobs[j].src, 3000, 6000, jobs[j].mk)
 				if err != nil {
 					t.Error(err)
 					return
@@ -48,7 +50,7 @@ func TestProcessorReuseDeterministic(t *testing.T) {
 		for r := 1; r < reps; r++ {
 			if results[j][r] != results[j][0] {
 				t.Fatalf("%s: repetition %d diverged:\n%+v\nvs\n%+v",
-					jobs[j].bench, r, results[j][r], results[j][0])
+					jobs[j].src.Name(), r, results[j][r], results[j][0])
 			}
 		}
 	}

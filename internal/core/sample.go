@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -152,26 +151,11 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	if err := ctx.Err(); err != nil {
 		return pipeline.Result{}, SampleStats{}, err
 	}
-	// The same budget contract as a full run: a source that knows its
-	// length must cover warmup+insts, or every interval placement is
-	// fiction.
-	probe, err := src.Open(warmup + insts)
+	// The same budget contract as a full run, or every interval
+	// placement is fiction.
+	probe, err := openBudgeted(src, warmup, insts)
 	if err != nil {
 		return pipeline.Result{}, SampleStats{}, err
-	}
-	if ss, ok := probe.(sizedStream); ok {
-		total, known := ss.TotalInsts()
-		if !known {
-			closeStream(probe)
-			return pipeline.Result{}, SampleStats{}, fmt.Errorf(
-				"core: workload %q has an unknown instruction count; replay it from a seekable source", src.Name())
-		}
-		if total < warmup+insts {
-			closeStream(probe)
-			return pipeline.Result{}, SampleStats{}, fmt.Errorf(
-				"core: workload %q holds %d instructions, need %d (%d warmup + %d measured); shrink -n or record a longer trace",
-				src.Name(), total, warmup+insts, warmup, insts)
-		}
 	}
 	closeStream(probe)
 
@@ -205,7 +189,7 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 					continue
 				}
 				t0 := time.Now() //bebop:allow detlint -- wall time feeds only the interval-latency histogram, never the Result
-				res, used, err := runIntervalGuarded(ctx, src, warmup+int64(i)*stride, i, mk, sp)
+				res, used, err := runInterval(ctx, src, warmup+int64(i)*stride, i, mk, sp)
 				mIntervalSeconds.Observe(time.Since(t0).Seconds()) //bebop:allow detlint -- telemetry observation only
 				outs[i] = intervalOut{res: res, usedCkpt: used, err: err}
 				if sp.OnInterval != nil && err == nil {
@@ -263,56 +247,45 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	return agg, st, nil
 }
 
-// runIntervalGuarded is runInterval with panic isolation: a worker
-// goroutine that panics mid-interval (simulator bug, chaos injection at
-// the "core.interval" point) fails that interval — and with it the
-// sampled run — instead of crashing the process. A processor seized by
-// the panic is never returned to procPool (runInterval's finish path
-// does not run during the unwind), so poisoned state cannot leak into
-// later runs.
-func runIntervalGuarded(ctx context.Context, src workload.Source, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, used bool, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			mRunPanics.Inc()
-			err = fmt.Errorf("core: interval simulation panicked: %v\n%s", rec, debug.Stack())
-		}
-	}()
-	if err := faultinject.Fire("core.interval"); err != nil {
-		return pipeline.Result{}, false, err
-	}
-	return runInterval(ctx, src, s, idx, mk, sp)
-}
-
 // runInterval simulates one measurement interval whose detailed
-// execution starts at absolute instruction s: position cheaply (seek,
-// fast-forward or checkpoint restore), functionally warm up to s, then
-// run DetailWarmup+IntervalInsts instructions in detail, measuring the
-// final IntervalInsts. idx is the interval index, used only to tag
-// telemetry spans.
-func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk ConfigFactory, sp SamplingParams) (pipeline.Result, bool, error) {
-	tr := telemetry.TraceFrom(ctx)
+// execution starts at absolute instruction s, on a processor driven
+// through the panic guard: a panic mid-interval (simulator bug, chaos
+// injection at the "core.interval" point) fails that interval, and with
+// it the sampled run, instead of crashing the process. idx is the
+// interval index, used only to tag telemetry spans.
+func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, usedCkpt bool, err error) {
 	stream, err := src.Open(s + sp.DetailWarmup + sp.IntervalInsts)
 	if err != nil {
 		return pipeline.Result{}, false, err
 	}
-	run := isa.Stream(stream)
+	run := stream
 	if ctx.Done() != nil {
 		run = &cancelStream{inner: stream, ctx: ctx}
 	}
 	ls := &limitStream{inner: run, limit: -1}
-	proc := acquireProc(mk(), ls)
-	finish := func(r pipeline.Result, used bool, err error) (pipeline.Result, bool, error) {
-		proc.Release()
-		procPool.Put(proc)
-		if err == nil {
-			err = ls.Err()
+	err = simulate(mk, ls, func(p *pipeline.Processor) error {
+		if err := faultinject.Fire("core.interval"); err != nil {
+			return err
 		}
-		if cerr := closeStream(stream); cerr != nil && err == nil {
-			err = cerr
-		}
-		return r, used, err
+		var err error
+		r, usedCkpt, err = measureInterval(telemetry.TraceFrom(ctx), p, stream, ls, s, idx, sp)
+		return err
+	})
+	if err == nil {
+		err = ls.Err()
 	}
+	if cerr := closeStream(stream); cerr != nil && err == nil {
+		err = cerr
+	}
+	return r, usedCkpt, err
+}
 
+// measureInterval positions p cheaply at the interval (seek,
+// fast-forward or checkpoint restore), functionally warms it up to s,
+// then runs DetailWarmup+IntervalInsts instructions in detail through
+// ls, measuring the final IntervalInsts. stream is the raw stream under
+// ls, consulted for seeking.
+func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stream, ls *limitStream, s int64, idx int, sp SamplingParams) (pipeline.Result, bool, error) {
 	pos := int64(0) // absolute instruction position reached so far
 	usedCkpt := false
 	if sp.Checkpoints != nil {
@@ -320,14 +293,14 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 			rsp := tr.Start("restore").SetInterval(idx).SetInsts(ck.InstOffset)
 			if sk, ok := stream.(instSeeker); ok {
 				if err := sk.SeekInst(ck.InstOffset); err != nil {
-					return finish(pipeline.Result{}, false, err)
+					return pipeline.Result{}, false, err
 				}
-			} else if n := proc.FastForward(ck.InstOffset); n != ck.InstOffset {
-				return finish(pipeline.Result{}, false, fmt.Errorf(
-					"stream ended at instruction %d, checkpoint is at %d", n, ck.InstOffset))
+			} else if n := p.FastForward(ck.InstOffset); n != ck.InstOffset {
+				return pipeline.Result{}, false, fmt.Errorf(
+					"stream ended at instruction %d, checkpoint is at %d", n, ck.InstOffset)
 			}
-			if err := proc.Restore(ck); err != nil {
-				return finish(pipeline.Result{}, false, err)
+			if err := p.Restore(ck); err != nil {
+				return pipeline.Result{}, false, err
 			}
 			rsp.End()
 			pos = ck.InstOffset
@@ -343,11 +316,11 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 			fsp := tr.Start("fast-forward").SetInterval(idx).SetInsts(ff)
 			if sk, ok := stream.(instSeeker); ok {
 				if err := sk.SeekInst(ff); err != nil {
-					return finish(pipeline.Result{}, false, err)
+					return pipeline.Result{}, false, err
 				}
-			} else if n := proc.FastForward(ff); n != ff {
-				return finish(pipeline.Result{}, false, fmt.Errorf(
-					"stream ended at instruction %d, interval warmup starts at %d", n, ff))
+			} else if n := p.FastForward(ff); n != ff {
+				return pipeline.Result{}, false, fmt.Errorf(
+					"stream ended at instruction %d, interval warmup starts at %d", n, ff)
 			}
 			fsp.End()
 		}
@@ -355,15 +328,15 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 	}
 	if gap := s - pos; gap > 0 {
 		wsp := tr.Start("warming").SetInterval(idx).SetInsts(gap)
-		if n := proc.Warm(gap); n != gap {
-			return finish(pipeline.Result{}, false, fmt.Errorf(
-				"stream ended %d instructions into a %d-instruction warmup", n, gap))
+		if n := p.Warm(gap); n != gap {
+			return pipeline.Result{}, false, fmt.Errorf(
+				"stream ended %d instructions into a %d-instruction warmup", n, gap)
 		}
 		wsp.End()
 	}
 	ls.limit = sp.DetailWarmup + sp.IntervalInsts
 	dsp := tr.Start("detailed").SetInterval(idx).SetInsts(ls.limit)
-	r := proc.RunWarm(sp.DetailWarmup, 0)
+	r := p.RunWarm(sp.DetailWarmup, 0)
 	dsp.End()
 	// The warmup boundary is detected at cycle granularity, so up to a
 	// commit-width of instructions can land on the warm side of it — the
@@ -371,10 +344,10 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 	// larger shortfall means the stream ended early.
 	const warmBoundarySlack = 64
 	if got := int64(r.Insts); got > sp.IntervalInsts || got < sp.IntervalInsts-warmBoundarySlack {
-		return finish(pipeline.Result{}, false, fmt.Errorf(
-			"interval measured %d instructions, want %d", got, sp.IntervalInsts))
+		return pipeline.Result{}, false, fmt.Errorf(
+			"interval measured %d instructions, want %d", got, sp.IntervalInsts)
 	}
-	return finish(r, usedCkpt, nil)
+	return r, usedCkpt, nil
 }
 
 // addResult accumulates src's counters into agg (rates are recomputed
@@ -437,7 +410,8 @@ type frameAligner interface {
 // state: restoring one and warming forward is equivalent to warming
 // straight through, so one build serves every later sampled run.
 // Configurations whose value predictor cannot snapshot (the idealistic
-// per-instruction infrastructure) are reported as an error.
+// per-instruction infrastructure) are reported as an error, and so is a
+// panic during the pass (the processor runs inside simulate's guard).
 func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) ([]*pipeline.Checkpoint, string, error) {
 	if every < 1 || upTo < every {
 		return nil, "", fmt.Errorf("core: checkpoint spacing %d over %d instructions", every, upTo)
@@ -447,39 +421,46 @@ func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) 
 		return nil, "", err
 	}
 	defer closeStream(stream)
-	cfg := mk()
-	proc := acquireProc(cfg, stream)
-	defer func() {
-		proc.Release()
-		procPool.Put(proc)
-	}()
-
-	fa, _ := stream.(frameAligner)
-	var points []*pipeline.Checkpoint
-	pos := int64(0)
-	for target := every; target < upTo; target += every {
-		at := target
-		if fa != nil {
-			if aligned, ok := fa.FrameStart(target); ok {
-				at = aligned
+	var (
+		name   string
+		points []*pipeline.Checkpoint
+	)
+	named := func() pipeline.Config {
+		cfg := mk()
+		name = cfg.Name
+		return cfg
+	}
+	err = simulate(named, stream, func(p *pipeline.Processor) error {
+		fa, _ := stream.(frameAligner)
+		pos := int64(0)
+		for target := every; target < upTo; target += every {
+			at := target
+			if fa != nil {
+				if aligned, ok := fa.FrameStart(target); ok {
+					at = aligned
+				}
 			}
+			if at <= pos {
+				continue
+			}
+			if n := p.Warm(at - pos); n != at-pos {
+				return fmt.Errorf("core: workload %q ended at instruction %d, checkpoint wanted %d",
+					src.Name(), pos+n, at)
+			}
+			pos = at
+			ck, err := p.Snapshot(pos)
+			if err != nil {
+				return fmt.Errorf("core: checkpoint at instruction %d: %w", pos, err)
+			}
+			points = append(points, ck)
 		}
-		if at <= pos {
-			continue
-		}
-		if n := proc.Warm(at - pos); n != at-pos {
-			return nil, "", fmt.Errorf("core: workload %q ended at instruction %d, checkpoint wanted %d",
-				src.Name(), pos+n, at)
-		}
-		pos = at
-		ck, err := proc.Snapshot(pos)
-		if err != nil {
-			return nil, "", fmt.Errorf("core: checkpoint at instruction %d: %w", pos, err)
-		}
-		points = append(points, ck)
+		return nil
+	})
+	if err != nil {
+		return nil, "", err
 	}
 	if es, ok := stream.(errStream); ok && es.Err() != nil {
 		return nil, "", fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
 	}
-	return points, cfg.Name, nil
+	return points, name, nil
 }

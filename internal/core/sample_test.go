@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"bebop/internal/isa"
 	"bebop/internal/pipeline"
 	"bebop/internal/workload"
 )
@@ -160,5 +163,68 @@ func TestBuildCheckpointsRejectsInstVP(t *testing.T) {
 	src := sampleProfile(t, "gcc")
 	if _, _, err := BuildCheckpoints(src, BaselineVP("D-VTAGE"), 2000, 10000); err == nil {
 		t.Error("per-instruction VP infrastructure snapshotting should be refused")
+	}
+}
+
+// panicSource wraps a source so every stream it opens panics after
+// `after` instructions, the way a trace decoder hitting a bug would.
+type panicSource struct {
+	workload.Source
+	after int64
+}
+
+func (s panicSource) Open(maxInsts int64) (isa.Stream, error) {
+	st, err := s.Source.Open(maxInsts)
+	if err != nil {
+		return nil, err
+	}
+	return &panicStream{inner: st, left: s.after}, nil
+}
+
+type panicStream struct {
+	inner isa.Stream
+	left  int64
+}
+
+func (p *panicStream) Next(in *isa.Inst) bool {
+	if p.left == 0 {
+		panic("stream decoder bug")
+	}
+	p.left--
+	return p.inner.Next(in)
+}
+
+// TestBuildCheckpointsRecoversStreamPanic: a stream that panics during
+// the side-file warming pass fails BuildCheckpoints with an error, and
+// the processor the panic seized is dropped instead of pooled.
+func TestBuildCheckpointsRecoversStreamPanic(t *testing.T) {
+	// sync.Pool drops everything it holds over two collections, so the
+	// acquisition after the panic is "new" unless the seized processor
+	// went back to the pool.
+	runtime.GC()
+	runtime.GC()
+	panics := mRunPanics.Value()
+	var err error
+	func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				t.Errorf("BuildCheckpoints let a stream panic escape: %v", rec)
+			}
+		}()
+		_, _, err = BuildCheckpoints(panicSource{sampleProfile(t, "gcc"), 7000}, Baseline(), 2000, 10000)
+	}()
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Errorf("err = %v, want a recovered panic", err)
+	}
+	if got := mRunPanics.Value() - panics; got != 1 {
+		t.Errorf("bebop_core_run_panics_total advanced by %d, want 1", got)
+	}
+
+	reused, fresh := mProcReused.Value(), mProcNew.Value()
+	if _, err := RunSourceCtx(context.Background(), sampleProfile(t, "gcc"), 1000, 2000, Baseline()); err != nil {
+		t.Fatal(err)
+	}
+	if mProcReused.Value() != reused || mProcNew.Value() != fresh+1 {
+		t.Errorf("the processor seized by the panic was pooled and reused")
 	}
 }

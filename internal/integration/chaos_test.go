@@ -12,6 +12,7 @@ import (
 	"bebop/internal/engine"
 	"bebop/internal/faultinject"
 	"bebop/internal/perf"
+	"bebop/internal/telemetry"
 	"bebop/internal/workload"
 	"bebop/sim"
 )
@@ -153,7 +154,7 @@ func TestChaosFrameDecodeFaultFailsCleanly(t *testing.T) {
 	const insts = 20_000
 	src := recordTestTrace(t, t.TempDir(), "gcc", 3*insts)
 	armFault(t, "trace.frame.decode", faultinject.Plan{Nth: 3})
-	_, err := core.RunSource(src, insts, perf.Configs()[0].Mk)
+	_, err := core.RunSourceCtx(context.Background(), src, insts/2, insts, perf.Configs()[0].Mk)
 	if err == nil {
 		t.Fatal("decode fault did not surface")
 	}
@@ -219,6 +220,57 @@ func TestChaosIntervalPanicFailsRunNotProcess(t *testing.T) {
 	}
 	if got != ref {
 		t.Errorf("post-panic runs nondeterministic:\n%+v\n%+v", ref, got)
+	}
+}
+
+// TestChaosCheckpointBuildPanicFailsRunNotProcess: a panic while the
+// checkpoint side-file is being built (here in the trace frame decoder
+// feeding the warming pass) fails the sampled run with a recovered-panic
+// error instead of crashing the process, and once disarmed the same
+// spec builds its side-file and runs.
+func TestChaosCheckpointBuildPanicFailsRunNotProcess(t *testing.T) {
+	const warmup, insts = 20_000, 80_000
+	src := recordTestTrace(t, t.TempDir(), "gcc", warmup+insts)
+	w := int64(warmup)
+	spec := sim.RunSpec{
+		Trace:  src.Path,
+		Config: "baseline",
+		Insts:  insts,
+		Warmup: &w,
+		Sampling: &sim.SamplingSpec{
+			Intervals:     4,
+			IntervalInsts: 2_000,
+			Warmup:        5_000,
+			DetailWarmup:  500,
+			Checkpoints:   true,
+		},
+	}
+	panics := telemetry.Default.Counter("bebop_core_run_panics_total", "")
+	before := panics.Value()
+	armFault(t, "trace.frame.decode", faultinject.Plan{Mode: faultinject.ModePanic, Nth: 1})
+	var err error
+	func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				t.Errorf("sim.Run let the side-file build panic escape: %v", rec)
+			}
+		}()
+		_, err = sim.Run(context.Background(), spec)
+	}()
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want a recovered panic", err)
+	}
+	if got := panics.Value() - before; got != 1 {
+		t.Errorf("bebop_core_run_panics_total advanced by %d, want 1", got)
+	}
+
+	faultinject.Default.Reset()
+	rep, err := sim.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("run after recovered panic: %v", err)
+	}
+	if rep.Sampling == nil || rep.Sampling.CheckpointsUsed != spec.Sampling.Intervals {
+		t.Fatalf("disarmed run did not restore every interval: %+v", rep.Sampling)
 	}
 }
 

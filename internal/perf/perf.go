@@ -142,8 +142,8 @@ type Report struct {
 
 // Options configures Measure.
 type Options struct {
-	// Insts is the per-workload dynamic instruction budget (half is
-	// warmup, as in core.Run). <= 0 selects 50_000.
+	// Insts is the per-workload measured instruction budget; insts/2
+	// more warm up first. <= 0 selects 50_000.
 	Insts int64
 	// Workloads overrides the pinned set (tests, smoke runs).
 	Workloads []string
@@ -175,9 +175,12 @@ func Measure(opts Options) (Report, error) {
 			if !ok {
 				return Report{}, fmt.Errorf("perf: unknown benchmark %q", bench)
 			}
-			p := measureCell(cfg.Name, bench, "generate", func() pipeline.Result {
-				return core.Run(prof, insts, cfg.Mk)
+			p, err := measureCell(cfg.Name, bench, "generate", func() (pipeline.Result, error) {
+				return core.RunSourceCtx(context.Background(), workload.ProfileSource{Prof: prof}, insts/2, insts, cfg.Mk)
 			})
+			if err != nil {
+				return Report{}, fmt.Errorf("perf: generate %s: %w", bench, err)
+			}
 			rep.Points = append(rep.Points, p)
 			addPoint(&rep.Totals, p)
 		}
@@ -201,7 +204,7 @@ func Measure(opts Options) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		// core.Run consumes warmup (insts/2) + insts instructions.
+		// A run consumes warmup (insts/2) + insts instructions.
 		_, _, rerr := trace.Record(f, workload.New(prof, insts/2+insts),
 			trace.WriterOptions{Name: bench, Seed: prof.Seed})
 		if cerr := f.Close(); rerr == nil {
@@ -211,16 +214,11 @@ func Measure(opts Options) (Report, error) {
 			return Report{}, fmt.Errorf("perf: record %s: %w", bench, rerr)
 		}
 		src := trace.NewFileSource(path)
-		var runErr error
-		p := measureCell(replayCfg.Name, bench, "replay", func() pipeline.Result {
-			res, err := core.RunSource(src, insts, replayCfg.Mk)
-			if err != nil && runErr == nil {
-				runErr = err
-			}
-			return res
+		p, err := measureCell(replayCfg.Name, bench, "replay", func() (pipeline.Result, error) {
+			return core.RunSourceCtx(context.Background(), src, insts/2, insts, replayCfg.Mk)
 		})
-		if runErr != nil {
-			return Report{}, fmt.Errorf("perf: replay %s: %w", bench, runErr)
+		if err != nil {
+			return Report{}, fmt.Errorf("perf: replay %s: %w", bench, err)
 		}
 		rep.Points = append(rep.Points, p)
 		addPoint(&replayTotals, p)
@@ -239,15 +237,12 @@ func Measure(opts Options) (Report, error) {
 			return Report{}, fmt.Errorf("perf: checkpoint %s: %w", bench, err)
 		}
 		sp.Checkpoints = &trace.CheckpointFile{Points: points}
-		p = measureCell(replayCfg.Name, bench, "sampled", func() pipeline.Result {
+		p, err = measureCell(replayCfg.Name, bench, "sampled", func() (pipeline.Result, error) {
 			res, _, err := core.RunSampled(context.Background(), src, warmup, insts, replayCfg.Mk, sp)
-			if err != nil && runErr == nil {
-				runErr = err
-			}
-			return res
+			return res, err
 		})
-		if runErr != nil {
-			return Report{}, fmt.Errorf("perf: sampled %s: %w", bench, runErr)
+		if err != nil {
+			return Report{}, fmt.Errorf("perf: sampled %s: %w", bench, err)
 		}
 		if p.WallSeconds > 0 {
 			p.EffectiveInstsPerSec = float64(warmup+insts) / p.WallSeconds
@@ -285,17 +280,22 @@ func sampledParams(insts int64) (core.SamplingParams, bool) {
 // measureCell runs one cell twice — an unmeasured warmup that fills the
 // processor pool (and, for replay, the OS page cache) the way a
 // long-lived engine worker would, then the measured run bracketed by
-// runtime.MemStats reads.
-func measureCell(config, bench, mode string, run func() pipeline.Result) Point {
-	run()
+// runtime.MemStats reads. A run's error fails the cell.
+func measureCell(config, bench, mode string, run func() (pipeline.Result, error)) (Point, error) {
+	if _, err := run(); err != nil {
+		return Point{}, err
+	}
 
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	res := run()
+	res, err := run()
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&m1)
+	if err != nil {
+		return Point{}, err
+	}
 
 	p := Point{
 		Config:      config,
@@ -315,7 +315,7 @@ func measureCell(config, bench, mode string, run func() pipeline.Result) Point {
 	if res.Insts > 0 {
 		p.AllocsPerKInst = 1000 * float64(p.Allocs) / float64(res.Insts)
 	}
-	return p
+	return p, nil
 }
 
 func addPoint(t *Totals, p Point) {

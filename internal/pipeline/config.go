@@ -95,12 +95,6 @@ type Config struct {
 	// VP write ports (Section II-B3); requires VP.
 	FreeLoadImm bool
 
-	// DisableIncrementalFolds forces every history fold back onto the
-	// from-scratch reference path instead of the incrementally maintained
-	// folded registers. The two paths are bit-identical; this knob exists
-	// so the differential tests can prove it on whole-pipeline runs.
-	DisableIncrementalFolds bool
-
 	// CollectH2P enables per-PC hard-to-predict attribution: every branch
 	// and value misprediction in the measured window is charged to its
 	// static PC and Result.H2P reports the top-N offenders. Attribution

@@ -5,55 +5,10 @@ import (
 	"bebop/internal/isa"
 )
 
-// ExecMode selects how the processor consumes instructions. The detailed
-// mode is the existing cycle-accurate loop (Run/RunWarm), pinned
-// bit-identical by the differential test suites; the two cheap modes
-// below exist so sampled simulation can skip cycle accuracy everywhere
-// it is not measured (SMARTS-style: fast-forward to an interval, warm
-// the predictors functionally, then measure in detail).
-type ExecMode uint8
-
-// Execution modes.
-const (
-	// ModeFastForward advances the functional instruction stream only:
-	// no structure — predictor, cache, history — observes anything.
-	ModeFastForward ExecMode = iota
-	// ModeWarming advances the stream while training every long-lived
-	// structure (TAGE, BTB, RAS, history, caches, value predictor) in
-	// program order, with no timing model.
-	ModeWarming
-	// ModeDetailed is the full cycle-accurate loop.
-	ModeDetailed
-)
-
-// String implements fmt.Stringer.
-func (m ExecMode) String() string {
-	switch m {
-	case ModeFastForward:
-		return "fast-forward"
-	case ModeWarming:
-		return "warming"
-	case ModeDetailed:
-		return "detailed"
-	}
-	return "?"
-}
-
-// Advance consumes up to insts instructions from the stream in the given
-// mode and returns how many were actually consumed (less only when the
-// stream ends). ModeDetailed steps the cycle loop until the retirement
-// count grows by insts; use Run/RunWarm instead when a Result is needed.
-func (p *Processor) Advance(mode ExecMode, insts int64) int64 {
-	switch mode {
-	case ModeFastForward:
-		return p.FastForward(insts)
-	case ModeWarming:
-		return p.Warm(insts)
-	case ModeDetailed:
-		return p.stepDetailed(insts)
-	}
-	return 0
-}
+// The cheap execution modes of sampled simulation (core.RunSampled):
+// it skips cycle accuracy everywhere it does not measure, SMARTS-style.
+// FastForward reaches an interval, Warm trains the predictors
+// functionally, and the detailed RunWarm loop measures.
 
 // FastForward drains up to insts instructions from the stream without
 // touching any model state: the cheapest way to reach a later region of
@@ -218,27 +173,4 @@ func (p *Processor) flushWarmingBlock(vpw VPWarmer) {
 	}
 	p.warmingUOps = p.warmingUOps[:0]
 	p.warmingBlockOpen = false
-}
-
-// stepDetailed runs the detailed cycle loop until insts more instructions
-// retire or the stream ends, returning how many retired.
-//
-//bebop:hotpath
-func (p *Processor) stepDetailed(insts int64) int64 {
-	start := p.stats.Insts
-	target := start + uint64(insts)
-	for {
-		p.commitStage()
-		p.issueStage()
-		p.dispatchStage()
-		p.fetchStage()
-		p.now++
-		if p.stats.Insts >= target {
-			break
-		}
-		if p.streamDone && p.pending.Len() == 0 && p.feQ.Len() == 0 && p.rob.Len() == 0 {
-			break
-		}
-	}
-	return int64(p.stats.Insts - start)
 }

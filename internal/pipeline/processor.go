@@ -198,10 +198,6 @@ func (p *Processor) initH2P() {
 // across configurations carries exactly the current consumers' registers
 // and every Push pays for those alone.
 func (p *Processor) initHistoryFolds() {
-	if p.cfg.DisableIncrementalFolds {
-		p.hist.DisableFolds()
-		return
-	}
 	p.hist.EnableFolds()
 	p.hist.ClearFolds()
 	p.tage.RegisterFolds(&p.hist)

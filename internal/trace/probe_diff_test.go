@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,7 +24,7 @@ import (
 // The run uses EOLE+BeBoP so the differential covers the value
 // prediction and speculative window state, not just branch counters.
 func TestReplayResultIdenticalProbes(t *testing.T) {
-	const insts = 4000 // core.RunSource consumes 1.5× this (warmup + measure)
+	const insts = 4000 // a run consumes 1.5× this (warmup + measure)
 	dir := t.TempDir()
 	for _, f := range probe.Families() {
 		p := f.Grid[len(f.Grid)/2]
@@ -52,11 +53,11 @@ func TestReplayResultIdenticalProbes(t *testing.T) {
 		}
 
 		mk := core.EOLEBeBoP("Medium", core.MediumConfig())
-		live, err := core.RunSource(src, insts, mk)
+		live, err := core.RunSourceCtx(context.Background(), src, insts/2, insts, mk)
 		if err != nil {
 			t.Fatalf("%s/%d: live run: %v", f.Name, p, err)
 		}
-		replay, err := core.RunSource(trace.NewFileSource(path), insts, mk)
+		replay, err := core.RunSourceCtx(context.Background(), trace.NewFileSource(path), insts/2, insts, mk)
 		if err != nil {
 			t.Fatalf("%s/%d: replay: %v", f.Name, p, err)
 		}

@@ -159,7 +159,7 @@ func (r *Reader) Err() error { return r.err }
 // TotalInsts reports the trace's total instruction count when known:
 // always for seekable sources (the index carries the totals), and for
 // streams whose header counts were patched at record time.
-// core.RunSource uses it to refuse a warmup+measure budget the trace
+// core's runs use it to refuse a warmup+measure budget the trace
 // cannot cover, instead of silently reporting a cold, short run.
 func (r *Reader) TotalInsts() (int64, bool) {
 	if r.hasIndex || r.hdr.Insts != 0 || r.hdr.UOps != 0 {
@@ -169,7 +169,7 @@ func (r *Reader) TotalInsts() (int64, bool) {
 }
 
 // SetLimit caps how many further instructions Next will produce
-// (n < 0 = unlimited). core.RunSource uses it to align a replay with
+// (n < 0 = unlimited). FileSource.Open uses it to align a replay with
 // the warmup+measure budget of a synthetic run.
 func (r *Reader) SetLimit(n int64) {
 	r.limit = n

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -88,7 +89,7 @@ func TestRoundTripAllProfiles(t *testing.T) {
 // for every profile, running a processor from the recorded trace yields
 // the same pipeline.Result as running it from the live generator.
 func TestReplayResultIdenticalAllProfiles(t *testing.T) {
-	const insts = 2000 // core.Run consumes 1.5× this (warmup + measure)
+	const insts = 2000 // a run consumes 1.5× this (warmup + measure)
 	dir := t.TempDir()
 	for _, prof := range workload.Profiles() {
 		data := record(t, prof, insts+insts/2, trace.WriterOptions{FrameInsts: 600})
@@ -96,8 +97,13 @@ func TestReplayResultIdenticalAllProfiles(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		live := core.Run(prof, insts, core.Baseline())
-		replay, err := core.RunSource(trace.NewFileSource(path), insts, core.Baseline())
+		live, err := core.RunSourceCtx(context.Background(), workload.ProfileSource{Prof: prof},
+			insts/2, insts, core.Baseline())
+		if err != nil {
+			t.Fatalf("%s: live: %v", prof.Name, err)
+		}
+		replay, err := core.RunSourceCtx(context.Background(), trace.NewFileSource(path),
+			insts/2, insts, core.Baseline())
 		if err != nil {
 			t.Fatalf("%s: replay: %v", prof.Name, err)
 		}
@@ -312,12 +318,12 @@ func TestRunSourceRejectsShortTrace(t *testing.T) {
 	}
 	src := trace.NewFileSource(path)
 	// 1.5 × 10000 > 10000: must refuse.
-	if _, err := core.RunSource(src, 10000, core.Baseline()); err == nil ||
+	if _, err := core.RunSourceCtx(context.Background(), src, 5000, 10000, core.Baseline()); err == nil ||
 		!strings.Contains(err.Error(), "10000 instructions") {
 		t.Fatalf("short trace accepted: %v", err)
 	}
 	// Exactly fitting budget (warmup 3333 + measured 6666 = 9999) runs.
-	if _, err := core.RunSource(src, 6666, core.Baseline()); err != nil {
+	if _, err := core.RunSourceCtx(context.Background(), src, 3333, 6666, core.Baseline()); err != nil {
 		t.Fatal(err)
 	}
 }

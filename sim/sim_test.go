@@ -28,7 +28,9 @@ func TestRunMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunByName("swim", 20_000, core.EOLEBeBoP("Medium", core.MediumConfig()))
+	prof, _ := workload.ProfileByName("swim")
+	want, err := core.RunSourceCtx(context.Background(), workload.ProfileSource{Prof: prof},
+		10_000, 20_000, core.EOLEBeBoP("Medium", core.MediumConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

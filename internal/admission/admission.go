@@ -254,9 +254,6 @@ func New(cfg Config) *Controller {
 // request with 503 so in-flight work can finish and the node can exit.
 func (c *Controller) SetDraining(v bool) { c.draining.Store(v) }
 
-// Draining reports the drain switch.
-func (c *Controller) Draining() bool { return c.draining.Load() }
-
 // Depth reports the gate's holders and waiters.
 func (c *Controller) Depth() (active, queued int) { return c.gate.Depth() }
 

@@ -28,7 +28,6 @@ func (p *Processor) commitStage() {
 		}
 
 		p.rob.PopFront()
-		p.execEvents++
 		u.Committed = true
 		p.inflightClear(u)
 		committed++

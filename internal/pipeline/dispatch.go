@@ -26,7 +26,7 @@ func (p *Processor) dispatchStage() {
 			break
 		}
 		needsIQ := p.classifyDispatch(u)
-		if needsIQ && p.iq.Len() >= p.cfg.IQSize {
+		if needsIQ && p.iqCount >= p.cfg.IQSize {
 			break
 		}
 		p.feQ.PopFront()
@@ -61,7 +61,7 @@ func (p *Processor) classifyDispatch(u *UOp) bool {
 		}
 		// Early execution: single-cycle µ-ops whose operands are all
 		// available at rename execute in the front end (1-deep stage).
-		if u.Class == isa.ClassALU && !u.IsBranch && p.ready(u) {
+		if u.Class == isa.ClassALU && !u.IsBranch && p.operandsReady(u) {
 			return false
 		}
 	}
@@ -69,7 +69,6 @@ func (p *Processor) classifyDispatch(u *UOp) bool {
 }
 
 func (p *Processor) dispatch(u *UOp, needsIQ bool) {
-	p.execEvents++
 	u.Dispatched = true
 	u.DispatchAt = p.now
 
@@ -108,8 +107,7 @@ func (p *Processor) dispatch(u *UOp, needsIQ bool) {
 			p.stats.EarlyExecuted++
 		}
 	} else {
-		u.InIQ = true
-		p.iq.PushBack(u)
+		p.enterIQ(u)
 	}
 
 	if u.Dest != isa.RegNone {

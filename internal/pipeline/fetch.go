@@ -127,11 +127,11 @@ func (p *Processor) consumeInst() {
 }
 
 // newUOp hands out µ-ops from a contiguous slab, so the µ-ops of nearby
-// instructions — which the IQ sweep, the wakeup checks and the commit
-// walk touch together — share pages and often cache lines instead of
-// being scattered one heap object at a time. µ-ops are never freed
-// individually (their dynInst keeps them for reuse), so the slab only
-// ever moves forward.
+// instructions — which dispatch, wakeup, the ready-list walk and the
+// commit walk touch together — share pages and often cache lines
+// instead of being scattered one heap object at a time. µ-ops are never
+// freed individually (their dynInst keeps them for reuse), so the slab
+// only ever moves forward.
 func (p *Processor) newUOp() *UOp {
 	if len(p.uopSlab) == 0 {
 		p.uopSlab = make([]UOp, 128)

@@ -6,7 +6,6 @@ package pipeline
 // notifies the value prediction infrastructure so the speculative window
 // and FIFO update queue can apply their recovery policy (Section IV-A).
 func (p *Processor) flushFrom(keepSeq uint64) {
-	p.execEvents++
 	// Close any open fetch-block occurrence first so the VP layer sees a
 	// consistent prediction block before squash callbacks arrive.
 	p.closeBlock()
@@ -24,6 +23,10 @@ func (p *Processor) flushFrom(keepSeq uint64) {
 
 	squash := func(u *UOp) {
 		u.Squashed = true
+		if u.InIQ {
+			u.InIQ = false
+			p.iqCount--
+		}
 		p.inflightClear(u)
 		p.stats.SquashedUOps++
 		if p.cfg.VP != nil {
@@ -56,9 +59,10 @@ func (p *Processor) flushFrom(keepSeq uint64) {
 	}
 	p.feQ.TruncateBack(feCut)
 
-	// IQ, LQ, SQ: filter in place.
+	// Ready list, LQ, SQ: drop the squashed entries. Those left in the
+	// timed heap are dropped when they come due.
+	p.dropSquashedReady(keepSeq)
 	keep := func(u *UOp) bool { return u.Seq <= keepSeq }
-	p.iq.Filter(keep)
 	p.lq.Filter(keep)
 	p.sq.Filter(keep)
 
@@ -84,7 +88,8 @@ func (p *Processor) flushFrom(keepSeq uint64) {
 		}
 	}
 
-	// Rename table repair: rebuild from the surviving ROB.
+	// Rename table repair: rebuild from the surviving ROB. The same walk
+	// drops the squashed consumers from the survivors' wait lists.
 	for i := range p.renameTable {
 		p.renameTable[i] = 0
 	}
@@ -93,6 +98,7 @@ func (p *Processor) flushFrom(keepSeq uint64) {
 		if u.Dest >= 0 {
 			p.renameTable[u.Dest] = u.Seq
 		}
+		u.unlinkSquashed(keepSeq)
 	}
 	// Surviving decode-queue µ-ops have not renamed yet; nothing to do.
 

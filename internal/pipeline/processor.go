@@ -20,13 +20,6 @@ type Processor struct {
 	now    int64
 	seqCtr uint64
 
-	// execEvents counts events that can change operand availability —
-	// dispatches (PRF writes of confident predictions), executions,
-	// commits and flushes. UOp.depStallEvents compares against it to skip
-	// readiness re-checks that cannot succeed yet. Starts at 1 so a
-	// zero-value µ-op never looks already-stalled.
-	execEvents uint64
-
 	hist branch.History
 	tage *branch.TAGE
 	btb  *branch.BTB
@@ -52,9 +45,15 @@ type Processor struct {
 
 	// Out-of-order structures.
 	rob ring.Ring[*UOp]
-	iq  ring.Ring[*UOp]
 	lq  ring.Ring[*UOp]
 	sq  ring.Ring[*UOp]
+
+	// The issue queue (see issue.go): iqCount µ-ops hold an IQ entry
+	// (InIQ); each sits on a producer's wait list, in the timed heap or
+	// on readyQ, the age-ordered list of µ-ops that may issue now.
+	iqCount int
+	readyQ  []*UOp
+	timed   timedHeap
 
 	renameTable [isa.NumArchRegs]uint64
 	inflight    []*UOp // ring indexed by Seq & (len-1)
@@ -76,12 +75,6 @@ type Processor struct {
 	// executeLoad within the same issue decision (one store-queue walk
 	// instead of two).
 	fwdStore *UOp
-
-	// iqSkipUntil/iqSkipEvents record an issue-free window proven by the
-	// last full sweep: until iqSkipUntil, with execEvents unchanged, no
-	// IQ entry can become ready, so issueStage returns immediately.
-	iqSkipUntil  int64
-	iqSkipEvents uint64
 
 	// Warming-mode state (see modes.go): a synthetic clock for cache
 	// accesses and the open fetch-block occurrence being accumulated for
@@ -163,7 +156,6 @@ func New(cfg Config, stream isa.Stream) *Processor {
 		inflight: make([]*UOp, inflightRing),
 	}
 	p.seqCtr = 1
-	p.execEvents = 1
 	p.initHistoryFolds()
 	p.initH2P()
 	return p
@@ -246,7 +238,6 @@ func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	p.stream = stream
 	p.now = 0
 	p.seqCtr = 1
-	p.execEvents = 1
 	p.hist.Reset()
 	p.initHistoryFolds()
 	p.initH2P()
@@ -260,7 +251,10 @@ func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	p.pending.Clear()
 	p.feQ.Clear()
 	p.rob.Clear()
-	p.iq.Clear()
+	p.iqCount = 0
+	clear(p.readyQ)
+	p.readyQ = p.readyQ[:0]
+	p.timed.reset()
 	p.lq.Clear()
 	p.sq.Clear()
 	p.renameTable = [isa.NumArchRegs]uint64{}
@@ -271,7 +265,6 @@ func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	p.issuedStores = p.issuedStores[:0]
 	p.squashScratch = p.squashScratch[:0]
 	p.fwdStore = nil
-	p.iqSkipUntil, p.iqSkipEvents = 0, 0
 	p.warmingClock = 0
 	p.warmingBlockPC = 0
 	p.warmingBlockOpen = false
@@ -407,85 +400,6 @@ func (p *Processor) lookup(seq uint64) *UOp {
 		return u
 	}
 	return nil
-}
-
-// valueAvailable reports whether the result of producer seq can be
-// consumed at the current cycle: the producer has committed, was executed
-// and its result is ready, or carries a confident prediction written to
-// the PRF at dispatch.
-func (p *Processor) valueAvailable(seq uint64) bool {
-	if seq == 0 {
-		return true
-	}
-	u := p.lookup(seq)
-	if u == nil {
-		return true // committed (or squashed: then we are being squashed too)
-	}
-	if u.PredConfident && u.Dispatched {
-		return true
-	}
-	if u.Executed && p.now >= u.DoneAt {
-		return true
-	}
-	return false
-}
-
-// ready reports whether all of u's register dependences are satisfied.
-// The fast paths — both operands memoized available, or the µ-op asleep
-// until a known wake cycle — stay inlinable in the issue sweep;
-// everything else drops to the ring walk in readySlow.
-func (p *Processor) ready(u *UOp) bool {
-	if u.depReadyMask == 3 {
-		return true
-	}
-	if p.now < u.depSleepUntil {
-		return false
-	}
-	return p.readySlow(u)
-}
-
-// readySlow is valueAvailable over both operands, with memoization: a
-// satisfied operand is never re-checked (depReadyMask); an operand
-// waiting on an executed producer puts the µ-op to sleep until the
-// producer's frozen completion cycle (depSleepUntil); an operand whose
-// producer has not executed stalls the µ-op until the next pipeline
-// event (depStallEvents) — only an event can change that answer. All
-// three caches track monotone state, so the result is bit-identical to
-// re-deriving availability from the inflight ring on every call.
-// ready() guarantees depSleepUntil <= now on entry, which is why the
-// not-executed case can set the stall marker unconditionally.
-func (p *Processor) readySlow(u *UOp) bool {
-	if u.depStallEvents == p.execEvents {
-		return false
-	}
-	for i := 0; i < 2; i++ {
-		if u.depReadyMask&(1<<i) != 0 {
-			continue
-		}
-		seq := u.dep[i]
-		if seq != 0 {
-			prod := p.lookup(seq)
-			if prod != nil {
-				if prod.PredConfident && prod.Dispatched {
-					// Confident prediction written to the PRF at dispatch.
-				} else if prod.Executed {
-					if p.now < prod.DoneAt {
-						if prod.DoneAt > u.depSleepUntil {
-							u.depSleepUntil = prod.DoneAt
-						}
-						return false
-					}
-				} else {
-					u.depStallEvents = p.execEvents
-					return false
-				}
-			}
-			// prod == nil: committed (or squashed: then u is being
-			// squashed too).
-		}
-		u.depReadyMask |= 1 << i
-	}
-	return true
 }
 
 func classLatency(c isa.Class) int64 {

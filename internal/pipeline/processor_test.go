@@ -249,8 +249,8 @@ func TestROBNeverExceedsCapacity(t *testing.T) {
 		if p.rob.Len() > cfg.ROBSize {
 			t.Fatalf("ROB overflow: %d > %d", p.rob.Len(), cfg.ROBSize)
 		}
-		if p.iq.Len() > cfg.IQSize {
-			t.Fatalf("IQ overflow: %d > %d", p.iq.Len(), cfg.IQSize)
+		if p.iqCount > cfg.IQSize {
+			t.Fatalf("IQ overflow: %d > %d", p.iqCount, cfg.IQSize)
 		}
 		if p.feQ.Len() > cfg.FetchQueueSize {
 			t.Fatalf("decode queue overflow: %d > %d", p.feQ.Len(), cfg.FetchQueueSize)

@@ -7,44 +7,27 @@ import (
 )
 
 // UOp is one in-flight µ-op. Field order is part of the hot-path data
-// layout: the issue sweep and the wakeup/commit head checks touch Seq,
-// the dependence/wakeup state, Class, DoneAt and the status flags every
-// cycle, so those live together at the front of the struct (one cache
-// line); per-instruction predictor metadata (Outcome, ~the size of a
-// cache line by itself) sits at the cold tail.
+// layout: the select loop and the commit head check touch Seq, Class,
+// DoneAt and the status flags every cycle, and dispatch and wakeup touch
+// the operand state beside them, so those live together at the front of
+// the struct (one cache line); per-instruction predictor metadata
+// (Outcome, ~the size of a cache line by itself) sits at the cold tail.
 type UOp struct {
 	// Seq is the µ-op's sequence number, assigned at (re)fetch; it orders
 	// everything in the machine. Refetched µ-ops receive fresh numbers.
 	Seq uint64
 	// dep[i] is the sequence number of the producer of Src[i]; 0 = ready.
 	dep [2]uint64
-	// depSleepUntil is a lower bound on the cycle this µ-op's operands
-	// can all be available, learned when a producer was found executed
-	// with a future DoneAt. An executed µ-op's DoneAt is frozen and it
-	// cannot commit before DoneAt+1, so until that cycle the wakeup
-	// check is a single compare instead of an inflight-ring walk — this
-	// is what keeps a memory-bound instruction queue (60 loads parked on
-	// DRAM fills) from re-walking the ring 60 times per cycle.
-	depSleepUntil int64
-	// depStallEvents records Processor.execEvents at the last readiness
-	// check that failed on a producer with no known completion cycle (not
-	// yet executed). Such an operand can only become available through a
-	// dispatch/execute/commit event, so until the event counter moves the
-	// whole re-check is skipped. Time-bounded failures never set this —
-	// they wake through depSleepUntil.
-	depStallEvents uint64
 	// DoneAt is the cycle the result is available once Executed.
 	DoneAt int64
+	// readyAt is, for an IQ µ-op, the latest completion cycle among the
+	// producers already known; it may issue from that cycle on once
+	// pending, the count of operands still waiting for their producer to
+	// issue, reaches zero.
+	readyAt int64
 
-	Class isa.Class
-	// depReadyMask memoizes true valueAvailable(dep[i]) answers (bit i
-	// set = operand i known available, 3 = fully ready). Availability is
-	// monotone for a live µ-op — producers only ever commit, finish
-	// executing, or squash (and a squashed producer takes this younger
-	// µ-op with it) — so the wakeup scan re-checks only still-missing
-	// operands instead of walking the inflight ring for both on every
-	// cycle.
-	depReadyMask uint8
+	Class   isa.Class
+	pending uint8
 
 	// Status flags.
 	Dispatched bool
@@ -57,8 +40,14 @@ type UOp struct {
 	Squashed   bool
 
 	// PredConfident: confidence saturated (the prediction was used and
-	// written to the PRF); checked in the wakeup path.
+	// written to the PRF); consumers dispatched after it need not wait.
 	PredConfident bool
+
+	// waiters heads the list of IQ µ-ops waiting for this µ-op to issue,
+	// youngest first; waitNext[i] continues the list this µ-op sits on
+	// for operand i (see issue.go).
+	waiters  waitLink
+	waitNext [2]waitLink
 
 	// Boundary is the instruction's byte offset in the fetch block,
 	// UopIdx the µ-op's index within the instruction.
@@ -146,10 +135,9 @@ type dynInst struct {
 // off the per-µ-op refetch path.
 func (u *UOp) reset() {
 	u.dep = [2]uint64{}
-	u.depSleepUntil = 0
-	u.depStallEvents = 0
 	u.DoneAt = 0
-	u.depReadyMask = 0
+	u.readyAt, u.pending = 0, 0
+	u.waiters, u.waitNext = waitLink{}, [2]waitLink{}
 	u.Dispatched, u.InIQ, u.Issued, u.Executed = false, false, false, false
 	u.EarlyExec, u.LateExec, u.Committed, u.Squashed = false, false, false, false
 	u.PredConfident, u.BrMispredicted, u.Predicted = false, false, false
@@ -158,15 +146,4 @@ func (u *UOp) reset() {
 	u.VPRec = nil
 	u.VPGen = 0
 	u.PredValue = 0
-}
-
-// SrcCount returns the number of valid sources.
-func (u *UOp) SrcCount() int {
-	n := 0
-	for _, s := range u.Src {
-		if s != isa.RegNone {
-			n++
-		}
-	}
-	return n
 }

@@ -1,5 +1,5 @@
 // Package ring provides a growable circular deque used by the simulator's
-// hot structures (decode queue, ROB, IQ, LQ, SQ, the BeBoP FIFO update
+// hot structures (decode queue, ROB, LQ, SQ, the BeBoP FIFO update
 // queue and the refetch queue). Unlike the append-and-reslice pattern it
 // replaces, a Ring never re-allocates in steady state: PopFront reclaims
 // the slot for a later PushBack, so a pipeline that stays within its
@@ -30,16 +30,6 @@ func (r *Ring[T]) At(i int) T {
 		panic("ring: index out of range")
 	}
 	return r.buf[(r.head+i)&r.mask()]
-}
-
-// Set replaces the i-th element from the front. Together with At and
-// TruncateBack it supports in-place compaction sweeps (read at i, write
-// at w <= i, truncate to w) without a second pass over the elements.
-func (r *Ring[T]) Set(i int, v T) {
-	if i < 0 || i >= r.n {
-		panic("ring: Set out of range")
-	}
-	r.buf[(r.head+i)&r.mask()] = v
 }
 
 // Front returns the oldest element.

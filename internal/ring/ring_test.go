@@ -180,11 +180,6 @@ func TestAgainstSliceModel(t *testing.T) {
 			i := rng.Intn(len(model))
 			r.RemoveAt(i)
 			model = append(model[:i], model[i+1:]...)
-		case op == 7 && len(model) > 0 && rng.Intn(2) == 0:
-			i := rng.Intn(len(model))
-			v := rng.Int()
-			r.Set(i, v)
-			model[i] = v
 		case op == 7 && rng.Intn(25) == 0:
 			keep := func(v int) bool { return v%2 == 0 }
 			r.Filter(keep)

@@ -185,24 +185,6 @@ func FromName(name string) (workload.Source, error) {
 	return f.Source(p)
 }
 
-// GridSources returns one source per (family, default-grid pressure):
-// the named probe workloads listings advertise.
-func GridSources() []workload.Source {
-	var out []workload.Source
-	for _, f := range Families() {
-		for _, p := range f.Grid {
-			src, err := f.Source(p)
-			if err != nil {
-				// Default grids are validated by tests; a build failure
-				// here is a programming error.
-				panic(err)
-			}
-			out = append(out, src)
-		}
-	}
-	return out
-}
-
 // source adapts one compiled probe program to workload.Source.
 type source struct {
 	name string

@@ -537,9 +537,9 @@ func (s *server) sweepsV1(w http.ResponseWriter, req *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	// Sweeper.Write buffers internally per experiment, but a direct
-	// write to w would commit a 200 before later experiments run; buffer
-	// the whole document so errors still map to statuses.
+	// Sweeper.Write runs every experiment before it writes, but a write
+	// error straight to w would leave a half-sent 200; buffer the whole
+	// document so errors still map to statuses.
 	var buf strings.Builder
 	start := time.Now()
 	s.inflight.Add(1)

@@ -112,13 +112,18 @@ func main() {
 	}
 
 	// Text output streams experiment by experiment (a long -exp all run
-	// shows results as they complete); JSON and CSV emit one document.
+	// shows results as they complete), a blank line between tables as
+	// engine.WriteText lays out a whole sweep; JSON and CSV emit one
+	// document.
 	if *format == "text" {
 		norm, err := spec.Validate()
 		if err != nil {
 			fatal(err)
 		}
-		for _, id := range norm.Experiments {
+		for i, id := range norm.Experiments {
+			if i > 0 {
+				fmt.Println()
+			}
 			sub := norm
 			sub.Experiments = []string{id}
 			if err := sw.Write(ctx, os.Stdout, "text", sub); err != nil {

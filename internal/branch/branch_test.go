@@ -156,13 +156,6 @@ func TestTAGEStorageBudget(t *testing.T) {
 	}
 }
 
-func TestTAGEMispredictRate(t *testing.T) {
-	tg := NewTAGE(DefaultTAGEConfig())
-	if tg.MispredictRate() != 0 {
-		t.Fatal("fresh predictor must report rate 0")
-	}
-}
-
 func TestTAGEPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

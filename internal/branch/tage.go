@@ -343,11 +343,3 @@ func (t *TAGE) StorageBits() int {
 	}
 	return bits
 }
-
-// MispredictRate returns mispredictions per lookup.
-func (t *TAGE) MispredictRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Mispredicts) / float64(t.Lookups)
-}

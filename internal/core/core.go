@@ -387,9 +387,9 @@ func TableIIIByName(name string) (bebop.Config, error) {
 // NamedFactory resolves a CLI configuration name to its factory:
 // "baseline", "eole", "baseline-vp" (pred selects a predictor, see
 // AllPredictorNames) or "eole-bebop" (pred selects a Table III config).
-// The custom BeBoP exploration path stays in cmd/bebop-sim; everything
-// else shares this resolver so bebop-sim and bebop-trace replay agree
-// on names and error text.
+// Custom BeBoP geometries resolve in sim.factoryFor; every named
+// configuration goes through this resolver, so the sim SDK and
+// bebop-trace replay agree on names and error text.
 func NamedFactory(config, pred string) (ConfigFactory, error) {
 	switch config {
 	case "baseline":

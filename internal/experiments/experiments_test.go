@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,37 +117,44 @@ func TestResultsCached(t *testing.T) {
 	}
 }
 
+// TestRenderAll renders experiments through the text emitter, the path
+// every format shares: each table carries its registry title.
 func TestRenderAll(t *testing.T) {
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip", "swim"}})
-	for _, id := range []string{"table2", "table3"} {
-		var buf bytes.Buffer
-		if err := r.RunAndRender(&buf, id); err != nil {
+	for id, title := range map[string]string{"table2": "== Table II:", "table3": "== Table III:"} {
+		rep, err := r.Report(id)
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if buf.Len() == 0 {
-			t.Fatalf("%s rendered nothing", id)
+		var buf bytes.Buffer
+		if err := engine.WriteText(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.ID != id || !strings.HasPrefix(buf.String(), title) {
+			t.Fatalf("%s rendered as id %q:\n%s", id, rep.ID, buf.String())
 		}
 	}
-	var buf bytes.Buffer
-	if err := r.RunAndRender(&buf, "bogus"); err == nil {
+	if _, err := r.Report("bogus"); err == nil {
 		t.Fatal("bogus experiment id accepted")
 	}
 }
 
 func TestExperimentIDsComplete(t *testing.T) {
-	ids := strings.Join(ExperimentIDs(), ",")
-	for _, want := range []string{"table2", "fig5a", "fig5b", "fig6a", "fig6b", "partial", "fig7a", "fig7b", "table3", "fig8"} {
-		if !strings.Contains(ids, want) {
-			t.Fatalf("experiment %s missing from %s", want, ids)
-		}
+	want := []string{"table2", "fig5a", "fig5b", "fig6a", "fig6b", "partial", "fig7a", "fig7b", "table3", "fig8", "ablation", "probe"}
+	if got := ExperimentIDs(); !slices.Equal(got, want) {
+		t.Fatalf("ExperimentIDs() = %v, want %v", got, want)
 	}
 }
 
 func TestRenderFormats(t *testing.T) {
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip", "swim"}})
 
+	table2, err := r.Report("table2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var jsonBuf bytes.Buffer
-	if err := r.RenderFormat(&jsonBuf, "table2", engine.FormatJSON); err != nil {
+	if err := engine.FormatJSON.Write(&jsonBuf, table2); err != nil {
 		t.Fatal(err)
 	}
 	var reports []engine.Report
@@ -157,17 +165,17 @@ func TestRenderFormats(t *testing.T) {
 		t.Fatalf("unexpected JSON report: %+v", reports)
 	}
 
+	table3, err := r.Report("table3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var csvBuf bytes.Buffer
-	if err := r.RenderFormat(&csvBuf, "table3", engine.FormatCSV); err != nil {
+	if err := engine.FormatCSV.Write(&csvBuf, table3); err != nil {
 		t.Fatal(err)
 	}
 	out := csvBuf.String()
 	if !strings.HasPrefix(out, "# table3:") || !strings.Contains(out, "label,npred") {
 		t.Fatalf("unexpected CSV output:\n%s", out)
-	}
-
-	if err := r.RenderFormat(&bytes.Buffer{}, "bogus", engine.FormatJSON); err == nil {
-		t.Fatal("bogus experiment id accepted")
 	}
 }
 
@@ -175,15 +183,10 @@ func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip"}}).WithContext(ctx)
-	var buf bytes.Buffer
-	if err := r.RunAndRender(&buf, "table2"); err == nil {
-		t.Fatal("cancelled render succeeded")
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("cancelled render wrote %d bytes of partial output", buf.Len())
-	}
-	if _, err := r.Report("fig5b"); err == nil {
-		t.Fatal("cancelled report succeeded")
+	for _, id := range []string{"table2", "fig5b"} {
+		if _, err := r.Report(id); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %s report: got %v, want context.Canceled", id, err)
+		}
 	}
 }
 
@@ -195,16 +198,6 @@ func TestWithWorkloadsSharesCache(t *testing.T) {
 	st := r.Engine().Stats()
 	if st.Runs != 2 || st.Hits != 1 {
 		t.Fatalf("runs=%d hits=%d, want 2 runs and 1 hit", st.Runs, st.Hits)
-	}
-}
-
-func TestMinMaxOf(t *testing.T) {
-	s := Series{Bench: []string{"a", "b"}, Speedup: []float64{1.2, 0.9}}
-	if b, v := MinOf(s); b != "b" || v != 0.9 {
-		t.Fatalf("MinOf: %s %v", b, v)
-	}
-	if b, v := MaxOf(s); b != "a" || v != 1.2 {
-		t.Fatalf("MaxOf: %s %v", b, v)
 	}
 }
 

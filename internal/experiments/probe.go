@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"bebop/internal/core"
 	"bebop/internal/engine"
@@ -26,16 +25,13 @@ type ProbeCurve struct {
 	Points []ProbePoint // increasing pressure, grid order
 }
 
-// ProbeSweep runs one probe family's pressure points (nil = the family's
-// default grid) under the configuration identified by key, through the
-// shared caching engine — probe results are cached by (config, probe
-// name) like any other workload.
-func (r *Runner) ProbeSweep(f probe.Family, key string, mk core.ConfigFactory, pressures []int) (ProbeCurve, error) {
-	if pressures == nil {
-		pressures = f.Grid
-	}
-	jobs := make([]engine.Job[pipeline.Result], len(pressures))
-	for i, p := range pressures {
+// ProbeSweep runs one probe family's default pressure grid under the
+// configuration identified by key, through the shared caching engine —
+// probe results are cached by (config, probe name) like any other
+// workload.
+func (r *Runner) ProbeSweep(f probe.Family, key string, mk core.ConfigFactory) (ProbeCurve, error) {
+	jobs := make([]engine.Job[pipeline.Result], len(f.Grid))
+	for i, p := range f.Grid {
 		src, err := f.Source(p)
 		if err != nil {
 			return ProbeCurve{}, err
@@ -63,7 +59,7 @@ func (r *Runner) ProbeSweep(f probe.Family, key string, mk core.ConfigFactory, p
 		}
 		byName[jr.Bench] = jr.Value
 	}
-	for _, p := range pressures {
+	for _, p := range f.Grid {
 		res, ok := byName[probe.SourceName(f.Name, p)]
 		if !ok {
 			return ProbeCurve{}, fmt.Errorf("experiments: probe %s/%d produced no result", f.Name, p)
@@ -93,7 +89,7 @@ func (r *Runner) ProbeCurves() ([]ProbeCurve, error) {
 	var out []ProbeCurve
 	for _, f := range probe.Families() {
 		key, mk := probeConfigFor(f)
-		curve, err := r.ProbeSweep(f, key, mk, nil)
+		curve, err := r.ProbeSweep(f, key, mk)
 		if err != nil {
 			return nil, err
 		}
@@ -104,10 +100,9 @@ func (r *Runner) ProbeCurves() ([]ProbeCurve, error) {
 
 // probeReport lays cliff curves out as one row per (family, pressure):
 // the CSV form is what the full-resolution CI step uploads as artifacts.
-func probeReport(curves []ProbeCurve) engine.Report {
+func probeReport(title string, curves []ProbeCurve) engine.Report {
 	rep := engine.Report{
-		ID:      "probe",
-		Title:   "Probe cliff curves: accuracy vs geometry pressure",
+		Title:   title,
 		Columns: []string{"axis", "pressure", "config", "ipc", "br_mpki", "vp_coverage", "vp_accuracy"},
 	}
 	for _, c := range curves {
@@ -124,20 +119,4 @@ func probeReport(curves []ProbeCurve) engine.Report {
 		}
 	}
 	return rep
-}
-
-// RenderProbeCurves prints cliff curves as per-family text tables.
-func RenderProbeCurves(w io.Writer, curves []ProbeCurve) {
-	for i, c := range curves {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "== probe/%s (%s) under %s ==\n", c.Family.Name, c.Family.Doc, c.Config)
-		fmt.Fprintf(w, "%10s %8s %10s %12s %12s\n", c.Family.Axis, "ipc", "br_mpki", "vp_coverage", "vp_accuracy")
-		for _, pt := range c.Points {
-			res := pt.Result
-			fmt.Fprintf(w, "%10d %8.3f %10.3f %12.3f %12.3f\n",
-				pt.Pressure, res.IPC, res.BrMispPKI, res.VP.Coverage(), res.VP.Accuracy())
-		}
-	}
 }

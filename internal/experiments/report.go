@@ -7,46 +7,67 @@ import (
 	"bebop/internal/util"
 )
 
-// Report runs the named experiment and returns it as a format-independent
-// engine.Report, the machine-readable counterpart of RunAndRender.
-func (r *Runner) Report(id string) (engine.Report, error) {
-	var rep engine.Report
-	switch id {
-	case "table2":
-		rep = table2Report(r.Table2())
-	case "fig5a":
-		rep = seriesReport(id, "Fig. 5(a): predictors over Baseline_6_60", r.Fig5a())
-	case "fig5b":
-		rep = seriesReport(id, "Fig. 5(b): EOLE_4_60 over Baseline_VP_6_60", []Series{r.Fig5b()})
-	case "fig6a":
-		rep = summaryReport(id, "Fig. 6(a): predictions per entry (speedup over EOLE_4_60)", r.Fig6a())
-	case "fig6b":
-		rep = summaryReport(id, "Fig. 6(b): structure sizes (speedup over EOLE_4_60)", r.Fig6b())
-	case "partial":
-		rep = strideReport(r.PartialStrides())
-	case "fig7a":
-		rep = summaryReport(id, "Fig. 7(a): recovery policies (speedup over EOLE_4_60)", r.Fig7a())
-	case "fig7b":
-		rep = summaryReport(id, "Fig. 7(b): speculative window size (speedup over EOLE_4_60)", r.Fig7b())
-	case "table3":
-		rep = table3Report(Table3())
-	case "fig8":
-		rep = seriesReport(id, "Fig. 8: final configurations over Baseline_6_60", r.Fig8())
-	case "ablation":
-		rep = summaryReport(id, "Ablation: predictor lineages over Baseline_6_60", r.Ablations())
-	case "probe":
+// experiment is one table or figure of the paper's evaluation: the id a
+// sweep selects it by, and the function that runs it and lays the result
+// out as a titled table. Every output format renders that table.
+type experiment struct {
+	id  string
+	run func(*Runner) (engine.Report, error)
+}
+
+// registry lists the experiments in the order ExperimentIDs reports.
+var registry = []experiment{
+	{"table2", func(r *Runner) (engine.Report, error) {
+		return table2Report("Table II: baseline IPC per workload", r.Table2()), nil
+	}},
+	{"fig5a", seriesTable("Fig. 5(a): predictors over Baseline_6_60", (*Runner).Fig5a)},
+	{"fig5b", seriesTable("Fig. 5(b): EOLE_4_60 over Baseline_VP_6_60",
+		func(r *Runner) []Series { return []Series{r.Fig5b()} })},
+	{"fig6a", summaryTable("Fig. 6(a): predictions per entry (speedup over EOLE_4_60)", (*Runner).Fig6a)},
+	{"fig6b", summaryTable("Fig. 6(b): structure sizes (speedup over EOLE_4_60)", (*Runner).Fig6b)},
+	{"partial", func(r *Runner) (engine.Report, error) {
+		return strideReport("Partial strides (Section VI-B(a))", r.PartialStrides()), nil
+	}},
+	{"fig7a", summaryTable("Fig. 7(a): recovery policies (speedup over EOLE_4_60)", (*Runner).Fig7a)},
+	{"fig7b", summaryTable("Fig. 7(b): speculative window size (speedup over EOLE_4_60)", (*Runner).Fig7b)},
+	{"table3", func(*Runner) (engine.Report, error) {
+		return table3Report("Table III: final predictor configurations", Table3()), nil
+	}},
+	{"fig8", seriesTable("Fig. 8: final configurations over Baseline_6_60", (*Runner).Fig8)},
+	{"ablation", summaryTable("Ablation: predictor lineages over Baseline_6_60", (*Runner).Ablations)},
+	{"probe", func(r *Runner) (engine.Report, error) {
 		curves, err := r.ProbeCurves()
+		return probeReport("Probe cliff curves: accuracy vs geometry pressure", curves), err
+	}},
+}
+
+// ExperimentIDs lists the sweep identifiers usable with cmd/bebop-sweep.
+func ExperimentIDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Report runs the named experiment and returns it as a format-independent
+// engine.Report, the one table every output format renders.
+func (r *Runner) Report(id string) (engine.Report, error) {
+	for _, e := range registry {
+		if e.id != id {
+			continue
+		}
+		rep, err := e.run(r)
+		if err == nil {
+			err = r.err
+		}
 		if err != nil {
 			return engine.Report{}, err
 		}
-		rep = probeReport(curves)
-	default:
-		return engine.Report{}, fmt.Errorf("experiments: %w", util.UnknownName("experiment", id, ExperimentIDs()))
+		rep.ID = e.id
+		return rep, nil
 	}
-	if r.err != nil {
-		return engine.Report{}, r.err
-	}
-	return rep, nil
+	return engine.Report{}, fmt.Errorf("experiments: %w", util.UnknownName("experiment", id, ExperimentIDs()))
 }
 
 // Reports runs several experiments and collects their reports.
@@ -62,10 +83,18 @@ func (r *Runner) Reports(ids []string) ([]engine.Report, error) {
 	return out, nil
 }
 
-func table2Report(rows []BenchIPC) engine.Report {
+// seriesTable and summaryTable adapt a figure method to a registry entry.
+func seriesTable(title string, fig func(*Runner) []Series) func(*Runner) (engine.Report, error) {
+	return func(r *Runner) (engine.Report, error) { return seriesReport(title, fig(r)), nil }
+}
+
+func summaryTable(title string, fig func(*Runner) []Series) func(*Runner) (engine.Report, error) {
+	return func(r *Runner) (engine.Report, error) { return summaryReport(title, fig(r)), nil }
+}
+
+func table2Report(title string, rows []BenchIPC) engine.Report {
 	rep := engine.Report{
-		ID:      "table2",
-		Title:   "Table II: baseline IPC per workload",
+		Title:   title,
 		Columns: []string{"suite", "type", "ipc", "paper_ipc"},
 	}
 	for _, r := range rows {
@@ -82,8 +111,8 @@ func table2Report(rows []BenchIPC) engine.Report {
 
 // seriesReport lays series out like Fig. 5/8: one row per benchmark, one
 // column per series, plus a final gmean row.
-func seriesReport(id, title string, series []Series) engine.Report {
-	rep := engine.Report{ID: id, Title: title}
+func seriesReport(title string, series []Series) engine.Report {
+	rep := engine.Report{Title: title}
 	for _, s := range series {
 		rep.Columns = append(rep.Columns, s.Name)
 	}
@@ -111,9 +140,8 @@ func seriesReport(id, title string, series []Series) engine.Report {
 
 // summaryReport lays series out like Fig. 6/7: one row per configuration
 // with its box-plot summary.
-func summaryReport(id, title string, series []Series) engine.Report {
+func summaryReport(title string, series []Series) engine.Report {
 	rep := engine.Report{
-		ID:      id,
 		Title:   title,
 		Columns: []string{"min", "q1", "median", "q3", "max", "gmean"},
 	}
@@ -126,10 +154,9 @@ func summaryReport(id, title string, series []Series) engine.Report {
 	return rep
 }
 
-func strideReport(rows []StrideRow) engine.Report {
+func strideReport(title string, rows []StrideRow) engine.Report {
 	rep := engine.Report{
-		ID:      "partial",
-		Title:   "Partial strides (Section VI-B(a))",
+		Title:   title,
 		Columns: []string{"gmean", "min", "size_kb"},
 	}
 	for _, r := range rows {
@@ -140,10 +167,9 @@ func strideReport(rows []StrideRow) engine.Report {
 	return rep
 }
 
-func table3Report(rows []StorageRow) engine.Report {
+func table3Report(title string, rows []StorageRow) engine.Report {
 	rep := engine.Report{
-		ID:      "table3",
-		Title:   "Table III: final predictor configurations",
+		Title:   title,
 		Columns: []string{"npred", "base_entries", "specwin", "stride_bits", "kb", "paper_kb"},
 	}
 	for _, r := range rows {

@@ -19,15 +19,12 @@ import (
 	"bebop/internal/workload"
 )
 
-// Kind-level sentinels, so front-ends can map failures onto protocol
-// statuses with errors.Is instead of matching message text. The errors
-// carrying them are util.UnknownNameError values (one shared formatting
-// for every unknown-name failure), reachable with errors.As when the
-// caller wants the valid-name list.
-var (
-	ErrUnknownExperiment = util.ErrUnknownKind("experiment")
-	ErrUnknownBenchmark  = util.ErrUnknownKind("workload")
-)
+// ErrUnknownBenchmark is a kind-level sentinel, so front-ends can map
+// failures onto protocol statuses with errors.Is instead of matching
+// message text. The errors carrying it are util.UnknownNameError values
+// (one shared formatting for every unknown-name failure), reachable with
+// errors.As when the caller wants the valid-name list.
+var ErrUnknownBenchmark = util.ErrUnknownKind("workload")
 
 // Options controls an experiment session.
 type Options struct {
@@ -189,28 +186,4 @@ func (r *Runner) baselineVPDVTAGE() map[string]pipeline.Result {
 
 func (r *Runner) eole() map[string]pipeline.Result {
 	return r.Results("EOLE_4_60", core.EOLEInstVP())
-}
-
-// MinOf returns the benchmark with the minimum speedup in a series.
-func MinOf(s Series) (bench string, v float64) {
-	v = 2 << 20
-	for i, x := range s.Speedup {
-		if x < v {
-			v = x
-			bench = s.Bench[i]
-		}
-	}
-	return
-}
-
-// MaxOf returns the benchmark with the maximum speedup in a series.
-func MaxOf(s Series) (bench string, v float64) {
-	v = -1
-	for i, x := range s.Speedup {
-		if x > v {
-			v = x
-			bench = s.Bench[i]
-		}
-	}
-	return
 }

@@ -100,8 +100,6 @@ type Config struct {
 	// static PC and Result.H2P reports the top-N offenders. Attribution
 	// is an observer — it never changes timing or any other statistic.
 	CollectH2P bool
-	// H2PTopN caps Result.H2P entry lists (0 = 16).
-	H2PTopN int
 }
 
 // DefaultConfig returns the Baseline_6_60 configuration of Table I.

@@ -21,7 +21,7 @@ const (
 	h2pMaxUsed   = h2pTableSize * 3 / 4
 )
 
-// defaultH2PTopN is the Result.H2P entry cap when Config.H2PTopN is 0.
+// defaultH2PTopN caps each Result.H2P entry list.
 const defaultH2PTopN = 16
 
 type h2pTable struct {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"bebop/internal/predictor"
@@ -18,18 +19,20 @@ func h2pConfig() Config {
 // loses nothing, it only localizes.
 func TestH2PAttributionMatchesTotals(t *testing.T) {
 	prof, _ := workload.ProfileByName("gobmk") // branchy workload
-	cfg := h2pConfig()
-	cfg.H2PTopN = 1 << 20 // no truncation: totals must reconcile exactly
-	r := New(cfg, workload.New(prof, 30000)).RunWarm(10000, 0)
+	p := New(h2pConfig(), workload.New(prof, 30000))
+	r := p.RunWarm(10000, 0)
 
 	if r.H2P == nil {
 		t.Fatal("CollectH2P set but Result.H2P is nil")
 	}
+	// The full tables, not Result's truncated lists: totals must
+	// reconcile exactly.
+	branches, values := p.h2pBr.topN(h2pTableSize), p.h2pVal.topN(h2pTableSize)
 	var brSum, valSum uint64
-	for _, e := range r.H2P.Branches {
+	for _, e := range branches {
 		brSum += e.Mispredicts
 	}
-	for _, e := range r.H2P.Values {
+	for _, e := range values {
 		valSum += e.Mispredicts
 	}
 	if got := brSum + r.H2P.BranchPCsDropped; got != r.BrMispredicts {
@@ -42,8 +45,8 @@ func TestH2PAttributionMatchesTotals(t *testing.T) {
 		t.Error("mispredicted branches exist but no H2P entries")
 	}
 	// Ranked: counts non-increasing, ties by ascending PC.
-	for i := 1; i < len(r.H2P.Branches); i++ {
-		a, b := r.H2P.Branches[i-1], r.H2P.Branches[i]
+	for i := 1; i < len(branches); i++ {
+		a, b := branches[i-1], branches[i]
 		if a.Mispredicts < b.Mispredicts || (a.Mispredicts == b.Mispredicts && a.PC >= b.PC) {
 			t.Fatalf("entries not ranked: %+v before %+v", a, b)
 		}
@@ -72,15 +75,28 @@ func h2pConfigWithout() Config {
 	return cfg
 }
 
-// TestH2PTopNTruncation: default cap is 16, custom caps respected.
+// TestH2PTopNTruncation: Result.H2P keeps at most the 16 worst PCs of
+// each kind, the head of the full ranking.
 func TestH2PTopNTruncation(t *testing.T) {
 	prof, _ := workload.ProfileByName("gobmk")
-	cfg := h2pConfig()
-	cfg.H2PTopN = 3
-	r := New(cfg, workload.New(prof, 30000)).Run(0)
-	if len(r.H2P.Branches) > 3 || len(r.H2P.Values) > 3 {
-		t.Fatalf("topN=3 not enforced: %d branch, %d value entries",
-			len(r.H2P.Branches), len(r.H2P.Values))
+	p := New(h2pConfig(), workload.New(prof, 30000))
+	r := p.Run(0)
+	branches := p.h2pBr.topN(h2pTableSize)
+	if len(branches) <= 16 {
+		t.Fatalf("only %d branch PCs mispredicted; the cap is untested", len(branches))
+	}
+	for _, c := range []struct {
+		kind      string
+		got, full []H2PEntry
+	}{
+		{"branch", r.H2P.Branches, branches},
+		{"value", r.H2P.Values, p.h2pVal.topN(h2pTableSize)},
+	} {
+		want := c.full[:min(len(c.full), 16)]
+		if !reflect.DeepEqual(c.got, want) {
+			t.Fatalf("%s: Result.H2P holds %d entries, want the %d worst:\ngot  %v\nwant %v",
+				c.kind, len(c.got), len(want), c.got, want)
+		}
 	}
 }
 

@@ -203,8 +203,8 @@ func (p *Processor) initHistoryFolds() {
 // the dynInst/UOp pool and — when the table geometry is unchanged — the
 // TAGE, BTB, cache and store-set arrays, which are cleared in place
 // instead of reallocated. A Reset processor behaves identically to one
-// built with New(cfg, stream); internal/perf and the engine workers use
-// this to recycle processors across jobs.
+// built with New(cfg, stream); core.acquireProc uses this to recycle
+// pooled processors across jobs.
 func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	// Predictor/cache tables: clear in place when the geometry matches,
 	// rebuild otherwise.
@@ -377,13 +377,9 @@ func (p *Processor) result() Result {
 		r.StorageBits = p.cfg.VP.StorageBits()
 	}
 	if p.h2pBr != nil {
-		n := p.cfg.H2PTopN
-		if n <= 0 {
-			n = defaultH2PTopN
-		}
 		r.H2P = &H2PResult{
-			Branches:         p.h2pBr.topN(n),
-			Values:           p.h2pVal.topN(n),
+			Branches:         p.h2pBr.topN(defaultH2PTopN),
+			Values:           p.h2pVal.topN(defaultH2PTopN),
 			BranchPCsDropped: p.h2pBr.dropped,
 			ValuePCsDropped:  p.h2pVal.dropped,
 		}

@@ -172,20 +172,9 @@ func (w *Window) Lookup(blockPC uint64) *Entry {
 	return best
 }
 
-// UpdateHead overwrites the per-slot values of the most recent entry for
-// blockPC, used when predictions for back-to-back fetches of the same
-// block are chained (Section III-C bypass).
-func (w *Window) UpdateHead(blockPC uint64, vals [MaxNPred]uint64, has [MaxNPred]bool) {
-	if e := w.Lookup(blockPC); e != nil {
-		e.vals = vals
-		e.has = has
-	}
-}
-
 // SquashYoungerThan invalidates entries with sequence numbers strictly
-// greater than keepSeq (pipeline squash rollback). When dropHead is true
-// the entry holding keepSeq's block (the flush block itself) is dropped
-// too (Repred policy).
+// greater than keepSeq (pipeline squash rollback). The Repred policy
+// also drops the flush block's own entry, with InvalidateSeq.
 func (w *Window) SquashYoungerThan(keepSeq uint64) {
 	if !w.Enabled() {
 		return

@@ -119,18 +119,6 @@ func TestInfiniteSquashTruncates(t *testing.T) {
 	}
 }
 
-func TestUpdateHead(t *testing.T) {
-	w := New(8, 15)
-	v, h := vals(10)
-	w.Insert(0x1000, 1, v, h)
-	v2, h2 := vals(99)
-	w.UpdateHead(0x1000, v2, h2)
-	got, _ := w.Lookup(0x1000).Values()
-	if got[0] != 99 {
-		t.Fatalf("head not updated: %d", got[0])
-	}
-}
-
 func TestHitCounting(t *testing.T) {
 	w := New(8, 15)
 	v, h := vals(1)

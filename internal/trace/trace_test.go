@@ -276,7 +276,7 @@ func TestCatalogFromDir(t *testing.T) {
 	}
 	src, ok := cat.Lookup("mcf-1k")
 	if !ok {
-		t.Fatalf("trace workload missing from catalog (have %s)", cat.NameList())
+		t.Fatalf("trace workload missing from catalog (have %v)", cat.Names())
 	}
 	stream, err := src.Open(500)
 	if err != nil {

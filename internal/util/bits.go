@@ -46,17 +46,6 @@ func FoldBits(x uint64, n, width int) uint64 {
 	return folded & ((uint64(1) << width) - 1)
 }
 
-// SignExtend interprets the low width bits of v as a two's-complement
-// signed value and returns it sign-extended to 64 bits. Used for partial
-// strides (8/16/32-bit) in D-VTAGE.
-func SignExtend(v uint64, width int) int64 {
-	if width <= 0 || width >= 64 {
-		return int64(v)
-	}
-	shift := 64 - width
-	return int64(v<<shift) >> shift
-}
-
 // TruncateSigned clamps a full 64-bit stride to what a width-bit signed
 // field can represent, returning the stored field value and whether the
 // stride was representable. Strides that overflow the field are the reason

@@ -71,21 +71,6 @@ func TestFoldBitsZeroWidth(t *testing.T) {
 	}
 }
 
-func TestSignExtend(t *testing.T) {
-	if got := SignExtend(0xFF, 8); got != -1 {
-		t.Fatalf("SignExtend(0xFF, 8) = %d, want -1", got)
-	}
-	if got := SignExtend(0x7F, 8); got != 127 {
-		t.Fatalf("SignExtend(0x7F, 8) = %d, want 127", got)
-	}
-	if got := SignExtend(0x8000, 16); got != -32768 {
-		t.Fatalf("SignExtend(0x8000, 16) = %d", got)
-	}
-	if got := SignExtend(42, 64); got != 42 {
-		t.Fatalf("SignExtend(42, 64) = %d", got)
-	}
-}
-
 func TestTruncateSignedRoundTrip(t *testing.T) {
 	// Property: representable values round-trip through the field.
 	f := func(v int16, w uint8) bool {

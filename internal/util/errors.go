@@ -37,7 +37,7 @@ func (e *UnknownNameError) Error() string {
 
 // Is lets errors.Is match an UnknownNameError against the kind-level
 // sentinels returned by ErrUnknownKind, so packages can keep exporting
-// `var ErrUnknownExperiment = util.ErrUnknownKind("experiment")` and
+// `var ErrUnknownBenchmark = util.ErrUnknownKind("workload")` and
 // existing errors.Is checks continue to work.
 func (e *UnknownNameError) Is(target error) bool {
 	k, ok := target.(unknownKind)

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 
 	"bebop/internal/isa"
 )
@@ -89,6 +88,3 @@ func (c *Catalog) Names() []string {
 
 // Len reports the number of registered sources.
 func (c *Catalog) Len() int { return len(c.names) }
-
-// NameList renders the catalog's names for error messages and -help text.
-func (c *Catalog) NameList() string { return strings.Join(c.names, ", ") }

@@ -35,7 +35,6 @@ import (
 	"context"
 	"fmt"
 
-	"bebop/internal/bebop"
 	"bebop/internal/core"
 	"bebop/internal/pipeline"
 	"bebop/internal/specwindow"
@@ -364,23 +363,20 @@ func customBeBoPName(bb BeBoPConfig) string {
 		bb.NPred, bb.BaseEntries, bb.TaggedEntries, bb.StrideBits, bb.WindowSize, bb.Policy)
 }
 
-// StorageKBOf reports a configuration's predictor storage in KB without
-// running it (Table III accounting).
+// StorageKBOf reports a configuration's value predictor storage in KB
+// without running it (Table III accounting); 0 when it has no VP.
 func StorageKBOf(spec RunSpec) (float64, error) {
 	spec, err := spec.Validate()
 	if err != nil {
 		return 0, err
 	}
-	if spec.Config != "eole-bebop" {
-		return 0, nil
-	}
-	var cfg bebop.Config
-	if spec.BeBoP != nil {
-		bb := *spec.BeBoP
-		policy, _ := specwindow.ParsePolicy(bb.Policy)
-		cfg = core.BlockConfig(bb.NPred, bb.BaseEntries, bb.TaggedEntries, bb.StrideBits, bb.WindowSize, policy)
-	} else if cfg, err = core.TableIIIByName(spec.Predictor); err != nil {
+	mk, err := factoryFor(spec)
+	if err != nil {
 		return 0, err
 	}
-	return float64(bebop.New(cfg).StorageBits()) / 8 / 1024, nil
+	cfg := mk()
+	if cfg.VP == nil {
+		return 0, nil
+	}
+	return float64(cfg.VP.StorageBits()) / 8 / 1024, nil
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bebop/internal/core"
+	"bebop/internal/engine"
 	"bebop/internal/trace"
 	"bebop/internal/workload"
 )
@@ -301,6 +302,78 @@ func TestSweeper(t *testing.T) {
 	var be *BudgetError
 	if _, err := sw.Tables(context.Background(), SweepSpec{Insts: 999}); !errors.As(err, &be) {
 		t.Fatalf("budget mismatch: got %v", err)
+	}
+}
+
+// TestStorageKBOfMatchesRun: the static storage accounting agrees with
+// what a run of the same spec reports, for every configuration family.
+func TestStorageKBOfMatchesRun(t *testing.T) {
+	for _, spec := range []RunSpec{
+		{Config: "baseline"},
+		{Config: "baseline-vp", Predictor: "D-VTAGE"},
+		{Config: "baseline-vp", Predictor: "VTAGE"},
+		{Config: "eole"},
+		{Config: "eole-bebop", Predictor: "Medium"},
+		{Config: "eole-bebop", BeBoP: &BeBoPConfig{NPred: 4, BaseEntries: 256, TaggedEntries: 128, StrideBits: 16, WindowSize: 16}},
+	} {
+		spec.Workload, spec.Insts = "gzip", 2_000
+		kb, err := StorageKBOf(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kb != rep.VPStorageKB() {
+			t.Errorf("%s/%s: StorageKBOf %.3f KB, run reports %.3f KB", spec.Config, spec.Predictor, kb, rep.VPStorageKB())
+		}
+	}
+}
+
+// TestSweeperTextIsWriteText: text output is the text emitter over the
+// same tables JSON and CSV emit — one rendering path for every format.
+func TestSweeperTextIsWriteText(t *testing.T) {
+	sw, err := NewSweeper(SweepOptions{Insts: 2_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SweepSpec{Experiments: []string{"table3", "fig5b"}, Workloads: []string{"gzip"}}
+	var got bytes.Buffer
+	if err := sw.Write(context.Background(), &got, "text", spec); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := sw.Tables(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := engine.WriteText(&want, tables...); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("text sweep differs from engine.WriteText of its tables:\n--- Write\n%s--- WriteText\n%s", got.String(), want.String())
+	}
+}
+
+// TestSweeperWriteCancelledWritesNothing: a cancelled sweep fails
+// before its first byte, in every format.
+func TestSweeperWriteCancelledWritesNothing(t *testing.T) {
+	sw, err := NewSweeper(SweepOptions{Insts: 2_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, format := range Formats() {
+		var buf bytes.Buffer
+		err := sw.Write(ctx, &buf, format, SweepSpec{Experiments: []string{"table2", "fig5b"}, Workloads: []string{"gzip"}})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled sweep returned %v, want context.Canceled", format, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%s: cancelled sweep wrote %d bytes of partial output", format, buf.Len())
+		}
 	}
 }
 

@@ -157,19 +157,28 @@ type RASSnapshot struct {
 	Depth int
 }
 
-// Snapshot deep-copies the RAS state.
+// Snapshot copies the live RAS entries, the depth entries from the top
+// down. Slots past the live depth are never read before a push
+// overwrites them, so they are written as zero: the snapshot depends
+// only on the live stack, not on what an earlier run left behind.
 func (r *RAS) Snapshot() *RASSnapshot {
-	return &RASSnapshot{
-		Stack: append([]uint64(nil), r.stack...),
-		Top:   r.top,
-		Depth: r.depth,
+	s := &RASSnapshot{Stack: make([]uint64, len(r.stack)), Top: r.top, Depth: r.depth}
+	for i, at := 0, r.top; i < r.depth; i++ {
+		s.Stack[at] = r.stack[at]
+		at = (at - 1 + len(r.stack)) % len(r.stack)
 	}
+	return s
 }
 
-// Restore overwrites the RAS from a snapshot, validating capacity.
+// Restore overwrites the RAS from a snapshot, validating capacity and
+// refusing a top or depth the stack could never hold.
 func (r *RAS) Restore(s *RASSnapshot) error {
-	if len(s.Stack) != len(r.stack) {
-		return fmt.Errorf("branch: RAS snapshot depth %d, stack sized %d", len(s.Stack), len(r.stack))
+	n := len(r.stack)
+	if len(s.Stack) != n {
+		return fmt.Errorf("branch: RAS snapshot depth %d, stack sized %d", len(s.Stack), n)
+	}
+	if s.Top < 0 || s.Top >= max(n, 1) || s.Depth < 0 || s.Depth > n {
+		return fmt.Errorf("branch: RAS snapshot top %d, depth %d outside a %d-entry stack", s.Top, s.Depth, n)
 	}
 	copy(r.stack, s.Stack)
 	r.top, r.depth = s.Top, s.Depth

@@ -142,10 +142,13 @@ func (p *StridePrefetcher) Snapshot() *PrefetcherSnapshot {
 	return s
 }
 
-// Restore overwrites the prefetcher from a snapshot.
+// Restore overwrites the prefetcher from a snapshot, which must hold one
+// element per entry in every parallel array.
 func (p *StridePrefetcher) Restore(s *PrefetcherSnapshot) error {
-	if len(s.PC) != len(p.entries) {
-		return fmt.Errorf("cache: prefetcher snapshot has %d entries, table has %d", len(s.PC), len(p.entries))
+	n := len(p.entries)
+	if len(s.PC) != n || len(s.LastLine) != n || len(s.Stride) != n || len(s.Conf) != n {
+		return fmt.Errorf("cache: prefetcher snapshot has %d/%d/%d/%d entries, table has %d",
+			len(s.PC), len(s.LastLine), len(s.Stride), len(s.Conf), n)
 	}
 	for i := range p.entries {
 		p.entries[i] = strideEntry{pc: s.PC[i], lastLine: s.LastLine[i], stride: s.Stride[i], conf: s.Conf[i]}

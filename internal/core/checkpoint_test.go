@@ -1,0 +1,77 @@
+package core
+
+import (
+	"testing"
+
+	"bebop/internal/bebop"
+	"bebop/internal/pipeline"
+)
+
+// TestRestoreRejectsImpossibleState: a checkpoint whose parallel arrays
+// disagree in length, or whose positions lie outside their tables, is
+// refused by Restore with an error. Accepting it would panic later in
+// the run, or keep the previous run's entries where the short array
+// stops.
+func TestRestoreRejectsImpossibleState(t *testing.T) {
+	mk := EOLEBeBoP("Medium", MediumConfig())
+	stream, err := sampleProfile(t, "gcc").Open(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pipeline.New(mk(), stream)
+	if n := p.Warm(4000); n != 4000 {
+		t.Fatalf("warmed %d of 4000 instructions", n)
+	}
+	payload := func(ck *pipeline.Checkpoint) *bebop.Snapshot { return ck.VP.(*bebop.Snapshot) }
+	for _, tc := range []struct {
+		name string
+		edit func(ck *pipeline.Checkpoint)
+	}{
+		{"RAS top past the stack", func(ck *pipeline.Checkpoint) { ck.RAS.Top = len(ck.RAS.Stack) + 3 }},
+		{"RAS top negative", func(ck *pipeline.Checkpoint) { ck.RAS.Top = -1 }},
+		{"RAS depth past the stack", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = len(ck.RAS.Stack) + 1 }},
+		{"RAS depth negative", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = -1 }},
+		{"window tags short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Tag = w.Tag[1:] }},
+		{"window seqs short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Seq = w.Seq[1:] }},
+		{"window values short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Vals = w.Vals[1:] }},
+		{"window presence short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Has = w.Has[1:] }},
+		{"window head past the window", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Head = len(w.Valid) }},
+		{"window head negative", func(ck *pipeline.Checkpoint) { payload(ck).Win.Head = -1 }},
+		{"prefetcher last lines short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.LastLine = pf.LastLine[1:] }},
+		{"prefetcher strides short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Stride = pf.Stride[1:] }},
+		{"prefetcher confidences short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Conf = pf.Conf[1:] }},
+		{"D-VTAGE LVT tags short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.LVTTags = d.LVTTags[1:] }},
+		{"D-VTAGE LVT presence short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.LVTHas = d.LVTHas[1:] }},
+		{"D-VTAGE LVT byte tags short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.LVTBtag = d.LVTBtag[1:] }},
+		{"D-VTAGE VT0 confidences short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.VT0Conf = d.VT0Conf[1:] }},
+		{"D-VTAGE component useful bits short", func(ck *pipeline.Checkpoint) { c := &payload(ck).DVT.Comps[0]; c.Useful = c.Useful[1:] }},
+		{"D-VTAGE component confidences short", func(ck *pipeline.Checkpoint) { c := &payload(ck).DVT.Comps[0]; c.Conf = c.Conf[1:] }},
+	} {
+		ck, err := p.Snapshot(4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(ck)
+		rec, err := restoreRecovered(mk, ck)
+		switch {
+		case rec != nil:
+			t.Errorf("%s: Restore panicked: %v", tc.name, rec)
+		case err == nil:
+			t.Errorf("%s: restored", tc.name)
+		}
+	}
+	ck, err := p.Snapshot(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := restoreRecovered(mk, ck); err != nil || rec != nil {
+		t.Fatalf("the unbroken checkpoint does not restore: %v %v", err, rec)
+	}
+}
+
+// restoreRecovered restores ck into a fresh processor of mk's
+// configuration and returns what Restore panicked with, or its error.
+func restoreRecovered(mk ConfigFactory, ck *pipeline.Checkpoint) (rec any, err error) {
+	defer func() { rec = recover() }()
+	return nil, pipeline.New(mk(), nil).Restore(ck)
+}

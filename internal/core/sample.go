@@ -50,9 +50,9 @@ type SamplingParams struct {
 	// run between warming and measurement.
 	DetailWarmup int64
 	// Checkpoints optionally serves pre-built microarchitectural
-	// snapshots (trace.CheckpointFile implements this); intervals restore
-	// the nearest one at or before their warming start instead of
-	// re-warming from scratch.
+	// snapshots (trace.CheckpointSet and trace.CheckpointFile implement
+	// this); each interval restores the nearest one at or before its
+	// warming start instead of re-warming from scratch.
 	Checkpoints CheckpointSource
 	// Parallelism caps the worker count (0 = GOMAXPROCS).
 	Parallelism int
@@ -64,10 +64,13 @@ type SamplingParams struct {
 	OnInterval func(done, total int)
 }
 
-// CheckpointSource yields the snapshot with the largest instruction
-// offset ≤ inst, or nil when none qualifies.
+// CheckpointSource restores pre-built snapshots. RestoreNearest
+// restores the snapshot with the largest instruction offset ≤ inst into
+// p and returns that offset; ok is false, and p untouched, when none
+// qualifies. Interval workers call it concurrently, each with its own
+// processor.
 type CheckpointSource interface {
-	Nearest(inst int64) *pipeline.Checkpoint
+	RestoreNearest(p *pipeline.Processor, inst int64) (at int64, ok bool, err error)
 }
 
 // SampleStats reports the sampling reduction alongside the aggregate
@@ -289,21 +292,22 @@ func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stre
 	pos := int64(0) // absolute instruction position reached so far
 	usedCkpt := false
 	if sp.Checkpoints != nil {
-		if ck := sp.Checkpoints.Nearest(s); ck != nil {
-			rsp := tr.Start("restore").SetInterval(idx).SetInsts(ck.InstOffset)
+		rsp := tr.Start("restore").SetInterval(idx)
+		at, restored, err := sp.Checkpoints.RestoreNearest(p, s)
+		if err != nil {
+			return pipeline.Result{}, false, err
+		}
+		if restored {
 			if sk, ok := stream.(instSeeker); ok {
-				if err := sk.SeekInst(ck.InstOffset); err != nil {
+				if err := sk.SeekInst(at); err != nil {
 					return pipeline.Result{}, false, err
 				}
-			} else if n := p.FastForward(ck.InstOffset); n != ck.InstOffset {
+			} else if n := p.FastForward(at); n != at {
 				return pipeline.Result{}, false, fmt.Errorf(
-					"stream ended at instruction %d, checkpoint is at %d", n, ck.InstOffset)
+					"stream ended at instruction %d, checkpoint is at %d", n, at)
 			}
-			if err := p.Restore(ck); err != nil {
-				return pipeline.Result{}, false, err
-			}
-			rsp.End()
-			pos = ck.InstOffset
+			rsp.SetInsts(at).End()
+			pos = at
 			usedCkpt = true
 		}
 	}

@@ -122,14 +122,17 @@ func TestRunSampledCheckpointsMatchContinuousWarming(t *testing.T) {
 // memCheckpoints is an in-memory CheckpointSource for tests.
 type memCheckpoints []*pipeline.Checkpoint
 
-func (m memCheckpoints) Nearest(inst int64) *pipeline.Checkpoint {
+func (m memCheckpoints) RestoreNearest(p *pipeline.Processor, inst int64) (int64, bool, error) {
 	var best *pipeline.Checkpoint
 	for _, ck := range m {
 		if ck.InstOffset <= inst && (best == nil || ck.InstOffset > best.InstOffset) {
 			best = ck
 		}
 	}
-	return best
+	if best == nil {
+		return 0, false, nil
+	}
+	return best.InstOffset, true, p.Restore(best)
 }
 
 func TestRunSampledValidation(t *testing.T) {

@@ -3,6 +3,7 @@ package integration
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,6 +80,59 @@ func TestChaosCheckpointReadFaultRebuildsTransparently(t *testing.T) {
 		t.Errorf("checkpoints used: %d, want %d", got.Sampling.CheckpointsUsed, ref.Sampling.CheckpointsUsed)
 	}
 	if faultinject.Default.Fires("trace.checkpoint.read") == 0 {
+		t.Fatal("fault never fired; the test proved nothing")
+	}
+}
+
+// TestChaosCheckpointPointFaultRebuildsTransparently: a side-file point
+// that fails to decode when an interval restores it (here every decode
+// fails) must not fail the sampled run: the SDK rebuilds the side-file
+// once, reruns from the rebuilt points, and the report is bit-identical
+// to the healthy path.
+func TestChaosCheckpointPointFaultRebuildsTransparently(t *testing.T) {
+	const warmup, insts = 20_000, 80_000
+	src := recordTestTrace(t, t.TempDir(), "gcc", warmup+insts)
+	w := int64(warmup)
+	spec := sim.RunSpec{
+		Trace:     src.Path,
+		Config:    "eole-bebop",
+		Predictor: "Medium",
+		Insts:     insts,
+		Warmup:    &w,
+		Sampling: &sim.SamplingSpec{
+			Intervals:     4,
+			IntervalInsts: 2_000,
+			Warmup:        5_000,
+			DetailWarmup:  500,
+			Checkpoints:   true,
+		},
+	}
+	ref, err := sim.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("healthy run: %v", err)
+	}
+	if ref.Sampling == nil || ref.Sampling.CheckpointsUsed != spec.Sampling.Intervals {
+		t.Fatalf("healthy run did not restore every interval: %+v", ref.Sampling)
+	}
+
+	rebuilt := telemetry.Default.Counter(`bebop_sim_checkpoint_files_total{outcome="rebuilt"}`, "")
+	reused := telemetry.Default.Counter(`bebop_sim_checkpoint_files_total{outcome="reused"}`, "")
+	b0, r0 := rebuilt.Value(), reused.Value()
+	armFault(t, "trace.checkpoint.point", faultinject.Plan{Every: 1})
+	got, err := sim.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("run under checkpoint-point fault: %v", err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("rebuilt-checkpoint run diverged:\nref: %+v\ngot: %+v", ref, got)
+	}
+	if d := rebuilt.Value() - b0; d != 1 {
+		t.Errorf("rebuilt counter rose by %d, want 1", d)
+	}
+	if d := reused.Value() - r0; d != 0 {
+		t.Errorf("reused counter rose by %d, want 0", d)
+	}
+	if faultinject.Default.Fires("trace.checkpoint.point") == 0 {
 		t.Fatal("fault never fired; the test proved nothing")
 	}
 }

@@ -68,13 +68,17 @@ func (d *DVTAGE) Snapshot() *DVTAGESnapshot {
 // Restore overwrites the predictor from a snapshot. It errors (leaving
 // the predictor unchanged) when the snapshot geometry does not match.
 func (d *DVTAGE) Restore(s *DVTAGESnapshot) error {
-	if len(s.LVTValid) != len(d.lvtValid) || len(s.LVTVals) != len(d.lvtVals) ||
-		len(s.VT0Strides) != len(d.vt0Strides) || len(s.Comps) != len(d.comps) {
+	if len(s.LVTValid) != len(d.lvtValid) || len(s.LVTTags) != len(d.lvtTags) ||
+		len(s.LVTVals) != len(d.lvtVals) || len(s.LVTHas) != len(d.lvtHas) ||
+		len(s.LVTBtag) != len(d.lvtBtag) || len(s.VT0Strides) != len(d.vt0Strides) ||
+		len(s.VT0Conf) != len(d.vt0Conf) || len(s.Comps) != len(d.comps) {
 		return fmt.Errorf("predictor: D-VTAGE snapshot geometry mismatch: %d LVT/%d slots/%d comps vs %d/%d/%d",
 			len(s.LVTValid), len(s.LVTVals), len(s.Comps), len(d.lvtValid), len(d.lvtVals), len(d.comps))
 	}
 	for i := range s.Comps {
-		if len(s.Comps[i].Tags) != len(d.comps[i].tags) || len(s.Comps[i].Strides) != len(d.comps[i].strides) {
+		sc, c := &s.Comps[i], &d.comps[i]
+		if len(sc.Tags) != len(c.tags) || len(sc.Useful) != len(c.useful) ||
+			len(sc.Strides) != len(c.strides) || len(sc.Conf) != len(c.conf) {
 			return fmt.Errorf("predictor: D-VTAGE snapshot component %d size mismatch", i)
 		}
 	}

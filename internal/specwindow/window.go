@@ -268,10 +268,20 @@ func (w *Window) Snapshot() *Snapshot {
 
 // Restore overwrites the window from a snapshot. Bounded windows require
 // a matching size; unbounded windows accept any entry count (their
-// backing slice grows as needed).
+// backing slice grows as needed). Every parallel array must have one
+// element per entry, and the head must lie inside a bounded window (an
+// unbounded or disabled window never moves it from 0).
 func (w *Window) Restore(s *Snapshot) error {
-	if !w.infinite && len(s.Valid) != len(w.entries) {
-		return fmt.Errorf("specwindow: snapshot has %d entries, window sized %d", len(s.Valid), len(w.entries))
+	n := len(s.Valid)
+	if !w.infinite && n != len(w.entries) {
+		return fmt.Errorf("specwindow: snapshot has %d entries, window sized %d", n, len(w.entries))
+	}
+	if len(s.Tag) != n || len(s.Seq) != n || len(s.Vals) != n || len(s.Has) != n {
+		return fmt.Errorf("specwindow: snapshot arrays hold %d/%d/%d/%d elements for %d entries",
+			len(s.Tag), len(s.Seq), len(s.Vals), len(s.Has), n)
+	}
+	if s.Head < 0 || s.Head >= max(len(w.entries), 1) || (w.infinite && s.Head != 0) {
+		return fmt.Errorf("specwindow: snapshot head %d outside the window", s.Head)
 	}
 	if w.infinite {
 		w.entries = w.entries[:0]

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"bebop/internal/engine"
 	"bebop/internal/faultinject"
@@ -19,20 +21,22 @@ import (
 // processor configurations side by side.
 const CheckpointExt = ".ckpt"
 
-// CheckpointFile is the on-disk checkpoint side-file for one
-// (trace, processor configuration) pair. Points hold full
-// microarchitectural snapshots taken during a single continuous
-// functional-warming pass over the trace, each at a frame boundary
-// (Checkpoint.InstOffset equals some frame's first instruction), sorted
-// by instruction offset. Restoring a point and running detailed from
-// its offset is equivalent to warming straight through from
-// instruction 0 — which is what makes the warmup cost amortizable
-// across sampled-simulation requests.
+// CheckpointFile is the checkpoint side-file for one (trace, processor
+// configuration) pair, held in memory: what BuildCheckpoints produces
+// and WriteCheckpoints stores, and what LoadCheckpoints decodes in full.
+// Points hold full microarchitectural snapshots taken during a single
+// continuous functional-warming pass over the trace, each at a frame
+// boundary (Checkpoint.InstOffset equals some frame's first
+// instruction), sorted by instruction offset. Restoring a point and
+// running detailed from its offset is equivalent to warming straight
+// through from instruction 0 — which is what makes the warmup cost
+// amortizable across sampled-simulation requests.
 //
 // The file format lives in checkpoint_codec.go. It is fixed-width, so a
 // side-file is about as large as the state it restores: roughly 550 KB
 // per point for the baseline configuration and 680 KB for
-// EOLE_4_60/Medium.
+// EOLE_4_60/Medium. Sampled runs open it as a CheckpointSet instead,
+// which decodes only the points they restore.
 type CheckpointFile struct {
 	// Version is the side-file format version, stamped by
 	// WriteCheckpoints and LoadCheckpoints.
@@ -46,6 +50,27 @@ type CheckpointFile struct {
 	ConfigName string
 	Points     []*pipeline.Checkpoint
 }
+
+// CheckpointSet is an opened side-file: its identity and point index,
+// with every point left on disk until RestoreNearest asks for it. The
+// set is safe for concurrent use; Close releases the file.
+type CheckpointSet struct {
+	// traceName, traceInsts and configName are the side-file's
+	// identity, as in CheckpointFile.
+	traceName  string
+	traceInsts int64
+	configName string
+
+	path  string
+	r     io.ReaderAt
+	insts []int64 // each point's instruction offset, increasing
+	offs  []int64 // each point's first byte, then the index's
+}
+
+// ErrBadPoint marks every error CheckpointSet.RestoreNearest returns:
+// the point could not be read, decoded or restored, so the side-file is
+// unusable and the fix is to rebuild it, not to retry.
+var ErrBadPoint = errors.New("unusable side-file point")
 
 // CheckpointPath names the side-file for a trace and configuration:
 // "traces/gcc-10k.bbt" under config "EOLE_4_60/Medium" becomes
@@ -99,17 +124,18 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 	return nil
 }
 
-// LoadCheckpoints decodes and structurally validates a side-file.
+// OpenCheckpoints opens a side-file and reads and checks its header and
+// index; no point is decoded until RestoreNearest restores it.
 // Identity against a particular trace and configuration is the separate
 // Validate step, so callers can report "no checkpoints" and "wrong
 // checkpoints" differently.
-// Open and Stat failures are classified engine.Transient (NFS blips,
-// racing writers); decode and validation failures are not — a corrupt,
-// truncated, old-format or mismatched file stays that way, and the
-// caller's rebuild path is the fix, not a retry.
-func LoadCheckpoints(path string) (*CheckpointFile, error) {
+// Open, Stat and read failures are classified engine.Transient (NFS
+// blips, racing writers); format and validation failures are not — a
+// corrupt, truncated, old-format or mismatched file stays that way, and
+// the caller's rebuild path is the fix, not a retry.
+func OpenCheckpoints(path string) (*CheckpointSet, error) {
 	if err := faultinject.Fire("trace.checkpoint.read"); err != nil {
-		return nil, fmt.Errorf("trace: load %s: %w", path, err)
+		return nil, fmt.Errorf("trace: open %s: %w", path, err)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -118,38 +144,104 @@ func LoadCheckpoints(path string) (*CheckpointFile, error) {
 		}
 		return nil, engine.Transient(err)
 	}
-	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
+		f.Close()
 		return nil, engine.Transient(err)
 	}
-	cf, err := readCheckpoints(f, st.Size())
+	s, err := readCheckpointSet(f, st.Size())
 	if err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
+		f.Close()
+		return nil, fmt.Errorf("trace: %s: decode checkpoints: %w", path, err)
+	}
+	s.path = path
+	return s, nil
+}
+
+// Close releases the side-file.
+func (s *CheckpointSet) Close() error {
+	if c, ok := s.r.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
+// Validate checks the side-file belongs to the opened trace and the
+// requested configuration, as CheckpointFile.Validate does.
+func (s *CheckpointSet) Validate(hdr Header, configName string) error {
+	return validateIdentity(s.traceName, s.traceInsts, s.configName, hdr, configName)
+}
+
+// pointScratch is one decode's working memory: the point and the bytes
+// it is read into. RestoreNearest draws them from scratchPool, so a
+// worker restoring interval after interval decodes into tables the
+// previous decode already sized.
+type pointScratch struct {
+	ck  pipeline.Checkpoint
+	buf []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(pointScratch) }}
+
+// RestoreNearest reads and decodes the point with the largest
+// instruction offset ≤ inst, restores it into p and returns that
+// offset; ok is false, and p untouched, when every point lies past
+// inst. No other point is read. Every error wraps ErrBadPoint.
+func (s *CheckpointSet) RestoreNearest(p *pipeline.Processor, inst int64) (at int64, ok bool, err error) {
+	i := sort.Search(len(s.insts), func(i int) bool { return s.insts[i] > inst }) - 1
+	if i < 0 {
+		return 0, false, nil
+	}
+	sc := scratchPool.Get().(*pointScratch)
+	defer scratchPool.Put(sc)
+	if sc.buf, err = s.decodePoint(i, &sc.ck, sc.buf); err == nil {
+		err = p.Restore(&sc.ck)
+	}
+	if err != nil {
+		return 0, false, s.pointErr(i, err)
+	}
+	return s.insts[i], true, nil
+}
+
+func (s *CheckpointSet) pointErr(i int, err error) error {
+	return fmt.Errorf("trace: %s: point %d: %w: %w", s.path, i, ErrBadPoint, err)
+}
+
+// LoadCheckpoints opens a side-file and decodes every point, through the
+// decoder RestoreNearest uses for one. Errors are classified as
+// OpenCheckpoints classifies them.
+func LoadCheckpoints(path string) (*CheckpointFile, error) {
+	s, err := OpenCheckpoints(path)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.decodeAll()
+}
+
+// decodeAll decodes every point of the set into a CheckpointFile.
+func (s *CheckpointSet) decodeAll() (*CheckpointFile, error) {
+	cf := &CheckpointFile{
+		Version:    checkpointVersion,
+		TraceName:  s.traceName,
+		TraceInsts: s.traceInsts,
+		ConfigName: s.configName,
+		Points:     make([]*pipeline.Checkpoint, len(s.insts)),
+	}
+	var buf []byte
+	for i := range cf.Points {
+		ck := new(pipeline.Checkpoint)
+		var err error
+		if buf, err = s.decodePoint(i, ck, buf); err != nil {
+			return nil, s.pointErr(i, err)
+		}
+		cf.Points[i] = ck
 	}
 	return cf, nil
 }
 
-// readCheckpoints decodes a side-file of size bytes from r and checks
-// its structure. Every length in the file is checked against size
-// before anything is allocated, so the input bounds the allocation.
-func readCheckpoints(r io.Reader, size int64) (*CheckpointFile, error) {
-	fp, err := checkpointLayout()
-	if err != nil {
-		return nil, err
-	}
-	d := ckptDecoder{r: bufio.NewReaderSize(r, int(min(size, ckptBufSize))), left: size}
-	cf, err := d.decode(fp)
-	if err != nil {
-		return nil, fmt.Errorf("decode checkpoints: %w", err)
-	}
-	if err := cf.check(); err != nil {
-		return nil, err
-	}
-	return cf, nil
-}
-
-// check enforces the structural invariants shared by write and load.
+// check enforces the structural invariants WriteCheckpoints guarantees
+// and OpenCheckpoints and the point decoder check again.
 func (cf *CheckpointFile) check() error {
 	if cf.ConfigName == "" || cf.TraceName == "" {
 		return fmt.Errorf("checkpoint file missing trace or config identity")
@@ -180,15 +272,19 @@ func (cf *CheckpointFile) check() error {
 // requested configuration. hdr is the trace's header (totals recovered
 // from the index for seekable sources).
 func (cf *CheckpointFile) Validate(hdr Header, configName string) error {
-	if cf.ConfigName != configName {
-		return fmt.Errorf("trace: checkpoints are for config %q, run uses %q", cf.ConfigName, configName)
+	return validateIdentity(cf.TraceName, cf.TraceInsts, cf.ConfigName, hdr, configName)
+}
+
+func validateIdentity(traceName string, traceInsts int64, cfgName string, hdr Header, configName string) error {
+	if cfgName != configName {
+		return fmt.Errorf("trace: checkpoints are for config %q, run uses %q", cfgName, configName)
 	}
-	if cf.TraceName != hdr.Name {
-		return fmt.Errorf("trace: checkpoints are for trace %q, file is %q", cf.TraceName, hdr.Name)
+	if traceName != hdr.Name {
+		return fmt.Errorf("trace: checkpoints are for trace %q, file is %q", traceName, hdr.Name)
 	}
-	if cf.TraceInsts != int64(hdr.Insts) {
+	if traceInsts != int64(hdr.Insts) {
 		return fmt.Errorf("trace: checkpoints trained on %d instructions, trace has %d",
-			cf.TraceInsts, hdr.Insts)
+			traceInsts, hdr.Insts)
 	}
 	return nil
 }
@@ -201,6 +297,19 @@ func (cf *CheckpointFile) Nearest(inst int64) *pipeline.Checkpoint {
 		return nil
 	}
 	return cf.Points[i-1]
+}
+
+// RestoreNearest restores Nearest(inst) into p and returns its offset;
+// ok is false, and p untouched, when every point lies past inst.
+func (cf *CheckpointFile) RestoreNearest(p *pipeline.Processor, inst int64) (at int64, ok bool, err error) {
+	ck := cf.Nearest(inst)
+	if ck == nil {
+		return 0, false, nil
+	}
+	if err := p.Restore(ck); err != nil {
+		return 0, false, err
+	}
+	return ck.InstOffset, true, nil
 }
 
 // FrameStart returns the first instruction of the last frame starting

@@ -7,21 +7,23 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"reflect"
 	"sync"
 
+	"bebop/internal/engine"
+	"bebop/internal/faultinject"
 	"bebop/internal/pipeline"
 )
 
-// Side-file layout, format version 2. Every integer is little-endian
+// Side-file layout, format version 3. Every integer is little-endian
 // and fixed-width:
 //
-//	File  := magic "BBCk" | version u16 | fingerprint u64
-//	         | traceName str | traceInsts i64 | configName str
-//	         | count u64 | count × Point
-//	Point := the exported fields of pipeline.Checkpoint in declaration
-//	         order, each encoded by kind:
+//	File   := Header | count × Point | Index | indexOffset u64
+//	Header := magic "BBCk" | version u16 | fingerprint u64
+//	          | traceName str | traceInsts i64 | configName str | count u64
+//	Index  := count × (instOffset i64 | byteOffset u64)
+//	Point  := the exported fields of pipeline.Checkpoint in declaration
+//	          order, each encoded by kind:
 //	  bool, intN, uintN  1 or N/8 bytes (int and uint as i64 and u64)
 //	  string             u64 length | bytes
 //	  array              its elements
@@ -30,8 +32,14 @@ import (
 //	  pointer            u8 presence (0 nil, 1 set) | the pointee
 //	  any                u8 payload tag (0 nil) | the registered payload
 //
+// The index gives each point's instruction offset and the file offset
+// its encoding starts at; a point ends where the next one (or the index)
+// starts. The last 8 bytes locate the index, as the .bbt trailer does,
+// so opening a side-file reads the header and the index only, and each
+// point is read and decoded on its own when it is restored.
+//
 // Arrays and slices of bools and fixed-width integers move in bulk
-// through encoding/binary, so loading is a handful of copies per table.
+// through encoding/binary, so decoding is a handful of copies per table.
 // Fields are found by reflection: a new snapshot field is encoded with
 // no change here. The fingerprint hashes the field names and kinds the
 // walk visits, registered VP payloads included in tag order, so any
@@ -39,9 +47,14 @@ import (
 // older side-files it would otherwise misread.
 const (
 	checkpointMagic   = "BBCk"
-	checkpointVersion = 2
-	// ckptBufSize sizes the bufio buffers on both sides; bulk data
-	// moves in chunks of at most this many bytes.
+	checkpointVersion = 3
+	// ckptPrefix is the fixed-width start of the header: magic,
+	// version and fingerprint.
+	ckptPrefix int64 = 4 + 2 + 8
+	// ckptIndexEntry is the size of one index entry.
+	ckptIndexEntry = 16
+	// ckptBufSize sizes the encoder's bufio buffer; bulk data moves in
+	// chunks of at most this many bytes.
 	ckptBufSize = 64 << 10
 )
 
@@ -191,36 +204,52 @@ func payloadType(tag uint8) (reflect.Type, bool) {
 // ckptEncoder streams a side-file into a bufio.Writer. A write error
 // sticks in the bufio.Writer, which turns every later write into a
 // no-op and returns the error from Flush, so the encoder never checks
-// individual writes: WriteCheckpoints checks Flush.
+// individual writes: WriteCheckpoints checks Flush. n counts the bytes
+// written, which the index records.
 type ckptEncoder struct {
 	w       *bufio.Writer
+	n       int64
 	scratch [8]byte
+}
+
+func (e *ckptEncoder) write(b []byte) {
+	_, _ = e.w.Write(b) // sticky, see ckptEncoder
+	e.n += int64(len(b))
 }
 
 func (e *ckptEncoder) fixed(x uint64, width int) {
 	binary.LittleEndian.PutUint64(e.scratch[:], x)
-	_, _ = e.w.Write(e.scratch[:width]) // sticky, see ckptEncoder
+	e.write(e.scratch[:width])
 }
 
 func (e *ckptEncoder) str(s string) {
 	e.fixed(uint64(len(s)), 8)
 	_, _ = e.w.WriteString(s) // sticky, see ckptEncoder
+	e.n += int64(len(s))
 }
 
 // encode writes the whole side-file; fp is the layout fingerprint.
 func (e *ckptEncoder) encode(cf *CheckpointFile, fp uint64) error {
-	_, _ = e.w.WriteString(checkpointMagic) // sticky, see ckptEncoder
+	e.write([]byte(checkpointMagic))
 	e.fixed(checkpointVersion, 2)
 	e.fixed(fp, 8)
 	e.str(cf.TraceName)
 	e.fixed(uint64(cf.TraceInsts), 8)
 	e.str(cf.ConfigName)
 	e.fixed(uint64(len(cf.Points)), 8)
+	at := make([]int64, len(cf.Points))
 	for i, ck := range cf.Points {
+		at[i] = e.n
 		if err := e.value(reflect.ValueOf(ck).Elem()); err != nil {
 			return fmt.Errorf("point %d: %w", i, err)
 		}
 	}
+	index := e.n
+	for i, ck := range cf.Points {
+		e.fixed(uint64(ck.InstOffset), 8)
+		e.fixed(uint64(at[i]), 8)
+	}
+	e.fixed(uint64(index), 8)
 	return nil
 }
 
@@ -300,7 +329,7 @@ func (e *ckptEncoder) elems(v reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		_, _ = e.w.Write(b) // sticky, see ckptEncoder
+		e.write(b)
 	}
 	return nil
 }
@@ -368,35 +397,26 @@ func put64[T ~int64 | ~uint64](b []byte, s []T) []byte {
 // errTruncated reports a side-file that ends before its layout does.
 var errTruncated = errors.New("unexpected end of file")
 
-// ckptDecoder reads a side-file from a bufio.Reader. left counts the
-// bytes not yet consumed, from the size the caller took from Stat:
-// every declared length is checked against it before anything is
-// allocated, so a corrupt length fails instead of allocating.
+// ckptDecoder decodes from an in-memory span of a side-file: the
+// header, or one point. Every declared length is checked against the
+// bytes left before anything is allocated, so a corrupt length fails
+// instead of allocating.
 type ckptDecoder struct {
-	r    *bufio.Reader
-	left int64
+	b []byte // the bytes not yet consumed
 }
 
-// peek returns the next n bytes without consuming them; skip consumes
-// them. n never exceeds the reader's buffer size.
-func (d *ckptDecoder) peek(n int) ([]byte, error) {
-	if int64(n) > d.left {
+// take consumes the next n bytes.
+func (d *ckptDecoder) take(n int) ([]byte, error) {
+	if n > len(d.b) {
 		return nil, errTruncated
 	}
-	b, err := d.r.Peek(n)
-	if err == io.EOF {
-		return nil, errTruncated
-	}
-	return b, err
-}
-
-func (d *ckptDecoder) skip(n int) {
-	_, _ = d.r.Discard(n) // the bytes were peeked, so Discard cannot fail
-	d.left -= int64(n)
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b, nil
 }
 
 func (d *ckptDecoder) fixed(width int) (uint64, error) {
-	b, err := d.peek(width)
+	b, err := d.take(width)
 	if err != nil {
 		return 0, err
 	}
@@ -404,19 +424,18 @@ func (d *ckptDecoder) fixed(width int) (uint64, error) {
 	for i := width - 1; i >= 0; i-- {
 		x = x<<8 | uint64(b[i])
 	}
-	d.skip(width)
 	return x, nil
 }
 
 // length reads a u64 element count and checks that the rest of the
-// file can hold that many elements of at least elemMin bytes each.
+// span can hold that many elements of at least elemMin bytes each.
 func (d *ckptDecoder) length(elemMin int) (int, error) {
 	n, err := d.fixed(8)
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(d.left)/uint64(max(elemMin, 1)) || n > math.MaxInt {
-		return 0, fmt.Errorf("length %d does not fit in the %d bytes left", n, d.left)
+	if n > uint64(len(d.b))/uint64(max(elemMin, 1)) {
+		return 0, fmt.Errorf("length %d does not fit in the %d bytes left", n, len(d.b))
 	}
 	return int(n), nil
 }
@@ -426,23 +445,37 @@ func (d *ckptDecoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = errTruncated
-		}
-		return "", err
-	}
-	d.left -= int64(n)
-	return string(b), nil
+	b, err := d.take(n)
+	return string(b), err
 }
 
-// decode reads a whole side-file; fp is the layout fingerprint this
-// build writes.
-func (d *ckptDecoder) decode(fp uint64) (*CheckpointFile, error) {
-	const fixed = len(checkpointMagic) + 2 + 8
-	b, err := d.peek(fixed)
+// readFull fills b from r at off. A read that ends early means the
+// file is shorter than its trailer and index say; any other read error
+// may clear, so it is Transient.
+func readFull(r io.ReaderAt, b []byte, off int64) error {
+	n, err := r.ReadAt(b, off)
+	switch {
+	case n == len(b):
+		return nil
+	case err == nil || err == io.EOF || err == io.ErrUnexpectedEOF:
+		return errTruncated
+	}
+	return engine.Transient(err)
+}
+
+// readCheckpointSet reads and checks the header and the index of a
+// side-file of size bytes, and nothing else: each point is read when it
+// is decoded.
+func readCheckpointSet(r io.ReaderAt, size int64) (*CheckpointSet, error) {
+	fp, err := checkpointLayout()
 	if err != nil {
+		return nil, err
+	}
+	if size < ckptPrefix+8 {
+		return nil, errTruncated
+	}
+	b := make([]byte, ckptPrefix)
+	if err := readFull(r, b, 0); err != nil {
 		return nil, err
 	}
 	if string(b[:4]) != checkpointMagic {
@@ -454,38 +487,116 @@ func (d *ckptDecoder) decode(fp uint64) (*CheckpointFile, error) {
 	if got := binary.LittleEndian.Uint64(b[6:14]); got != fp {
 		return nil, fmt.Errorf("layout fingerprint %#016x, this build writes %#016x", got, fp)
 	}
-	d.skip(fixed)
-	cf := &CheckpointFile{Version: checkpointVersion}
-	if cf.TraceName, err = d.str(); err != nil {
+	if err := readFull(r, b[:8], size-8); err != nil {
 		return nil, err
+	}
+	index := binary.LittleEndian.Uint64(b[:8])
+	if index < uint64(ckptPrefix) || index > uint64(size-8) || (uint64(size-8)-index)%ckptIndexEntry != 0 {
+		return nil, fmt.Errorf("index at byte %d does not fit a %d-byte file", index, size)
+	}
+	ib := make([]byte, uint64(size-8)-index)
+	if err := readFull(r, ib, int64(index)); err != nil {
+		return nil, err
+	}
+	n := len(ib) / ckptIndexEntry
+	s := &CheckpointSet{r: r, insts: make([]int64, n), offs: make([]int64, n+1)}
+	for i := range n {
+		s.insts[i] = int64(binary.LittleEndian.Uint64(ib[i*ckptIndexEntry:]))
+		s.offs[i] = int64(binary.LittleEndian.Uint64(ib[i*ckptIndexEntry+8:]))
+	}
+	s.offs[n] = int64(index)
+	if s.offs[0] < ckptPrefix || s.offs[0] > s.offs[n] {
+		return nil, fmt.Errorf("first point at byte %d, outside the file", s.offs[0])
+	}
+	if err := s.readHeader(s.offs[0] - ckptPrefix); err != nil {
+		return nil, err
+	}
+	minPoint := int64(minSize(reflect.TypeFor[pipeline.Checkpoint]()))
+	prev := int64(-1)
+	for i, inst := range s.insts {
+		if inst <= prev {
+			return nil, fmt.Errorf("checkpoint offsets not strictly increasing at %d (%d after %d)", i, inst, prev)
+		}
+		if inst > s.traceInsts {
+			return nil, fmt.Errorf("checkpoint %d at instruction %d past the trace end (%d)", i, inst, s.traceInsts)
+		}
+		if end := s.offs[i+1]; end < s.offs[i] || end-s.offs[i] < minPoint {
+			return nil, fmt.Errorf("checkpoint %d spans bytes %d to %d, too few for a point", i, s.offs[i], end)
+		}
+		prev = inst
+	}
+	return s, nil
+}
+
+// readHeader decodes the n header bytes after the fixed prefix: the
+// identity and a point count, which must match the index.
+func (s *CheckpointSet) readHeader(n int64) error {
+	b := make([]byte, n)
+	if err := readFull(s.r, b, ckptPrefix); err != nil {
+		return err
+	}
+	d := ckptDecoder{b: b}
+	var err error
+	if s.traceName, err = d.str(); err != nil {
+		return err
 	}
 	insts, err := d.fixed(8)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cf.TraceInsts = int64(insts)
-	if cf.ConfigName, err = d.str(); err != nil {
-		return nil, err
+	s.traceInsts = int64(insts)
+	if s.configName, err = d.str(); err != nil {
+		return err
 	}
-	n, err := d.length(minSize(reflect.TypeFor[pipeline.Checkpoint]()))
+	count, err := d.fixed(8)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cf.Points = make([]*pipeline.Checkpoint, n)
-	for i := range cf.Points {
-		ck := new(pipeline.Checkpoint)
-		if err := d.value(reflect.ValueOf(ck).Elem()); err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
-		cf.Points[i] = ck
+	if count != uint64(len(s.insts)) {
+		return fmt.Errorf("header declares %d points, the index holds %d", count, len(s.insts))
 	}
-	if d.left != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", d.left)
+	if len(d.b) != 0 {
+		return fmt.Errorf("%d stray bytes between the header and the first point", len(d.b))
 	}
-	return cf, nil
+	if s.configName == "" || s.traceName == "" {
+		return fmt.Errorf("checkpoint file missing trace or config identity")
+	}
+	return nil
 }
 
-// value decodes into the settable v.
+// decodePoint reads point i into buf, which it grows as needed and
+// returns for reuse, and decodes it into ck. The point must fill its
+// span exactly and agree with the index and the header.
+func (s *CheckpointSet) decodePoint(i int, ck *pipeline.Checkpoint, buf []byte) ([]byte, error) {
+	if err := faultinject.Fire("trace.checkpoint.point"); err != nil {
+		return buf, err
+	}
+	n := int(s.offs[i+1] - s.offs[i])
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if err := readFull(s.r, buf, s.offs[i]); err != nil {
+		return buf, err
+	}
+	d := ckptDecoder{b: buf}
+	if err := d.value(reflect.ValueOf(ck).Elem()); err != nil {
+		return buf, err
+	}
+	switch {
+	case len(d.b) != 0:
+		return buf, fmt.Errorf("%d trailing bytes", len(d.b))
+	case ck.InstOffset != s.insts[i]:
+		return buf, fmt.Errorf("restores instruction %d, the index says %d", ck.InstOffset, s.insts[i])
+	case ck.ConfigName != s.configName:
+		return buf, fmt.Errorf("taken under config %q, file declares %q", ck.ConfigName, s.configName)
+	}
+	return buf, nil
+}
+
+// value decodes into the settable v, reusing the slices and pointees v
+// already holds where they fit, so decoding into a reused Checkpoint
+// allocates only what grew.
 func (d *ckptDecoder) value(v reflect.Value) error {
 	switch k := v.Kind(); k {
 	case reflect.Bool:
@@ -530,11 +641,15 @@ func (d *ckptDecoder) value(v reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		if n == 0 {
+		switch {
+		case n == 0:
 			v.SetZero() // an empty slice loads as nil
 			return nil
+		case v.Cap() >= n:
+			v.SetLen(n)
+		default:
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
 		}
-		v.Set(reflect.MakeSlice(v.Type(), n, n))
 		return d.elems(v)
 	case reflect.Struct:
 		for i := range v.NumField() {
@@ -551,11 +666,10 @@ func (d *ckptDecoder) value(v reflect.Value) error {
 		case 0:
 			v.SetZero()
 		case 1:
-			p := reflect.New(v.Type().Elem())
-			if err := d.value(p.Elem()); err != nil {
-				return err
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
 			}
-			v.Set(p)
+			return d.value(v.Elem())
 		default:
 			return fmt.Errorf("presence byte %d", present)
 		}
@@ -573,6 +687,9 @@ func (d *ckptDecoder) value(v reflect.Value) error {
 			return fmt.Errorf("unknown VP payload tag %d", tag)
 		}
 		p := reflect.New(t).Elem()
+		if !v.IsNil() && v.Elem().Type() == t {
+			p.Set(v.Elem()) // decode into the payload already there
+		}
 		if err := d.value(p); err != nil {
 			return err
 		}
@@ -587,7 +704,7 @@ func (d *ckptDecoder) value(v reflect.Value) error {
 func (d *ckptDecoder) elems(v reflect.Value) error {
 	n := v.Len()
 	size := bulkSize(v.Type().Elem())
-	if size == 0 || size > d.r.Size() {
+	if size == 0 {
 		for i := range n {
 			if err := d.value(v.Index(i)); err != nil {
 				return err
@@ -595,23 +712,14 @@ func (d *ckptDecoder) elems(v reflect.Value) error {
 		}
 		return nil
 	}
+	b, err := d.take(n * size)
+	if err != nil {
+		return err
+	}
 	if v.Kind() == reflect.Array {
 		v = v.Slice(0, n)
 	}
-	per := d.r.Size() / size
-	for i := 0; i < n; i += per {
-		chunk := v.Slice(i, min(i+per, n))
-		k := chunk.Len() * size
-		b, err := d.peek(k)
-		if err != nil {
-			return err
-		}
-		if err := decodeBulk(chunk.Interface(), b); err != nil {
-			return err
-		}
-		d.skip(k)
-	}
-	return nil
+	return decodeBulk(v.Interface(), b)
 }
 
 // decodeBulk fills s, a slice of plain elements, from b, which holds

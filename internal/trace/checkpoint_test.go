@@ -3,17 +3,24 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"bebop/internal/core"
 	"bebop/internal/engine"
 	"bebop/internal/pipeline"
 	"bebop/internal/specwindow"
+	"bebop/internal/telemetry"
+	"bebop/internal/workload"
 )
 
 // TestCheckpointRoundTrip writes the checkpoints a real warming pass
@@ -172,6 +179,16 @@ func encodeFile(t testing.TB, cf *CheckpointFile) []byte {
 	return buf.Bytes()
 }
 
+// readCheckpoints decodes a whole side-file of size bytes from r, as
+// LoadCheckpoints does from a file.
+func readCheckpoints(r io.ReaderAt, size int64) (*CheckpointFile, error) {
+	s, err := readCheckpointSet(r, size)
+	if err != nil {
+		return nil, err
+	}
+	return s.decodeAll()
+}
+
 // TestCheckpointCodecCompleteness fills every exported field of
 // pipeline.Checkpoint and of each registered VP payload and requires an
 // exact round trip through the side-file.
@@ -242,12 +259,23 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Header offsets: magic 0, version 4, fingerprint 6, trace-name
 	// length 14; with filledFile's identity the point count is at 46.
+	// The last 8 bytes locate the index, whose entry i holds point i's
+	// instruction offset and then its byte offset.
 	patch := func(at int, b ...byte) []byte {
 		out := append([]byte(nil), valid...)
 		copy(out[at:], b)
 		return out
+	}
+	index := int(binary.LittleEndian.Uint64(valid[len(valid)-8:]))
+	le := func(x uint64) []byte { return binary.LittleEndian.AppendUint64(nil, x) }
+	entry := func(i, field int) uint64 {
+		return binary.LittleEndian.Uint64(valid[index+16*i+8*field:])
 	}
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -255,6 +283,7 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 		data []byte
 	}{
 		{"gob v1", v1},
+		{"v2", v2},
 		{"bad magic", patch(0, 'X')},
 		{"bad version", patch(4, 1, 0)},
 		{"bad fingerprint", patch(6, valid[6]^0xFF)},
@@ -266,6 +295,11 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 		{"truncated header", valid[:5]},
 		{"empty", nil},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
+		{"index past the end", patch(len(valid)-8, le(uint64(len(valid)))...)},
+		{"index not a whole number of entries", patch(len(valid)-8, le(uint64(index+1))...)},
+		{"point instruction disagrees with the index", patch(index, le(entry(0, 0)+1)...)},
+		{"point starts inside the previous one", patch(index+16+8, le(entry(1, 1)-1)...)},
+		{"header runs into the first point", patch(index+8, le(entry(0, 1)+1)...)},
 	} {
 		path := filepath.Join(dir, tc.name+CheckpointExt)
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
@@ -281,12 +315,218 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 	if _, err := readCheckpoints(bytes.NewReader(valid), int64(len(valid))); err != nil {
 		t.Fatalf("the unpatched file does not load: %v", err)
 	}
+	// An older format is refused when the file is opened, before any
+	// point is read.
+	if _, err := OpenCheckpoints(filepath.Join(dir, "v2"+CheckpointExt)); err == nil || engine.IsTransient(err) {
+		t.Errorf("opening a v2 side-file: error %v, want a non-Transient one", err)
+	}
+}
+
+// countingReaderAt counts the bytes read through it.
+type countingReaderAt struct {
+	r io.ReaderAt
+	n atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// baselineFile is a side-file built by a baseline warming pass over the
+// first insts instructions of the gcc profile, a point every `every`.
+func baselineFile(t testing.TB, every, insts int64) *CheckpointFile {
+	t.Helper()
+	prof, _ := workload.ProfileByName("gcc")
+	points, name, err := core.BuildCheckpoints(workload.ProfileSource{Prof: prof}, core.Baseline(), every, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &CheckpointFile{TraceName: "gcc", TraceInsts: insts, ConfigName: name, Points: points}
+}
+
+// TestCheckpointSetDecodesOnlyWhatItRestores: opening a side-file reads
+// its header and index and nothing else, and RestoreNearest reads and
+// decodes the one point it restores, which restores exactly as the
+// fully loaded point does.
+func TestCheckpointSetDecodesOnlyWhatItRestores(t *testing.T) {
+	cf := baselineFile(t, 2_000, 8_000)
+	data := encodeFile(t, cf)
+	src := &countingReaderAt{r: bytes.NewReader(data)}
+	set, err := readCheckpointSet(src, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.insts) != len(cf.Points) {
+		t.Fatalf("set holds %d points, the file %d", len(set.insts), len(cf.Points))
+	}
+	index := int64(binary.LittleEndian.Uint64(data[len(data)-8:]))
+	if want := set.offs[0] + int64(len(data)) - index; src.n.Load() != want {
+		t.Errorf("opening read %d bytes, want the %d of the header, index and trailer", src.n.Load(), want)
+	}
+
+	mk := core.Baseline()
+	p := pipeline.New(mk(), nil)
+	src.n.Store(0)
+	at, ok, err := set.RestoreNearest(p, cf.Points[1].InstOffset+1)
+	if err != nil || !ok || at != cf.Points[1].InstOffset {
+		t.Fatalf("RestoreNearest = %d, %v, %v; want %d, true, nil", at, ok, err, cf.Points[1].InstOffset)
+	}
+	if want := set.offs[2] - set.offs[1]; src.n.Load() != want {
+		t.Errorf("restoring point 1 read %d bytes, its encoding is %d", src.n.Load(), want)
+	}
+	ref := pipeline.New(mk(), nil)
+	if err := ref.Restore(cf.Points[1]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Snapshot(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Snapshot(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the point RestoreNearest decoded restores differently from the loaded one")
+	}
+
+	if _, ok, err := set.RestoreNearest(p, cf.Points[0].InstOffset-1); ok || err != nil {
+		t.Errorf("RestoreNearest before the first point = %v, %v; want false, nil", ok, err)
+	}
+}
+
+// TestCheckpointSetPointErrors: a point that fails to decode or to
+// restore surfaces from RestoreNearest as ErrBadPoint, and is not
+// Transient, so sim rebuilds the side-file.
+func TestCheckpointSetPointErrors(t *testing.T) {
+	cf := baselineFile(t, 2_000, 6_000)
+	data := encodeFile(t, cf)
+	set, err := readCheckpointSet(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A processor of another configuration refuses the point.
+	other := pipeline.New(core.EOLEBeBoP("Medium", core.MediumConfig())(), nil)
+	if _, _, err := set.RestoreNearest(other, cf.Points[0].InstOffset); !errors.Is(err, ErrBadPoint) || engine.IsTransient(err) {
+		t.Errorf("restore under another config: %v, want a non-Transient ErrBadPoint", err)
+	}
+	// Point 1's encoding starts with its instruction offset.
+	binary.LittleEndian.PutUint64(data[set.offs[1]:], uint64(cf.Points[1].InstOffset+1))
+	p := pipeline.New(core.Baseline()(), nil)
+	if _, _, err := set.RestoreNearest(p, cf.Points[0].InstOffset); err != nil {
+		t.Errorf("point 0 no longer restores: %v", err)
+	}
+	if _, _, err := set.RestoreNearest(p, cf.Points[1].InstOffset); !errors.Is(err, ErrBadPoint) || engine.IsTransient(err) {
+		t.Errorf("restoring the corrupt point: %v, want a non-Transient ErrBadPoint", err)
+	}
+}
+
+// TestCheckpointBytesIndependentOfPoolHistory: a side-file's bytes
+// depend only on the workload, the configuration and the points, not
+// on whether BuildCheckpoints ran on a fresh processor or on one
+// recycled from the pool after another workload.
+func TestCheckpointBytesIndependentOfPoolHistory(t *testing.T) {
+	created := telemetry.Default.Counter(`bebop_core_proc_pool_total{outcome="new"}`, "")
+	recycled := telemetry.Default.Counter(`bebop_core_proc_pool_total{outcome="reused"}`, "")
+	runtime.GC()
+	runtime.GC() // two collections empty the processor pool
+	n0 := created.Value()
+	fresh := encodeFile(t, baselineFile(t, 6_000, 20_000))
+	if created.Value() == n0 {
+		t.Fatal("the first build ran on a recycled processor")
+	}
+	gzip, _ := workload.ProfileByName("gzip")
+	for attempt := 0; attempt < 10; attempt++ {
+		if _, err := core.RunSourceCtx(context.Background(), workload.ProfileSource{Prof: gzip}, 5_000, 20_000, core.Baseline()); err != nil {
+			t.Fatal(err)
+		}
+		r0 := recycled.Value()
+		pooled := encodeFile(t, baselineFile(t, 6_000, 20_000))
+		if recycled.Value() == r0 {
+			continue // the pool lost the processor; try again
+		}
+		if !bytes.Equal(fresh, pooled) {
+			diff := 0
+			for i := range min(len(fresh), len(pooled)) {
+				if fresh[i] != pooled[i] {
+					diff++
+				}
+			}
+			t.Fatalf("side-file built on a recycled processor differs from a fresh build: %d of %d bytes (lengths %d and %d)",
+				diff, len(fresh), len(fresh), len(pooled))
+		}
+		return
+	}
+	t.Skip("the processor pool never served a recycled processor")
+}
+
+// TestRunSampledOverOneSetAnyParallelism: interval workers decode their
+// points from one opened set concurrently; the result must not depend
+// on how many share it, and must equal a run over the fully loaded
+// side-file. Run it under -race.
+func TestRunSampledOverOneSetAnyParallelism(t *testing.T) {
+	const warmup, insts = 8_000, 24_000
+	path := filepath.Join(t.TempDir(), "gcc"+Ext)
+	if err := os.WriteFile(path, mkTrace(t, warmup+insts, WriterOptions{}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := NewFileSource(path)
+	mk := core.EOLEBeBoP("Medium", core.MediumConfig())
+	points, name, err := core.BuildCheckpoints(src, mk, 4_000, warmup+insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckPath := CheckpointPath(path, name)
+	if err := WriteCheckpoints(ckPath, &CheckpointFile{
+		TraceName: "gcc", TraceInsts: warmup + insts, ConfigName: name, Points: points,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	set, err := OpenCheckpoints(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	loaded, err := LoadCheckpoints(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type out struct {
+		res pipeline.Result
+		st  core.SampleStats
+	}
+	run := func(cs core.CheckpointSource, par int) out {
+		sp := core.SamplingParams{
+			Intervals: 4, IntervalInsts: 1_000, DetailWarmup: 200,
+			Checkpoints: cs, Parallelism: par,
+		}
+		res, st, err := core.RunSampled(context.Background(), src, warmup, insts, mk, sp)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if st.CheckpointsUsed != sp.Intervals {
+			t.Errorf("parallelism %d: %d of %d intervals restored", par, st.CheckpointsUsed, sp.Intervals)
+		}
+		return out{res, st}
+	}
+	one, four, ref := run(set, 1), run(set, 4), run(loaded, 1)
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("one set, parallelism 1 and 4 differ:\n%+v\n%+v", one, four)
+	}
+	if !reflect.DeepEqual(one, ref) {
+		t.Errorf("the opened set and the loaded file differ:\n%+v\n%+v", one, ref)
+	}
 }
 
 // FuzzLoadCheckpoints: arbitrary bytes give an error or a valid side-file
 // that re-encodes to the same bytes — never a panic, and never an
 // allocation beyond a small multiple of the input (an empty slice is 8
-// bytes on disk and a 24-byte header in memory). Run with
+// bytes on disk and a 24-byte header in memory). Every accepted point
+// is then restored into a baseline processor, which runs 1K
+// instructions: Restore refuses what the tables could never hold, so
+// the result is an error or a clean run, never a panic. Run with
 // `go test -run '^$' -fuzz FuzzLoadCheckpoints ./internal/trace`.
 func FuzzLoadCheckpoints(f *testing.F) {
 	valid := encodeFile(f, filledFile(f, pipeline.VPPayloads()[0].Type))
@@ -299,9 +539,21 @@ func FuzzLoadCheckpoints(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
+	// A real point: a baseline warming pass over a recorded trace.
+	path := filepath.Join(f.TempDir(), "gcc"+Ext)
+	if err := os.WriteFile(path, mkTrace(f, 2_000, WriterOptions{}), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	mk := core.Baseline()
+	points, name, err := core.BuildCheckpoints(NewFileSource(path), mk, 1_000, 2_000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeFile(f, &CheckpointFile{TraceName: "gcc", TraceInsts: 2_000, ConfigName: name, Points: points}))
 	if _, err := checkpointLayout(); err != nil { // computed once, outside the measurement
 		f.Fatal(err)
 	}
+	gcc, _ := workload.ProfileByName("gcc")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -316,6 +568,12 @@ func FuzzLoadCheckpoints(f *testing.F) {
 		}
 		if again := encodeFile(t, cf); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %d bytes re-encode to %d different ones", len(data), len(again))
+		}
+		for _, ck := range cf.Points {
+			p := pipeline.New(mk(), workload.New(gcc, 1_000))
+			if p.Restore(ck) == nil {
+				p.RunWarm(0, 1_000_000) // the cycle cap bounds restored timing state
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -131,11 +132,16 @@ func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2, err := os.ReadFile(filepath.Join("..", "internal", "trace", "testdata", "checkpoint-v2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
 		{"gob v1", v1},
+		{"v2", v2},
 		{"truncated", fresh[:len(fresh)/2]},
 	} {
 		if err := os.WriteFile(ckPath, tc.data, 0o644); err != nil {
@@ -159,6 +165,96 @@ func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rep, rep1) {
 			t.Errorf("%s side-file: rebuilt run diverges from the fresh build:\n%+v\n%+v", tc.name, rep1, rep)
+		}
+	}
+}
+
+// TestSampledCheckpointSideFileRestoresLazily: a sampled run decodes
+// only the side-file points its intervals restore. A corrupt point in
+// the warmup region, which no interval restores, goes unnoticed and the
+// file is reused; a corrupt point an interval restores is found then,
+// and the run rebuilds the file once and reports what a fresh build
+// reports.
+func TestSampledCheckpointSideFileRestoresLazily(t *testing.T) {
+	dir := t.TempDir()
+	prof, _ := workload.ProfileByName("gcc")
+	path := filepath.Join(dir, "gcc"+trace.Ext)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := trace.Record(f, workload.New(prof, 60_000), trace.WriterOptions{Name: "gcc"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{
+		Trace:    path,
+		Config:   "baseline",
+		Insts:    40_000,
+		Sampling: &SamplingSpec{Intervals: 4, IntervalInsts: 2_000, DetailWarmup: 500, Checkpoints: true},
+	}
+	ref, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("fresh build: %v", err)
+	}
+	ckPath := trace.CheckpointPath(path, "Baseline_6_60")
+	fresh, err := os.ReadFile(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The index ends the file, located by its last 8 bytes; entry i
+	// holds point i's instruction offset, then the byte offset where its
+	// encoding starts — with the point's own instruction offset.
+	index := binary.LittleEndian.Uint64(fresh[len(fresh)-8:])
+	point := func(i int) (inst, at uint64) {
+		e := fresh[index+16*uint64(i):]
+		return binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint64(e[8:])
+	}
+	// The run measures from instruction 20,000 (the default warmup is
+	// half of Insts); point 0 lies before point 1, which is at or before
+	// that, so no interval restores point 0.
+	if inst, _ := point(1); inst > 20_000 {
+		t.Fatalf("point 1 at instruction %d: the test wants two points in the warmup region", inst)
+	}
+	for _, tc := range []struct {
+		name            string
+		point           int
+		reused, rebuilt uint64
+	}{
+		{"corrupt point in the warmup region", 0, 1, 0},
+		{"corrupt point an interval restores", 1, 0, 1},
+	} {
+		data := append([]byte(nil), fresh...)
+		inst, at := point(tc.point)
+		binary.LittleEndian.PutUint64(data[at:], inst+1) // disagrees with the index
+		if err := os.WriteFile(ckPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reused, rebuilt := mCkptReused.Value(), mCkptRebuilt.Value()
+		rep, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := mCkptReused.Value() - reused; d != tc.reused {
+			t.Errorf("%s: reused counter rose by %d, want %d", tc.name, d, tc.reused)
+		}
+		if d := mCkptRebuilt.Value() - rebuilt; d != tc.rebuilt {
+			t.Errorf("%s: rebuilt counter rose by %d, want %d", tc.name, d, tc.rebuilt)
+		}
+		if !reflect.DeepEqual(rep, ref) {
+			t.Errorf("%s: report diverges from the fresh build:\n%+v\n%+v", tc.name, ref, rep)
+		}
+		got, err := os.ReadFile(ckPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case tc.rebuilt == 1 && !bytes.Equal(got, fresh):
+			t.Errorf("%s: the rebuilt side-file differs from the fresh build", tc.name)
+		case tc.rebuilt == 0 && !bytes.Equal(got, data):
+			t.Errorf("%s: a reused side-file was rewritten", tc.name)
 		}
 	}
 }

@@ -33,6 +33,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"bebop/internal/core"
@@ -227,19 +228,21 @@ func (s *Sim) runSampled(ctx context.Context, spec RunSpec, src workload.Source,
 			on(int64(done)*per, int64(total)*per)
 		}
 	}
+	var (
+		res pipeline.Result
+		st  core.SampleStats
+		err error
+	)
 	if spec.Sampling.Checkpoints {
 		fs, ok := src.(trace.FileSource)
 		if !ok {
 			return Report{}, fmt.Errorf("sim: %w: sampling checkpoints need a trace-backed workload, %q is synthetic",
 				ErrInvalidSpec, src.Name())
 		}
-		cf, err := ensureCheckpoints(fs, mk, spec)
-		if err != nil {
-			return Report{}, err
-		}
-		sp.Checkpoints = cf
+		res, st, err = runCheckpointed(ctx, fs, mk, spec, sp)
+	} else {
+		res, st, err = core.RunSampled(ctx, src, *spec.Warmup, spec.Insts, mk, sp)
 	}
-	res, st, err := core.RunSampled(ctx, src, *spec.Warmup, spec.Insts, mk, sp)
 	if err != nil {
 		return Report{}, err
 	}
@@ -261,28 +264,49 @@ func (s *Sim) runSampled(ctx context.Context, spec RunSpec, src workload.Source,
 	return rep, nil
 }
 
-// ensureCheckpoints returns the trace's checkpoint side-file for the
-// run's configuration, building and writing it (one continuous
-// functional-warming pass over the trace) when it is missing, corrupt
-// or belongs to a different trace/configuration. The side-file is the
-// cache that amortizes warming across sampled runs: the first request
-// pays for the pass, every later one restores.
-func ensureCheckpoints(fs trace.FileSource, mk core.ConfigFactory, spec RunSpec) (*trace.CheckpointFile, error) {
+// runCheckpointed runs a sampled spec whose intervals restore from the
+// trace's checkpoint side-file. The side-file is the cache that
+// amortizes warming across sampled runs: the first request pays one
+// continuous functional-warming pass, every later one restores. A
+// side-file that is missing, fails to open or belongs to a different
+// trace or configuration is rebuilt before the run; one whose point
+// fails to decode or restore when an interval needs it is rebuilt and
+// the run repeated. Either way the file counts as rebuilt, once, and
+// never as reused.
+func runCheckpointed(ctx context.Context, fs trace.FileSource, mk core.ConfigFactory, spec RunSpec, sp core.SamplingParams) (pipeline.Result, core.SampleStats, error) {
 	cfgName := mk().Name
 	path := trace.CheckpointPath(fs.Path, cfgName)
 	r, err := trace.OpenFile(fs.Path)
 	if err != nil {
-		return nil, err
+		return pipeline.Result{}, core.SampleStats{}, err
 	}
 	hdr := r.Header()
 	r.Close()
-	if cf, err := trace.LoadCheckpoints(path); err == nil {
-		if err := cf.Validate(hdr, cfgName); err == nil {
-			mCkptReused.Inc()
-			return cf, nil
+	if set, err := trace.OpenCheckpoints(path); err == nil {
+		if err := set.Validate(hdr, cfgName); err == nil {
+			sp.Checkpoints = set
+			res, st, err := core.RunSampled(ctx, fs, *spec.Warmup, spec.Insts, mk, sp)
+			set.Close()
+			if !errors.Is(err, trace.ErrBadPoint) {
+				mCkptReused.Inc()
+				return res, st, err
+			}
+		} else {
+			set.Close()
 		}
 	}
 	mCkptRebuilt.Inc()
+	cf, err := rebuildCheckpoints(fs, mk, spec, hdr, path)
+	if err != nil {
+		return pipeline.Result{}, core.SampleStats{}, err
+	}
+	sp.Checkpoints = cf
+	return core.RunSampled(ctx, fs, *spec.Warmup, spec.Insts, mk, sp)
+}
+
+// rebuildCheckpoints builds the side-file at path in one continuous
+// functional-warming pass over the trace, writes it and returns it.
+func rebuildCheckpoints(fs trace.FileSource, mk core.ConfigFactory, spec RunSpec, hdr trace.Header, path string) (*trace.CheckpointFile, error) {
 	upTo := *spec.Warmup + spec.Insts
 	// One point per interval stride, bounded so a huge run cannot bloat
 	// the side-file past 64 snapshots.

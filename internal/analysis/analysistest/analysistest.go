@@ -11,9 +11,7 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
@@ -122,38 +120,9 @@ func (ld *fixtureLoader) load(path string) (*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	var paths []string
-	for _, name := range names {
-		p := filepath.Join(dir, name)
-		f, err := parser.ParseFile(ld.fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		paths = append(paths, p)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: ld}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
+	lp, err := analysis.TypeCheck(ld.fset, ld, path, dir, names)
 	if err != nil {
 		return nil, err
-	}
-	lp := &analysis.Package{
-		PkgPath: path,
-		Dir:     dir,
-		GoFiles: paths,
-		Fset:    ld.fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
 	}
 	ld.pkgs[path] = lp
 	return lp, nil

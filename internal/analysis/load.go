@@ -63,8 +63,9 @@ func goList(dir string, args ...string) ([]listEntry, error) {
 }
 
 // ListExports maps every package in the patterns' dependency closure to
-// its export-data file (building it if needed). The analysistest
-// fixture loader uses it to resolve standard-library imports.
+// its export-data file (building it if needed), in one `go list -deps`
+// walk. Load uses it to import dependencies; the analysistest fixture
+// loader uses it to resolve standard-library imports.
 func ListExports(dir string, patterns ...string) (map[string]string, error) {
 	deps, err := goList(dir, append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)...)
 	if err != nil {
@@ -91,16 +92,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One -deps walk supplies export data for the whole import closure.
-	deps, err := goList(dir, append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)...)
+	exports, err := ListExports(dir, patterns...)
 	if err != nil {
 		return nil, err
-	}
-	exports := make(map[string]string, len(deps))
-	for _, d := range deps {
-		if d.Export != "" {
-			exports[d.ImportPath] = d.Export
-		}
 	}
 
 	fset := token.NewFileSet()
@@ -118,7 +112,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(t.GoFiles) == 0 {
 			continue
 		}
-		lp, err := typecheck(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
+		lp, err := TypeCheck(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -127,8 +121,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// typecheck parses and type-checks one package from source.
-func typecheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
+// TypeCheck parses the named files of dir into fset and type-checks them
+// as package pkgPath, resolving imports through imp.
+func TypeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	var paths []string
 	for _, name := range goFiles {

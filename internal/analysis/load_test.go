@@ -70,7 +70,6 @@ func TestEscapeCheckHotpaths(t *testing.T) {
 		t.Skip("recompiles hot packages with -m")
 	}
 	pkgs, err := analysis.Load(repoRoot,
-		"bebop/internal/engine",
 		"bebop/internal/pipeline",
 		"bebop/internal/telemetry",
 		"bebop/internal/trace",

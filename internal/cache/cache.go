@@ -54,7 +54,8 @@ type Cache struct {
 	mshrs   []mshr
 	mshrMin int64
 
-	// next lower level; nil means backed by main memory (via Hierarchy).
+	// Accesses and Misses count demand lookups of this level;
+	// PrefetchFills counts lines the stride prefetcher brought in.
 	Accesses, Misses, PrefetchFills uint64
 	// MSHRMerges counts misses that merged into an already in-flight
 	// MSHR instead of starting a new fill — the secondary-miss traffic

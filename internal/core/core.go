@@ -42,7 +42,11 @@ var (
 )
 
 // ConfigFactory builds a fresh pipeline configuration. Predictors are
-// stateful, so every simulation run needs its own instance.
+// stateful, so every simulation run needs its own instance. The built
+// config's Name, set by this package's factories, is the configuration's
+// one identity: sweeps cache results and side-files are keyed by it, so
+// two factories that build equal configurations give them equal names,
+// and unequal ones distinct names.
 type ConfigFactory func() pipeline.Config
 
 // procPool recycles processors across simulation jobs: engine workers and
@@ -319,6 +323,15 @@ func BlockConfig(npred, baseEntries, taggedEntries, strideBits, winSize int, pol
 		WindowTagBits: 15,
 		Policy:        policy,
 	}
+}
+
+// BlockName names a BlockConfig geometry by the knobs BlockConfig takes,
+// e.g. "custom-6p-2048b-256t-64s-w-1-Ideal". Equal geometries get equal
+// names, so a geometry that several figures sweep simulates once.
+func BlockName(bb bebop.Config) string {
+	pc := bb.Predictor
+	return fmt.Sprintf("custom-%dp-%db-%dt-%ds-w%d-%s",
+		pc.NPred, pc.BaseEntries, pc.TaggedEntries, pc.StrideBits, bb.WindowSize, bb.Policy)
 }
 
 // Table III configurations (all use the realistic DnRDnR policy).

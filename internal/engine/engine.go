@@ -1,11 +1,11 @@
-// Package engine is a sharded, job-based simulation engine: the execution
+// Package engine is a job-based simulation engine: the execution
 // substrate under internal/experiments and the cmd/ front-ends.
 //
-// A Job names one (configuration, workload) simulation. The engine
-// deduplicates jobs through a result cache striped across N lock-striped
-// shards (so concurrent sweeps over disjoint configurations never contend
-// on a single mutex), collapses concurrent requests for the same job into
-// one execution (waiters block on the owner's completion instead of
+// A Job names one (configuration name, workload) simulation. The engine
+// deduplicates jobs through a result cache (one map under one mutex: a
+// lookup or insert per job is negligible next to the simulation the job
+// runs), collapses concurrent requests for the same job into one
+// execution (waiters block on the owner's completion instead of
 // re-simulating), bounds concurrent simulations with a worker pool,
 // honours context.Context cancellation at every blocking point, and
 // reduces batch results deterministically: the output order of RunBatch is
@@ -17,6 +17,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ var (
 )
 
 // Job is one unit of schedulable work: a cacheable computation identified
-// by (Key, Bench). Key names the configuration, Bench the workload; the
+// by (Key, Bench). Key is the configuration name, Bench the workload; the
 // pair is the cache identity, so Run must be a pure function of it.
 type Job[V any] struct {
 	Key   string
@@ -64,26 +65,15 @@ type JobResult[V any] struct {
 	Key, Bench string
 	Value      V
 	Err        error
-	// Cached reports that the value was served from the shard cache (or
-	// from another in-flight execution of the same job).
+	// Cached reports that the value was served from the cache (or from
+	// another in-flight execution of the same job).
 	Cached  bool
 	Elapsed time.Duration
 }
 
-// EventKind tags a progress event.
-type EventKind int
-
-const (
-	// EventStart fires when a job is picked up by the batch scheduler.
-	EventStart EventKind = iota
-	// EventDone fires when a job completes (hit, run, or error).
-	EventDone
-)
-
-// Event is one progress notification. Completed/Total describe the
-// surrounding batch at emission time.
+// Event reports one completed job (hit, run, or error). Completed/Total
+// describe the surrounding batch at emission time.
 type Event struct {
-	Kind       EventKind
 	Key, Bench string
 	Cached     bool
 	Err        error
@@ -94,14 +84,13 @@ type Event struct {
 
 // Options configures an Engine.
 type Options struct {
-	// Shards is the number of cache stripes (default 16).
-	Shards int
 	// Workers bounds concurrent job executions (default GOMAXPROCS via
 	// runtime at New time; waiters on in-flight duplicates do not hold a
 	// worker slot).
 	Workers int
-	// OnProgress, when set, receives per-job progress events. It may be
-	// called from many goroutines concurrently and must be safe for that.
+	// OnProgress, when set, receives one event per completed job. It may
+	// be called from many goroutines concurrently and must be safe for
+	// that.
 	OnProgress func(Event)
 	// Retries bounds re-executions of a job whose attempt failed with a
 	// transient error (see Transient) or a recovered panic. 0 selects
@@ -123,16 +112,18 @@ type Stats struct {
 	// Runs counts executions actually started (a miss that is cancelled
 	// while queued for a worker slot never becomes a run).
 	Runs uint64
-	// Entries is the number of cached results; ShardEntries is its
-	// per-shard distribution.
-	Entries      int
-	ShardEntries []int
+	// Entries is the number of cached results.
+	Entries int
 }
 
-// Engine schedules jobs over a striped result cache and a bounded worker
-// pool. The zero value is not usable; call New.
+// Engine schedules jobs over a result cache and a bounded worker pool.
+// The zero value is not usable; call New.
 type Engine[V any] struct {
-	shards  []shard[V]
+	// mu guards cache. Entries are published before execution starts so
+	// concurrent requests for the same job collapse onto one owner;
+	// waiters block on the entry's done channel, never on mu.
+	mu      sync.Mutex
+	cache   map[string]*entry[V]
 	sem     chan struct{}
 	onProg  func(Event)
 	retries int
@@ -141,15 +132,19 @@ type Engine[V any] struct {
 	hits, misses, runs atomic.Uint64
 }
 
+// entry is one cached (or in-flight) result. done is closed exactly once,
+// after val/err become valid.
+type entry[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
 // New builds an Engine. workers <= 0 selects one worker per logical CPU.
 func New[V any](opts Options) *Engine[V] {
-	ns := opts.Shards
-	if ns <= 0 {
-		ns = 16
-	}
 	nw := opts.Workers
 	if nw <= 0 {
-		nw = defaultWorkers()
+		nw = runtime.GOMAXPROCS(0)
 	}
 	retries := opts.Retries
 	switch {
@@ -162,38 +157,17 @@ func New[V any](opts Options) *Engine[V] {
 	if bo <= 0 {
 		bo = 25 * time.Millisecond
 	}
-	e := &Engine[V]{
-		shards:  make([]shard[V], ns),
+	return &Engine[V]{
+		cache:   map[string]*entry[V]{},
 		sem:     make(chan struct{}, nw),
 		onProg:  opts.OnProgress,
 		retries: retries,
 		backoff: bo,
 	}
-	for i := range e.shards {
-		e.shards[i].m = map[string]*entry[V]{}
-	}
-	return e
 }
 
 // Workers reports the size of the worker pool.
 func (e *Engine[V]) Workers() int { return cap(e.sem) }
-
-// shardFor maps a cache key onto its stripe with FNV-1a, computed
-// inline over the string: the hash/fnv API would heap-allocate its
-// state and a []byte copy of the key on every cache lookup.
-//
-//bebop:hotpath
-func (e *Engine[V]) shardFor(key string) *shard[V] {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * prime32
-	}
-	return &e.shards[h%uint32(len(e.shards))]
-}
 
 // RunBatch schedules every job, waits for all of them, and returns their
 // results in submission order (deterministic reduction: position i of the
@@ -209,16 +183,16 @@ func (e *Engine[V]) RunBatch(ctx context.Context, jobs []Job[V]) ([]JobResult[V]
 		go func(i int) {
 			defer wg.Done()
 			job := jobs[i]
-			e.emit(Event{Kind: EventStart, Key: job.Key, Bench: job.Bench,
-				Completed: int(completed.Load()), Total: len(jobs)})
 			start := time.Now()
 			val, cached, err := e.resolve(ctx, job)
 			elapsed := time.Since(start)
 			out[i] = JobResult[V]{Key: job.Key, Bench: job.Bench,
 				Value: val, Err: err, Cached: cached, Elapsed: elapsed}
-			e.emit(Event{Kind: EventDone, Key: job.Key, Bench: job.Bench,
-				Cached: cached, Err: err, Elapsed: elapsed,
-				Completed: int(completed.Add(1)), Total: len(jobs)})
+			if e.onProg != nil {
+				e.onProg(Event{Key: job.Key, Bench: job.Bench,
+					Cached: cached, Err: err, Elapsed: elapsed,
+					Completed: int(completed.Add(1)), Total: len(jobs)})
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -247,7 +221,6 @@ func (e *Engine[V]) Run(ctx context.Context, job Job[V]) (JobResult[V], error) {
 func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 	var zero V
 	key := job.cacheKey()
-	sh := e.shardFor(key)
 	attempt := 0
 
 	for {
@@ -258,9 +231,9 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 			return zero, false, err
 		}
 
-		sh.mu.Lock()
-		if ent, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
+		e.mu.Lock()
+		if ent, ok := e.cache[key]; ok {
+			e.mu.Unlock()
 			// Completed or in flight: wait for the owner rather than
 			// duplicating the simulation.
 			select {
@@ -282,8 +255,8 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 			}
 		}
 		ent := &entry[V]{done: make(chan struct{})}
-		sh.m[key] = ent
-		sh.mu.Unlock()
+		e.cache[key] = ent
+		e.mu.Unlock()
 		e.misses.Add(1)
 		mJobMisses.Inc()
 
@@ -296,7 +269,7 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 			mQueued.Add(-1)
 		case <-ctx.Done():
 			mQueued.Add(-1)
-			sh.remove(key)
+			e.remove(key)
 			ent.err = ctx.Err()
 			close(ent.done)
 			return zero, false, ctx.Err()
@@ -311,7 +284,7 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 		if err != nil {
 			// Unpublish before releasing waiters: the cache must never
 			// retain an errored (or panicked) entry.
-			sh.remove(key)
+			e.remove(key)
 			ent.err = err
 			close(ent.done)
 			if retryable(err) && attempt < e.retries {
@@ -348,24 +321,23 @@ func runGuarded[V any](ctx context.Context, job Job[V]) (val V, err error) {
 	return job.Run(ctx)
 }
 
-// Stats snapshots the engine counters and cache occupancy.
-func (e *Engine[V]) Stats() Stats {
-	s := Stats{
-		Hits:         e.hits.Load(),
-		Misses:       e.misses.Load(),
-		Runs:         e.runs.Load(),
-		ShardEntries: make([]int, len(e.shards)),
-	}
-	for i := range e.shards {
-		n := e.shards[i].len()
-		s.ShardEntries[i] = n
-		s.Entries += n
-	}
-	return s
+// remove unpublishes key, so a failed or cancelled job is never served
+// from the cache.
+func (e *Engine[V]) remove(key string) {
+	e.mu.Lock()
+	delete(e.cache, key)
+	e.mu.Unlock()
 }
 
-func (e *Engine[V]) emit(ev Event) {
-	if e.onProg != nil {
-		e.onProg(ev)
+// Stats snapshots the engine counters and cache occupancy.
+func (e *Engine[V]) Stats() Stats {
+	e.mu.Lock()
+	n := len(e.cache)
+	e.mu.Unlock()
+	return Stats{
+		Hits:    e.hits.Load(),
+		Misses:  e.misses.Load(),
+		Runs:    e.runs.Load(),
+		Entries: n,
 	}
 }

@@ -15,8 +15,8 @@ func constJob(key, bench string, v int) Job[int] {
 	return Job[int]{Key: key, Bench: bench, Run: func(context.Context) (int, error) { return v, nil }}
 }
 
-func TestShardDistribution(t *testing.T) {
-	e := New[int](Options{Shards: 8, Workers: 4})
+func TestDistinctKeysCacheSeparately(t *testing.T) {
+	e := New[int](Options{Workers: 4})
 	var jobs []Job[int]
 	for i := 0; i < 256; i++ {
 		jobs = append(jobs, constJob(fmt.Sprintf("cfg%d", i), "bench", i))
@@ -28,24 +28,10 @@ func TestShardDistribution(t *testing.T) {
 	if st.Entries != 256 {
 		t.Fatalf("entries = %d, want 256", st.Entries)
 	}
-	if len(st.ShardEntries) != 8 {
-		t.Fatalf("%d shards, want 8", len(st.ShardEntries))
-	}
-	for i, n := range st.ShardEntries {
-		// FNV-1a over 256 keys into 8 stripes: every stripe must carry a
-		// meaningful share (a single hot stripe would recreate the global
-		// mutex this design removes).
-		if n == 0 {
-			t.Errorf("shard %d is empty", i)
-		}
-		if n > 256/2 {
-			t.Errorf("shard %d holds %d/256 entries; distribution collapsed", i, n)
-		}
-	}
 }
 
 func TestSeparatorKeysDoNotCollide(t *testing.T) {
-	e := New[int](Options{Shards: 4, Workers: 2})
+	e := New[int](Options{Workers: 2})
 	rs, err := e.RunBatch(context.Background(), []Job[int]{
 		constJob("a", "b/c", 1),
 		constJob("a/b", "c", 2),
@@ -293,19 +279,12 @@ func TestProgressEvents(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	starts, dones := 0, 0
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventStart:
-			starts++
-		case EventDone:
-			dones++
-			if ev.Total != 2 {
-				t.Errorf("event total %d, want 2", ev.Total)
-			}
-		}
+	if len(events) != 2 {
+		t.Fatalf("%d events, want one per completed job (2)", len(events))
 	}
-	if starts != 2 || dones != 2 {
-		t.Fatalf("starts=%d dones=%d, want 2/2", starts, dones)
+	for _, ev := range events {
+		if ev.Total != 2 {
+			t.Errorf("event total %d, want 2", ev.Total)
+		}
 	}
 }

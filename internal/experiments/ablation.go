@@ -10,12 +10,5 @@ import "bebop/internal/core"
 // should hold as a gmean ordering. All runs are Baseline_VP_6_60 over
 // Baseline_6_60.
 func (r *Runner) Ablations() []Series {
-	base := r.baseline()
-	var out []Series
-	for _, name := range []string{"LVP", "Stride", "FCM", "VTAGE", "D-FCM", "D-VTAGE"} {
-		key := "Baseline_VP_6_60/" + name
-		cfgRes := r.Results(key, core.BaselineVP(name))
-		out = append(out, r.speedups(name, base, cfgRes))
-	}
-	return out
+	return r.over(core.Baseline(), predictors("LVP", "Stride", "FCM", "VTAGE", "D-FCM", "D-VTAGE")...)
 }

@@ -108,12 +108,33 @@ func TestTable3StaticRows(t *testing.T) {
 
 func TestResultsCached(t *testing.T) {
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip"}})
-	a := r.Results("Baseline_6_60", core.Baseline())
-	// A second request with a nil factory must hit the cache (a miss
-	// would panic dereferencing the factory).
-	b := r.Results("Baseline_6_60", nil)
+	a := r.Results(core.Baseline())
+	b := r.Results(core.Baseline())
 	if a["gzip"].Cycles != b["gzip"].Cycles {
 		t.Fatal("cache returned different results")
+	}
+	if st := r.Engine().Stats(); st.Runs != 1 || st.Hits != 1 {
+		t.Fatalf("runs=%d hits=%d, want 1 run and 1 hit", st.Runs, st.Hits)
+	}
+}
+
+// TestEachConfigurationRunsOnce: the engine caches by configuration
+// name, so a geometry that several figures sweep simulates once. Fig.
+// 6a's "6p 2K + 6x256", Fig. 6b's "2K + 6x256", the 64-bit partial-stride
+// row and Fig. 7a's "Ideal" are one configuration; all experiments but
+// probe together name 36.
+func TestEachConfigurationRunsOnce(t *testing.T) {
+	r := NewRunner(Options{Insts: 2_000, Workloads: []string{"swim"}})
+	for _, id := range ExperimentIDs() {
+		if id == "probe" {
+			continue
+		}
+		if _, err := r.Report(id); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if runs := r.Engine().Stats().Runs; runs != 36 {
+		t.Fatalf("%d simulations of swim, want one per distinct configuration (36)", runs)
 	}
 }
 
@@ -192,9 +213,9 @@ func TestRunnerCancellation(t *testing.T) {
 
 func TestWithWorkloadsSharesCache(t *testing.T) {
 	r := NewRunner(Options{Insts: 10_000, Workloads: []string{"gzip", "swim"}})
-	r.Results("Baseline_6_60", core.Baseline())
+	r.Results(core.Baseline())
 	sub := r.WithWorkloads([]string{"gzip"})
-	sub.Results("Baseline_6_60", nil) // must be a pure cache hit: nil factory
+	sub.Results(core.Baseline()) // must be a pure cache hit
 	st := r.Engine().Stats()
 	if st.Runs != 2 || st.Hits != 1 {
 		t.Fatalf("runs=%d hits=%d, want 2 runs and 1 hit", st.Runs, st.Hits)
@@ -253,7 +274,7 @@ func TestTraceCatalogWorkloads(t *testing.T) {
 		Catalog:   cat,
 		Workloads: []string{"gcc", "gcc-replayed"},
 	})
-	res := r.Results("Baseline_6_60", core.Baseline())
+	res := r.Results(core.Baseline())
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
@@ -267,7 +288,7 @@ func TestTraceCatalogWorkloads(t *testing.T) {
 
 	// Unknown names must list the catalog.
 	bad := r.WithWorkloads([]string{"missing"})
-	bad.Results("Baseline_6_60", core.Baseline())
+	bad.Results(core.Baseline())
 	if err := bad.Err(); err == nil || !errors.Is(err, ErrUnknownBenchmark) ||
 		!strings.Contains(err.Error(), "gcc-replayed") {
 		t.Fatalf("unknown workload error does not list the catalog: %v", err)

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"bebop/internal/bebop"
 	"bebop/internal/core"
-	"bebop/internal/pipeline"
 	"bebop/internal/specwindow"
 	"bebop/internal/util"
 	"bebop/internal/workload"
@@ -22,7 +22,7 @@ type BenchIPC struct {
 
 // Table2 reproduces Table II: the baseline IPC of every workload.
 func (r *Runner) Table2() []BenchIPC {
-	base := r.baseline()
+	base := r.Results(core.Baseline())
 	var out []BenchIPC
 	for _, b := range r.Workloads() {
 		prof, _ := workload.ProfileByName(b)
@@ -34,78 +34,65 @@ func (r *Runner) Table2() []BenchIPC {
 	return out
 }
 
+// predictors lists one Baseline_VP_6_60 curve per named per-instruction
+// predictor, labelled by the predictor's name.
+func predictors(names ...string) []curve {
+	out := make([]curve, len(names))
+	for i, name := range names {
+		out[i] = curve{name, core.BaselineVP(name)}
+	}
+	return out
+}
+
+// geometry is the EOLE_4_60 factory for a BeBoP geometry, named by
+// core.BlockName so that every figure sweeping the same geometry shares
+// its simulations.
+func geometry(bb bebop.Config) core.ConfigFactory {
+	return core.EOLEBeBoP(core.BlockName(bb), bb)
+}
+
 // Fig5a reproduces Fig. 5(a): speedup of the 2d-Stride, VTAGE,
 // VTAGE-2d-Stride and D-VTAGE per-instruction predictors (idealistic
 // infrastructure) on Baseline_VP_6_60 over Baseline_6_60.
 func (r *Runner) Fig5a() []Series {
-	base := r.baseline()
-	var out []Series
-	for _, name := range core.InstPredictorNames() {
-		var cfgRes map[string]pipeline.Result
-		if name == "D-VTAGE" {
-			cfgRes = r.baselineVPDVTAGE()
-		} else {
-			cfgRes = r.Results("Baseline_VP_6_60/"+name, core.BaselineVP(name))
-		}
-		out = append(out, r.speedups(name, base, cfgRes))
-	}
-	return out
+	return r.over(core.Baseline(), predictors(core.InstPredictorNames()...)...)
 }
 
 // Fig5b reproduces Fig. 5(b): speedup of the port-constrained EOLE_4_60
 // with D-VTAGE over Baseline_VP_6_60 — the issue-width reduction should be
 // almost free.
 func (r *Runner) Fig5b() Series {
-	return r.speedups("EOLE_4_60 vs Baseline_VP_6_60", r.baselineVPDVTAGE(), r.eole())
-}
-
-// NpredConfig names one Fig. 6 exploration point.
-type NpredConfig struct {
-	Label         string
-	NPred         int
-	BaseEntries   int
-	TaggedEntries int
+	return r.over(core.BaselineVP("D-VTAGE"),
+		curve{"EOLE_4_60 vs Baseline_VP_6_60", core.EOLEInstVP()})[0]
 }
 
 // Fig6a reproduces Fig. 6(a): the impact of the number of predictions per
 // entry (4/6/8) for the two structure sizes, with an infinite speculative
 // window under the Ideal policy, as speedup summaries over EOLE_4_60.
 func (r *Runner) Fig6a() []Series {
-	cfgs := []NpredConfig{
-		{"4p 1K + 6x128", 4, 1024, 128},
-		{"6p 1K + 6x128", 6, 1024, 128},
-		{"8p 1K + 6x128", 8, 1024, 128},
-		{"4p 2K + 6x256", 4, 2048, 256},
-		{"6p 2K + 6x256", 6, 2048, 256},
-		{"8p 2K + 6x256", 8, 2048, 256},
-	}
-	return r.sweepBlock(cfgs, 64, -1, specwindow.PolicyIdeal)
+	const ideal = specwindow.PolicyIdeal
+	return r.over(core.EOLEInstVP(),
+		curve{"4p 1K + 6x128", geometry(core.BlockConfig(4, 1024, 128, 64, -1, ideal))},
+		curve{"6p 1K + 6x128", geometry(core.BlockConfig(6, 1024, 128, 64, -1, ideal))},
+		curve{"8p 1K + 6x128", geometry(core.BlockConfig(8, 1024, 128, 64, -1, ideal))},
+		curve{"4p 2K + 6x256", geometry(core.BlockConfig(4, 2048, 256, 64, -1, ideal))},
+		curve{"6p 2K + 6x256", geometry(core.BlockConfig(6, 2048, 256, 64, -1, ideal))},
+		curve{"8p 2K + 6x256", geometry(core.BlockConfig(8, 2048, 256, 64, -1, ideal))},
+	)
 }
 
 // Fig6b reproduces Fig. 6(b): the impact of the base and tagged component
 // sizes at 6 predictions per entry.
 func (r *Runner) Fig6b() []Series {
-	cfgs := []NpredConfig{
-		{"512 + 6x128", 6, 512, 128},
-		{"1K + 6x128", 6, 1024, 128},
-		{"2K + 6x128", 6, 2048, 128},
-		{"512 + 6x256", 6, 512, 256},
-		{"1K + 6x256", 6, 1024, 256},
-		{"2K + 6x256", 6, 2048, 256},
-	}
-	return r.sweepBlock(cfgs, 64, -1, specwindow.PolicyIdeal)
-}
-
-func (r *Runner) sweepBlock(cfgs []NpredConfig, strideBits, winSize int, pol specwindow.Policy) []Series {
-	eole := r.eole()
-	var out []Series
-	for _, c := range cfgs {
-		key := fmt.Sprintf("BeBoP/%s/s%d/w%d/%s", c.Label, strideBits, winSize, pol)
-		bb := core.BlockConfig(c.NPred, c.BaseEntries, c.TaggedEntries, strideBits, winSize, pol)
-		res := r.Results(key, core.EOLEBeBoP(c.Label, bb))
-		out = append(out, r.speedups(c.Label, eole, res))
-	}
-	return out
+	const ideal = specwindow.PolicyIdeal
+	return r.over(core.EOLEInstVP(),
+		curve{"512 + 6x128", geometry(core.BlockConfig(6, 512, 128, 64, -1, ideal))},
+		curve{"1K + 6x128", geometry(core.BlockConfig(6, 1024, 128, 64, -1, ideal))},
+		curve{"2K + 6x128", geometry(core.BlockConfig(6, 2048, 128, 64, -1, ideal))},
+		curve{"512 + 6x256", geometry(core.BlockConfig(6, 512, 256, 64, -1, ideal))},
+		curve{"1K + 6x256", geometry(core.BlockConfig(6, 1024, 256, 64, -1, ideal))},
+		curve{"2K + 6x256", geometry(core.BlockConfig(6, 2048, 256, 64, -1, ideal))},
+	)
 }
 
 // StrideRow is one partial-stride data point (Section VI-B(a)).
@@ -119,16 +106,13 @@ type StrideRow struct {
 // 6p/2K+6x256 configuration with 64/32/16/8-bit strides. Performance
 // should be almost flat while storage collapses.
 func (r *Runner) PartialStrides() []StrideRow {
-	eole := r.eole()
+	eole := r.Results(core.EOLEInstVP())
 	var out []StrideRow
 	for _, bits := range []int{64, 32, 16, 8} {
-		label := fmt.Sprintf("%d-bit strides", bits)
-		key := fmt.Sprintf("BeBoP/partial/%d", bits)
 		bb := core.BlockConfig(6, 2048, 256, bits, -1, specwindow.PolicyIdeal)
-		res := r.Results(key, core.EOLEBeBoP(label, bb))
 		out = append(out, StrideRow{
 			Bits:      bits,
-			Series:    r.speedups(label, eole, res),
+			Series:    r.speedups(fmt.Sprintf("%d-bit strides", bits), eole, r.Results(geometry(bb))),
 			StorageKB: util.BitsToKB(bb.Predictor.StorageBits()),
 		})
 	}
@@ -139,39 +123,30 @@ func (r *Runner) PartialStrides() []StrideRow {
 // (Ideal, Repred, DnRDnR, DnRR) with an infinite window, as speedup over
 // EOLE_4_60. The realistic policies should be near-equivalent.
 func (r *Runner) Fig7a() []Series {
-	eole := r.eole()
-	var out []Series
+	var curves []curve
 	for _, pol := range []specwindow.Policy{
 		specwindow.PolicyIdeal, specwindow.PolicyRepred,
 		specwindow.PolicyDnRDnR, specwindow.PolicyDnRR,
 	} {
-		key := "BeBoP/policy/" + pol.String()
-		bb := core.BlockConfig(6, 2048, 256, 64, -1, pol)
-		res := r.Results(key, core.EOLEBeBoP(pol.String(), bb))
-		out = append(out, r.speedups(pol.String(), eole, res))
+		curves = append(curves, curve{pol.String(), geometry(core.BlockConfig(6, 2048, 256, 64, -1, pol))})
 	}
-	return out
+	return r.over(core.EOLEInstVP(), curves...)
 }
 
 // Fig7b reproduces Fig. 7(b): the speculative window size sweep
 // (∞/64/56/48/32/16/None) under the DnRDnR policy.
 func (r *Runner) Fig7b() []Series {
-	eole := r.eole()
-	sizes := []int{-1, 64, 56, 48, 32, 16, 0}
-	var out []Series
-	for _, sz := range sizes {
+	var curves []curve
+	for _, sz := range []int{-1, 64, 56, 48, 32, 16, 0} {
 		label := fmt.Sprintf("%d", sz)
 		if sz < 0 {
 			label = "inf"
 		} else if sz == 0 {
 			label = "None"
 		}
-		key := "BeBoP/window/" + label
-		bb := core.BlockConfig(6, 2048, 256, 64, sz, specwindow.PolicyDnRDnR)
-		res := r.Results(key, core.EOLEBeBoP("win-"+label, bb))
-		out = append(out, r.speedups(label, eole, res))
+		curves = append(curves, curve{label, geometry(core.BlockConfig(6, 2048, 256, 64, sz, specwindow.PolicyDnRDnR))})
 	}
-	return out
+	return r.over(core.EOLEInstVP(), curves...)
 }
 
 // StorageRow is one Table III row.
@@ -213,15 +188,12 @@ func Table3() []StorageRow {
 // Baseline_VP_6_60 and the idealistic EOLE_4_60) as speedup over
 // Baseline_6_60.
 func (r *Runner) Fig8() []Series {
-	base := r.baseline()
-	out := []Series{
-		r.speedups("Baseline_VP_6_60", base, r.baselineVPDVTAGE()),
-		r.speedups("EOLE_4_60", base, r.eole()),
+	curves := []curve{
+		{"Baseline_VP_6_60", core.BaselineVP("D-VTAGE")},
+		{"EOLE_4_60", core.EOLEInstVP()},
 	}
 	for _, c := range core.TableIIIConfigs() {
-		key := "BeBoP/final/" + c.Name
-		res := r.Results(key, core.EOLEBeBoP(c.Name, c.Cfg))
-		out = append(out, r.speedups(c.Name, base, res))
+		curves = append(curves, curve{c.Name, core.EOLEBeBoP(c.Name, c.Cfg)})
 	}
-	return out
+	return r.over(core.Baseline(), curves...)
 }

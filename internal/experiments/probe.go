@@ -26,10 +26,11 @@ type ProbeCurve struct {
 }
 
 // ProbeSweep runs one probe family's default pressure grid under the
-// configuration identified by key, through the shared caching engine —
-// probe results are cached by (config, probe name) like any other
+// configuration mk builds, through the shared caching engine — probe
+// results are cached by (configuration name, probe name) like any other
 // workload.
-func (r *Runner) ProbeSweep(f probe.Family, key string, mk core.ConfigFactory) (ProbeCurve, error) {
+func (r *Runner) ProbeSweep(f probe.Family, mk core.ConfigFactory) (ProbeCurve, error) {
+	key := mk().Name
 	jobs := make([]engine.Job[pipeline.Result], len(f.Grid))
 	for i, p := range f.Grid {
 		src, err := f.Source(p)
@@ -72,15 +73,11 @@ func (r *Runner) ProbeSweep(f probe.Family, key string, mk core.ConfigFactory) (
 // probeConfigFor picks the configuration a family's default sweep runs
 // against: branch-predictor probes measure the baseline's TAGE, value
 // and block probes measure EOLE with the Medium BeBoP predictor.
-func probeConfigFor(f probe.Family) (key string, mk core.ConfigFactory) {
+func probeConfigFor(f probe.Family) core.ConfigFactory {
 	if f.Name == "tage-history" || f.Name == "tage-capacity" || f.Name == "tage-dilution" {
-		return "Baseline_6_60", core.Baseline()
+		return core.Baseline()
 	}
-	cfg, err := core.TableIIIByName("Medium")
-	if err != nil {
-		panic(err) // Medium is a pinned Table III name
-	}
-	return "BeBoP/final/Medium", core.EOLEBeBoP("Medium", cfg)
+	return core.EOLEBeBoP("Medium", core.MediumConfig())
 }
 
 // ProbeCurves sweeps every probe family's default grid against its
@@ -88,8 +85,7 @@ func probeConfigFor(f probe.Family) (key string, mk core.ConfigFactory) {
 func (r *Runner) ProbeCurves() ([]ProbeCurve, error) {
 	var out []ProbeCurve
 	for _, f := range probe.Families() {
-		key, mk := probeConfigFor(f)
-		curve, err := r.ProbeSweep(f, key, mk)
+		curve, err := r.ProbeSweep(f, probeConfigFor(f))
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,13 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section VI): each runner executes the required configuration
 // sweep over the Table II workload suite and returns the same rows/series
-// the paper reports. Simulations are scheduled through internal/engine, a
-// sharded job engine that caches per-configuration cycle counts so shared
-// baselines (Baseline_6_60, Baseline_VP_6_60, EOLE_4_60) simulate once per
-// session — across experiments and, for the serving front-end, across
-// requests.
+// the paper reports. A figure lists its curves as (label, configuration
+// factory) pairs. Simulations are scheduled through internal/engine, whose
+// cache is keyed by the configuration's pipeline.Config.Name, so every
+// configuration — a shared baseline (Baseline_6_60, Baseline_VP_6_60,
+// EOLE_4_60) or a BeBoP geometry that several figures sweep — simulates
+// once per session: across experiments and, for the serving front-end,
+// across requests.
 package experiments
 
 import (
@@ -38,7 +40,8 @@ type Options struct {
 	Catalog *workload.Catalog
 	// Parallel bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallel int
-	// OnProgress, when set, streams per-simulation engine events.
+	// OnProgress, when set, receives one engine event per completed
+	// simulation.
 	OnProgress func(engine.Event)
 }
 
@@ -87,7 +90,7 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 
 // WithWorkloads returns a Runner restricted to the named benchmarks that
 // shares this Runner's engine and cache (safe: results are cached per
-// (configuration, benchmark), independent of the selection).
+// (configuration name, benchmark), independent of the selection).
 func (r *Runner) WithWorkloads(names []string) *Runner {
 	cp := *r
 	cp.opts.Workloads = names
@@ -112,10 +115,11 @@ func (r *Runner) Workloads() []string {
 }
 
 // Results runs (or returns cached) simulations of every selected workload
-// under the configuration identified by key. On cancellation it records
-// the error (see Err) and returns the partial results; downstream speedup
-// math skips missing benchmarks.
-func (r *Runner) Results(key string, mk core.ConfigFactory) map[string]pipeline.Result {
+// under the configuration mk builds, cached by the configuration's name.
+// On cancellation it records the error (see Err) and returns the partial
+// results; downstream speedup math skips missing benchmarks.
+func (r *Runner) Results(mk core.ConfigFactory) map[string]pipeline.Result {
+	key := mk().Name
 	names := r.Workloads()
 	jobs := make([]engine.Job[pipeline.Result], len(names))
 	for i, name := range names {
@@ -158,6 +162,24 @@ type Series struct {
 	Summary util.Summary
 }
 
+// curve is one line of a figure: its label and the configuration it
+// simulates.
+type curve struct {
+	label string
+	mk    core.ConfigFactory
+}
+
+// over runs base and every curve, and returns each curve's speedup over
+// base in curve order.
+func (r *Runner) over(base core.ConfigFactory, curves ...curve) []Series {
+	b := r.Results(base)
+	out := make([]Series, len(curves))
+	for i, c := range curves {
+		out[i] = r.speedups(c.label, b, r.Results(c.mk))
+	}
+	return out
+}
+
 // speedups builds a Series of cycles(base)/cycles(cfg) per benchmark.
 func (r *Runner) speedups(name string, base, cfg map[string]pipeline.Result) Series {
 	s := Series{Name: name}
@@ -172,18 +194,4 @@ func (r *Runner) speedups(name string, base, cfg map[string]pipeline.Result) Ser
 	}
 	s.Summary = util.Summarize(s.Speedup)
 	return s
-}
-
-// Baseline results accessors (shared across experiments).
-
-func (r *Runner) baseline() map[string]pipeline.Result {
-	return r.Results("Baseline_6_60", core.Baseline())
-}
-
-func (r *Runner) baselineVPDVTAGE() map[string]pipeline.Result {
-	return r.Results("Baseline_VP_6_60/D-VTAGE", core.BaselineVP("D-VTAGE"))
-}
-
-func (r *Runner) eole() map[string]pipeline.Result {
-	return r.Results("EOLE_4_60", core.EOLEInstVP())
 }

@@ -375,16 +375,9 @@ func factoryFor(spec RunSpec) (core.ConfigFactory, error) {
 		}
 		cfg := core.BlockConfig(bb.NPred, bb.BaseEntries, bb.TaggedEntries,
 			bb.StrideBits, bb.WindowSize, policy)
-		return core.EOLEBeBoP(customBeBoPName(bb), cfg), nil
+		return core.EOLEBeBoP(core.BlockName(cfg), cfg), nil
 	}
 	return core.NamedFactory(spec.Config, spec.Predictor)
-}
-
-// customBeBoPName labels a custom geometry in Report.Config, so two runs
-// with different knobs stay distinguishable in result files.
-func customBeBoPName(bb BeBoPConfig) string {
-	return fmt.Sprintf("custom-%dp-%db-%dt-%ds-w%d-%s",
-		bb.NPred, bb.BaseEntries, bb.TaggedEntries, bb.StrideBits, bb.WindowSize, bb.Policy)
 }
 
 // StorageKBOf reports a configuration's value predictor storage in KB

@@ -262,6 +262,36 @@ func TestCustomProfileAndBeBoP(t *testing.T) {
 	}
 }
 
+// TestBeBoPPolicySpellingsNormalize: ParsePolicy accepts a policy in
+// either spelling, so both must validate to one spec (the canonical
+// spelling) and run under one configuration name.
+func TestBeBoPPolicySpellingsNormalize(t *testing.T) {
+	var specs []RunSpec
+	var configs []string
+	for _, policy := range []string{"dnrdnr", "DnRDnR"} {
+		spec, err := New(
+			WithWorkload("swim"),
+			WithBeBoP(BeBoPConfig{NPred: 6, BaseEntries: 128, TaggedEntries: 64, StrideBits: 8, WindowSize: 32, Policy: policy}),
+			WithInsts(2_000),
+		).Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+		configs = append(configs, rep.Config)
+	}
+	if !reflect.DeepEqual(specs[0], specs[1]) {
+		t.Fatalf("policy spellings normalize to different specs:\n%+v\n%+v", *specs[0].BeBoP, *specs[1].BeBoP)
+	}
+	if configs[0] != configs[1] || !strings.HasSuffix(configs[0], "-DnRDnR") {
+		t.Fatalf("policy spellings run as %q and %q, want one name ending in -DnRDnR", configs[0], configs[1])
+	}
+}
+
 func TestSweeper(t *testing.T) {
 	sw, err := NewSweeper(SweepOptions{Insts: 5_000})
 	if err != nil {
@@ -419,6 +449,20 @@ func TestSweeperTraceWorkloads(t *testing.T) {
 	}
 	if len(tables) != 1 || len(tables[0].Rows) != 1 || tables[0].Rows[0].Label != "tinygcc" {
 		t.Fatalf("unexpected table: %+v", tables)
+	}
+}
+
+func TestSweepSpecSchemaVersion(t *testing.T) {
+	for _, v := range []int{0, SweepSpecSchemaVersion} {
+		spec, err := SweepSpec{SchemaVersion: v}.Validate()
+		if err != nil || spec.SchemaVersion != SweepSpecSchemaVersion {
+			t.Fatalf("schema_version %d: got (%d, %v), want (%d, nil)", v, spec.SchemaVersion, err, SweepSpecSchemaVersion)
+		}
+	}
+	for _, v := range []int{-1, SweepSpecSchemaVersion + 1} {
+		if _, err := (SweepSpec{SchemaVersion: v}).Validate(); !errors.Is(err, ErrInvalidSpec) {
+			t.Fatalf("schema_version %d: got %v, want ErrInvalidSpec", v, err)
+		}
 	}
 }
 

@@ -370,9 +370,13 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		if bb.Policy == "" {
 			bb.Policy = specwindow.PolicyDnRDnR.String()
 		}
-		if _, ok := specwindow.ParsePolicy(bb.Policy); !ok {
+		policy, ok := specwindow.ParsePolicy(bb.Policy)
+		if !ok {
 			return RunSpec{}, nil, util.UnknownName("recovery policy", bb.Policy, Policies())
 		}
+		// Store the canonical spelling: "dnrdnr" and "DnRDnR" are one
+		// geometry, so they must normalize to one spec and one name.
+		bb.Policy = policy.String()
 		if bb.NPred <= 0 || bb.BaseEntries <= 0 || bb.TaggedEntries <= 0 || bb.StrideBits <= 0 {
 			return RunSpec{}, nil, fmt.Errorf("sim: %w: bebop geometry needs positive npred, base_entries, tagged_entries and stride_bits, got %+v", ErrInvalidSpec, bb)
 		}
@@ -417,8 +421,8 @@ func (s SweepSpec) Validate() (SweepSpec, error) {
 	switch {
 	case out.SchemaVersion == 0:
 		out.SchemaVersion = SweepSpecSchemaVersion
-	case out.SchemaVersion > SweepSpecSchemaVersion:
-		return SweepSpec{}, fmt.Errorf("sim: %w: SweepSpec schema_version %d is newer than this binary supports (%d)",
+	case out.SchemaVersion < 0 || out.SchemaVersion > SweepSpecSchemaVersion:
+		return SweepSpec{}, fmt.Errorf("sim: %w: SweepSpec schema_version %d is not supported by this binary (max %d)",
 			ErrInvalidSpec, out.SchemaVersion, SweepSpecSchemaVersion)
 	}
 	if out.Insts < 0 {

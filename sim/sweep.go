@@ -15,7 +15,7 @@ import (
 
 // SweepOptions configures a Sweeper session. The instruction budget and
 // workload catalog are fixed per Sweeper because results are cached by
-// (configuration, workload): one budget per cache keeps entries
+// (configuration name, workload): one budget per cache keeps entries
 // comparable across experiments and, for the HTTP service, across
 // requests.
 type SweepOptions struct {
@@ -31,7 +31,8 @@ type SweepOptions struct {
 
 // Progress is one completed simulation inside a sweep.
 type Progress struct {
-	// Config is the configuration key; Workload the benchmark.
+	// Config is the configuration name (Report.Config's form, e.g.
+	// "EOLE_4_60/Medium"); Workload the benchmark.
 	Config   string
 	Workload string
 	// Cached reports a cache hit (no simulation ran).
@@ -78,9 +79,6 @@ func NewSweeper(opts SweepOptions) (*Sweeper, error) {
 	}
 	if fn := opts.Progress; fn != nil {
 		ropts.OnProgress = func(ev engine.Event) {
-			if ev.Kind != engine.EventDone {
-				return
-			}
 			fn(Progress{
 				Config: ev.Key, Workload: ev.Bench,
 				Cached: ev.Cached, Elapsed: ev.Elapsed,

@@ -358,9 +358,9 @@ func (s *server) runsV1(w http.ResponseWriter, req *http.Request) {
 	}
 
 	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	rep, err := sim.FromSpec(spec, opts...).Run(ctx)
-	s.inflight.Add(-1)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
@@ -543,8 +543,8 @@ func (s *server) sweepsV1(w http.ResponseWriter, req *http.Request) {
 	var buf strings.Builder
 	start := time.Now()
 	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	err = s.sweeper.Write(ctx, &buf, format, spec)
-	s.inflight.Add(-1)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			if s.answerDrainAbort(w, err) {

@@ -247,8 +247,12 @@ func TestV1RunUnknownNames(t *testing.T) {
 	}
 }
 
+// TestV1RunMalformedSpec: a spec that is malformed, or that the
+// simulator cannot execute, is a 400 on the sync route and on the async
+// one before a run is created, and no simulation panics over it.
 func TestV1RunMalformedSpec(t *testing.T) {
 	ts := testServer(t, serverConfig{defaultInsts: 5_000})
+	before := scrapeMetrics(t, ts.URL)
 	for _, body := range []string{
 		`{not json`,
 		`{"workload":"swim","instz":12}`,               // unknown field
@@ -257,11 +261,28 @@ func TestV1RunMalformedSpec(t *testing.T) {
 		`{"workload":"swim","trace_dir":"/somewhere"}`, // server-fixed field
 		`{"trace":"/etc/passwd"}`,                      // server-side paths rejected
 		`{"workload":"swim","insts":-5}`,               // negative budget: 400, not defaulted
+		// DepDepth 0, then NumLoops 0: the generator cannot build them.
+		`{"profile":{"Name":"p","NumLoops":1,"LoopBodyMin":8,"LoopBodyMax":8,"IterMin":2,"IterMax":2},"insts":3000}`,
+		`{"profile":{"Name":"p"}}`,
+		`{"workload":"swim","bebop":{"npred":6,"base_entries":100,"tagged_entries":64,"stride_bits":8}}`, // not a power of two
+		`{"workload":"swim","bebop":{"npred":9,"base_entries":128,"tagged_entries":64,"stride_bits":8}}`, // past MaxNPred
+		`{"workload":"probe/tage-capacity/1073741824"}`,                                                  // past the family's cap
+		`{"workload":"swim","sampling":{"checkpoints":true}}`,                                            // no trace file
+		`{"workload":"probe/vp-stride/16","sampling":{"checkpoints":true}}`,
 	} {
-		resp, blob := postJSON(t, ts.URL+"/v1/runs", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (%s)", body, resp.StatusCode, blob)
+		for _, route := range []string{"/v1/runs", "/v1/runs?async=1"} {
+			resp, blob := postJSON(t, ts.URL+route, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400 (%s)", route, body, resp.StatusCode, blob)
+			}
 		}
+	}
+	after := scrapeMetrics(t, ts.URL)
+	if _, ok := after["bebop_core_run_panics_total"]; !ok {
+		t.Fatal("/metrics carries no bebop_core_run_panics_total")
+	}
+	if d := after["bebop_core_run_panics_total"] - before["bebop_core_run_panics_total"]; d != 0 {
+		t.Errorf("bebop_core_run_panics_total advanced by %v", d)
 	}
 }
 

@@ -1,25 +1,24 @@
-// Command bebop-trace records, replays and inspects binary .bbt
-// instruction traces (internal/trace).
+// Command bebop-trace records and inspects binary .bbt instruction
+// traces (internal/trace).
 //
 // Usage:
 //
 //	bebop-trace record -bench swim -n 100000 -o swim-100k.bbt
-//	bebop-trace replay -trace swim-100k.bbt -config eole-bebop -predictor Medium
 //	bebop-trace info   -trace swim-100k.bbt
+//	bebop-trace checkpoint -trace swim-100k.bbt -config eole-bebop -predictor Medium
 //	bebop-trace dump   -bench swim -n 40
 //	bebop-trace dump   -trace swim-100k.bbt -summary
 //
-// record serializes a synthetic Table II workload as a trace; replay
-// drives a processor from a trace and prints the same result bebop-sim
-// prints (bit-identical to simulating the generator it was recorded
-// from); info prints the self-describing header and frame geometry;
-// dump is the original listing/summary view, now over either a
-// generator or a trace.
+// record serializes a synthetic Table II workload as a trace; info
+// prints the self-describing header and frame geometry; checkpoint
+// pre-builds a trace's warm-state side-file for one configuration; dump
+// is the original listing/summary view, now over either a generator or
+// a trace. To run a processor from a trace, use bebop-sim -trace, whose
+// result is bit-identical to simulating the generator the trace was
+// recorded from.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -44,8 +43,6 @@ func main() {
 	switch os.Args[1] {
 	case "record":
 		err = cmdRecord(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
 	case "info":
 		err = cmdInfo(os.Args[2:])
 	case "checkpoint":
@@ -73,7 +70,6 @@ func usage() {
 
 Subcommands:
   record   record a synthetic workload as a .bbt trace
-  replay   run a processor from a .bbt trace and print the result
   info     print a trace's header and frame geometry
   checkpoint  build a trace's warm-state checkpoint side-file for a config
   dump     list instructions or per-class totals (generator or trace)
@@ -158,63 +154,6 @@ func cmdRecord(args []string) error {
 	}
 	fmt.Printf("recorded %s: %d insts, %d µ-ops, %d bytes (%.2f B/inst)\n",
 		path, insts, uops, st.Size(), float64(st.Size())/float64(insts))
-	return nil
-}
-
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("bebop-trace replay", flag.ExitOnError)
-	path := fs.String("trace", "", ".bbt trace to replay (required)")
-	config := fs.String("config", "baseline", strings.Join(sim.Configs(), " | "))
-	pred := fs.String("predictor", "",
-		"predictor ("+strings.Join(sim.Predictors(), ", ")+") or Table III config")
-	n := fs.Int64("n", 0, "measured instructions (0 = derive from the trace: 2/3 measure, 1/3 warmup)")
-	asJSON := fs.Bool("json", false, "emit the result as JSON")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-
-	if *path == "" {
-		return fmt.Errorf("replay: -trace is required")
-	}
-	insts := *n
-	if insts <= 0 {
-		r, err := trace.OpenFile(*path)
-		if err != nil {
-			return err
-		}
-		total := int64(r.Header().Insts)
-		r.Close()
-		if total == 0 {
-			return fmt.Errorf("replay: %s has no instruction count; pass -n", *path)
-		}
-		// The SDK consumes warmup (insts/2) + insts.
-		insts = total * 2 / 3
-	}
-	rep, err := sim.Run(context.Background(), sim.RunSpec{
-		Trace:     *path,
-		Config:    *config,
-		Predictor: *pred,
-		Insts:     insts,
-	})
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	fmt.Printf("trace             %s\n", *path)
-	fmt.Printf("config            %s\n", rep.Config)
-	fmt.Printf("cycles            %d\n", rep.Cycles)
-	fmt.Printf("instructions      %d\n", rep.Insts)
-	fmt.Printf("IPC               %.3f\n", rep.IPC)
-	fmt.Printf("branch MPKI       %.2f\n", rep.BranchMPKI)
-	if rep.VPStorageBits > 0 {
-		fmt.Printf("VP storage        %s\n", rep.VPStorage())
-		fmt.Printf("VP coverage       %.1f%%\n", 100*rep.VP.Coverage)
-		fmt.Printf("VP accuracy       %.3f%%\n", 100*rep.VP.Accuracy)
-	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"bebop/internal/bebop"
 	"bebop/internal/pipeline"
 )
 
@@ -22,7 +21,6 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 	if n := p.Warm(4000); n != 4000 {
 		t.Fatalf("warmed %d of 4000 instructions", n)
 	}
-	payload := func(ck *pipeline.Checkpoint) *bebop.Snapshot { return ck.VP.(*bebop.Snapshot) }
 	for _, tc := range []struct {
 		name string
 		edit func(ck *pipeline.Checkpoint)
@@ -31,21 +29,21 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 		{"RAS top negative", func(ck *pipeline.Checkpoint) { ck.RAS.Top = -1 }},
 		{"RAS depth past the stack", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = len(ck.RAS.Stack) + 1 }},
 		{"RAS depth negative", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = -1 }},
-		{"window tags short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Tag = w.Tag[1:] }},
-		{"window seqs short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Seq = w.Seq[1:] }},
-		{"window values short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Vals = w.Vals[1:] }},
-		{"window presence short", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Has = w.Has[1:] }},
-		{"window head past the window", func(ck *pipeline.Checkpoint) { w := payload(ck).Win; w.Head = len(w.Valid) }},
-		{"window head negative", func(ck *pipeline.Checkpoint) { payload(ck).Win.Head = -1 }},
+		{"window tags short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Tag = w.Tag[1:] }},
+		{"window seqs short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Seq = w.Seq[1:] }},
+		{"window values short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Vals = w.Vals[1:] }},
+		{"window presence short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Has = w.Has[1:] }},
+		{"window head past the window", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Head = len(w.Valid) }},
+		{"window head negative", func(ck *pipeline.Checkpoint) { ck.VP.Win.Head = -1 }},
 		{"prefetcher last lines short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.LastLine = pf.LastLine[1:] }},
 		{"prefetcher strides short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Stride = pf.Stride[1:] }},
 		{"prefetcher confidences short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Conf = pf.Conf[1:] }},
-		{"D-VTAGE LVT tags short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.LVTTags = d.LVTTags[1:] }},
-		{"D-VTAGE LVT presence short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.LVTHas = d.LVTHas[1:] }},
-		{"D-VTAGE LVT byte tags short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.LVTBtag = d.LVTBtag[1:] }},
-		{"D-VTAGE VT0 confidences short", func(ck *pipeline.Checkpoint) { d := payload(ck).DVT; d.VT0Conf = d.VT0Conf[1:] }},
-		{"D-VTAGE component useful bits short", func(ck *pipeline.Checkpoint) { c := &payload(ck).DVT.Comps[0]; c.Useful = c.Useful[1:] }},
-		{"D-VTAGE component confidences short", func(ck *pipeline.Checkpoint) { c := &payload(ck).DVT.Comps[0]; c.Conf = c.Conf[1:] }},
+		{"D-VTAGE LVT tags short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.LVTTags = d.LVTTags[1:] }},
+		{"D-VTAGE LVT presence short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.LVTHas = d.LVTHas[1:] }},
+		{"D-VTAGE LVT byte tags short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.LVTBtag = d.LVTBtag[1:] }},
+		{"D-VTAGE VT0 confidences short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.VT0Conf = d.VT0Conf[1:] }},
+		{"D-VTAGE component useful bits short", func(ck *pipeline.Checkpoint) { c := &ck.VP.DVT.Comps[0]; c.Useful = c.Useful[1:] }},
+		{"D-VTAGE component confidences short", func(ck *pipeline.Checkpoint) { c := &ck.VP.DVT.Comps[0]; c.Conf = c.Conf[1:] }},
 	} {
 		ck, err := p.Snapshot(4000)
 		if err != nil {

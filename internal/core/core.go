@@ -69,27 +69,45 @@ func acquireProc(cfg pipeline.Config, stream isa.Stream) *pipeline.Processor {
 	return pipeline.New(cfg, stream)
 }
 
-// simulate is the one way this package drives a processor: it arms a
-// pooled processor for mk() over stream and hands it to fn. On a normal
-// return, fn's error included, the processor is released back to
-// procPool. A panic anywhere inside (a simulator bug on a pathological
-// input, a trace decoder, chaos injection) becomes an error carrying
-// the stack instead of taking down the process and every other
-// in-flight run; the seized processor is then dropped, not pooled, so
-// its unknown state cannot poison a later run. The caller owns stream
-// and closes it after simulate returns.
-func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) error) (err error) {
+// guard is this package's one panic guard: a panic anywhere inside fn
+// (a simulator bug on a pathological input, a workload that cannot be
+// built, a trace decoder, chaos injection) becomes an error carrying the
+// stack instead of taking down the process and every other in-flight
+// run.
+func guard(fn func() error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			mRunPanics.Inc()
 			err = fmt.Errorf("core: simulation panicked: %v\n%s", rec, debug.Stack())
 		}
 	}()
-	proc := acquireProc(mk(), stream)
-	err = fn(proc)
-	proc.Release()
-	procPool.Put(proc)
-	return err
+	return fn()
+}
+
+// open opens src for n instructions inside the guard.
+func open(src workload.Source, n int64) (stream isa.Stream, err error) {
+	err = guard(func() error {
+		stream, err = src.Open(n)
+		return err
+	})
+	return stream, err
+}
+
+// simulate is the one way this package drives a processor: it arms a
+// pooled processor for mk() over stream and hands it to fn, inside the
+// guard. On a normal return, fn's error included, the processor is
+// released back to procPool; after a panic the seized processor is
+// dropped, not pooled, so its unknown state cannot poison a later run.
+// The caller owns stream, opened with open, and closes it after
+// simulate returns.
+func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) error) error {
+	return guard(func() error {
+		proc := acquireProc(mk(), stream)
+		err := fn(proc)
+		proc.Release()
+		procPool.Put(proc)
+		return err
+	})
 }
 
 // errStream is implemented by streams that can fail mid-run (a corrupt
@@ -105,7 +123,7 @@ type sizedStream interface{ TotalInsts() (int64, bool) }
 // run silently labeled as measured would poison every comparison
 // against it. On error nothing is left open.
 func openBudgeted(src workload.Source, warmup, insts int64) (isa.Stream, error) {
-	stream, err := src.Open(warmup + insts)
+	stream, err := open(src, warmup+insts)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +420,7 @@ func TableIIIByName(name string) (bebop.Config, error) {
 // AllPredictorNames) or "eole-bebop" (pred selects a Table III config).
 // Custom BeBoP geometries resolve in sim.factoryFor; every named
 // configuration goes through this resolver, so the sim SDK and
-// bebop-trace replay agree on names and error text.
+// bebop-trace checkpoint agree on names and error text.
 func NamedFactory(config, pred string) (ConfigFactory, error) {
 	switch config {
 	case "baseline":

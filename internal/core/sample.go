@@ -257,7 +257,7 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 // it the sampled run, instead of crashing the process. idx is the
 // interval index, used only to tag telemetry spans.
 func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, usedCkpt bool, err error) {
-	stream, err := src.Open(s + sp.DetailWarmup + sp.IntervalInsts)
+	stream, err := open(src, s+sp.DetailWarmup+sp.IntervalInsts)
 	if err != nil {
 		return pipeline.Result{}, false, err
 	}
@@ -420,7 +420,7 @@ func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) 
 	if every < 1 || upTo < every {
 		return nil, "", fmt.Errorf("core: checkpoint spacing %d over %d instructions", every, upTo)
 	}
-	stream, err := src.Open(upTo)
+	stream, err := open(src, upTo)
 	if err != nil {
 		return nil, "", err
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bebop/internal/isa"
@@ -195,6 +196,70 @@ func (p *panicStream) Next(in *isa.Inst) bool {
 	}
 	p.left--
 	return p.inner.Next(in)
+}
+
+// openPanicSource wraps a source so every Open after the first skip
+// panics, the way an inline profile the generator cannot build would.
+type openPanicSource struct {
+	workload.Source
+	skip  int64
+	opens *atomic.Int64
+}
+
+func (s openPanicSource) Open(maxInsts int64) (isa.Stream, error) {
+	if s.opens.Add(1) > s.skip {
+		panic("workload cannot be built")
+	}
+	return s.Source.Open(maxInsts)
+}
+
+// TestOpenPanicIsRecovered: every run function opens its streams inside
+// the panic guard, so a source whose Open panics fails the run with an
+// error, counted by bebop_core_run_panics_total, instead of escaping to
+// the caller.
+func TestOpenPanicIsRecovered(t *testing.T) {
+	sp := SamplingParams{Intervals: 3, IntervalInsts: 1000, DetailWarmup: 200, Parallelism: 2}
+	for _, tc := range []struct {
+		name   string
+		skip   int64 // opens that succeed before the panicking ones
+		panics uint64
+		run    func(src workload.Source) error
+	}{
+		{"full run", 0, 1, func(src workload.Source) error {
+			_, err := RunSourceCtx(context.Background(), src, 1000, 2000, Baseline())
+			return err
+		}},
+		{"sampled run, budget check", 0, 1, func(src workload.Source) error {
+			_, _, err := RunSampled(context.Background(), src, 1000, 6000, Baseline(), sp)
+			return err
+		}},
+		{"sampled run, intervals", 1, uint64(sp.Intervals), func(src workload.Source) error {
+			_, _, err := RunSampled(context.Background(), src, 1000, 6000, Baseline(), sp)
+			return err
+		}},
+		{"checkpoint build", 0, 1, func(src workload.Source) error {
+			_, _, err := BuildCheckpoints(src, Baseline(), 2000, 10000)
+			return err
+		}},
+	} {
+		src := openPanicSource{Source: sampleProfile(t, "gcc"), skip: tc.skip, opens: new(atomic.Int64)}
+		panics := mRunPanics.Value()
+		var err error
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Errorf("%s: a panic in Open escaped: %v", tc.name, rec)
+				}
+			}()
+			err = tc.run(src)
+		}()
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: err = %v, want a recovered panic", tc.name, err)
+		}
+		if got := mRunPanics.Value() - panics; got != tc.panics {
+			t.Errorf("%s: bebop_core_run_panics_total advanced by %d, want %d", tc.name, got, tc.panics)
+		}
+	}
 }
 
 // TestBuildCheckpointsRecoversStreamPanic: a stream that panics during

@@ -3,12 +3,12 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"reflect"
-	"sort"
 
 	"bebop/internal/branch"
 	"bebop/internal/cache"
 	"bebop/internal/memdep"
+	"bebop/internal/predictor"
+	"bebop/internal/specwindow"
 )
 
 // Checkpoint is the aggregate microarchitectural state of a drained
@@ -16,9 +16,8 @@ import (
 // caches, history — and nothing that lives inside a cycle (ROB, queues,
 // in-flight µ-ops must be empty when one is taken). All fields are
 // exported plain data (fixed-width integers, bools, strings, arrays,
-// slices, structs, pointers and the registered VP payload) so the
-// checkpoint side-file codec (internal/trace) can walk them by
-// reflection.
+// slices, structs and pointers) so the checkpoint side-file codec
+// (internal/trace) can walk them by reflection.
 //
 // A checkpoint represents *continuous functional warming from
 // instruction 0* up to InstOffset: restoring it and running detailed
@@ -42,63 +41,29 @@ type Checkpoint struct {
 
 	// VPName and VP carry the value predictor state when the
 	// configuration has one that supports snapshotting (VPSnapshotter).
-	// The payload's concrete type must be registered by its package with
-	// RegisterVPPayload.
 	VPName string
-	VP     any
+	VP     *VPSnapshot
+}
+
+// VPSnapshot is the checkpoint form of the block-based value predictor
+// (bebop.BlockVP): the D-VTAGE tables and the speculative window, plus
+// the prediction counters. The FIFO update queue is deliberately
+// absent — it holds in-flight per-µ-op state, and snapshots are only
+// legal when the pipeline (and therefore the FIFO) has drained.
+type VPSnapshot struct {
+	DVT   *predictor.DVTAGESnapshot
+	Win   *specwindow.Snapshot
+	Stats VPStats
 }
 
 // VPSnapshotter is the optional checkpoint interface of a VP
-// implementation. SnapshotVP returns a payload of plain exported data
-// whose concrete type the implementing package registered with
-// RegisterVPPayload; RestoreVP accepts the same payload back.
+// implementation. RestoreVP accepts what SnapshotVP returns.
 // Implementations must refuse to snapshot while they hold in-flight
 // (per-µ-op) state.
 type VPSnapshotter interface {
-	SnapshotVP() (any, error)
-	RestoreVP(s any) error
+	SnapshotVP() (*VPSnapshot, error)
+	RestoreVP(s *VPSnapshot) error
 }
-
-// VPPayload is a registered VP snapshot payload: the concrete type a
-// VPSnapshotter's SnapshotVP returns and the tag the checkpoint
-// side-file stores in front of it.
-type VPPayload struct {
-	Tag  uint8
-	Type reflect.Type
-}
-
-// vpPayloads is the payload registration table, filled by package init
-// functions and kept sorted by tag.
-var vpPayloads []VPPayload
-
-// RegisterVPPayload registers the concrete payload type of a
-// VPSnapshotter under tag, so the side-file codec can encode the
-// Checkpoint.VP field. sample is any value of that type, typically a
-// nil pointer; the type must be a pointer to a struct. Tags are part of
-// the side-file format: never renumber or reuse one. Call it from an
-// init function. It panics on tag 0 (reserved for "no payload"), on a
-// tag or type registered twice, or on a type that is not a pointer to
-// a struct: each is a programming error that must fail at start-up.
-func RegisterVPPayload(tag uint8, sample any) {
-	t := reflect.TypeOf(sample)
-	if tag == 0 {
-		panic("pipeline: VP payload tag 0 is reserved for an absent payload")
-	}
-	if t == nil || t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("pipeline: VP payload type %v is not a pointer to a struct", t))
-	}
-	for _, p := range vpPayloads {
-		if p.Tag == tag || p.Type == t {
-			panic(fmt.Sprintf("pipeline: VP payload %v (tag %d) collides with %v (tag %d)", t, tag, p.Type, p.Tag))
-		}
-	}
-	vpPayloads = append(vpPayloads, VPPayload{Tag: tag, Type: t})
-	sort.Slice(vpPayloads, func(i, j int) bool { return vpPayloads[i].Tag < vpPayloads[j].Tag })
-}
-
-// VPPayloads returns the registered payloads in tag order. The slice is
-// shared: callers must not modify it.
-func VPPayloads() []VPPayload { return vpPayloads }
 
 // errNotDrained is returned by Snapshot while µ-ops are in flight.
 var errNotDrained = errors.New("pipeline: snapshot requires a drained pipeline (no in-flight µ-ops)")
@@ -126,12 +91,12 @@ func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
 		if !ok {
 			return nil, fmt.Errorf("pipeline: value predictor %s does not support checkpoints", p.cfg.VP.Name())
 		}
-		payload, err := vs.SnapshotVP()
+		snap, err := vs.SnapshotVP()
 		if err != nil {
 			return nil, err
 		}
 		ck.VPName = p.cfg.VP.Name()
-		ck.VP = payload
+		ck.VP = snap
 	}
 	return ck, nil
 }

@@ -87,13 +87,12 @@ type Config struct {
 	// StoreSetEntries sizes the store-set predictor tables (1K).
 	StoreSetEntries int
 
-	// VP is the value prediction infrastructure; nil disables VP.
+	// VP is the value prediction infrastructure; nil disables VP. With
+	// VP set, load-immediate µ-ops execute in the front end using the VP
+	// write ports (Section II-B3).
 	VP VP
 	// EOLE enables the Early/Late execution stages; requires VP.
 	EOLE bool
-	// FreeLoadImm executes load-immediate µ-ops in the front end using the
-	// VP write ports (Section II-B3); requires VP.
-	FreeLoadImm bool
 
 	// CollectH2P enables per-PC hard-to-predict attribution: every branch
 	// and value misprediction in the measured window is charged to its
@@ -132,7 +131,6 @@ func DefaultConfig() Config {
 // (Baseline_VP-style: VP with commit-time validation, no EOLE).
 func (c Config) WithVP(vp VP) Config {
 	c.VP = vp
-	c.FreeLoadImm = true
 	c.MinFetchToCommit = 20
 	if c.Name == "Baseline_6_60" {
 		c.Name = "Baseline_VP_6_60"

@@ -47,7 +47,7 @@ func (p *Processor) classifyDispatch(u *UOp) bool {
 	}
 	// Free load-immediate: the decoded immediate is placed in the PRF
 	// using the VP write ports; no IQ entry, no execution (Section II-B3).
-	if u.IsLoadImm && p.cfg.FreeLoadImm && p.cfg.VP != nil {
+	if u.IsLoadImm && p.cfg.VP != nil {
 		return false
 	}
 	if u.Class == isa.ClassNop {
@@ -89,7 +89,7 @@ func (p *Processor) dispatch(u *UOp, needsIQ bool) {
 
 	if !needsIQ {
 		switch {
-		case u.IsLoadImm && p.cfg.FreeLoadImm && p.cfg.VP != nil:
+		case u.IsLoadImm && p.cfg.VP != nil:
 			u.Executed = true
 			u.DoneAt = p.now
 			u.EarlyExec = true

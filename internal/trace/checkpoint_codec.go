@@ -30,7 +30,6 @@ import (
 //	  slice              u64 length | its elements
 //	  struct             its exported fields in declaration order
 //	  pointer            u8 presence (0 nil, 1 set) | the pointee
-//	  any                u8 payload tag (0 nil) | the registered payload
 //
 // The index gives each point's instruction offset and the file offset
 // its encoding starts at; a point ends where the next one (or the index)
@@ -42,9 +41,11 @@ import (
 // through encoding/binary, so decoding is a handful of copies per table.
 // Fields are found by reflection: a new snapshot field is encoded with
 // no change here. The fingerprint hashes the field names and kinds the
-// walk visits, registered VP payloads included in tag order, so any
-// change to a snapshot struct changes it and the reader refuses the
-// older side-files it would otherwise misread.
+// walk visits, so any change to a snapshot struct changes it and the
+// reader refuses the older side-files it would otherwise misread. The
+// value predictor's state is the typed pipeline.VPSnapshot pointer, so
+// interfaces, which would need a registry of concrete types, are
+// refused.
 const (
 	checkpointMagic   = "BBCk"
 	checkpointVersion = 3
@@ -59,8 +60,7 @@ const (
 )
 
 // checkpointLayout returns the layout fingerprint, or why
-// pipeline.Checkpoint cannot be encoded. It runs once, on first use,
-// after every package init has registered its VP payloads.
+// pipeline.Checkpoint cannot be encoded. It runs once, on first use.
 var checkpointLayout = sync.OnceValues(func() (uint64, error) {
 	h := fnv.New64a()
 	if err := describeLayout(h, reflect.TypeFor[pipeline.Checkpoint](), nil); err != nil {
@@ -71,8 +71,8 @@ var checkpointLayout = sync.OnceValues(func() (uint64, error) {
 
 // describeLayout writes the canonical description of t's encoded layout
 // to w, refusing what the codec cannot encode: unexported fields,
-// recursive structs, interfaces other than any, and kinds outside the
-// table above. open holds the structs being described, outermost first.
+// recursive structs, and kinds outside the table above (interfaces
+// among them). open holds the structs being described, outermost first.
 func describeLayout(w io.Writer, t reflect.Type, open []reflect.Type) error {
 	switch k := t.Kind(); k {
 	case reflect.Array:
@@ -84,19 +84,6 @@ func describeLayout(w io.Writer, t reflect.Type, open []reflect.Type) error {
 	case reflect.Pointer:
 		fmt.Fprint(w, "*")
 		return describeLayout(w, t.Elem(), open)
-	case reflect.Interface:
-		if t.NumMethod() != 0 {
-			return fmt.Errorf("interface %s has methods; only any carries a registered payload", t)
-		}
-		fmt.Fprint(w, "any{")
-		for _, p := range pipeline.VPPayloads() {
-			fmt.Fprintf(w, "%d:", p.Tag)
-			if err := describeLayout(w, p.Type, open); err != nil {
-				return fmt.Errorf("VP payload %s: %w", p.Type, err)
-			}
-			fmt.Fprint(w, ";")
-		}
-		fmt.Fprint(w, "}")
 	case reflect.Struct:
 		for _, o := range open {
 			if o == t {
@@ -161,7 +148,7 @@ func minSize(t reflect.Type) int {
 	switch t.Kind() {
 	case reflect.String, reflect.Slice:
 		return 8
-	case reflect.Pointer, reflect.Interface:
+	case reflect.Pointer:
 		return 1
 	case reflect.Array:
 		return t.Len() * minSize(t.Elem())
@@ -181,24 +168,6 @@ func baseKind(t reflect.Type) reflect.Kind {
 		t = t.Elem()
 	}
 	return t.Kind()
-}
-
-func payloadTag(t reflect.Type) (uint8, bool) {
-	for _, p := range pipeline.VPPayloads() {
-		if p.Type == t {
-			return p.Tag, true
-		}
-	}
-	return 0, false
-}
-
-func payloadType(tag uint8) (reflect.Type, bool) {
-	for _, p := range pipeline.VPPayloads() {
-		if p.Tag == tag {
-			return p.Type, true
-		}
-	}
-	return nil, false
 }
 
 // ckptEncoder streams a side-file into a bufio.Writer. A write error
@@ -286,17 +255,6 @@ func (e *ckptEncoder) value(v reflect.Value) error {
 			return nil
 		}
 		e.fixed(1, 1)
-		return e.value(v.Elem())
-	case reflect.Interface:
-		if v.IsNil() {
-			e.fixed(0, 1)
-			return nil
-		}
-		tag, ok := payloadTag(v.Elem().Type())
-		if !ok {
-			return fmt.Errorf("VP payload type %s is not registered", v.Elem().Type())
-		}
-		e.fixed(uint64(tag), 1)
 		return e.value(v.Elem())
 	default:
 		return fmt.Errorf("unsupported kind %s", k)
@@ -673,27 +631,6 @@ func (d *ckptDecoder) value(v reflect.Value) error {
 		default:
 			return fmt.Errorf("presence byte %d", present)
 		}
-	case reflect.Interface:
-		tag, err := d.fixed(1)
-		if err != nil {
-			return err
-		}
-		if tag == 0 {
-			v.SetZero()
-			return nil
-		}
-		t, ok := payloadType(uint8(tag))
-		if !ok {
-			return fmt.Errorf("unknown VP payload tag %d", tag)
-		}
-		p := reflect.New(t).Elem()
-		if !v.IsNil() && v.Elem().Type() == t {
-			p.Set(v.Elem()) // decode into the payload already there
-		}
-		if err := d.value(p); err != nil {
-			return err
-		}
-		v.Set(p)
 	default:
 		return fmt.Errorf("unsupported kind %s", k)
 	}

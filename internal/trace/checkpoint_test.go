@@ -90,7 +90,7 @@ func nilEmptySlices(v reflect.Value) {
 		for i := range v.NumField() {
 			nilEmptySlices(v.Field(i))
 		}
-	case reflect.Pointer, reflect.Interface:
+	case reflect.Pointer:
 		if !v.IsNil() {
 			nilEmptySlices(v.Elem())
 		}
@@ -100,11 +100,10 @@ func nilEmptySlices(v reflect.Value) {
 // fillDistinct sets everything reachable from v to non-zero values that
 // differ from one another (bools are simply true): integers get every
 // byte set, signed ones often negative, and each slice three elements.
-// The interface field gets a filled payload of type payload. It fails
-// the test on an unexported field or a kind the side-file cannot carry,
-// so a new snapshot field the codec would refuse fails here, not in a
-// user's run.
-func fillDistinct(t testing.TB, v reflect.Value, at string, payload reflect.Type, next *uint64) {
+// It fails the test on an unexported field or a kind the side-file
+// cannot carry, so a new snapshot field the codec would refuse fails
+// here, not in a user's run.
+func fillDistinct(t testing.TB, v reflect.Value, at string, next *uint64) {
 	t.Helper()
 	switch v.Kind() {
 	case reflect.Bool:
@@ -120,12 +119,12 @@ func fillDistinct(t testing.TB, v reflect.Value, at string, payload reflect.Type
 		v.SetString(fmt.Sprintf("%s#%d", at, *next))
 	case reflect.Array:
 		for i := range v.Len() {
-			fillDistinct(t, v.Index(i), fmt.Sprintf("%s[%d]", at, i), payload, next)
+			fillDistinct(t, v.Index(i), fmt.Sprintf("%s[%d]", at, i), next)
 		}
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 3, 3))
 		for i := range v.Len() {
-			fillDistinct(t, v.Index(i), fmt.Sprintf("%s[%d]", at, i), payload, next)
+			fillDistinct(t, v.Index(i), fmt.Sprintf("%s[%d]", at, i), next)
 		}
 	case reflect.Struct:
 		for i := range v.NumField() {
@@ -133,28 +132,24 @@ func fillDistinct(t testing.TB, v reflect.Value, at string, payload reflect.Type
 			if !f.IsExported() {
 				t.Fatalf("%s.%s is unexported: the side-file codec cannot carry it", at, f.Name)
 			}
-			fillDistinct(t, v.Field(i), at+"."+f.Name, payload, next)
+			fillDistinct(t, v.Field(i), at+"."+f.Name, next)
 		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
-		fillDistinct(t, v.Elem(), at, payload, next)
-	case reflect.Interface:
-		p := reflect.New(payload).Elem()
-		fillDistinct(t, p, at, payload, next)
-		v.Set(p)
+		fillDistinct(t, v.Elem(), at, next)
 	default:
 		t.Fatalf("%s has kind %s, which the side-file codec cannot carry", at, v.Kind())
 	}
 }
 
 // filledFile is a valid side-file whose first point has every field set
-// by fillDistinct, carrying the given VP payload type, and whose second
-// point has every pointer, slice and the payload absent.
-func filledFile(t testing.TB, payload reflect.Type) *CheckpointFile {
+// by fillDistinct, and whose second point has every pointer and slice
+// absent.
+func filledFile(t testing.TB) *CheckpointFile {
 	t.Helper()
 	var next uint64
 	full := new(pipeline.Checkpoint)
-	fillDistinct(t, reflect.ValueOf(full).Elem(), "Checkpoint", payload, &next)
+	fillDistinct(t, reflect.ValueOf(full).Elem(), "Checkpoint", &next)
 	full.InstOffset, full.ConfigName = 1, "cfg"
 	sparse := &pipeline.Checkpoint{InstOffset: 2, ConfigName: "cfg"}
 	return &CheckpointFile{TraceName: "trace", TraceInsts: 10, ConfigName: "cfg",
@@ -190,25 +185,20 @@ func readCheckpoints(r io.ReaderAt, size int64) (*CheckpointFile, error) {
 }
 
 // TestCheckpointCodecCompleteness fills every exported field of
-// pipeline.Checkpoint and of each registered VP payload and requires an
-// exact round trip through the side-file.
+// pipeline.Checkpoint, the value predictor snapshot included, and
+// requires an exact round trip through the side-file.
 func TestCheckpointCodecCompleteness(t *testing.T) {
-	if len(pipeline.VPPayloads()) == 0 {
-		t.Fatal("no VP payload registered; the BeBoP snapshot registers at init")
+	cf := filledFile(t)
+	path := filepath.Join(t.TempDir(), "filled"+CheckpointExt)
+	if err := WriteCheckpoints(path, cf); err != nil {
+		t.Fatalf("WriteCheckpoints: %v", err)
 	}
-	for _, p := range pipeline.VPPayloads() {
-		cf := filledFile(t, p.Type)
-		path := filepath.Join(t.TempDir(), "filled"+CheckpointExt)
-		if err := WriteCheckpoints(path, cf); err != nil {
-			t.Fatalf("%s: WriteCheckpoints: %v", p.Type, err)
-		}
-		got, err := LoadCheckpoints(path)
-		if err != nil {
-			t.Fatalf("%s: LoadCheckpoints: %v", p.Type, err)
-		}
-		if !reflect.DeepEqual(cf, got) {
-			t.Errorf("%s: filled side-file does not round-trip:\nwrote %+v\nread  %+v", p.Type, cf.Points[0], got.Points[0])
-		}
+	got, err := LoadCheckpoints(path)
+	if err != nil {
+		t.Fatalf("LoadCheckpoints: %v", err)
+	}
+	if !reflect.DeepEqual(cf, got) {
+		t.Errorf("filled side-file does not round-trip:\nwrote %+v\nread  %+v", cf.Points[0], got.Points[0])
 	}
 }
 
@@ -224,6 +214,7 @@ func TestCheckpointLayoutRefusesWhatItCannotEncode(t *testing.T) {
 		{"float", reflect.TypeFor[struct{ F float64 }]()},
 		{"map", reflect.TypeFor[struct{ M map[int]int }]()},
 		{"interface with methods", reflect.TypeFor[struct{ E error }]()},
+		{"empty interface", reflect.TypeFor[struct{ A any }]()},
 		{"recursive struct", reflect.TypeFor[node]()},
 	} {
 		if err := describeLayout(new(bytes.Buffer), tc.typ, nil); err == nil {
@@ -239,20 +230,20 @@ func TestCheckpointLayoutRefusesWhatItCannotEncode(t *testing.T) {
 // the load with an error that is not Transient, so sim rebuilds the
 // file instead of retrying.
 func TestLoadCheckpointsRejects(t *testing.T) {
-	payload := pipeline.VPPayloads()[0].Type
-	valid := encodeFile(t, filledFile(t, payload))
+	valid := encodeFile(t, filledFile(t))
 
-	// The payload tag is the first byte where the file with the payload
-	// and the file without it differ; a bool is found the same way.
+	// The VP snapshot's presence byte is the first byte where the file
+	// with the snapshot and the file without it differ; a bool is found
+	// the same way.
 	firstDiff := func(edit func(*pipeline.Checkpoint)) int {
-		cf := filledFile(t, payload)
+		cf := filledFile(t)
 		edit(cf.Points[0])
 		at := 0
 		for other := encodeFile(t, cf); valid[at] == other[at]; at++ {
 		}
 		return at
 	}
-	tagAt := firstDiff(func(ck *pipeline.Checkpoint) { ck.VP = nil })
+	presentAt := firstDiff(func(ck *pipeline.Checkpoint) { ck.VP = nil })
 	boolAt := firstDiff(func(ck *pipeline.Checkpoint) { ck.BTB.Valid[0] = false })
 
 	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.ckpt"))
@@ -287,7 +278,7 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 		{"bad magic", patch(0, 'X')},
 		{"bad version", patch(4, 1, 0)},
 		{"bad fingerprint", patch(6, valid[6]^0xFF)},
-		{"unknown payload tag", patch(tagAt, 0xEE)},
+		{"presence byte other than 0 or 1", patch(presentAt, 2)},
 		{"bool byte other than 0 or 1", patch(boolAt, 2)},
 		{"name longer than the file", patch(14, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)},
 		{"more points than the file holds", patch(46, 0, 0, 0, 0, 0, 1)},
@@ -529,7 +520,7 @@ func TestRunSampledOverOneSetAnyParallelism(t *testing.T) {
 // the result is an error or a clean run, never a panic. Run with
 // `go test -run '^$' -fuzz FuzzLoadCheckpoints ./internal/trace`.
 func FuzzLoadCheckpoints(f *testing.F) {
-	valid := encodeFile(f, filledFile(f, pipeline.VPPayloads()[0].Type))
+	valid := encodeFile(f, filledFile(f))
 	for _, cut := range []int{0, 4, 14, 30, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:cut])
 	}

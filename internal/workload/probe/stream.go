@@ -94,6 +94,12 @@ func (b *builder) padBlock() {
 	b.nextPC += isa.FetchBlockSize - off
 }
 
+// maxPressure bounds the pressure of the families whose static program
+// grows with it (one branch, block or pattern slot per unit), so a
+// request cannot ask for an unbounded build. It sits 16× above the
+// largest default grid point among them, vp-capacity's 4096.
+const maxPressure = 1 << 16
+
 // retireBlocks is the number of full nop fetch blocks (16 µ-ops each)
 // that addNopBlocks callers insert to push a value block's recurrence
 // distance past the 192-entry ROB. BeBoP's speculative window seeds a
@@ -332,8 +338,8 @@ func balanced16(rng *util.RNG) []bool {
 // it. Periods are kept >= 4 elsewhere so the 64-bit path history (~21
 // taken targets) cannot shortcut the direction history.
 func buildTAGEHistory(period int) (*program, error) {
-	if period < 2 {
-		return nil, fmt.Errorf("period must be >= 2, got %d", period)
+	if period < 2 || period > maxPressure {
+		return nil, fmt.Errorf("period must be in 2..%d, got %d", maxPressure, period)
 	}
 	b := newBuilder(seedFor("tage-history", period))
 	b.addCond(onceEvery(period))
@@ -346,8 +352,8 @@ func buildTAGEHistory(period int) (*program, error) {
 // entries; past the tagged components' capacity, entries evict each
 // other and the per-branch mispredict rate climbs toward 50%.
 func buildTAGECapacity(branches int) (*program, error) {
-	if branches < 1 {
-		return nil, fmt.Errorf("branches must be >= 1, got %d", branches)
+	if branches < 1 || branches > maxPressure {
+		return nil, fmt.Errorf("branches must be in 1..%d, got %d", maxPressure, branches)
 	}
 	b := newBuilder(seedFor("tage-capacity", branches))
 	for i := 0; i < branches; i++ {
@@ -365,8 +371,8 @@ func buildTAGECapacity(branches int) (*program, error) {
 // longest TAGE history — the cliff moves with MaxHist, not with
 // capacity.
 func buildTAGEDilution(decoys int) (*program, error) {
-	if decoys < 0 {
-		return nil, fmt.Errorf("decoys must be >= 0, got %d", decoys)
+	if decoys < 0 || decoys > maxPressure {
+		return nil, fmt.Errorf("decoys must be in 0..%d, got %d", maxPressure, decoys)
 	}
 	b := newBuilder(seedFor("tage-dilution", decoys))
 	b.addCond(onceEvery(8))
@@ -415,8 +421,8 @@ func buildVPStride(stride int) (*program, error) {
 // phases, the shared entry mispredicts every period and coverage decays
 // toward (max(HistLens)/2+1)/period.
 func buildVPHistory(period int) (*program, error) {
-	if period < 2 {
-		return nil, fmt.Errorf("period must be >= 2, got %d", period)
+	if period < 2 || period > maxPressure {
+		return nil, fmt.Errorf("period must be in 2..%d, got %d", maxPressure, period)
 	}
 	strides := make([]int64, period)
 	for i := 0; i < period-1; i++ {
@@ -445,8 +451,8 @@ func buildVPHistory(period int) (*program, error) {
 // mapped alone is ~e^(-blocks/N): coverage rolls off smoothly and sits
 // near zero once blocks >> N.
 func buildVPCapacity(blocks int) (*program, error) {
-	if blocks < 1 {
-		return nil, fmt.Errorf("blocks must be >= 1, got %d", blocks)
+	if blocks < 1 || blocks > maxPressure {
+		return nil, fmt.Errorf("blocks must be in 1..%d, got %d", maxPressure, blocks)
 	}
 	b := newBuilder(seedFor("vp-capacity", blocks))
 	for i := 0; i < blocks; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -300,10 +301,13 @@ func TestSamplingSpecValidation(t *testing.T) {
 		t.Errorf("Validate mutated the caller's SamplingSpec: %+v", sp)
 	}
 
-	// Checkpoints need a file to live next to.
-	inline := RunSpec{Profile: &Profile{Name: "p"}, Insts: 40_000,
-		Sampling: &SamplingSpec{Checkpoints: true}}
-	if _, err := inline.Validate(); err == nil {
-		t.Error("checkpoints over an inline profile accepted")
+	// Checkpoints need a file to live next to: an inline profile, a
+	// synthetic catalog entry and a probe have none.
+	prof := Profiles()[0]
+	for _, spec := range []RunSpec{{Profile: &prof}, {Workload: "gcc"}, {Workload: "probe/vp-stride/16"}} {
+		spec.Insts, spec.Sampling = 40_000, &SamplingSpec{Checkpoints: true}
+		if _, err := spec.Validate(); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("checkpoints over workload %q, profile %v: %v, want ErrInvalidSpec", spec.Workload, spec.Profile != nil, err)
+		}
 	}
 }

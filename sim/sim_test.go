@@ -16,6 +16,7 @@ import (
 	"bebop/internal/engine"
 	"bebop/internal/trace"
 	"bebop/internal/workload"
+	"bebop/internal/workload/probe"
 )
 
 func TestRunMatchesCore(t *testing.T) {
@@ -160,6 +161,81 @@ func TestValidationErrorsListValidNames(t *testing.T) {
 		if _, err := spec.Validate(); err == nil {
 			t.Fatalf("spec %+v validated, want error", spec)
 		}
+	}
+}
+
+// TestValidateRefusesWhatCannotRun: a spec the simulator cannot execute
+// fails validation with ErrInvalidSpec, instead of panicking in the
+// generator or the predictor, or building an unbounded probe program.
+// Everything the SDK ships must still validate.
+func TestValidateRefusesWhatCannotRun(t *testing.T) {
+	okProfile := Profile{Name: "p", NumLoops: 1, LoopBodyMin: 8, LoopBodyMax: 8, IterMin: 2, IterMax: 2, DepDepth: 4}
+	profile := func(edit func(*Profile)) RunSpec {
+		p := okProfile
+		edit(&p)
+		return RunSpec{Profile: &p, Insts: 3000}
+	}
+	okGeometry := BeBoPConfig{NPred: 6, BaseEntries: 128, TaggedEntries: 64, StrideBits: 8, WindowSize: 32}
+	geometry := func(edit func(*BeBoPConfig)) RunSpec {
+		bb := okGeometry
+		edit(&bb)
+		return RunSpec{Workload: "swim", BeBoP: &bb}
+	}
+	cases := map[string]RunSpec{
+		"profile without DepDepth":        profile(func(p *Profile) { p.DepDepth = 0 }),
+		"profile without loops":           {Profile: &Profile{Name: "p"}},
+		"profile with negative footprint": profile(func(p *Profile) { p.FootprintLog2 = -1 }),
+		"profile with 2^64 footprint":     profile(func(p *Profile) { p.FootprintLog2 = 64 }),
+		"profile with negative entropy":   profile(func(p *Profile) { p.HistEntropyLog2 = -1 }),
+		"profile with 2^64 contexts":      profile(func(p *Profile) { p.HistEntropyLog2 = 64 }),
+		"profile of 2^20 static insts":    profile(func(p *Profile) { p.NumLoops, p.LoopBodyMax = 1024, 1024 }),
+		"profile with huge minimum body":  profile(func(p *Profile) { p.LoopBodyMin = 1 << 20 }),
+		"profile with negative body":      profile(func(p *Profile) { p.LoopBodyMin = -1 << 62 }),
+		"profile with overflowing iters":  profile(func(p *Profile) { p.IterMin, p.IterMax = 0, 1<<63-1 }),
+		"profile with negative iters":     profile(func(p *Profile) { p.IterMin = -1 }),
+		"geometry of 100 base entries":    geometry(func(bb *BeBoPConfig) { bb.BaseEntries = 100 }),
+		"geometry of 96 tagged entries":   geometry(func(bb *BeBoPConfig) { bb.TaggedEntries = 96 }),
+		"geometry of 9 predictions":       geometry(func(bb *BeBoPConfig) { bb.NPred = 9 }),
+		"geometry of 2^17 base entries":   geometry(func(bb *BeBoPConfig) { bb.BaseEntries = 1 << 17 }),
+		"geometry of 2^17 tagged entries": geometry(func(bb *BeBoPConfig) { bb.TaggedEntries = 1 << 17 }),
+		"geometry of a 2^17 window":       geometry(func(bb *BeBoPConfig) { bb.WindowSize = 1 << 17 }),
+		"geometry of 65-bit strides":      geometry(func(bb *BeBoPConfig) { bb.StrideBits = 65 }),
+		"probe of 2^30 branches":          {Workload: "probe/tage-capacity/1073741824"},
+	}
+	// Each family whose program grows with its pressure is capped at 2^16.
+	for _, fam := range []string{"tage-history", "tage-capacity", "tage-dilution", "vp-history", "vp-capacity"} {
+		cases["probe "+fam+" past its cap"] = RunSpec{Workload: probe.SourceName(fam, 1<<16+1)}
+	}
+	for name, spec := range cases {
+		if _, err := spec.Validate(); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidSpec", name, err)
+		}
+	}
+
+	valid := []RunSpec{
+		{Profile: &okProfile},
+		{Workload: "swim", BeBoP: &okGeometry},
+		{Workload: "swim", BeBoP: &BeBoPConfig{NPred: 8, BaseEntries: 1 << 16, TaggedEntries: 1 << 16, StrideBits: 64, WindowSize: 1 << 16}},
+	}
+	for _, p := range Profiles() {
+		valid = append(valid, RunSpec{Profile: &p})
+	}
+	for _, f := range probe.Families() {
+		for _, pressure := range f.Grid {
+			valid = append(valid, RunSpec{Workload: probe.SourceName(f.Name, pressure)})
+		}
+		if f.Name != "bebop-block" { // whose pressure is capped by the fetch block
+			valid = append(valid, RunSpec{Workload: probe.SourceName(f.Name, 1<<16)})
+		}
+	}
+	for _, spec := range valid {
+		if _, err := spec.Validate(); err != nil {
+			t.Errorf("workload %q, profile %+v, geometry %+v: %v", spec.Workload, spec.Profile, spec.BeBoP, err)
+		}
+	}
+	rep, err := Run(context.Background(), RunSpec{Profile: &okProfile, Insts: 2000})
+	if err != nil || rep.Insts == 0 {
+		t.Errorf("the smallest valid profile does not run: %v", err)
 	}
 }
 

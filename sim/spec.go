@@ -11,6 +11,7 @@ import (
 
 	"bebop/internal/core"
 	"bebop/internal/experiments"
+	"bebop/internal/predictor"
 	"bebop/internal/specwindow"
 	"bebop/internal/trace"
 	"bebop/internal/util"
@@ -56,7 +57,10 @@ type RunSpec struct {
 	// Exactly one of Workload, Trace and Profile selects what to run:
 	// Workload names a catalog entry (a Table II synthetic benchmark or,
 	// with TraceDir, a recorded trace), Trace is a .bbt file path, and
-	// Profile embeds a custom synthetic benchmark inline.
+	// Profile embeds a custom synthetic benchmark inline; it needs a
+	// name, NumLoops and DepDepth of at least 1, non-negative loop
+	// bodies and trip counts, both log2 fields in [0, 63] and at most
+	// 65,536 static instructions.
 	Workload string   `json:"workload,omitempty"`
 	Trace    string   `json:"trace,omitempty"`
 	Profile  *Profile `json:"profile,omitempty"`
@@ -127,16 +131,17 @@ type SamplingSpec struct {
 // BeBoPConfig is a custom block-based D-VTAGE geometry, the exploration
 // knobs of Section VI-B / Fig. 6-7 as data.
 type BeBoPConfig struct {
-	// NPred is the number of predictions per block entry (paper: 4-8).
+	// NPred is the number of predictions per block entry (paper: 4-8;
+	// at most 8).
 	NPred int `json:"npred"`
 	// BaseEntries and TaggedEntries size the D-VTAGE base component and
-	// each of the six tagged components.
+	// each of the six tagged components: powers of two up to 65,536.
 	BaseEntries   int `json:"base_entries"`
 	TaggedEntries int `json:"tagged_entries"`
-	// StrideBits is the partial stride width (8, 16 or 64).
+	// StrideBits is the partial stride width (8, 16 or 64; at most 64).
 	StrideBits int `json:"stride_bits"`
-	// WindowSize bounds the speculative window: >0 entries, 0 disables
-	// it, <0 is unbounded.
+	// WindowSize bounds the speculative window: >0 entries (at most
+	// 65,536), 0 disables it, <0 is unbounded.
 	WindowSize int `json:"window_size"`
 	// Policy is the squash recovery policy: one of Policies() ("Ideal",
 	// "Repred", "DnRDnR", "DnRR"). Empty means "DnRDnR", the paper's
@@ -265,9 +270,12 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 	case selected > 1:
 		return RunSpec{}, nil, fmt.Errorf("sim: %w: workload, trace and profile are mutually exclusive; set exactly one", ErrInvalidSpec)
 	}
-	if out.Profile != nil && out.Profile.Name == "" {
-		return RunSpec{}, nil, fmt.Errorf("sim: %w: inline profile needs a name", ErrInvalidSpec)
+	if out.Profile != nil {
+		if err := checkProfile(out.Profile); err != nil {
+			return RunSpec{}, nil, fmt.Errorf("sim: %w: inline profile %w", ErrInvalidSpec, err)
+		}
 	}
+	fileBacked := out.Trace != ""
 	var cat *workload.Catalog
 	switch {
 	case probe.IsProbeName(out.Workload):
@@ -281,9 +289,11 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		if cat, err = trace.Catalog(out.TraceDir); err != nil {
 			return RunSpec{}, nil, err
 		}
-		if _, ok := cat.Lookup(out.Workload); !ok {
+		src, ok := cat.Lookup(out.Workload)
+		if !ok {
 			return RunSpec{}, nil, util.UnknownName("workload", out.Workload, cat.Names())
 		}
+		_, fileBacked = src.(trace.FileSource)
 	}
 
 	// Budget.
@@ -335,8 +345,8 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 			return RunSpec{}, nil, fmt.Errorf("sim: %w: %d sampling intervals of %d+%d instructions do not fit the measured budget %d (stride %d)",
 				ErrInvalidSpec, sp.Intervals, sp.DetailWarmup, sp.IntervalInsts, out.Insts, stride)
 		}
-		if sp.Checkpoints && out.Profile != nil {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: sampling checkpoints need a trace-backed workload; an inline profile has no file to put the side-file next to", ErrInvalidSpec)
+		if sp.Checkpoints && !fileBacked {
+			return RunSpec{}, nil, fmt.Errorf("sim: %w: sampling checkpoints need a trace-backed workload; a synthetic one has no file to put the side-file next to", ErrInvalidSpec)
 		}
 		out.Sampling = &sp
 	}
@@ -377,8 +387,8 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		// Store the canonical spelling: "dnrdnr" and "DnRDnR" are one
 		// geometry, so they must normalize to one spec and one name.
 		bb.Policy = policy.String()
-		if bb.NPred <= 0 || bb.BaseEntries <= 0 || bb.TaggedEntries <= 0 || bb.StrideBits <= 0 {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: bebop geometry needs positive npred, base_entries, tagged_entries and stride_bits, got %+v", ErrInvalidSpec, bb)
+		if err := checkGeometry(bb); err != nil {
+			return RunSpec{}, nil, fmt.Errorf("sim: %w: bebop geometry %+v: %w", ErrInvalidSpec, bb, err)
 		}
 		out.BeBoP = &bb
 	}
@@ -411,6 +421,60 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 	}
 	out.Config, out.Predictor = cfg, pred
 	return out, cat, nil
+}
+
+// Bounds on what a spec may ask the simulator to build. Each sits far
+// above what the paper uses, so they refuse only requests that would
+// exhaust memory or overflow the generator's arithmetic.
+const (
+	// maxStaticInsts bounds an inline profile's static program, NumLoops
+	// bodies of up to max(LoopBodyMin, LoopBodyMax) instructions; the
+	// largest Table II profile has 1,152.
+	maxStaticInsts = 1 << 16
+	// maxIters bounds a profile's loop trip counts; Table II's largest is
+	// 2,000.
+	maxIters = 1 << 30
+	// maxEntries bounds a custom geometry's table and speculative window
+	// sizes; the paper's largest is 2,048.
+	maxEntries = 1 << 16
+)
+
+// checkProfile refuses an inline profile the generator cannot build.
+func checkProfile(p *Profile) error {
+	body := max(p.LoopBodyMin, p.LoopBodyMax, 4) // the generator's shortest body is 4
+	switch {
+	case p.Name == "":
+		return errors.New("needs a name")
+	case p.NumLoops < 1 || p.DepDepth < 1:
+		return fmt.Errorf("%q needs NumLoops and DepDepth of at least 1, got %d and %d", p.Name, p.NumLoops, p.DepDepth)
+	case p.LoopBodyMin < 0 || p.LoopBodyMax < 0:
+		return fmt.Errorf("%q needs non-negative LoopBodyMin and LoopBodyMax, got %d and %d", p.Name, p.LoopBodyMin, p.LoopBodyMax)
+	case p.NumLoops > maxStaticInsts/body:
+		return fmt.Errorf("%q has %d loops of up to %d instructions; NumLoops × LoopBodyMax must stay within %d",
+			p.Name, p.NumLoops, body, maxStaticInsts)
+	case p.IterMin < 0 || p.IterMax < 0 || p.IterMin > maxIters || p.IterMax > maxIters:
+		return fmt.Errorf("%q needs IterMin and IterMax in [0, %d], got %d and %d", p.Name, maxIters, p.IterMin, p.IterMax)
+	case p.FootprintLog2 < 0 || p.FootprintLog2 > 63 || p.HistEntropyLog2 < 0 || p.HistEntropyLog2 > 63:
+		return fmt.Errorf("%q needs FootprintLog2 and HistEntropyLog2 in [0, 63], got %d and %d", p.Name, p.FootprintLog2, p.HistEntropyLog2)
+	}
+	return nil
+}
+
+// checkGeometry refuses a custom BeBoP geometry the predictor cannot
+// build.
+func checkGeometry(bb BeBoPConfig) error {
+	switch {
+	case bb.NPred < 1 || bb.NPred > predictor.MaxNPred:
+		return fmt.Errorf("npred must be in [1, %d]", predictor.MaxNPred)
+	case !util.IsPowerOfTwo(bb.BaseEntries) || !util.IsPowerOfTwo(bb.TaggedEntries) ||
+		bb.BaseEntries > maxEntries || bb.TaggedEntries > maxEntries:
+		return fmt.Errorf("base_entries and tagged_entries must be powers of two no larger than %d", maxEntries)
+	case bb.StrideBits < 1 || bb.StrideBits > 64:
+		return errors.New("stride_bits must be in [1, 64]")
+	case bb.WindowSize > maxEntries:
+		return fmt.Errorf("window_size must be at most %d", maxEntries)
+	}
+	return nil
 }
 
 // Validate checks the sweep spec and returns its normalized form:

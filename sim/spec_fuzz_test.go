@@ -2,9 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+
+	"bebop/internal/workload/probe"
 )
 
 // FuzzRunSpecValidate drives arbitrary JSON through the public spec
@@ -17,7 +20,11 @@ import (
 //  2. normalization is idempotent: a validated spec is a fixed point of
 //     Validate, so re-validating a stored spec never drifts;
 //  3. accepted specs round-trip through JSON unchanged, so a normalized
-//     spec written to disk (or echoed in a Report) replays exactly.
+//     spec written to disk (or echoed in a Report) replays exactly;
+//  4. an accepted spec with an inline profile, a probe workload or a
+//     custom geometry runs: re-validated at a 2K-instruction budget and
+//     run, it may fail with an error (a missing trace), but never
+//     panics, not even into core's panic guard.
 func FuzzRunSpecValidate(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -27,6 +34,12 @@ func FuzzRunSpecValidate(f *testing.F) {
 		`{"workload":"probe/nope/16"}`,
 		`{"trace":"x.bbt","config":"baseline"}`,
 		`{"profile":{"Name":"p"}}`,
+		`{"profile":{"Name":"p","NumLoops":1,"LoopBodyMin":8,"LoopBodyMax":8,"IterMin":2,"IterMax":2},"insts":3000}`,
+		`{"profile":{"Name":"p","NumLoops":2,"LoopBodyMin":4,"LoopBodyMax":30,"IterMin":1,"IterMax":9,"DepDepth":3,"FootprintLog2":63,"HistEntropyLog2":63,"LoadImmFrac":0.5,"CondBrFrac":0.2}}`,
+		`{"workload":"probe/tage-capacity/65536"}`,
+		`{"workload":"probe/vp-history/65537"}`,
+		`{"workload":"swim","bebop":{"npred":8,"base_entries":128,"tagged_entries":65536,"stride_bits":64,"window_size":-1}}`,
+		`{"workload":"swim","bebop":{"npred":6,"base_entries":100,"tagged_entries":64,"stride_bits":8}}`,
 		`{"workload":"swim","bebop":{"npred":6,"base_entries":64,"tagged_entries":64,"stride_bits":8,"window_size":32}}`,
 		`{"workload":"swim","config":"baseline-vp/VTAGE","warmup":0}`,
 		`{"workload":"swim","insts":-3}`,
@@ -70,6 +83,17 @@ func FuzzRunSpecValidate(f *testing.F) {
 		}
 		if !reflect.DeepEqual(norm, decoded) {
 			t.Fatalf("JSON round trip changed the spec:\nbefore: %+v\nafter:  %+v", norm, decoded)
+		}
+		if norm.Profile == nil && norm.BeBoP == nil && !probe.IsProbeName(norm.Workload) {
+			return
+		}
+		small := norm
+		small.Insts, small.Warmup, small.Sampling = 2_000, nil, nil
+		if small, err = small.Validate(); err != nil {
+			t.Fatalf("accepted spec refused at a 2K-instruction budget: %v\nspec: %+v", err, norm)
+		}
+		if _, err := Run(context.Background(), small); err != nil && strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("accepted spec panicked: %v\nspec: %+v", err, small)
 		}
 	})
 }

@@ -254,9 +254,6 @@ func New(cfg Config) *Controller {
 // request with 503 so in-flight work can finish and the node can exit.
 func (c *Controller) SetDraining(v bool) { c.draining.Store(v) }
 
-// Depth reports the gate's holders and waiters.
-func (c *Controller) Depth() (active, queued int) { return c.gate.Depth() }
-
 // Limits describes the configured bounds for /healthz.
 func (c *Controller) Limits() map[string]any {
 	active, queued := c.gate.Depth()

@@ -249,7 +249,7 @@ func TestControllerWrapShedsQueueOverflowWithDepth(t *testing.T) {
 		}
 		first <- err
 	}()
-	waitFor(t, func() bool { a, _ := c.Depth(); return a == 1 })
+	waitFor(t, func() bool { a, _ := c.gate.Depth(); return a == 1 })
 
 	resp, err := http.Get(ts.URL)
 	if err != nil {

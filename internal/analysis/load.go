@@ -32,9 +32,6 @@ type listEntry struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
-	Incomplete bool
-	Error      *struct{ Err string }
 }
 
 // goList invokes the go command and decodes its JSON stream.

@@ -100,15 +100,6 @@ func (b *BlockVP) Name() string { return "BeBoP-D-VTAGE" }
 // the per-block predictor access reads O(1) folded-history registers.
 func (b *BlockVP) RegisterFolds(h *branch.History) { b.dvt.RegisterFolds(h) }
 
-// Predictor exposes the wrapped D-VTAGE (tests, stats).
-func (b *BlockVP) Predictor() *predictor.DVTAGE { return b.dvt }
-
-// Window exposes the speculative window (tests, stats).
-func (b *BlockVP) Window() *specwindow.Window { return b.win }
-
-// Policy returns the recovery policy.
-func (b *BlockVP) Policy() specwindow.Policy { return b.policy }
-
 // StorageBits implements pipeline.VP.
 func (b *BlockVP) StorageBits() int { return b.dvt.StorageBits() }
 

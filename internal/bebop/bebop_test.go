@@ -174,7 +174,7 @@ func TestSpecWindowSuppliesInflightValues(t *testing.T) {
 				k, u.PredValue, u.Predicted, 500*8+k*8)
 		}
 	}
-	if b.Window().Hits == 0 {
+	if b.win.Hits == 0 {
 		t.Fatal("speculative window never hit")
 	}
 }
@@ -213,7 +213,7 @@ func TestFlushRollsBackWindow(t *testing.T) {
 		b.OnSquash(uops[i])
 	}
 	b.OnFlush(99, 0xC0000)
-	if e := b.Window().Lookup(0xB0000); e != nil {
+	if e := b.win.Lookup(0xB0000); e != nil {
 		t.Fatal("window entry survived a flush that squashed its block")
 	}
 	if b.fifo.Len() != 0 {
@@ -254,11 +254,11 @@ func TestPolicyDnRRReusesPredictions(t *testing.T) {
 	// Refetch the same block: µ-op at byte 4 must reuse the surviving
 	// prediction and it must remain usable.
 	re := mkBlock(blockPC, seq+8, []uint8{4}, []uint64{600 * 4})
-	before := b.Predictor()
+	before := b.dvt
 	_ = before
-	probesBefore := b.Window().Probes
+	probesBefore := b.win.Probes
 	b.OnFetchBlock(blockPC, seq+8, h, re)
-	if b.Window().Probes != probesBefore {
+	if b.win.Probes != probesBefore {
 		t.Fatal("DnRR reuse must not re-access the predictor/window")
 	}
 	if !re[0].Predicted || !re[0].PredConfident {
@@ -282,10 +282,10 @@ func TestPolicyDnRDnRForbidsUse(t *testing.T) {
 func TestPolicyRepredRepredicts(t *testing.T) {
 	b, h, blockPC, seq := policyFlushSetup(t, specwindow.PolicyRepred)
 	fetchPartialAndFlush(b, h, blockPC, seq, []uint64{600 * 2, 600 * 4})
-	probesBefore := b.Window().Probes
+	probesBefore := b.win.Probes
 	re := mkBlock(blockPC, seq+8, []uint8{4}, []uint64{600 * 4})
 	b.OnFetchBlock(blockPC, seq+8, h, re)
-	if b.Window().Probes == probesBefore {
+	if b.win.Probes == probesBefore {
 		t.Fatal("Repred must re-access the predictor on refetch")
 	}
 }
@@ -298,10 +298,10 @@ func TestPolicyAppliesOnlyToSameBlock(t *testing.T) {
 	b.OnSquash(uops[1])
 	// Flush where the next block is different: no reuse.
 	b.OnFlush(uops[0].Seq, 0xF0000)
-	probes := b.Window().Probes
+	probes := b.win.Probes
 	re := mkBlock(blockPC, seq+8, []uint8{4}, []uint64{2})
 	b.OnFetchBlock(blockPC, seq+8, h, re)
-	if b.Window().Probes == probes {
+	if b.win.Probes == probes {
 		t.Fatal("reuse applied although the refetched block differs")
 	}
 }

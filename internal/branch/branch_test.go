@@ -241,17 +241,17 @@ func TestRASOverflowWraps(t *testing.T) {
 
 func TestRASDepth(t *testing.T) {
 	r := NewRAS(8)
-	if r.Depth() != 0 {
+	if r.depth != 0 {
 		t.Fatal("fresh RAS depth != 0")
 	}
 	r.Push(1)
 	r.Push(2)
-	if r.Depth() != 2 {
-		t.Fatalf("depth = %d", r.Depth())
+	if r.depth != 2 {
+		t.Fatalf("depth = %d", r.depth)
 	}
 	r.Pop()
-	if r.Depth() != 1 {
-		t.Fatalf("depth = %d", r.Depth())
+	if r.depth != 1 {
+		t.Fatalf("depth = %d", r.depth)
 	}
 }
 

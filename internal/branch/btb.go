@@ -127,6 +127,3 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	r.depth--
 	return addr, true
 }
-
-// Depth returns the current number of valid entries.
-func (r *RAS) Depth() int { return r.depth }

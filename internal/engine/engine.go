@@ -17,6 +17,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -43,8 +44,6 @@ var (
 		"Worker slots currently executing a job.")
 	mJobPanics = telemetry.Default.Counter("bebop_engine_job_panics_total",
 		"Worker panics recovered into per-job errors (the process survives).")
-	mJobRetries = telemetry.Default.Counter("bebop_engine_job_retries_total",
-		"Job re-executions after a transient error or recovered panic.")
 )
 
 // Job is one unit of schedulable work: a cacheable computation identified
@@ -92,16 +91,6 @@ type Options struct {
 	// be called from many goroutines concurrently and must be safe for
 	// that.
 	OnProgress func(Event)
-	// Retries bounds re-executions of a job whose attempt failed with a
-	// transient error (see Transient) or a recovered panic. 0 selects
-	// the default (2); negative disables retries. Deterministic errors
-	// are never retried.
-	Retries int
-	// RetryBackoff is the base of the exponential full-jitter backoff
-	// between attempts (default 25ms; capped at 1s per attempt). Tests
-	// shrink it; production keeps the default so a flapping dependency
-	// is not hammered.
-	RetryBackoff time.Duration
 }
 
 // Stats is a snapshot of engine counters.
@@ -122,12 +111,10 @@ type Engine[V any] struct {
 	// mu guards cache. Entries are published before execution starts so
 	// concurrent requests for the same job collapse onto one owner;
 	// waiters block on the entry's done channel, never on mu.
-	mu      sync.Mutex
-	cache   map[string]*entry[V]
-	sem     chan struct{}
-	onProg  func(Event)
-	retries int
-	backoff time.Duration
+	mu     sync.Mutex
+	cache  map[string]*entry[V]
+	sem    chan struct{}
+	onProg func(Event)
 
 	hits, misses, runs atomic.Uint64
 }
@@ -146,23 +133,10 @@ func New[V any](opts Options) *Engine[V] {
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	retries := opts.Retries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
-	bo := opts.RetryBackoff
-	if bo <= 0 {
-		bo = 25 * time.Millisecond
-	}
 	return &Engine[V]{
-		cache:   map[string]*entry[V]{},
-		sem:     make(chan struct{}, nw),
-		onProg:  opts.OnProgress,
-		retries: retries,
-		backoff: bo,
+		cache:  map[string]*entry[V]{},
+		sem:    make(chan struct{}, nw),
+		onProg: opts.OnProgress,
 	}
 }
 
@@ -204,29 +178,21 @@ func (e *Engine[V]) RunBatch(ctx context.Context, jobs []Job[V]) ([]JobResult[V]
 	return out, nil
 }
 
-// Run schedules a single job.
-func (e *Engine[V]) Run(ctx context.Context, job Job[V]) (JobResult[V], error) {
-	rs, err := e.RunBatch(ctx, []Job[V]{job})
-	return rs[0], err
-}
-
 // resolve returns the job's value, serving from cache when possible and
 // executing under a worker slot otherwise. The bool reports a cache hit.
 //
-// Failure handling: an attempt that panics is recovered into a
-// *PanicError (the entry is unpublished, so the cache never retains an
-// errored or poisoned result), and attempts that fail transiently — or
-// by panic — are re-run up to Options.Retries times with exponential
-// full-jitter backoff. Deterministic errors propagate immediately.
+// Failure handling: a job runs once per owner. An error, or a panic
+// recovered into a *PanicError, goes back to the caller as it is, and
+// the entry is unpublished first, so the cache never retains an errored
+// or poisoned result and a later submission runs the job afresh.
 func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 	var zero V
 	key := job.cacheKey()
-	attempt := 0
 
 	for {
 		// A select with both a free worker slot and a dead context ready
 		// picks randomly; check first so cancelled batches never start new
-		// work (and the retry loop below always terminates for us).
+		// work (and the waiter loop below always terminates for us).
 		if err := ctx.Err(); err != nil {
 			return zero, false, err
 		}
@@ -242,9 +208,9 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 					// The owner failed with an error of its own — possibly
 					// its caller's cancellation, which says nothing about
 					// our context. The entry was unpublished before done
-					// closed, so retry: we either become the new owner and
-					// get a result (or an error that is genuinely ours), or
-					// wait on a fresh owner.
+					// closed, so look again: we either become the new owner
+					// and get a result (or an error that is genuinely ours),
+					// or wait on a fresh owner.
 					continue
 				}
 				e.hits.Add(1)
@@ -261,8 +227,8 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 		mJobMisses.Inc()
 
 		// Claim a worker slot; on cancellation unpublish the entry so a
-		// later attempt can retry, and release any waiters with the error
-		// (they retry, see above).
+		// later submission can run the job, and release any waiters with
+		// the error (they look again, see above).
 		mQueued.Add(1)
 		select {
 		case e.sem <- struct{}{}:
@@ -287,14 +253,6 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 			e.remove(key)
 			ent.err = err
 			close(ent.done)
-			if retryable(err) && attempt < e.retries {
-				attempt++
-				mJobRetries.Inc()
-				if serr := sleepCtx(ctx, backoff(e.backoff, time.Second, attempt)); serr != nil {
-					return zero, false, serr
-				}
-				continue
-			}
 			return zero, false, err
 		}
 		ent.val = val
@@ -303,9 +261,23 @@ func (e *Engine[V]) resolve(ctx context.Context, job Job[V]) (V, bool, error) {
 	}
 }
 
-// runGuarded executes one job attempt with panic isolation: a panicking
-// Run (simulator bug, chaos injection) becomes a *PanicError carrying
-// the stack, poisoning only this job. The "engine.worker" failure point
+// PanicError is a worker panic converted into a per-job error: the
+// recovered value plus the goroutine stack at the panic site. One bad
+// job (a RunSpec that trips a simulator bug, an injected chaos panic)
+// fails with this error instead of taking the process — and with it
+// every other in-flight run — down.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("engine: job panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// runGuarded executes a job with panic isolation: a panicking Run
+// (simulator bug, chaos injection) becomes a *PanicError carrying the
+// stack, poisoning only this job. The "engine.worker" failure point
 // sits inside the guard so injected panics exercise the same recovery
 // path real ones take.
 func runGuarded[V any](ctx context.Context, job Job[V]) (val V, err error) {

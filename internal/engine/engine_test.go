@@ -15,6 +15,12 @@ func constJob(key, bench string, v int) Job[int] {
 	return Job[int]{Key: key, Bench: bench, Run: func(context.Context) (int, error) { return v, nil }}
 }
 
+// runOne schedules a single job as a batch of one.
+func runOne(ctx context.Context, e *Engine[int], job Job[int]) (JobResult[int], error) {
+	rs, err := e.RunBatch(ctx, []Job[int]{job})
+	return rs[0], err
+}
+
 func TestDistinctKeysCacheSeparately(t *testing.T) {
 	e := New[int](Options{Workers: 4})
 	var jobs []Job[int]
@@ -183,7 +189,7 @@ func TestInFlightDeduplication(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, _ := e.Run(context.Background(), job)
+			r, _ := runOne(context.Background(), e, job)
 			results[i] = r
 		}(i)
 	}
@@ -209,12 +215,12 @@ func TestErrorPropagatesToWaitersAndRetries(t *testing.T) {
 		calls.Add(1)
 		return 0, boom
 	}}
-	if _, err := e.Run(context.Background(), failing); !errors.Is(err, boom) {
+	if _, err := runOne(context.Background(), e, failing); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// Errors are not cached: the next attempt re-executes.
 	ok := constJob("k", "b", 7)
-	r, err := e.Run(context.Background(), ok)
+	r, err := runOne(context.Background(), e, ok)
 	if err != nil || r.Value != 7 {
 		t.Fatalf("retry after error: %+v, %v", r, err)
 	}
@@ -235,7 +241,7 @@ func TestWaiterSurvivesOwnerCancellation(t *testing.T) {
 
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := e.Run(ownerCtx, ownerJob)
+		_, err := runOne(ownerCtx, e, ownerJob)
 		ownerErr <- err
 	}()
 	<-ownerStarted
@@ -243,7 +249,7 @@ func TestWaiterSurvivesOwnerCancellation(t *testing.T) {
 	// A second, healthy caller attaches to the in-flight entry...
 	waiterRes := make(chan JobResult[int], 1)
 	go func() {
-		r, _ := e.Run(context.Background(), constJob("k", "b", 99))
+		r, _ := runOne(context.Background(), e, constJob("k", "b", 99))
 		waiterRes <- r
 	}()
 	time.Sleep(10 * time.Millisecond)

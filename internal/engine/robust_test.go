@@ -5,46 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bebop/internal/faultinject"
 )
 
-// TestPanicRecoveredAndRetried is the canonical robustness contract: a
-// worker that panics on attempt 1 and succeeds on attempt 2 yields a
-// successful job, not a dead process.
-func TestPanicRecoveredAndRetried(t *testing.T) {
-	var calls atomic.Int32
-	e := New[int](Options{Workers: 2, Retries: 2, RetryBackoff: time.Millisecond})
-	res, err := e.Run(context.Background(), Job[int]{
-		Key: "cfg", Bench: "b",
-		Run: func(ctx context.Context) (int, error) {
-			if calls.Add(1) == 1 {
-				panic("simulated worker crash")
-			}
-			return 7, nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("retried job failed: %v", err)
-	}
-	if res.Value != 7 {
-		t.Fatalf("value = %d, want 7", res.Value)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("job ran %d times, want 2 (panic + retry)", got)
-	}
-}
-
-// TestPanicNotCachedAndCarriesStack: with retries disabled, a panicking
-// job fails with a *PanicError carrying the stack, the cache does not
+// TestPanicNotCachedAndCarriesStack: a panicking job runs once and
+// fails with a *PanicError carrying the stack, the cache does not
 // retain the poisoned entry, and a later submission re-executes.
 func TestPanicNotCachedAndCarriesStack(t *testing.T) {
 	var calls atomic.Int32
-	e := New[int](Options{Workers: 2, Retries: -1})
+	e := New[int](Options{Workers: 2})
 	job := Job[int]{
 		Key: "cfg", Bench: "b",
 		Run: func(ctx context.Context) (int, error) {
@@ -54,10 +26,13 @@ func TestPanicNotCachedAndCarriesStack(t *testing.T) {
 			return 11, nil
 		},
 	}
-	_, err := e.Run(context.Background(), job)
+	_, err := runOne(context.Background(), e, job)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("first run error = %v, want *PanicError", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("panicking job ran %d times, want 1", got)
 	}
 	if !strings.Contains(pe.Error(), "boom 42") {
 		t.Fatalf("PanicError lost the panic value: %v", pe)
@@ -70,7 +45,7 @@ func TestPanicNotCachedAndCarriesStack(t *testing.T) {
 	}
 
 	// The poisoned result was not cached: resubmission re-executes.
-	res, err := e.Run(context.Background(), job)
+	res, err := runOne(context.Background(), e, job)
 	if err != nil || res.Value != 11 {
 		t.Fatalf("resubmission = (%v, %v), want (11, nil)", res.Value, err)
 	}
@@ -79,127 +54,10 @@ func TestPanicNotCachedAndCarriesStack(t *testing.T) {
 	}
 }
 
-// TestConcurrentDuplicatesDuringRetry: many goroutines submit the same
-// job while its first attempts are failing transiently. Every caller
-// must end with the final successful value, and the job must settle to
-// exactly one cache entry. Run under -race in CI.
-func TestConcurrentDuplicatesDuringRetry(t *testing.T) {
-	var calls atomic.Int32
-	e := New[int](Options{Workers: 4, Retries: 3, RetryBackoff: time.Millisecond})
-	job := Job[int]{
-		Key: "cfg", Bench: "b",
-		Run: func(ctx context.Context) (int, error) {
-			n := calls.Add(1)
-			if n <= 2 {
-				return 0, Transient(fmt.Errorf("flaky attempt %d", n))
-			}
-			time.Sleep(2 * time.Millisecond) // widen the in-flight window
-			return 99, nil
-		},
-	}
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	errs := make([]error, waiters)
-	vals := make([]int, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := e.Run(context.Background(), job)
-			errs[i], vals[i] = err, res.Value
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < waiters; i++ {
-		if errs[i] != nil {
-			t.Fatalf("waiter %d: %v", i, errs[i])
-		}
-		if vals[i] != 99 {
-			t.Fatalf("waiter %d got %d, want 99", i, vals[i])
-		}
-	}
-	if got := e.Stats().Entries; got != 1 {
-		t.Fatalf("cache entries = %d, want 1", got)
-	}
-}
-
-// TestDeterministicErrorNotRetried: plain errors burn no retry budget.
-func TestDeterministicErrorNotRetried(t *testing.T) {
-	var calls atomic.Int32
-	e := New[int](Options{Workers: 1, Retries: 5, RetryBackoff: time.Millisecond})
-	want := errors.New("bad spec")
-	_, err := e.Run(context.Background(), Job[int]{
-		Key: "cfg", Bench: "b",
-		Run: func(ctx context.Context) (int, error) {
-			calls.Add(1)
-			return 0, want
-		},
-	})
-	if !errors.Is(err, want) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("deterministic error retried: %d runs", got)
-	}
-}
-
-// TestTransientRetriesExhaust: a job that never stops failing
-// transiently runs 1 + Retries times and surfaces the classified error.
-func TestTransientRetriesExhaust(t *testing.T) {
-	var calls atomic.Int32
-	e := New[int](Options{Workers: 1, Retries: 2, RetryBackoff: time.Millisecond})
-	_, err := e.Run(context.Background(), Job[int]{
-		Key: "cfg", Bench: "b",
-		Run: func(ctx context.Context) (int, error) {
-			calls.Add(1)
-			return 0, Transient(errors.New("still down"))
-		},
-	})
-	if !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("runs = %d, want 1 + 2 retries", got)
-	}
-}
-
-// TestRetryHonorsCancellation: cancelling during backoff aborts the
-// retry loop promptly with the context error.
-func TestRetryHonorsCancellation(t *testing.T) {
-	var calls atomic.Int32
-	e := New[int](Options{Workers: 1, Retries: 10, RetryBackoff: time.Hour})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Run(ctx, Job[int]{
-			Key: "cfg", Bench: "b",
-			Run: func(ctx context.Context) (int, error) {
-				calls.Add(1)
-				return 0, Transient(errors.New("flaky"))
-			},
-		})
-		done <- err
-	}()
-	for calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("retry loop ignored cancellation during backoff")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("runs = %d, want 1 (backoff cancelled before retry)", got)
-	}
-}
-
 // TestEngineWorkerFaultPoint: an injected panic at the engine.worker
-// fault point is recovered through the same path as a real one.
+// fault point is recovered through the same path as a real one: the
+// job fails with a *PanicError before its body runs, and a resubmission
+// runs the body once and succeeds.
 func TestEngineWorkerFaultPoint(t *testing.T) {
 	faultinject.Default.Reset()
 	t.Cleanup(faultinject.Default.Reset)
@@ -208,59 +66,28 @@ func TestEngineWorkerFaultPoint(t *testing.T) {
 	})
 
 	var calls atomic.Int32
-	e := New[int](Options{Workers: 1, Retries: 2, RetryBackoff: time.Millisecond})
-	res, err := e.Run(context.Background(), Job[int]{
+	e := New[int](Options{Workers: 1})
+	job := Job[int]{
 		Key: "cfg", Bench: "b",
 		Run: func(ctx context.Context) (int, error) {
 			calls.Add(1)
 			return 5, nil
 		},
-	})
-	if err != nil || res.Value != 5 {
-		t.Fatalf("run = (%v, %v), want (5, nil)", res.Value, err)
 	}
-	// The injected panic fired before Run, so the job body ran once.
+	_, err := runOne(context.Background(), e, job)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("run under an injected panic: error = %v, want *PanicError", err)
+	}
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("job body ran %d times under the injected panic, want 0", got)
+	}
+
+	res, err := runOne(context.Background(), e, job)
+	if err != nil || res.Value != 5 {
+		t.Fatalf("resubmission = (%v, %v), want (5, nil)", res.Value, err)
+	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("job body ran %d times, want 1", got)
-	}
-}
-
-// TestBackoffWindow: backoff stays within the jitter window and caps.
-func TestBackoffWindow(t *testing.T) {
-	for attempt := 1; attempt <= 12; attempt++ {
-		for i := 0; i < 50; i++ {
-			d := backoff(25*time.Millisecond, time.Second, attempt)
-			if d < 0 || d > time.Second {
-				t.Fatalf("attempt %d: backoff %v outside [0, 1s]", attempt, d)
-			}
-		}
-	}
-	if d := backoff(0, time.Second, 3); d != 0 {
-		t.Fatalf("zero base produced %v", d)
-	}
-}
-
-// TestTransientClassification covers the helpers directly.
-func TestTransientClassification(t *testing.T) {
-	base := errors.New("io timeout")
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) != nil")
-	}
-	te := Transient(base)
-	if !IsTransient(te) || !errors.Is(te, base) {
-		t.Fatal("Transient lost classification or chain")
-	}
-	if IsTransient(base) {
-		t.Fatal("unclassified error reported transient")
-	}
-	wrapped := fmt.Errorf("while loading: %w", te)
-	if !IsTransient(wrapped) {
-		t.Fatal("IsTransient does not see through wrapping")
-	}
-	if retryable(context.Canceled) || retryable(Transient(context.Canceled)) {
-		t.Fatal("context errors must never retry")
-	}
-	if !retryable(&PanicError{Value: "x"}) {
-		t.Fatal("panics must be retryable")
 	}
 }

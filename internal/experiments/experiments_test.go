@@ -14,6 +14,7 @@ import (
 	"bebop/internal/core"
 	"bebop/internal/engine"
 	"bebop/internal/trace"
+	"bebop/internal/util"
 	"bebop/internal/workload"
 )
 
@@ -275,8 +276,8 @@ func TestTraceCatalogWorkloads(t *testing.T) {
 		Workloads: []string{"gcc", "gcc-replayed"},
 	})
 	res := r.Results(core.Baseline())
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2: %v", len(res), res)
@@ -289,7 +290,8 @@ func TestTraceCatalogWorkloads(t *testing.T) {
 	// Unknown names must list the catalog.
 	bad := r.WithWorkloads([]string{"missing"})
 	bad.Results(core.Baseline())
-	if err := bad.Err(); err == nil || !errors.Is(err, ErrUnknownBenchmark) ||
+	var ue *util.UnknownNameError
+	if err := bad.err; !errors.As(err, &ue) || ue.Kind != "workload" ||
 		!strings.Contains(err.Error(), "gcc-replayed") {
 		t.Fatalf("unknown workload error does not list the catalog: %v", err)
 	}

@@ -21,13 +21,6 @@ import (
 	"bebop/internal/workload"
 )
 
-// ErrUnknownBenchmark is a kind-level sentinel, so front-ends can map
-// failures onto protocol statuses with errors.Is instead of matching
-// message text. The errors carrying it are util.UnknownNameError values
-// (one shared formatting for every unknown-name failure), reachable with
-// errors.As when the caller wants the valid-name list.
-var ErrUnknownBenchmark = util.ErrUnknownKind("workload")
-
 // Options controls an experiment session.
 type Options struct {
 	// Insts is the dynamic instruction budget per workload.
@@ -52,11 +45,11 @@ func DefaultOptions() Options {
 }
 
 // Runner executes experiments on top of a shared engine. Scheduling
-// failures are recorded on the Runner (see Err) rather than returned by
-// every figure method, so a Runner is NOT safe for concurrent use by
-// multiple goroutines: derive one view per goroutine/request with
-// WithContext or WithWorkloads — the underlying engine and its result
-// cache are shared and fully concurrent.
+// failures are recorded on the Runner, for Report to return, rather
+// than returned by every figure method, so a Runner is NOT safe for
+// concurrent use by multiple goroutines: derive one view per
+// goroutine/request with WithContext or WithWorkloads — the underlying
+// engine and its result cache are shared and fully concurrent.
 type Runner struct {
 	opts Options
 	eng  *engine.Engine[pipeline.Result]
@@ -101,10 +94,6 @@ func (r *Runner) WithWorkloads(names []string) *Runner {
 // Engine exposes the underlying engine (cache statistics, worker count).
 func (r *Runner) Engine() *engine.Engine[pipeline.Result] { return r.eng }
 
-// Err returns the first scheduling error seen by this Runner (typically
-// context cancellation), or nil.
-func (r *Runner) Err() error { return r.err }
-
 // Workloads returns the selected benchmark names in catalog order
 // (Table II order for the default catalog, traces after).
 func (r *Runner) Workloads() []string {
@@ -116,8 +105,8 @@ func (r *Runner) Workloads() []string {
 
 // Results runs (or returns cached) simulations of every selected workload
 // under the configuration mk builds, cached by the configuration's name.
-// On cancellation it records the error (see Err) and returns the partial
-// results; downstream speedup math skips missing benchmarks.
+// On cancellation it records the error (Report returns it) and returns
+// the partial results; downstream speedup math skips missing benchmarks.
 func (r *Runner) Results(mk core.ConfigFactory) map[string]pipeline.Result {
 	key := mk().Name
 	names := r.Workloads()

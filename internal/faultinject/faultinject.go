@@ -117,16 +117,6 @@ func (r *Registry) Arm(name string, p Plan) {
 	r.points[name] = pt
 }
 
-// Disarm removes a point's plan; its Fire calls become free again.
-func (r *Registry) Disarm(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.points[name]; ok {
-		delete(r.points, name)
-		r.armed.Add(-1)
-	}
-}
-
 // Reset disarms every point.
 func (r *Registry) Reset() {
 	r.mu.Lock()

@@ -112,19 +112,26 @@ func TestDisarmAndReset(t *testing.T) {
 	if got := r.Armed(); len(got) != 2 {
 		t.Fatalf("armed = %v", got)
 	}
-	r.Disarm("a")
-	if err := r.Fire("a"); err != nil {
-		t.Fatal("disarmed point still fires")
-	}
-	if err := r.Fire("b"); err == nil {
-		t.Fatal("unrelated disarm killed point b")
-	}
 	r.Reset()
+	if err := r.Fire("a"); err != nil {
+		t.Fatal("reset registry still fires a")
+	}
 	if err := r.Fire("b"); err != nil {
-		t.Fatal("reset registry still fires")
+		t.Fatal("reset registry still fires b")
 	}
 	if got := r.Armed(); len(got) != 0 {
 		t.Fatalf("armed after reset = %v", got)
+	}
+	// Re-arming after a reset arms exactly that point.
+	r.Arm("b", Plan{Every: 1})
+	if err := r.Fire("a"); err != nil {
+		t.Fatal("point a fires after only b was re-armed")
+	}
+	if err := r.Fire("b"); err == nil {
+		t.Fatal("re-armed point b does not fire")
+	}
+	if got := r.Armed(); len(got) != 1 {
+		t.Fatalf("armed after re-arming b = %v", got)
 	}
 }
 

@@ -3,9 +3,9 @@ package integration
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +14,7 @@ import (
 	"bebop/internal/faultinject"
 	"bebop/internal/perf"
 	"bebop/internal/telemetry"
+	"bebop/internal/trace"
 	"bebop/internal/workload"
 	"bebop/sim"
 )
@@ -137,10 +138,10 @@ func TestChaosCheckpointPointFaultRebuildsTransparently(t *testing.T) {
 	}
 }
 
-// TestChaosCheckpointWriteFaultIsTransient: a failing side-file write
-// surfaces as an engine.Transient error — the classification the
-// engine's retry budget keys on.
-func TestChaosCheckpointWriteFaultIsTransient(t *testing.T) {
+// TestChaosCheckpointWriteFaultFailsRun: a failing side-file write
+// fails the sampled run with the write error, and leaves no side-file
+// behind for a later run to trust.
+func TestChaosCheckpointWriteFaultFailsRun(t *testing.T) {
 	const warmup, insts = 60_000, 240_000
 	src := recordTestTrace(t, t.TempDir(), "mcf", warmup+insts)
 	w := int64(warmup)
@@ -160,11 +161,16 @@ func TestChaosCheckpointWriteFaultIsTransient(t *testing.T) {
 	}
 	armFault(t, "trace.checkpoint.write", faultinject.Plan{Every: 1})
 	_, err := sim.Run(context.Background(), spec)
-	if err == nil {
-		t.Fatal("checkpoint-write fault did not surface")
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want the injected write error", err)
 	}
-	if !engine.IsTransient(err) {
-		t.Fatalf("write failure not classified transient: %v", err)
+	mk, err := core.NamedFactory(spec.Config, spec.Predictor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := trace.CheckpointPath(src.Path, mk().Name)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("side-file %s after a failed write: stat err = %v, want not-exist", path, err)
 	}
 }
 
@@ -174,7 +180,7 @@ func TestChaosCheckpointWriteFaultIsTransient(t *testing.T) {
 // deterministically hits exactly one job.
 func TestChaosWorkerPanicIsolatedToOneJob(t *testing.T) {
 	armFault(t, "engine.worker", faultinject.Plan{Mode: faultinject.ModePanic, Nth: 2})
-	e := engine.New[int](engine.Options{Workers: 1, Retries: -1})
+	e := engine.New[int](engine.Options{Workers: 1})
 	jobs := make([]engine.Job[int], 4)
 	for i := range jobs {
 		i := i
@@ -325,27 +331,5 @@ func TestChaosCheckpointBuildPanicFailsRunNotProcess(t *testing.T) {
 	}
 	if rep.Sampling == nil || rep.Sampling.CheckpointsUsed != spec.Sampling.Intervals {
 		t.Fatalf("disarmed run did not restore every interval: %+v", rep.Sampling)
-	}
-}
-
-// TestChaosEngineRetryAbsorbsTransientFaults: a fault plan that fails
-// the first two attempts of a job is absorbed by the engine's bounded
-// retry; the batch succeeds without the caller noticing.
-func TestChaosEngineRetryAbsorbsTransientFaults(t *testing.T) {
-	armFault(t, "engine.worker", faultinject.Plan{Mode: faultinject.ModePanic, Limit: 2, Every: 1})
-	var runs atomic.Int32
-	e := engine.New[int](engine.Options{Workers: 1, Retries: 3, RetryBackoff: time.Millisecond})
-	res, err := e.Run(context.Background(), engine.Job[int]{
-		Key: "cfg", Bench: "b",
-		Run: func(ctx context.Context) (int, error) { runs.Add(1); return 42, nil },
-	})
-	if err != nil || res.Value != 42 {
-		t.Fatalf("run = (%v, %v), want (42, nil)", res.Value, err)
-	}
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("job body ran %d times (faults fire before the body)", got)
-	}
-	if got := faultinject.Default.Fires("engine.worker"); got != 2 {
-		t.Fatalf("fires = %d, want the 2-fault budget exhausted", got)
 	}
 }

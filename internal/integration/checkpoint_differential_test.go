@@ -99,7 +99,13 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				}
 				hdr := r.Header()
 				r.Close()
-				if err := cf.Validate(hdr, cfg.Name); err != nil {
+				set, err := trace.OpenCheckpoints(ckPath)
+				if err != nil {
+					t.Fatalf("OpenCheckpoints: %v", err)
+				}
+				err = set.Validate(hdr, cfg.Name)
+				set.Close()
+				if err != nil {
 					t.Fatalf("Validate: %v", err)
 				}
 				if cf.Nearest(k-1) != nil {
@@ -150,28 +156,36 @@ func TestCheckpointValidationRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := &trace.CheckpointFile{TraceName: "gcc", TraceInsts: m, ConfigName: cfg.Name,
-		Points: []*pipeline.Checkpoint{ck}}
+	ckPath := trace.CheckpointPath(src.Path, cfg.Name)
+	if err := trace.WriteCheckpoints(ckPath, &trace.CheckpointFile{TraceName: "gcc", TraceInsts: m,
+		ConfigName: cfg.Name, Points: []*pipeline.Checkpoint{ck}}); err != nil {
+		t.Fatal(err)
+	}
+	set, err := trace.OpenCheckpoints(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
 	r, err := trace.OpenFile(src.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hdr := r.Header()
 	r.Close()
-	if err := cf.Validate(hdr, cfg.Name); err != nil {
+	if err := set.Validate(hdr, cfg.Name); err != nil {
 		t.Fatalf("matching identity rejected: %v", err)
 	}
-	if err := cf.Validate(hdr, "Some_Other_Config"); err == nil {
+	if err := set.Validate(hdr, "Some_Other_Config"); err == nil {
 		t.Error("wrong config accepted")
 	}
 	other := hdr
 	other.Name = "mcf"
-	if err := cf.Validate(other, cfg.Name); err == nil {
+	if err := set.Validate(other, cfg.Name); err == nil {
 		t.Error("wrong trace name accepted")
 	}
 	short := hdr
 	short.Insts = m - 1
-	if err := cf.Validate(short, cfg.Name); err == nil {
+	if err := set.Validate(short, cfg.Name); err == nil {
 		t.Error("wrong instruction total accepted")
 	}
 	// Restoring under a mismatched processor configuration is refused at

@@ -33,11 +33,11 @@ func TestAllWorkloadsConserveInstructions(t *testing.T) {
 		prof := prof
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
-			base := pipeline.New(pipeline.DefaultConfig(), workload.New(prof, n)).Run(0)
+			base := pipeline.New(pipeline.DefaultConfig(), workload.New(prof, n)).RunWarm(0, 0)
 			if base.Insts != n {
 				t.Fatalf("baseline committed %d/%d", base.Insts, n)
 			}
-			bb := pipeline.New(mkBeBoP(), workload.New(prof, n)).Run(0)
+			bb := pipeline.New(mkBeBoP(), workload.New(prof, n)).RunWarm(0, 0)
 			if bb.Insts != n {
 				t.Fatalf("BeBoP committed %d/%d", bb.Insts, n)
 			}
@@ -56,7 +56,7 @@ func TestVPAccuracyInvariant(t *testing.T) {
 			t.Parallel()
 			prof, _ := workload.ProfileByName(name)
 			cfg := pipeline.DefaultConfig().WithVP(pipeline.NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig())))
-			r := pipeline.New(cfg, workload.New(prof, n)).Run(0)
+			r := pipeline.New(cfg, workload.New(prof, n)).RunWarm(0, 0)
 			if r.VP.Used > 200 && r.VP.Accuracy() < 0.99 {
 				t.Fatalf("accuracy %.4f below design point (used=%d)", r.VP.Accuracy(), r.VP.Used)
 			}
@@ -74,9 +74,9 @@ func TestVPNeverCatastrophic(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			prof, _ := workload.ProfileByName(name)
-			base := pipeline.New(pipeline.DefaultConfig(), workload.New(prof, n)).Run(0)
+			base := pipeline.New(pipeline.DefaultConfig(), workload.New(prof, n)).RunWarm(0, 0)
 			cfg := pipeline.DefaultConfig().WithVP(pipeline.NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig())))
-			vp := pipeline.New(cfg, workload.New(prof, n)).Run(0)
+			vp := pipeline.New(cfg, workload.New(prof, n)).RunWarm(0, 0)
 			ratio := float64(base.Cycles) / float64(vp.Cycles)
 			if ratio < 0.93 {
 				t.Fatalf("VP slowed %s to %.3f of baseline", name, ratio)
@@ -99,7 +99,7 @@ func TestSpecWindowHitRate(t *testing.T) {
 		WindowSize: 32, WindowTagBits: 15, Policy: specwindow.PolicyDnRDnR,
 	})
 	cfg := pipeline.DefaultConfig().WithVP(bb).WithEOLE(4)
-	r := pipeline.New(cfg, workload.New(prof, 20000)).Run(0)
+	r := pipeline.New(cfg, workload.New(prof, 20000)).RunWarm(0, 0)
 	if r.VP.SpecWindowProbes == 0 {
 		t.Fatal("window never probed")
 	}
@@ -132,7 +132,7 @@ func TestRecoveryPoliciesAllComplete(t *testing.T) {
 				WindowSize: 16, WindowTagBits: 15, Policy: pol,
 			})
 			cfg := pipeline.DefaultConfig().WithVP(bb).WithEOLE(4)
-			r := pipeline.New(cfg, workload.New(prof, n)).Run(0)
+			r := pipeline.New(cfg, workload.New(prof, n)).RunWarm(0, 0)
 			if r.Insts != n {
 				t.Fatalf("policy %s lost instructions: %d/%d", pol, r.Insts, n)
 			}
@@ -152,8 +152,8 @@ func TestCycleCountsAreDeterministicAcrossConfigs(t *testing.T) {
 		},
 	}
 	for i, f := range mk {
-		a := pipeline.New(f(), workload.New(prof, 8000)).Run(0)
-		b := pipeline.New(f(), workload.New(prof, 8000)).Run(0)
+		a := pipeline.New(f(), workload.New(prof, 8000)).RunWarm(0, 0)
+		b := pipeline.New(f(), workload.New(prof, 8000)).RunWarm(0, 0)
 		if a.Cycles != b.Cycles {
 			t.Fatalf("config %d non-deterministic: %d vs %d", i, a.Cycles, b.Cycles)
 		}

@@ -15,9 +15,6 @@ package isa
 // 16-byte blocks per cycle (Table I).
 const FetchBlockSize = 16
 
-// FetchBlockShift is log2(FetchBlockSize).
-const FetchBlockShift = 4
-
 // MaxUOpsPerInst bounds how many µ-ops one instruction cracks into.
 const MaxUOpsPerInst = 4
 

@@ -97,8 +97,10 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
+// TestFetchBlockGeometry: BlockPC and BlockOffset mask with
+// FetchBlockSize-1, which splits a PC only for a power of two.
 func TestFetchBlockGeometry(t *testing.T) {
-	if 1<<FetchBlockShift != FetchBlockSize {
-		t.Fatal("FetchBlockShift inconsistent with FetchBlockSize")
+	if FetchBlockSize <= 0 || FetchBlockSize&(FetchBlockSize-1) != 0 {
+		t.Fatalf("FetchBlockSize %d is not a power of two", FetchBlockSize)
 	}
 }

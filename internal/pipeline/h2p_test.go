@@ -80,7 +80,7 @@ func h2pConfigWithout() Config {
 func TestH2PTopNTruncation(t *testing.T) {
 	prof, _ := workload.ProfileByName("gobmk")
 	p := New(h2pConfig(), workload.New(prof, 30000))
-	r := p.Run(0)
+	r := p.RunWarm(0, 0)
 	branches := p.h2pBr.topN(h2pTableSize)
 	if len(branches) <= 16 {
 		t.Fatalf("only %d branch PCs mispredicted; the cap is untested", len(branches))
@@ -105,20 +105,20 @@ func TestH2PTopNTruncation(t *testing.T) {
 func TestH2PPooledReset(t *testing.T) {
 	prof, _ := workload.ProfileByName("gobmk")
 	p := New(h2pConfig(), workload.New(prof, 15000))
-	r1 := p.Run(0)
+	r1 := p.RunWarm(0, 0)
 	if r1.H2P == nil {
 		t.Fatal("first run: H2P nil")
 	}
 
 	p.Release()
 	p.Reset(h2pConfigWithout(), workload.New(prof, 15000))
-	if r2 := p.Run(0); r2.H2P != nil {
+	if r2 := p.RunWarm(0, 0); r2.H2P != nil {
 		t.Fatal("reset without CollectH2P still reports H2P")
 	}
 
 	p.Release()
 	p.Reset(h2pConfig(), workload.New(prof, 15000))
-	r3 := p.Run(0)
+	r3 := p.RunWarm(0, 0)
 	if r3.H2P == nil {
 		t.Fatal("re-enabled run: H2P nil")
 	}

@@ -285,17 +285,12 @@ func (p *Processor) Release() {
 	p.cfg.VP = nil
 }
 
-// Run simulates until the stream is exhausted and the pipeline drains,
-// returning the result. maxCycles bounds runaway simulations (0 = no
-// bound).
-func (p *Processor) Run(maxCycles int64) Result {
-	return p.RunWarm(0, maxCycles)
-}
-
-// RunWarm simulates like Run but excludes the first warmupInsts retired
-// instructions from all reported statistics: caches, branch predictor and
-// value predictor train during warmup, and measurement starts only at the
-// boundary (the methodology of Section V-C).
+// RunWarm simulates until the stream is exhausted and the pipeline
+// drains, returning the result. maxCycles bounds runaway simulations
+// (0 = no bound). The first warmupInsts retired instructions are
+// excluded from all reported statistics: caches, branch predictor and
+// value predictor train during warmup, and measurement starts only at
+// the boundary (the methodology of Section V-C).
 //
 //bebop:hotpath
 func (p *Processor) RunWarm(warmupInsts, maxCycles int64) Result {

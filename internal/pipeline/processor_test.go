@@ -11,7 +11,7 @@ import (
 
 func TestSerialFPChainBindsIPC(t *testing.T) {
 	p := New(DefaultConfig(), &chainStream{n: 3000})
-	r := p.Run(0)
+	r := p.RunWarm(0, 0)
 	// 3000 dependent FP ops at latency 3 need at least ~8500 cycles.
 	if r.Cycles < 8500 {
 		t.Fatalf("serial FP chain did not serialize: %d cycles for %d insts", r.Cycles, r.Insts)
@@ -23,7 +23,7 @@ func TestSerialFPChainBindsIPC(t *testing.T) {
 
 func TestLoopedChainBindsIPC(t *testing.T) {
 	p := New(DefaultConfig(), &loopChainStream{n: 12000})
-	r := p.Run(0)
+	r := p.RunWarm(0, 0)
 	// 10000 chain links at 3 cycles each: at least ~28000 cycles even
 	// with perfect branch prediction.
 	if r.Cycles < 28000 {
@@ -44,18 +44,18 @@ func TestIndependentOpsReachHighIPC(t *testing.T) {
 
 func TestAllInstructionsCommit(t *testing.T) {
 	p := New(DefaultConfig(), &loopChainStream{n: 5000})
-	r := p.Run(0)
+	r := p.RunWarm(0, 0)
 	if r.Insts != 5000 {
 		t.Fatalf("committed %d of 5000 instructions", r.Insts)
 	}
 }
 
 func TestVPCollapsesPredictableChain(t *testing.T) {
-	base := New(DefaultConfig(), &loopChainStream{n: 12000}).Run(0)
+	base := New(DefaultConfig(), &loopChainStream{n: 12000}).RunWarm(0, 0)
 	vp := New(
 		DefaultConfig().WithVP(NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig()))),
 		&loopChainStream{n: 12000},
-	).Run(0)
+	).RunWarm(0, 0)
 	if vp.Cycles >= base.Cycles {
 		t.Fatalf("VP did not speed up a strided chain: %d vs %d cycles", vp.Cycles, base.Cycles)
 	}
@@ -69,11 +69,11 @@ func TestVPCollapsesPredictableChain(t *testing.T) {
 }
 
 func TestVPHarmlessOnUnpredictableChain(t *testing.T) {
-	base := New(DefaultConfig(), &loopChainStream{n: 12000, chaosVals: true, rngState: 7}).Run(0)
+	base := New(DefaultConfig(), &loopChainStream{n: 12000, chaosVals: true, rngState: 7}).RunWarm(0, 0)
 	vp := New(
 		DefaultConfig().WithVP(NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig()))),
 		&loopChainStream{n: 12000, chaosVals: true, rngState: 7},
-	).Run(0)
+	).RunWarm(0, 0)
 	ratio := float64(base.Cycles) / float64(vp.Cycles)
 	if ratio < 0.97 {
 		t.Fatalf("VP slowed an unpredictable chain to %.3f", ratio)
@@ -86,7 +86,7 @@ func TestVPHarmlessOnUnpredictableChain(t *testing.T) {
 func TestBranchMispredictsCharged(t *testing.T) {
 	prof, _ := workload.ProfileByName("gobmk") // branchy workload
 	g := workload.New(prof, 20000)
-	r := New(DefaultConfig(), g).Run(0)
+	r := New(DefaultConfig(), g).RunWarm(0, 0)
 	if r.BrMispredicts == 0 {
 		t.Fatal("branchy workload reported zero mispredictions")
 	}
@@ -97,7 +97,7 @@ func TestBranchMispredictsCharged(t *testing.T) {
 
 func TestStoreToLoadForwarding(t *testing.T) {
 	p := New(DefaultConfig(), &loadStoreStream{n: 8000, conflict: true})
-	r := p.Run(0)
+	r := p.RunWarm(0, 0)
 	if r.StoreForwards == 0 {
 		t.Fatal("same-address store->load pairs never forwarded")
 	}
@@ -106,7 +106,7 @@ func TestStoreToLoadForwarding(t *testing.T) {
 func TestMinimumPipelineDepth(t *testing.T) {
 	// A single instruction cannot commit before MinFetchToCommit cycles.
 	p := New(DefaultConfig(), &indepStream{n: 1})
-	r := p.Run(0)
+	r := p.RunWarm(0, 0)
 	if r.Cycles < int64(DefaultConfig().MinFetchToCommit) {
 		t.Fatalf("1-inst program finished in %d cycles, below pipeline depth", r.Cycles)
 	}
@@ -122,8 +122,8 @@ func TestEOLEMatchesWiderBaselineVP(t *testing.T) {
 	mkEOLE := func() Config {
 		return DefaultConfig().WithVP(NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig()))).WithEOLE(4)
 	}
-	rVP := New(mkVP(), workload.New(prof, 60000)).Run(0)
-	rEOLE := New(mkEOLE(), workload.New(prof, 60000)).Run(0)
+	rVP := New(mkVP(), workload.New(prof, 60000)).RunWarm(0, 0)
+	rEOLE := New(mkEOLE(), workload.New(prof, 60000)).RunWarm(0, 0)
 	ratio := float64(rVP.Cycles) / float64(rEOLE.Cycles)
 	if ratio < 0.90 {
 		t.Fatalf("EOLE_4 much slower than Baseline_VP_6: %.3f", ratio)
@@ -139,8 +139,8 @@ func TestNarrowIssueWithoutEOLEHurts(t *testing.T) {
 	prof, _ := workload.ProfileByName("povray")
 	cfg4 := DefaultConfig()
 	cfg4.IssueWidth = 3
-	r6 := New(DefaultConfig(), workload.New(prof, 60000)).Run(0)
-	r4 := New(cfg4, workload.New(prof, 60000)).Run(0)
+	r6 := New(DefaultConfig(), workload.New(prof, 60000)).RunWarm(0, 0)
+	r4 := New(cfg4, workload.New(prof, 60000)).RunWarm(0, 0)
 	if r4.Cycles <= r6.Cycles {
 		t.Fatalf("3-issue (%d cyc) not slower than 6-issue (%d cyc)", r4.Cycles, r6.Cycles)
 	}
@@ -149,11 +149,11 @@ func TestNarrowIssueWithoutEOLEHurts(t *testing.T) {
 func TestFreeLoadImmediates(t *testing.T) {
 	prof, _ := workload.ProfileByName("gzip")
 	cfg := DefaultConfig().WithVP(NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig())))
-	r := New(cfg, workload.New(prof, 30000)).Run(0)
+	r := New(cfg, workload.New(prof, 30000)).RunWarm(0, 0)
 	if r.FreeLoadImms == 0 {
 		t.Fatal("no load immediates executed for free under VP")
 	}
-	base := New(DefaultConfig(), workload.New(prof, 30000)).Run(0)
+	base := New(DefaultConfig(), workload.New(prof, 30000)).RunWarm(0, 0)
 	if base.FreeLoadImms != 0 {
 		t.Fatal("baseline without VP must not have free load immediates")
 	}
@@ -161,8 +161,8 @@ func TestFreeLoadImmediates(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
-	a := New(DefaultConfig(), workload.New(prof, 30000)).Run(0)
-	b := New(DefaultConfig(), workload.New(prof, 30000)).Run(0)
+	a := New(DefaultConfig(), workload.New(prof, 30000)).RunWarm(0, 0)
+	b := New(DefaultConfig(), workload.New(prof, 30000)).RunWarm(0, 0)
 	if a.Cycles != b.Cycles || a.Insts != b.Insts {
 		t.Fatalf("identical runs diverged: %d/%d vs %d/%d cycles/insts",
 			a.Cycles, a.Insts, b.Cycles, b.Insts)
@@ -171,7 +171,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestWarmupExcludesStats(t *testing.T) {
 	prof, _ := workload.ProfileByName("swim")
-	full := New(DefaultConfig(), workload.New(prof, 60000)).Run(0)
+	full := New(DefaultConfig(), workload.New(prof, 60000)).RunWarm(0, 0)
 	warm := New(DefaultConfig(), workload.New(prof, 60000)).RunWarm(30000, 0)
 	if warm.Insts >= full.Insts {
 		t.Fatalf("warm-up not excluded: %d measured insts", warm.Insts)
@@ -191,7 +191,7 @@ func TestValueMispredictionSquashes(t *testing.T) {
 	// An adversarial predictor that confidently predicts wrong values for
 	// everything must trigger squashes and still produce a correct run.
 	p := New(confWrongConfig(), &indepStream{n: 4000})
-	r := p.Run(0)
+	r := p.RunWarm(0, 0)
 	if r.ValueMispredicts == 0 {
 		t.Fatal("adversarial predictor produced no value mispredictions")
 	}

@@ -18,17 +18,17 @@ func TestResetMatchesFresh(t *testing.T) {
 		return DefaultConfig().WithVP(NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig())))
 	}
 
-	fresh := New(DefaultConfig(), workload.New(prof, 20000)).Run(0)
-	freshVP := New(mkVP(), workload.New(prof, 20000)).Run(0)
+	fresh := New(DefaultConfig(), workload.New(prof, 20000)).RunWarm(0, 0)
+	freshVP := New(mkVP(), workload.New(prof, 20000)).RunWarm(0, 0)
 
 	// One processor, three consecutive jobs: other workload, then the two
 	// reference jobs via Reset.
 	p := New(DefaultConfig(), workload.New(other, 5000))
-	p.Run(0)
+	p.RunWarm(0, 0)
 	p.Reset(DefaultConfig(), workload.New(prof, 20000))
-	reused := p.Run(0)
+	reused := p.RunWarm(0, 0)
 	p.Reset(mkVP(), workload.New(prof, 20000))
-	reusedVP := p.Run(0)
+	reusedVP := p.RunWarm(0, 0)
 
 	if reused != fresh {
 		t.Fatalf("baseline reset run diverged:\nfresh:  %+v\nreused: %+v", fresh, reused)
@@ -50,11 +50,11 @@ func TestResetRebuildsOnGeometryChange(t *testing.T) {
 	small.StoreSetEntries = 256
 	small.MemCfg.L2.SizeBytes = 1 << 18
 
-	fresh := New(small, workload.New(prof, 15000)).Run(0)
+	fresh := New(small, workload.New(prof, 15000)).RunWarm(0, 0)
 	p := New(DefaultConfig(), workload.New(prof, 5000))
-	p.Run(0)
+	p.RunWarm(0, 0)
 	p.Reset(small, workload.New(prof, 15000))
-	reused := p.Run(0)
+	reused := p.RunWarm(0, 0)
 	if reused != fresh {
 		t.Fatalf("geometry-changing reset diverged:\nfresh:  %+v\nreused: %+v", fresh, reused)
 	}
@@ -68,11 +68,11 @@ func TestResetRebuildsOnGeometryChange(t *testing.T) {
 func TestHotLoopAllocationFree(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
 	p := New(DefaultConfig(), workload.New(prof, 30000))
-	p.Run(0) // warm the pools and ring high-water marks
+	p.RunWarm(0, 0) // warm the pools and ring high-water marks
 
 	allocs := testing.AllocsPerRun(1, func() {
 		p.Reset(DefaultConfig(), workload.New(prof, 30000))
-		p.Run(0)
+		p.RunWarm(0, 0)
 	})
 	// workload.New builds the static program (~100 small allocations);
 	// anything near per-instruction scale means the hot loop regressed.
@@ -88,7 +88,7 @@ func TestResetDropsStaleFoldRegisters(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
 	p := New(DefaultConfig().WithVP(NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig()))), workload.New(prof, 2000))
 	withVP := p.hist.FoldRegisters()
-	p.Run(0)
+	p.RunWarm(0, 0)
 	p.Reset(DefaultConfig(), workload.New(prof, 2000))
 	baseOnly := p.hist.FoldRegisters()
 	if baseOnly >= withVP {

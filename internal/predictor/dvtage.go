@@ -175,14 +175,8 @@ func NewDVTAGE(cfg DVTAGEConfig) *DVTAGE {
 	return d
 }
 
-// Config returns the construction configuration.
-func (d *DVTAGE) Config() DVTAGEConfig { return d.cfg }
-
 // NPred returns the number of prediction slots per entry.
 func (d *DVTAGE) NPred() int { return d.cfg.NPred }
-
-// Name identifies the predictor.
-func (d *DVTAGE) Name() string { return "D-VTAGE" }
 
 // StorageBits returns the storage budget in bits.
 func (d *DVTAGE) StorageBits() int { return d.cfg.StorageBits() }
@@ -322,9 +316,6 @@ func (d *DVTAGE) PredictSlot(bl *BlockLookup, m int, last uint64, hasLast bool) 
 	}
 	return last + uint64(bl.Strides[m]), d.fpc.Saturated(bl.Conf[m])
 }
-
-// Saturated reports whether a confidence counter value allows use.
-func (d *DVTAGE) Saturated(c uint8) bool { return d.fpc.Saturated(c) }
 
 // SlotUpdate is the retire-time information for one prediction slot.
 type SlotUpdate struct {

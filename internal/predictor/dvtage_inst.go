@@ -17,9 +17,6 @@ func NewDVTAGEInst(cfg DVTAGEConfig) *DVTAGEInst {
 	return &DVTAGEInst{d: NewDVTAGE(cfg)}
 }
 
-// Inner exposes the wrapped D-VTAGE (for stats and tests).
-func (p *DVTAGEInst) Inner() *DVTAGE { return p.d }
-
 // Name implements Predictor.
 func (p *DVTAGEInst) Name() string { return "D-VTAGE" }
 

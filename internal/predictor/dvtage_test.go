@@ -96,7 +96,7 @@ func TestDVTAGEPartialStrideOverflow(t *testing.T) {
 	if used > 10 {
 		t.Fatalf("8-bit D-VTAGE confidently predicted stride-1000 %d times", used)
 	}
-	if p.Inner().StrideOverflows == 0 {
+	if p.d.StrideOverflows == 0 {
 		t.Fatal("no stride overflows recorded")
 	}
 	// Small strides still work.

@@ -29,9 +29,6 @@ func NewFPC(denoms []int, seed uint64) *FPC {
 	return &FPC{denoms: denoms, max: uint8(len(denoms)), rng: util.NewRNG(seed)}
 }
 
-// Max returns the saturated counter value.
-func (f *FPC) Max() uint8 { return f.max }
-
 // Saturated reports whether counter value c allows the prediction to be
 // used.
 func (f *FPC) Saturated(c uint8) bool { return c >= f.max }

@@ -4,8 +4,8 @@ import "testing"
 
 func TestFPCSaturationPoint(t *testing.T) {
 	f := NewFPC(DefaultFPCProbs(), 1)
-	if f.Max() != 7 {
-		t.Fatalf("default FPC must saturate at 7, got %d", f.Max())
+	if f.max != 7 {
+		t.Fatalf("default FPC must saturate at 7, got %d", f.max)
 	}
 	if f.Saturated(6) {
 		t.Fatal("6 must not be saturated")

@@ -92,9 +92,6 @@ func (e *Entry) Values() (vals [MaxNPred]uint64, has [MaxNPred]bool) {
 	return e.vals, e.has
 }
 
-// Seq returns the sequence number of the block's first instruction.
-func (e *Entry) Seq() uint64 { return e.seq }
-
 // Window is the speculative window. Size semantics: n > 0 gives an n-entry
 // circular buffer; n == 0 disables the window ("None" in Fig. 7(b));
 // n < 0 gives an unbounded window ("infinite").
@@ -215,14 +212,6 @@ func (w *Window) InvalidateSeq(seq uint64) {
 			return
 		}
 	}
-}
-
-// Size returns the configured entry count (-1 when unbounded).
-func (w *Window) Size() int {
-	if w.infinite {
-		return -1
-	}
-	return len(w.entries)
 }
 
 // StorageBits returns the window's storage cost for bounded windows

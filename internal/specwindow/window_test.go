@@ -20,7 +20,7 @@ func TestLookupMostRecent(t *testing.T) {
 	w.Insert(0x1000, 10, v1, h1)
 	w.Insert(0x1000, 20, v2, h2)
 	e := w.Lookup(0x1000)
-	if e == nil || e.Seq() != 20 {
+	if e == nil || e.seq != 20 {
 		t.Fatalf("lookup did not return the most recent entry: %+v", e)
 	}
 	got, _ := e.Values()
@@ -99,8 +99,8 @@ func TestInfiniteWindowKeepsAll(t *testing.T) {
 	if e := w.Lookup(0x1000); e == nil {
 		t.Fatal("unbounded window must keep old entries")
 	}
-	if w.Size() != -1 {
-		t.Fatal("Size must report -1 for unbounded")
+	if !w.infinite {
+		t.Fatal("New(-1, …) must build an unbounded window")
 	}
 }
 
@@ -171,7 +171,7 @@ func TestQuickMostRecentWins(t *testing.T) {
 			return false
 		}
 		got, _ := e.Values()
-		return e.Seq() == n && got[0] == n*3
+		return e.seq == n && got[0] == n*3
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

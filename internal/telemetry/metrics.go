@@ -57,11 +57,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value. Lock-free, allocation-free.
-//
-//bebop:hotpath
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the gauge by delta (may be negative).
 //
 //bebop:hotpath

@@ -19,7 +19,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("bebop_test_depth", "a gauge")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-2)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
@@ -63,7 +63,7 @@ func TestWritePrometheusFamilies(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`bebop_jobs_total{result="hit"}`, "jobs by result").Add(3)
 	r.Counter(`bebop_jobs_total{result="miss"}`, "jobs by result").Add(1)
-	r.Gauge("bebop_busy", "busy workers").Set(2)
+	r.Gauge("bebop_busy", "busy workers").Add(2)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"bebop/internal/engine"
 	"bebop/internal/faultinject"
 	"bebop/internal/pipeline"
 )
@@ -42,8 +41,8 @@ type CheckpointFile struct {
 	// WriteCheckpoints and LoadCheckpoints.
 	Version int
 	// TraceName and TraceInsts identify the trace the snapshots were
-	// trained on; Validate refuses a side-file whose identity does not
-	// match the opened trace.
+	// trained on; CheckpointSet.Validate refuses a side-file whose
+	// identity does not match the opened trace.
 	TraceName  string
 	TraceInsts int64
 	// ConfigName is the processor configuration the state belongs to.
@@ -85,9 +84,6 @@ func CheckpointPath(tracePath, configName string) string {
 // rename, so a crashed build never leaves a truncated file a later run
 // would trust. The format version is stamped onto cf here; callers only
 // fill the identity and the points.
-// IO failures (temp-file creation, write, rename) are classified
-// engine.Transient — a full disk or racing cleanup may clear; a
-// structurally invalid file or an unencodable snapshot never will.
 func WriteCheckpoints(path string, cf *CheckpointFile) error {
 	cf.Version = checkpointVersion
 	if err := cf.check(); err != nil {
@@ -98,12 +94,12 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
 	if err := faultinject.Fire("trace.checkpoint.write"); err != nil {
-		return engine.Transient(fmt.Errorf("trace: write checkpoints: %w", err))
+		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
 	// Same directory as the target: rename must not cross filesystems.
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".bebop-ckpt-*")
 	if err != nil {
-		return engine.Transient(err)
+		return err
 	}
 	defer os.Remove(tmp.Name())
 	e := ckptEncoder{w: bufio.NewWriterSize(tmp, ckptBufSize)}
@@ -113,15 +109,12 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 	}
 	if err := e.w.Flush(); err != nil {
 		tmp.Close()
-		return engine.Transient(fmt.Errorf("trace: write checkpoints: %w", err))
+		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return engine.Transient(err)
+		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return engine.Transient(err)
-	}
-	return nil
+	return os.Rename(tmp.Name(), path)
 }
 
 // OpenCheckpoints opens a side-file and reads and checks its header and
@@ -129,25 +122,18 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 // Identity against a particular trace and configuration is the separate
 // Validate step, so callers can report "no checkpoints" and "wrong
 // checkpoints" differently.
-// Open, Stat and read failures are classified engine.Transient (NFS
-// blips, racing writers); format and validation failures are not — a
-// corrupt, truncated, old-format or mismatched file stays that way, and
-// the caller's rebuild path is the fix, not a retry.
 func OpenCheckpoints(path string) (*CheckpointSet, error) {
 	if err := faultinject.Fire("trace.checkpoint.read"); err != nil {
 		return nil, fmt.Errorf("trace: open %s: %w", path, err)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, err
-		}
-		return nil, engine.Transient(err)
+		return nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, engine.Transient(err)
+		return nil, err
 	}
 	s, err := readCheckpointSet(f, st.Size())
 	if err != nil {
@@ -167,9 +153,20 @@ func (s *CheckpointSet) Close() error {
 }
 
 // Validate checks the side-file belongs to the opened trace and the
-// requested configuration, as CheckpointFile.Validate does.
+// requested configuration. hdr is the trace's header (totals recovered
+// from the index for seekable sources).
 func (s *CheckpointSet) Validate(hdr Header, configName string) error {
-	return validateIdentity(s.traceName, s.traceInsts, s.configName, hdr, configName)
+	if s.configName != configName {
+		return fmt.Errorf("trace: checkpoints are for config %q, run uses %q", s.configName, configName)
+	}
+	if s.traceName != hdr.Name {
+		return fmt.Errorf("trace: checkpoints are for trace %q, file is %q", s.traceName, hdr.Name)
+	}
+	if s.traceInsts != int64(hdr.Insts) {
+		return fmt.Errorf("trace: checkpoints trained on %d instructions, trace has %d",
+			s.traceInsts, hdr.Insts)
+	}
+	return nil
 }
 
 // pointScratch is one decode's working memory: the point and the bytes
@@ -208,8 +205,7 @@ func (s *CheckpointSet) pointErr(i int, err error) error {
 }
 
 // LoadCheckpoints opens a side-file and decodes every point, through the
-// decoder RestoreNearest uses for one. Errors are classified as
-// OpenCheckpoints classifies them.
+// decoder RestoreNearest uses for one.
 func LoadCheckpoints(path string) (*CheckpointFile, error) {
 	s, err := OpenCheckpoints(path)
 	if err != nil {
@@ -264,27 +260,6 @@ func (cf *CheckpointFile) check() error {
 				i, ck.InstOffset, cf.TraceInsts)
 		}
 		prev = ck.InstOffset
-	}
-	return nil
-}
-
-// Validate checks the side-file belongs to the opened trace and the
-// requested configuration. hdr is the trace's header (totals recovered
-// from the index for seekable sources).
-func (cf *CheckpointFile) Validate(hdr Header, configName string) error {
-	return validateIdentity(cf.TraceName, cf.TraceInsts, cf.ConfigName, hdr, configName)
-}
-
-func validateIdentity(traceName string, traceInsts int64, cfgName string, hdr Header, configName string) error {
-	if cfgName != configName {
-		return fmt.Errorf("trace: checkpoints are for config %q, run uses %q", cfgName, configName)
-	}
-	if traceName != hdr.Name {
-		return fmt.Errorf("trace: checkpoints are for trace %q, file is %q", traceName, hdr.Name)
-	}
-	if traceInsts != int64(hdr.Insts) {
-		return fmt.Errorf("trace: checkpoints trained on %d instructions, trace has %d",
-			traceInsts, hdr.Insts)
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync"
 
-	"bebop/internal/engine"
 	"bebop/internal/faultinject"
 	"bebop/internal/pipeline"
 )
@@ -408,8 +407,7 @@ func (d *ckptDecoder) str() (string, error) {
 }
 
 // readFull fills b from r at off. A read that ends early means the
-// file is shorter than its trailer and index say; any other read error
-// may clear, so it is Transient.
+// file is shorter than its trailer and index say.
 func readFull(r io.ReaderAt, b []byte, off int64) error {
 	n, err := r.ReadAt(b, off)
 	switch {
@@ -418,7 +416,7 @@ func readFull(r io.ReaderAt, b []byte, off int64) error {
 	case err == nil || err == io.EOF || err == io.ErrUnexpectedEOF:
 		return errTruncated
 	}
-	return engine.Transient(err)
+	return err
 }
 
 // readCheckpointSet reads and checks the header and the index of a

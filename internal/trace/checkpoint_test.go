@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"bebop/internal/core"
-	"bebop/internal/engine"
 	"bebop/internal/pipeline"
 	"bebop/internal/specwindow"
 	"bebop/internal/telemetry"
@@ -227,8 +226,7 @@ func TestCheckpointLayoutRefusesWhatItCannotEncode(t *testing.T) {
 }
 
 // TestLoadCheckpointsRejects: every way a side-file can be wrong fails
-// the load with an error that is not Transient, so sim rebuilds the
-// file instead of retrying.
+// the load with an error, so sim rebuilds the file.
 func TestLoadCheckpointsRejects(t *testing.T) {
 	valid := encodeFile(t, filledFile(t))
 
@@ -296,11 +294,8 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadCheckpoints(path)
-		if err == nil {
+		if _, err := LoadCheckpoints(path); err == nil {
 			t.Errorf("%s: loaded", tc.name)
-		} else if engine.IsTransient(err) {
-			t.Errorf("%s: error %v is Transient", tc.name, err)
 		}
 	}
 	if _, err := readCheckpoints(bytes.NewReader(valid), int64(len(valid))); err != nil {
@@ -308,8 +303,8 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 	}
 	// An older format is refused when the file is opened, before any
 	// point is read.
-	if _, err := OpenCheckpoints(filepath.Join(dir, "v2"+CheckpointExt)); err == nil || engine.IsTransient(err) {
-		t.Errorf("opening a v2 side-file: error %v, want a non-Transient one", err)
+	if _, err := OpenCheckpoints(filepath.Join(dir, "v2"+CheckpointExt)); err == nil {
+		t.Error("opening a v2 side-file succeeded")
 	}
 }
 
@@ -389,8 +384,8 @@ func TestCheckpointSetDecodesOnlyWhatItRestores(t *testing.T) {
 }
 
 // TestCheckpointSetPointErrors: a point that fails to decode or to
-// restore surfaces from RestoreNearest as ErrBadPoint, and is not
-// Transient, so sim rebuilds the side-file.
+// restore surfaces from RestoreNearest as ErrBadPoint, so sim rebuilds
+// the side-file.
 func TestCheckpointSetPointErrors(t *testing.T) {
 	cf := baselineFile(t, 2_000, 6_000)
 	data := encodeFile(t, cf)
@@ -400,8 +395,8 @@ func TestCheckpointSetPointErrors(t *testing.T) {
 	}
 	// A processor of another configuration refuses the point.
 	other := pipeline.New(core.EOLEBeBoP("Medium", core.MediumConfig())(), nil)
-	if _, _, err := set.RestoreNearest(other, cf.Points[0].InstOffset); !errors.Is(err, ErrBadPoint) || engine.IsTransient(err) {
-		t.Errorf("restore under another config: %v, want a non-Transient ErrBadPoint", err)
+	if _, _, err := set.RestoreNearest(other, cf.Points[0].InstOffset); !errors.Is(err, ErrBadPoint) {
+		t.Errorf("restore under another config: %v, want ErrBadPoint", err)
 	}
 	// Point 1's encoding starts with its instruction offset.
 	binary.LittleEndian.PutUint64(data[set.offs[1]:], uint64(cf.Points[1].InstOffset+1))
@@ -409,8 +404,8 @@ func TestCheckpointSetPointErrors(t *testing.T) {
 	if _, _, err := set.RestoreNearest(p, cf.Points[0].InstOffset); err != nil {
 		t.Errorf("point 0 no longer restores: %v", err)
 	}
-	if _, _, err := set.RestoreNearest(p, cf.Points[1].InstOffset); !errors.Is(err, ErrBadPoint) || engine.IsTransient(err) {
-		t.Errorf("restoring the corrupt point: %v, want a non-Transient ErrBadPoint", err)
+	if _, _, err := set.RestoreNearest(p, cf.Points[1].InstOffset); !errors.Is(err, ErrBadPoint) {
+		t.Errorf("restoring the corrupt point: %v, want ErrBadPoint", err)
 	}
 }
 

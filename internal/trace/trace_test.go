@@ -237,7 +237,7 @@ func TestReplayAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := pipeline.New(pipeline.DefaultConfig(), r)
-			p.Run(0) // warm pools, rings, and reader buffers
+			p.RunWarm(0, 0) // warm pools, rings, and reader buffers
 
 			allocs := testing.AllocsPerRun(1, func() {
 				br.Reset(data)
@@ -245,7 +245,7 @@ func TestReplayAllocationFree(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.Reset(pipeline.DefaultConfig(), r)
-				p.Run(0)
+				p.RunWarm(0, 0)
 			})
 			if allocs > tc.budget {
 				t.Fatalf("trace replay allocates: %.0f allocs for 30k insts (budget %.0f)",

@@ -34,21 +34,3 @@ func (e *UnknownNameError) Error() string {
 	}
 	return fmt.Sprintf("unknown %s %q (valid: %s)", e.Kind, e.Name, strings.Join(e.Valid, ", "))
 }
-
-// Is lets errors.Is match an UnknownNameError against the kind-level
-// sentinels returned by ErrUnknownKind, so packages can keep exporting
-// `var ErrUnknownBenchmark = util.ErrUnknownKind("workload")` and
-// existing errors.Is checks continue to work.
-func (e *UnknownNameError) Is(target error) bool {
-	k, ok := target.(unknownKind)
-	return ok && string(k) == e.Kind
-}
-
-// unknownKind is a comparable kind-level sentinel.
-type unknownKind string
-
-func (k unknownKind) Error() string { return "unknown " + string(k) }
-
-// ErrUnknownKind returns the sentinel matched (via errors.Is) by every
-// UnknownNameError of the given kind.
-func ErrUnknownKind(kind string) error { return unknownKind(kind) }

@@ -74,12 +74,6 @@ func (s Summary) String() string {
 		s.Min, s.Q1, s.Median, s.Q3, s.Max, s.GMean, s.N)
 }
 
-// KB renders a bit count as kilobytes with two decimals, the unit the paper
-// uses for predictor storage budgets (Table III).
-func KB(bits int) string {
-	return fmt.Sprintf("%.2fKB", float64(bits)/8/1024)
-}
-
 // BitsToKB converts a storage size in bits to kilobytes.
 func BitsToKB(bits int) float64 {
 	return float64(bits) / 8 / 1024
@@ -102,9 +96,6 @@ func (w *Welford) Add(x float64) {
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of observations added so far.
-func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the running mean (0 before any observation).
 func (w *Welford) Mean() float64 { return w.mean }

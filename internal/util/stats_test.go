@@ -116,12 +116,6 @@ func TestQuantileProperty(t *testing.T) {
 	}
 }
 
-func TestKBFormatting(t *testing.T) {
-	if got := KB(8 * 1024 * 32); got != "32.00KB" {
-		t.Fatalf("KB = %q", got)
-	}
-}
-
 func TestBitsToKB(t *testing.T) {
 	if got := BitsToKB(8 * 1024); !almostEq(got, 1.0) {
 		t.Fatalf("BitsToKB(8Ki) = %v", got)
@@ -169,7 +163,7 @@ func TestWelfordMatchesBruteForce(t *testing.T) {
 			w.Add(x)
 		}
 		mean, variance := bruteMeanVar(xs)
-		if w.N() != int64(len(xs)) {
+		if w.n != int64(len(xs)) {
 			return false
 		}
 		return math.Abs(w.Mean()-mean) < 1e-9 && math.Abs(w.Variance()-variance) < 1e-6
@@ -186,11 +180,11 @@ func TestWelfordNoNaN(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for _, v := range []float64{w.Mean(), w.Variance(), w.StdDev(), w.CI95()} {
 			if math.IsNaN(v) {
-				t.Fatalf("NaN at n=%d", w.N())
+				t.Fatalf("NaN at n=%d", w.n)
 			}
 		}
 		if w.Variance() != 0 || w.CI95() != 0 {
-			t.Fatalf("n=%d: variance=%v ci=%v, want 0", w.N(), w.Variance(), w.CI95())
+			t.Fatalf("n=%d: variance=%v ci=%v, want 0", w.n, w.Variance(), w.CI95())
 		}
 		w.Add(1.25)
 	}
@@ -253,7 +247,7 @@ func TestWelfordCI95ShrinksWithN(t *testing.T) {
 		w.Add(alternate[i%2])
 		ci := w.CI95()
 		if i >= 3 && i%2 == 1 && ci >= prev {
-			t.Fatalf("CI95 did not shrink at n=%d: %v >= %v", w.N(), ci, prev)
+			t.Fatalf("CI95 did not shrink at n=%d: %v >= %v", w.n, ci, prev)
 		}
 		if i%2 == 1 {
 			prev = ci

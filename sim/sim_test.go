@@ -338,33 +338,48 @@ func TestCustomProfileAndBeBoP(t *testing.T) {
 	}
 }
 
-// TestBeBoPPolicySpellingsNormalize: ParsePolicy accepts a policy in
-// either spelling, so both must validate to one spec (the canonical
-// spelling) and run under one configuration name.
+// TestBeBoPPolicySpellingsNormalize: each pair of geometries below is
+// one geometry spelled two ways (ParsePolicy accepts either policy
+// spelling, and every negative window size means unbounded), so both
+// must validate to one spec and run under one configuration name, the
+// key of the engine cache and of the checkpoint side-file.
 func TestBeBoPPolicySpellingsNormalize(t *testing.T) {
-	var specs []RunSpec
-	var configs []string
-	for _, policy := range []string{"dnrdnr", "DnRDnR"} {
-		spec, err := New(
-			WithWorkload("swim"),
-			WithBeBoP(BeBoPConfig{NPred: 6, BaseEntries: 128, TaggedEntries: 64, StrideBits: 8, WindowSize: 32, Policy: policy}),
-			WithInsts(2_000),
-		).Spec()
-		if err != nil {
-			t.Fatal(err)
+	base := BeBoPConfig{NPred: 6, BaseEntries: 128, TaggedEntries: 64, StrideBits: 8, WindowSize: 32, Policy: "DnRDnR"}
+	for _, tc := range []struct {
+		name   string
+		edit   [2]func(*BeBoPConfig)
+		suffix string
+	}{
+		{"policy dnrdnr/DnRDnR", [2]func(*BeBoPConfig){
+			func(bb *BeBoPConfig) { bb.Policy = "dnrdnr" },
+			func(bb *BeBoPConfig) { bb.Policy = "DnRDnR" },
+		}, "-w32-DnRDnR"},
+		{"window -1/-2", [2]func(*BeBoPConfig){
+			func(bb *BeBoPConfig) { bb.WindowSize = -1 },
+			func(bb *BeBoPConfig) { bb.WindowSize = -2 },
+		}, "-w-1-DnRDnR"},
+	} {
+		var specs [2]RunSpec
+		var configs [2]string
+		for i, edit := range tc.edit {
+			bb := base
+			edit(&bb)
+			spec, err := New(WithWorkload("swim"), WithBeBoP(bb), WithInsts(2_000)).Spec()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			rep, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			specs[i], configs[i] = spec, rep.Config
 		}
-		rep, err := Run(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(specs[0], specs[1]) {
+			t.Errorf("%s: spellings normalize to different specs:\n%+v\n%+v", tc.name, *specs[0].BeBoP, *specs[1].BeBoP)
 		}
-		specs = append(specs, spec)
-		configs = append(configs, rep.Config)
-	}
-	if !reflect.DeepEqual(specs[0], specs[1]) {
-		t.Fatalf("policy spellings normalize to different specs:\n%+v\n%+v", *specs[0].BeBoP, *specs[1].BeBoP)
-	}
-	if configs[0] != configs[1] || !strings.HasSuffix(configs[0], "-DnRDnR") {
-		t.Fatalf("policy spellings run as %q and %q, want one name ending in -DnRDnR", configs[0], configs[1])
+		if configs[0] != configs[1] || !strings.HasSuffix(configs[0], tc.suffix) {
+			t.Errorf("%s: spellings run as %q and %q, want one name ending in %s", tc.name, configs[0], configs[1], tc.suffix)
+		}
 	}
 }
 

@@ -141,7 +141,7 @@ type BeBoPConfig struct {
 	// StrideBits is the partial stride width (8, 16 or 64; at most 64).
 	StrideBits int `json:"stride_bits"`
 	// WindowSize bounds the speculative window: >0 entries (at most
-	// 65,536), 0 disables it, <0 is unbounded.
+	// 65,536), 0 disables it, <0 is unbounded (validated to -1).
 	WindowSize int `json:"window_size"`
 	// Policy is the squash recovery policy: one of Policies() ("Ideal",
 	// "Repred", "DnRDnR", "DnRR"). Empty means "DnRDnR", the paper's
@@ -386,7 +386,11 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		}
 		// Store the canonical spelling: "dnrdnr" and "DnRDnR" are one
 		// geometry, so they must normalize to one spec and one name.
+		// Likewise every negative window size means unbounded: -1.
 		bb.Policy = policy.String()
+		if bb.WindowSize < 0 {
+			bb.WindowSize = -1
+		}
 		if err := checkGeometry(bb); err != nil {
 			return RunSpec{}, nil, fmt.Errorf("sim: %w: bebop geometry %+v: %w", ErrInvalidSpec, bb, err)
 		}

@@ -59,10 +59,12 @@ type BlockVP struct {
 	fifo ring.Ring[*blockRec]
 	// reuseRec, when set, is the flush-surviving head block whose
 	// predictions the next fetch of the same block reuses (DnRR/DnRDnR).
+	//bebop:nosnap set only by a detailed-run flush; checkpoints need a processor that has run no detailed cycle, so it is nil
 	reuseRec *blockRec
 
-	//bebop:nosnap free list of recycled records; checkpoints require a drained pipeline, so no live block references it
-	pool  []*blockRec
+	//bebop:nosnap free list of recycled records; checkpoints need a processor that has run no detailed cycle, so no live block references it
+	pool []*blockRec
+	//bebop:nosnap counted only at detailed retire; checkpoints need a processor that has run no detailed cycle, so they are zero
 	stats pipeline.VPStats
 }
 

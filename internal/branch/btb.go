@@ -8,8 +8,6 @@ type BTB struct {
 	sets    int
 	entries []btbEntry // sets*ways, way-major within a set
 	clock   uint64
-
-	Lookups, Hits uint64
 }
 
 type btbEntry struct {
@@ -38,7 +36,6 @@ func (b *BTB) Reset() {
 		b.entries[i] = btbEntry{}
 	}
 	b.clock = 0
-	b.Lookups, b.Hits = 0, 0
 }
 
 func (b *BTB) set(pc uint64) (int, uint64) {
@@ -49,7 +46,6 @@ func (b *BTB) set(pc uint64) (int, uint64) {
 
 // Lookup returns the predicted target for pc, if any.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
-	b.Lookups++
 	b.clock++
 	set, tag := b.set(pc)
 	base := set * b.ways
@@ -57,7 +53,6 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 		e := &b.entries[base+w]
 		if e.valid && e.tag == tag {
 			e.lastUse = b.clock
-			b.Hits++
 			return e.target, true
 		}
 	}

@@ -93,8 +93,10 @@ func BenchmarkTAGEPredictUpdate(b *testing.B) {
 		pc := uint64(0x400000 + 16*(i&1023))
 		taken := (i>>2)&1 == 0
 		p := t.Predict(pc, h)
+		if p.Taken != taken {
+			benchSink++
+		}
 		t.Update(pc, h, &p, taken)
 		h.Push(taken, pc+4)
 	}
-	benchSink += t.Mispredicts
 }

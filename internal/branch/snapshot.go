@@ -43,29 +43,23 @@ type TAGECompSnapshot struct {
 }
 
 // TAGESnapshot is the full serializable state of a TAGE predictor,
-// including the allocation RNG position and the stats counters (stats
-// are state too: a restored run must continue the counters it would
-// have had, or differential tests comparing Results would diverge).
+// including the allocation RNG position.
 type TAGESnapshot struct {
-	Base        []int8
-	Comps       []TAGECompSnapshot
-	UseAltOnNA  int8
-	Tick        int
-	RNGState    uint64
-	Lookups     uint64
-	Mispredicts uint64
+	Base       []int8
+	Comps      []TAGECompSnapshot
+	UseAltOnNA int8
+	Tick       int
+	RNGState   uint64
 }
 
 // Snapshot deep-copies the predictor state.
 func (t *TAGE) Snapshot() *TAGESnapshot {
 	s := &TAGESnapshot{
-		Base:        append([]int8(nil), t.base...),
-		Comps:       make([]TAGECompSnapshot, len(t.comps)),
-		UseAltOnNA:  t.useAltOnNA,
-		Tick:        t.tick,
-		RNGState:    t.rng.State(),
-		Lookups:     t.Lookups,
-		Mispredicts: t.Mispredicts,
+		Base:       append([]int8(nil), t.base...),
+		Comps:      make([]TAGECompSnapshot, len(t.comps)),
+		UseAltOnNA: t.useAltOnNA,
+		Tick:       t.tick,
+		RNGState:   t.rng.State(),
 	}
 	for i := range t.comps {
 		c := &t.comps[i]
@@ -101,7 +95,6 @@ func (t *TAGE) Restore(s *TAGESnapshot) error {
 	t.useAltOnNA = s.UseAltOnNA
 	t.tick = s.Tick
 	t.rng.SetState(s.RNGState)
-	t.Lookups, t.Mispredicts = s.Lookups, s.Mispredicts
 	return nil
 }
 
@@ -113,8 +106,6 @@ type BTBSnapshot struct {
 	Target  []uint64
 	LastUse []uint64
 	Clock   uint64
-	Lookups uint64
-	Hits    uint64
 }
 
 // Snapshot deep-copies the BTB state.
@@ -125,8 +116,6 @@ func (b *BTB) Snapshot() *BTBSnapshot {
 		Target:  make([]uint64, len(b.entries)),
 		LastUse: make([]uint64, len(b.entries)),
 		Clock:   b.clock,
-		Lookups: b.Lookups,
-		Hits:    b.Hits,
 	}
 	for i := range b.entries {
 		e := &b.entries[i]
@@ -146,7 +135,6 @@ func (b *BTB) Restore(s *BTBSnapshot) error {
 		b.entries[i] = btbEntry{valid: s.Valid[i], tag: s.Tag[i], target: s.Target[i], lastUse: s.LastUse[i]}
 	}
 	b.clock = s.Clock
-	b.Lookups, b.Hits = s.Lookups, s.Hits
 	return nil
 }
 

@@ -33,9 +33,6 @@ type TAGE struct {
 
 	// tick drives the periodic usefulness reset.
 	tick int
-
-	// Stats.
-	Lookups, Mispredicts uint64
 }
 
 // TAGEConfig sizes the predictor.
@@ -145,7 +142,6 @@ func (t *TAGE) Reset() {
 	t.rng = util.NewRNG(t.cfg.Seed)
 	t.useAltOnNA = 0
 	t.tick = 0
-	t.Lookups, t.Mispredicts = 0, 0
 }
 
 // RegisterFolds declares every (histLen, width) fold this predictor
@@ -180,7 +176,6 @@ type Prediction struct {
 // index/tag derivations, and the per-component history folds are O(1)
 // register reads once the pairs are registered.
 func (t *TAGE) Predict(pc uint64, h *History) Prediction {
-	t.Lookups++
 	var p Prediction
 	p.provider = -1
 	pcHash := util.Mix64(pc >> 1)
@@ -230,9 +225,6 @@ func (t *TAGE) Predict(pc uint64, h *History) Prediction {
 // Update trains the predictor with the architectural outcome. It must be
 // called with the same history the prediction used.
 func (t *TAGE) Update(pc uint64, h *History, p *Prediction, taken bool) {
-	if p.Taken != taken {
-		t.Mispredicts++
-	}
 	// useAltOnNA bookkeeping.
 	if p.provider >= 0 && p.provNew {
 		provTaken := t.comps[p.provider].ctr[p.provIdx] >= 0

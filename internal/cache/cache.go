@@ -51,7 +51,9 @@ type Cache struct {
 	// tracked minimum instead of iterating. mshrMin caches the earliest
 	// completion cycle so the per-access reap is an integer compare while
 	// no miss has completed.
-	mshrs   []mshr
+	//bebop:nosnap in-flight misses; Warm quiesces them and checkpoints need a processor that has run no detailed cycle, so they are empty
+	mshrs []mshr
+	//bebop:nosnap earliest completion in mshrs; Warm quiesces it and checkpoints need a processor that has run no detailed cycle, so it is zero
 	mshrMin int64
 
 	// Accesses and Misses count demand lookups of this level;

@@ -31,10 +31,12 @@ func DefaultMemConfig() MemConfig {
 // ranges from MinLatency (open-row, idle) up to MaxLatency (closed row
 // behind queued accesses), reproducing the 75..185-cycle span of Table I.
 type Memory struct {
-	cfg      MemConfig
+	cfg MemConfig
+	//bebop:nosnap bank busy clocks; Warm quiesces them and checkpoints need a processor that has run no detailed cycle, so they are zero
 	bankFree []int64
 	openRow  []uint64
-	busFree  int64
+	//bebop:nosnap bus busy clock; Warm quiesces it and checkpoints need a processor that has run no detailed cycle, so it is zero
+	busFree int64
 
 	// rowShift/bankMask strength-reduce the per-access row and bank
 	// derivation when RowBytes and Banks are powers of two (they are in
@@ -42,7 +44,7 @@ type Memory struct {
 	rowShift int
 	bankMask uint64
 
-	Accesses, RowHits uint64
+	Accesses uint64
 }
 
 // NewMemory builds the DRAM model.
@@ -72,7 +74,7 @@ func (m *Memory) Reset() {
 		m.openRow[i] = ^uint64(0)
 	}
 	m.busFree = 0
-	m.Accesses, m.RowHits = 0, 0
+	m.Accesses = 0
 }
 
 // Access performs a line-fill read beginning no earlier than cycle now and
@@ -102,9 +104,7 @@ func (m *Memory) Access(line uint64, now int64) int64 {
 	}
 
 	lat := int64(m.cfg.MinLatency)
-	if m.openRow[bank] == row {
-		m.RowHits++
-	} else {
+	if m.openRow[bank] != row {
 		// Row conflict: precharge + activate.
 		lat += int64(m.cfg.MaxLatency-m.cfg.MinLatency) / 2
 		m.openRow[bank] = row

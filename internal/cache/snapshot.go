@@ -8,39 +8,30 @@ import "fmt"
 // touching anything.
 
 // CacheSnapshot is the serializable state of one cache level: contents,
-// LRU state, in-flight MSHRs (as parallel arrays — the mshr struct is
-// unexported) and the stats counters.
+// LRU state and the stats counters. In-flight MSHRs are absent: Warm
+// quiesces them, and checkpoints are taken and restored only before a
+// processor's first detailed cycle.
 type CacheSnapshot struct {
 	Tags    []uint64
 	Valid   []bool
 	LastUse []uint64
 	Clock   uint64
 
-	MSHRLines []uint64
-	MSHRDone  []int64
-	MSHRMin   int64
-
 	Accesses, Misses, PrefetchFills, MSHRMerges uint64
 }
 
 // Snapshot deep-copies the cache state.
 func (c *Cache) Snapshot() *CacheSnapshot {
-	s := &CacheSnapshot{
+	return &CacheSnapshot{
 		Tags:          append([]uint64(nil), c.tags...),
 		Valid:         append([]bool(nil), c.valid...),
 		LastUse:       append([]uint64(nil), c.lastUse...),
 		Clock:         c.clock,
-		MSHRMin:       c.mshrMin,
 		Accesses:      c.Accesses,
 		Misses:        c.Misses,
 		PrefetchFills: c.PrefetchFills,
 		MSHRMerges:    c.MSHRMerges,
 	}
-	for _, m := range c.mshrs {
-		s.MSHRLines = append(s.MSHRLines, m.line)
-		s.MSHRDone = append(s.MSHRDone, m.done)
-	}
-	return s
 }
 
 // Restore overwrites the cache from a snapshot, validating line count.
@@ -48,19 +39,10 @@ func (c *Cache) Restore(s *CacheSnapshot) error {
 	if len(s.Tags) != len(c.tags) || len(s.Valid) != len(c.valid) || len(s.LastUse) != len(c.lastUse) {
 		return fmt.Errorf("cache: %s snapshot has %d lines, cache has %d", c.name, len(s.Tags), len(c.tags))
 	}
-	if len(s.MSHRLines) != len(s.MSHRDone) || len(s.MSHRLines) > cap(c.mshrs) {
-		return fmt.Errorf("cache: %s snapshot MSHR state invalid (%d/%d records, cap %d)",
-			c.name, len(s.MSHRLines), len(s.MSHRDone), cap(c.mshrs))
-	}
 	copy(c.tags, s.Tags)
 	copy(c.valid, s.Valid)
 	copy(c.lastUse, s.LastUse)
 	c.clock = s.Clock
-	c.mshrs = c.mshrs[:0]
-	for i := range s.MSHRLines {
-		c.mshrs = append(c.mshrs, mshr{line: s.MSHRLines[i], done: s.MSHRDone[i]})
-	}
-	c.mshrMin = s.MSHRMin
 	c.Accesses, c.Misses, c.PrefetchFills, c.MSHRMerges = s.Accesses, s.Misses, s.PrefetchFills, s.MSHRMerges
 	return nil
 }
@@ -75,35 +57,29 @@ func (c *Cache) QuiesceTiming() {
 	c.mshrMin = 0
 }
 
-// MemorySnapshot is the serializable state of the DRAM model.
+// MemorySnapshot is the serializable state of the DRAM model: the open
+// rows. The bank and bus clocks are absent for the same reason as the
+// MSHRs (see CacheSnapshot).
 type MemorySnapshot struct {
-	BankFree []int64
 	OpenRow  []uint64
-	BusFree  int64
 	Accesses uint64
-	RowHits  uint64
 }
 
 // Snapshot deep-copies the DRAM state.
 func (m *Memory) Snapshot() *MemorySnapshot {
 	return &MemorySnapshot{
-		BankFree: append([]int64(nil), m.bankFree...),
 		OpenRow:  append([]uint64(nil), m.openRow...),
-		BusFree:  m.busFree,
 		Accesses: m.Accesses,
-		RowHits:  m.RowHits,
 	}
 }
 
 // Restore overwrites the DRAM model from a snapshot, validating bank count.
 func (m *Memory) Restore(s *MemorySnapshot) error {
-	if len(s.BankFree) != len(m.bankFree) || len(s.OpenRow) != len(m.openRow) {
-		return fmt.Errorf("cache: memory snapshot has %d banks, model has %d", len(s.BankFree), len(m.bankFree))
+	if len(s.OpenRow) != len(m.openRow) {
+		return fmt.Errorf("cache: memory snapshot has %d banks, model has %d", len(s.OpenRow), len(m.openRow))
 	}
-	copy(m.bankFree, s.BankFree)
 	copy(m.openRow, s.OpenRow)
-	m.busFree = s.BusFree
-	m.Accesses, m.RowHits = s.Accesses, s.RowHits
+	m.Accesses = s.Accesses
 	return nil
 }
 
@@ -185,7 +161,7 @@ func (h *Hierarchy) Restore(s *HierarchySnapshot) error {
 		return fmt.Errorf("cache: hierarchy snapshot incomplete")
 	}
 	if len(s.L1I.Tags) != len(h.L1I.tags) || len(s.L1D.Tags) != len(h.L1D.tags) ||
-		len(s.L2.Tags) != len(h.L2.tags) || len(s.Mem.BankFree) != len(h.Mem.bankFree) {
+		len(s.L2.Tags) != len(h.L2.tags) || len(s.Mem.OpenRow) != len(h.Mem.openRow) {
 		return fmt.Errorf("cache: hierarchy snapshot geometry mismatch")
 	}
 	if err := h.L1I.Restore(s.L1I); err != nil {

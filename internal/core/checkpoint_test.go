@@ -29,21 +29,15 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 		{"RAS top negative", func(ck *pipeline.Checkpoint) { ck.RAS.Top = -1 }},
 		{"RAS depth past the stack", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = len(ck.RAS.Stack) + 1 }},
 		{"RAS depth negative", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = -1 }},
-		{"window tags short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Tag = w.Tag[1:] }},
-		{"window seqs short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Seq = w.Seq[1:] }},
-		{"window values short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Vals = w.Vals[1:] }},
-		{"window presence short", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Has = w.Has[1:] }},
-		{"window head past the window", func(ck *pipeline.Checkpoint) { w := ck.VP.Win; w.Head = len(w.Valid) }},
-		{"window head negative", func(ck *pipeline.Checkpoint) { ck.VP.Win.Head = -1 }},
 		{"prefetcher last lines short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.LastLine = pf.LastLine[1:] }},
 		{"prefetcher strides short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Stride = pf.Stride[1:] }},
 		{"prefetcher confidences short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Conf = pf.Conf[1:] }},
-		{"D-VTAGE LVT tags short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.LVTTags = d.LVTTags[1:] }},
-		{"D-VTAGE LVT presence short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.LVTHas = d.LVTHas[1:] }},
-		{"D-VTAGE LVT byte tags short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.LVTBtag = d.LVTBtag[1:] }},
-		{"D-VTAGE VT0 confidences short", func(ck *pipeline.Checkpoint) { d := ck.VP.DVT; d.VT0Conf = d.VT0Conf[1:] }},
-		{"D-VTAGE component useful bits short", func(ck *pipeline.Checkpoint) { c := &ck.VP.DVT.Comps[0]; c.Useful = c.Useful[1:] }},
-		{"D-VTAGE component confidences short", func(ck *pipeline.Checkpoint) { c := &ck.VP.DVT.Comps[0]; c.Conf = c.Conf[1:] }},
+		{"D-VTAGE LVT tags short", func(ck *pipeline.Checkpoint) { ck.VP.LVTTags = ck.VP.LVTTags[1:] }},
+		{"D-VTAGE LVT presence short", func(ck *pipeline.Checkpoint) { ck.VP.LVTHas = ck.VP.LVTHas[1:] }},
+		{"D-VTAGE LVT byte tags short", func(ck *pipeline.Checkpoint) { ck.VP.LVTBtag = ck.VP.LVTBtag[1:] }},
+		{"D-VTAGE VT0 confidences short", func(ck *pipeline.Checkpoint) { ck.VP.VT0Conf = ck.VP.VT0Conf[1:] }},
+		{"D-VTAGE component useful bits short", func(ck *pipeline.Checkpoint) { c := &ck.VP.Comps[0]; c.Useful = c.Useful[1:] }},
+		{"D-VTAGE component confidences short", func(ck *pipeline.Checkpoint) { c := &ck.VP.Comps[0]; c.Conf = c.Conf[1:] }},
 	} {
 		ck, err := p.Snapshot(4000)
 		if err != nil {
@@ -64,6 +58,43 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 	}
 	if rec, err := restoreRecovered(mk, ck); err != nil || rec != nil {
 		t.Fatalf("the unbroken checkpoint does not restore: %v %v", err, rec)
+	}
+}
+
+// TestCheckpointsRefuseADetailedProcessor: Snapshot and Restore refuse
+// a processor that has run a detailed cycle since New or Reset, even
+// one that ran to the end of its stream and drained. A checkpoint
+// carries only what warming trains, and a detailed run leaves state it
+// does not carry (store sets, BeBoP's window and update queue). Reset
+// re-arms the processor.
+func TestCheckpointsRefuseADetailedProcessor(t *testing.T) {
+	for _, mk := range []ConfigFactory{Baseline(), EOLEBeBoP("Medium", MediumConfig())} {
+		name := mk().Name
+		stream, err := sampleProfile(t, "gcc").Open(6000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pipeline.New(mk(), stream)
+		if n := p.Warm(4000); n != 4000 {
+			t.Fatalf("%s: warmed %d of 4000 instructions", name, n)
+		}
+		ck, err := p.Snapshot(4000)
+		if err != nil {
+			t.Fatalf("%s: Snapshot after warming: %v", name, err)
+		}
+		if r := p.RunWarm(0, 0); r.Insts == 0 {
+			t.Fatalf("%s: the detailed run committed nothing", name)
+		}
+		if _, err := p.Snapshot(6000); err == nil {
+			t.Errorf("%s: Snapshot accepted a processor that ran detailed", name)
+		}
+		if err := p.Restore(ck); err == nil {
+			t.Errorf("%s: Restore accepted a processor that ran detailed", name)
+		}
+		p.Reset(mk(), nil)
+		if err := p.Restore(ck); err != nil {
+			t.Errorf("%s: Restore after Reset: %v", name, err)
+		}
 	}
 }
 

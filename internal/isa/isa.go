@@ -164,9 +164,6 @@ func (in *Inst) NextPC() uint64 {
 	return in.PC + uint64(in.Size)
 }
 
-// IsBranch reports whether the instruction is any control-flow kind.
-func (in *Inst) IsBranch() bool { return in.Kind != BranchNone }
-
 // BlockPC returns the fetch-block address containing pc: the PC
 // right-shifted by log2(fetchBlockSize) then re-aligned (Section II-B).
 func BlockPC(pc uint64) uint64 { return pc &^ (FetchBlockSize - 1) }

@@ -70,19 +70,6 @@ func TestEligible(t *testing.T) {
 	}
 }
 
-func TestIsBranch(t *testing.T) {
-	in := Inst{Kind: BranchNone}
-	if in.IsBranch() {
-		t.Fatal("BranchNone must not be a branch")
-	}
-	for _, k := range []BranchKind{BranchCond, BranchDirect, BranchCall, BranchReturn} {
-		in.Kind = k
-		if !in.IsBranch() {
-			t.Fatalf("kind %d must be a branch", k)
-		}
-	}
-}
-
 func TestClassStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for c := ClassNop; c < Class(NumClasses); c++ {

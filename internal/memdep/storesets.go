@@ -6,11 +6,7 @@
 // next time.
 package memdep
 
-import (
-	"fmt"
-
-	"bebop/internal/util"
-)
+import "bebop/internal/util"
 
 // StoreSets is the SSID/LFST predictor.
 type StoreSets struct {
@@ -114,35 +110,4 @@ func (s *StoreSets) Violation(loadPC, storePC uint64) {
 func (s *StoreSets) StorageBits() int {
 	// SSID: log2(n)+1 bits per entry; LFST: 16-bit partial seq tags.
 	return len(s.ssid)*(util.Log2(len(s.ssid))+1) + len(s.lfst)*16
-}
-
-// Snapshot is the serializable checkpoint form of the predictor.
-type Snapshot struct {
-	SSID       []int32
-	LFST       []uint64
-	NextID     int32
-	Violations uint64
-}
-
-// Snapshot deep-copies the predictor state for checkpointing.
-func (s *StoreSets) Snapshot() *Snapshot {
-	return &Snapshot{
-		SSID:       append([]int32(nil), s.ssid...),
-		LFST:       append([]uint64(nil), s.lfst...),
-		NextID:     s.nextID,
-		Violations: s.Violations,
-	}
-}
-
-// Restore overwrites the predictor from a snapshot, validating table size.
-func (s *StoreSets) Restore(sn *Snapshot) error {
-	if len(sn.SSID) != len(s.ssid) || len(sn.LFST) != len(s.lfst) {
-		return fmt.Errorf("memdep: snapshot has %d/%d entries, tables have %d/%d",
-			len(sn.SSID), len(sn.LFST), len(s.ssid), len(s.lfst))
-	}
-	copy(s.ssid, sn.SSID)
-	copy(s.lfst, sn.LFST)
-	s.nextID = sn.NextID
-	s.Violations = sn.Violations
-	return nil
 }

@@ -6,15 +6,17 @@ import (
 
 	"bebop/internal/branch"
 	"bebop/internal/cache"
-	"bebop/internal/memdep"
 	"bebop/internal/predictor"
-	"bebop/internal/specwindow"
 )
 
-// Checkpoint is the aggregate microarchitectural state of a drained
-// processor: everything that survives across instructions — predictors,
-// caches, history — and nothing that lives inside a cycle (ROB, queues,
-// in-flight µ-ops must be empty when one is taken). All fields are
+// Checkpoint is the state functional warming (Warm) trains: the global
+// history, TAGE, BTB, RAS, the cache hierarchy and the value predictor's
+// tables. Nothing else travels. Checkpoints are taken and restored only
+// on a processor that has run no detailed cycle (errDetailed), and there
+// every structure Warm leaves alone still holds its reset value: the
+// pipeline queues, the store sets, MSHRs and DRAM bank/bus clocks (Warm
+// quiesces both before it returns), and the value predictor's
+// speculative window, update queue and counters. All fields are
 // exported plain data (fixed-width integers, bools, strings, arrays,
 // slices, structs and pointers) so the checkpoint side-file codec
 // (internal/trace) can walk them by reflection.
@@ -37,44 +39,29 @@ type Checkpoint struct {
 	BTB  *branch.BTBSnapshot
 	RAS  *branch.RASSnapshot
 	Mem  *cache.HierarchySnapshot
-	SSet *memdep.Snapshot
 
-	// VPName and VP carry the value predictor state when the
+	// VP carries the value predictor's D-VTAGE tables when the
 	// configuration has one that supports snapshotting (VPSnapshotter).
-	VPName string
-	VP     *VPSnapshot
-}
-
-// VPSnapshot is the checkpoint form of the block-based value predictor
-// (bebop.BlockVP): the D-VTAGE tables and the speculative window, plus
-// the prediction counters. The FIFO update queue is deliberately
-// absent — it holds in-flight per-µ-op state, and snapshots are only
-// legal when the pipeline (and therefore the FIFO) has drained.
-type VPSnapshot struct {
-	DVT   *predictor.DVTAGESnapshot
-	Win   *specwindow.Snapshot
-	Stats VPStats
+	VP *predictor.DVTAGESnapshot
 }
 
 // VPSnapshotter is the optional checkpoint interface of a VP
 // implementation. RestoreVP accepts what SnapshotVP returns.
-// Implementations must refuse to snapshot while they hold in-flight
-// (per-µ-op) state.
 type VPSnapshotter interface {
-	SnapshotVP() (*VPSnapshot, error)
-	RestoreVP(s *VPSnapshot) error
+	SnapshotVP() *predictor.DVTAGESnapshot
+	RestoreVP(s *predictor.DVTAGESnapshot) error
 }
 
-// errNotDrained is returned by Snapshot while µ-ops are in flight.
-var errNotDrained = errors.New("pipeline: snapshot requires a drained pipeline (no in-flight µ-ops)")
+// errDetailed is returned by Snapshot and Restore on a processor that
+// has run a detailed cycle since New or Reset: from then on structures
+// a Checkpoint does not carry may have left their reset values.
+var errDetailed = errors.New("pipeline: checkpoints need a processor that has run no detailed cycle since New or Reset")
 
-// Snapshot captures the processor's long-lived state as a Checkpoint.
-// instOffset is the stream position the caller has advanced to. The
-// pipeline must be drained: checkpoints are taken between fast-forward/
-// warming phases, never mid-detailed-run.
+// Snapshot captures the state warming trains as a Checkpoint.
+// instOffset is the stream position the caller has advanced to.
 func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
-	if p.rob.Len() > 0 || p.feQ.Len() > 0 || p.pending.Len() > 0 || p.blockOpen || p.warmingBlockOpen {
-		return nil, errNotDrained
+	if p.now != 0 {
+		return nil, errDetailed
 	}
 	ck := &Checkpoint{
 		InstOffset: instOffset,
@@ -84,36 +71,29 @@ func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
 		BTB:        p.btb.Snapshot(),
 		RAS:        p.ras.Snapshot(),
 		Mem:        p.mem.Snapshot(),
-		SSet:       p.sset.Snapshot(),
 	}
 	if p.cfg.VP != nil {
 		vs, ok := p.cfg.VP.(VPSnapshotter)
 		if !ok {
 			return nil, fmt.Errorf("pipeline: value predictor %s does not support checkpoints", p.cfg.VP.Name())
 		}
-		snap, err := vs.SnapshotVP()
-		if err != nil {
-			return nil, err
-		}
-		ck.VPName = p.cfg.VP.Name()
-		ck.VP = snap
+		ck.VP = vs.SnapshotVP()
 	}
 	return ck, nil
 }
 
-// Restore overwrites the processor's long-lived state from a checkpoint.
-// The processor must be freshly Reset (or otherwise drained) under the
-// same configuration name the checkpoint was taken with; geometry is
-// additionally validated by every component restore.
+// Restore overwrites the state warming trains from a checkpoint taken
+// under the same configuration name; geometry is additionally validated
+// by every component restore.
 func (p *Processor) Restore(ck *Checkpoint) error {
-	if p.rob.Len() > 0 || p.feQ.Len() > 0 || p.pending.Len() > 0 || p.blockOpen {
-		return errNotDrained
+	if p.now != 0 {
+		return errDetailed
 	}
 	if ck.ConfigName != p.cfg.Name {
 		return fmt.Errorf("pipeline: checkpoint was taken under config %q, processor runs %q",
 			ck.ConfigName, p.cfg.Name)
 	}
-	if ck.TAGE == nil || ck.BTB == nil || ck.RAS == nil || ck.Mem == nil || ck.SSet == nil {
+	if ck.TAGE == nil || ck.BTB == nil || ck.RAS == nil || ck.Mem == nil {
 		return fmt.Errorf("pipeline: checkpoint incomplete")
 	}
 	if err := p.tage.Restore(ck.TAGE); err != nil {
@@ -128,29 +108,20 @@ func (p *Processor) Restore(ck *Checkpoint) error {
 	if err := p.mem.Restore(ck.Mem); err != nil {
 		return err
 	}
-	if err := p.sset.Restore(ck.SSet); err != nil {
-		return err
-	}
 	p.hist.RestoreCheckpoint(ck.Hist)
-	if p.cfg.VP != nil {
-		vs, ok := p.cfg.VP.(VPSnapshotter)
-		if !ok {
-			return fmt.Errorf("pipeline: value predictor %s does not support checkpoints", p.cfg.VP.Name())
+	if p.cfg.VP == nil {
+		if ck.VP != nil {
+			return fmt.Errorf("pipeline: checkpoint carries value predictor state but config %s has none", p.cfg.Name)
 		}
-		if ck.VP == nil {
-			return fmt.Errorf("pipeline: checkpoint carries no VP state but config %s has predictor %s",
-				p.cfg.Name, p.cfg.VP.Name())
-		}
-		if ck.VPName != p.cfg.VP.Name() {
-			return fmt.Errorf("pipeline: checkpoint VP state is for %s, processor runs %s",
-				ck.VPName, p.cfg.VP.Name())
-		}
-		if err := vs.RestoreVP(ck.VP); err != nil {
-			return err
-		}
-	} else if ck.VP != nil {
-		return fmt.Errorf("pipeline: checkpoint carries %s state but config %s has no value predictor",
-			ck.VPName, p.cfg.Name)
+		return nil
 	}
-	return nil
+	vs, ok := p.cfg.VP.(VPSnapshotter)
+	if !ok {
+		return fmt.Errorf("pipeline: value predictor %s does not support checkpoints", p.cfg.VP.Name())
+	}
+	if ck.VP == nil {
+		return fmt.Errorf("pipeline: checkpoint carries no VP state but config %s has predictor %s",
+			p.cfg.Name, p.cfg.VP.Name())
+	}
+	return vs.RestoreVP(ck.VP)
 }

@@ -70,7 +70,6 @@ func (p *Processor) classifyDispatch(u *UOp) bool {
 
 func (p *Processor) dispatch(u *UOp, needsIQ bool) {
 	u.Dispatched = true
-	u.DispatchAt = p.now
 
 	p.rob.PushBack(u)
 

@@ -127,7 +127,6 @@ func (p *Processor) issue(u *UOp) {
 	u.Issued = true
 	u.InIQ = false
 	p.iqCount--
-	u.IssuedAt = p.now
 	u.Executed = true
 
 	switch u.Class {

@@ -290,17 +290,22 @@ func (p *Processor) Release() {
 // (0 = no bound). The first warmupInsts retired instructions are
 // excluded from all reported statistics: caches, branch predictor and
 // value predictor train during warmup, and measurement starts only at
-// the boundary (the methodology of Section V-C).
+// the boundary (the methodology of Section V-C). With no detailed warmup
+// the boundary is the first cycle, so nothing counted before the call —
+// by Warm, or in a restored checkpoint — is reported either.
 //
 //bebop:hotpath
 func (p *Processor) RunWarm(warmupInsts, maxCycles int64) Result {
+	if warmupInsts <= 0 {
+		p.markWarm()
+	}
 	for {
 		p.commitStage()
 		p.issueStage()
 		p.dispatchStage()
 		p.fetchStage()
 		p.now++
-		if !p.warmed && warmupInsts > 0 && p.stats.Insts >= uint64(warmupInsts) {
+		if !p.warmed && p.stats.Insts >= uint64(warmupInsts) {
 			p.markWarm()
 		}
 		if p.streamDone && p.pending.Len() == 0 && p.feQ.Len() == 0 && p.rob.Len() == 0 {

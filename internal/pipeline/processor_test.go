@@ -187,6 +187,23 @@ func TestWarmupExcludesStats(t *testing.T) {
 	}
 }
 
+// TestNoWarmupExcludesFunctionalWarming: with no detailed warmup the
+// measured window starts at the first cycle, so a detailed run right
+// after functional warming reports none of the warming pass's cache
+// misses or MSHR merges.
+func TestNoWarmupExcludesFunctionalWarming(t *testing.T) {
+	prof, _ := workload.ProfileByName("mcf")
+	p := New(DefaultConfig(), workload.New(prof, 20_000))
+	if n := p.Warm(20_000); n != 20_000 {
+		t.Fatalf("warmed %d of 20000 instructions", n)
+	}
+	r := p.RunWarm(0, 0) // the stream is exhausted: nothing to measure
+	if r.Insts != 0 || r.L1DMisses != 0 || r.L2Misses != 0 || r.L1DMSHRMerges != 0 || r.L2MSHRMerges != 0 {
+		t.Fatalf("an empty measured window reports %d insts, %d/%d L1D/L2 misses, %d/%d merges",
+			r.Insts, r.L1DMisses, r.L2Misses, r.L1DMSHRMerges, r.L2MSHRMerges)
+	}
+}
+
 func TestValueMispredictionSquashes(t *testing.T) {
 	// An adversarial predictor that confidently predicts wrong values for
 	// everything must trigger squashes and still produce a correct run.

@@ -83,9 +83,7 @@ type UOp struct {
 	PredValue uint64
 
 	// Timing state.
-	FetchedAt  int64
-	DispatchAt int64
-	IssuedAt   int64
+	FetchedAt int64
 
 	// Memory dependence state.
 	StoreDepSeq uint64 // store-set predicted producer store, 0 = none
@@ -141,7 +139,6 @@ func (u *UOp) reset() {
 	u.Dispatched, u.InIQ, u.Issued, u.Executed = false, false, false, false
 	u.EarlyExec, u.LateExec, u.Committed, u.Squashed = false, false, false, false
 	u.PredConfident, u.BrMispredicted, u.Predicted = false, false, false
-	u.DispatchAt, u.IssuedAt = 0, 0
 	u.StoreDepSeq = 0
 	u.VPRec = nil
 	u.VPGen = 0

@@ -14,11 +14,7 @@
 // speculative by nature.
 package specwindow
 
-import (
-	"fmt"
-
-	"bebop/internal/util"
-)
+import "bebop/internal/util"
 
 // MaxNPred mirrors predictor.MaxNPred without importing it.
 const MaxNPred = 8
@@ -221,67 +217,4 @@ func (w *Window) StorageBits(npred int) int {
 		return 0
 	}
 	return len(w.entries) * (w.tagBits + 16 + npred*(64+4))
-}
-
-// Snapshot is the serializable checkpoint form of a Window, entries
-// flattened into parallel arrays (Entry's fields are unexported).
-type Snapshot struct {
-	Valid []bool
-	Tag   []uint16
-	Seq   []uint64
-	Vals  [][MaxNPred]uint64
-	Has   [][MaxNPred]bool
-	Head  int
-
-	Probes, Hits uint64
-}
-
-// Snapshot deep-copies the window state.
-func (w *Window) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Valid:  make([]bool, len(w.entries)),
-		Tag:    make([]uint16, len(w.entries)),
-		Seq:    make([]uint64, len(w.entries)),
-		Vals:   make([][MaxNPred]uint64, len(w.entries)),
-		Has:    make([][MaxNPred]bool, len(w.entries)),
-		Head:   w.head,
-		Probes: w.Probes,
-		Hits:   w.Hits,
-	}
-	for i := range w.entries {
-		e := &w.entries[i]
-		s.Valid[i], s.Tag[i], s.Seq[i], s.Vals[i], s.Has[i] = e.valid, e.tag, e.seq, e.vals, e.has
-	}
-	return s
-}
-
-// Restore overwrites the window from a snapshot. Bounded windows require
-// a matching size; unbounded windows accept any entry count (their
-// backing slice grows as needed). Every parallel array must have one
-// element per entry, and the head must lie inside a bounded window (an
-// unbounded or disabled window never moves it from 0).
-func (w *Window) Restore(s *Snapshot) error {
-	n := len(s.Valid)
-	if !w.infinite && n != len(w.entries) {
-		return fmt.Errorf("specwindow: snapshot has %d entries, window sized %d", n, len(w.entries))
-	}
-	if len(s.Tag) != n || len(s.Seq) != n || len(s.Vals) != n || len(s.Has) != n {
-		return fmt.Errorf("specwindow: snapshot arrays hold %d/%d/%d/%d elements for %d entries",
-			len(s.Tag), len(s.Seq), len(s.Vals), len(s.Has), n)
-	}
-	if s.Head < 0 || s.Head >= max(len(w.entries), 1) || (w.infinite && s.Head != 0) {
-		return fmt.Errorf("specwindow: snapshot head %d outside the window", s.Head)
-	}
-	if w.infinite {
-		w.entries = w.entries[:0]
-		for range s.Valid {
-			w.entries = append(w.entries, Entry{})
-		}
-	}
-	for i := range w.entries {
-		w.entries[i] = Entry{valid: s.Valid[i], tag: s.Tag[i], seq: s.Seq[i], vals: s.Vals[i], has: s.Has[i]}
-	}
-	w.head = s.Head
-	w.Probes, w.Hits = s.Probes, s.Hits
-	return nil
 }

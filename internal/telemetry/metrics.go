@@ -12,8 +12,8 @@
 //     the registry lookup happens once at init, never per event.
 //  2. Registration (get-or-create) takes a mutex; it happens at package
 //     init or per run, never per instruction.
-//  3. Reads are snapshots: WritePrometheus and Snapshot observe each
-//     atomic independently. Totals may be torn across metrics (a scrape
+//  3. Reads are snapshots: WritePrometheus observes each atomic
+//     independently. Totals may be torn across metrics (a scrape
 //     can see N hits but N-1 lookups) — fine for monitoring, documented
 //     here so nobody builds invariants on cross-metric consistency.
 //
@@ -210,41 +210,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		r.help[fam] = help
 	}
 	return h
-}
-
-// Sample is one series in a Snapshot. Histograms are flattened to their
-// count and sum (Value = sum, Count = observation count).
-type Sample struct {
-	Name  string
-	Kind  string // "counter", "gauge", "histogram"
-	Value float64
-	Count uint64 // histogram observation count; 0 otherwise
-}
-
-// Snapshot returns every series, sorted by name. Each value is read
-// atomically; the set as a whole is not a consistent cut (see package
-// doc).
-func (r *Registry) Snapshot() []Sample {
-	r.mu.Lock()
-	list := make([]*metric, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		list = append(list, m)
-	}
-	r.mu.Unlock()
-
-	out := make([]Sample, 0, len(list))
-	for _, m := range list {
-		switch m.kind {
-		case kindCounter:
-			out = append(out, Sample{Name: m.name, Kind: "counter", Value: float64(m.c.Value())})
-		case kindGauge:
-			out = append(out, Sample{Name: m.name, Kind: "gauge", Value: float64(m.g.Value())})
-		case kindHistogram:
-			out = append(out, Sample{Name: m.name, Kind: "histogram", Value: m.h.Sum(), Count: m.h.Count()})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // WritePrometheus writes every series in the Prometheus text exposition

@@ -42,8 +42,8 @@ import (
 // no change here. The fingerprint hashes the field names and kinds the
 // walk visits, so any change to a snapshot struct changes it and the
 // reader refuses the older side-files it would otherwise misread. The
-// value predictor's state is the typed pipeline.VPSnapshot pointer, so
-// interfaces, which would need a registry of concrete types, are
+// value predictor's state is the typed *predictor.DVTAGESnapshot field,
+// so interfaces, which would need a registry of concrete types, are
 // refused.
 const (
 	checkpointMagic   = "BBCk"

@@ -558,7 +558,7 @@ func FuzzLoadCheckpoints(f *testing.F) {
 		for _, ck := range cf.Points {
 			p := pipeline.New(mk(), workload.New(gcc, 1_000))
 			if p.Restore(ck) == nil {
-				p.RunWarm(0, 1_000_000) // the cycle cap bounds restored timing state
+				p.RunWarm(0, 1_000_000) // the cycle cap bounds whatever state a fuzzed point restores
 			}
 		}
 	})

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"bebop/internal/cli"
@@ -249,8 +250,12 @@ func cmdCheckpoint(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("checkpointed %s for %s: %d snapshots every ~%d insts, %d bytes -> %s\n",
-		*path, cfgName, len(points), spacing, st.Size(), out)
+	at := make([]string, len(points))
+	for i, ck := range points {
+		at[i] = strconv.FormatInt(ck.InstOffset, 10)
+	}
+	fmt.Printf("checkpointed %s for %s: %d snapshots at instructions %s, %d bytes -> %s\n",
+		*path, cfgName, len(points), strings.Join(at, ", "), st.Size(), out)
 	return nil
 }
 

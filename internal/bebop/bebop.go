@@ -64,7 +64,7 @@ type BlockVP struct {
 
 	//bebop:nosnap free list of recycled records; checkpoints need a processor that has run no detailed cycle, so no live block references it
 	pool []*blockRec
-	//bebop:nosnap counted only at detailed retire; checkpoints need a processor that has run no detailed cycle, so they are zero
+	//bebop:nosnap measurement counters; zeroed where the measured window starts, so no checkpoint carries them
 	stats pipeline.VPStats
 }
 

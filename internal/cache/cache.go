@@ -56,12 +56,13 @@ type Cache struct {
 	//bebop:nosnap earliest completion in mshrs; Warm quiesces it and checkpoints need a processor that has run no detailed cycle, so it is zero
 	mshrMin int64
 
-	// Accesses and Misses count demand lookups of this level;
-	// PrefetchFills counts lines the stride prefetcher brought in.
-	Accesses, Misses, PrefetchFills uint64
+	// Misses counts demand lookups that missed this level.
+	//bebop:nosnap measurement counter; zeroed where the measured window starts, so no checkpoint carries it
+	Misses uint64
 	// MSHRMerges counts misses that merged into an already in-flight
 	// MSHR instead of starting a new fill — the secondary-miss traffic
-	// Accesses/Misses alone leave invisible.
+	// Misses alone leaves invisible.
+	//bebop:nosnap measurement counter; zeroed where the measured window starts, so no checkpoint carries it
 	MSHRMerges uint64
 }
 
@@ -94,7 +95,7 @@ func (c *Cache) Reset() {
 	c.clock = 0
 	c.mshrs = c.mshrs[:0]
 	c.mshrMin = 0
-	c.Accesses, c.Misses, c.PrefetchFills, c.MSHRMerges = 0, 0, 0, 0
+	c.Misses, c.MSHRMerges = 0, 0
 }
 
 func (c *Cache) set(line uint64) int {
@@ -235,10 +236,18 @@ func (h *Hierarchy) Reset() {
 	}
 }
 
+// ResetStats zeroes every level's miss and MSHR-merge counters, leaving
+// contents and timing state alone; the processor calls it where the
+// measured window starts.
+func (h *Hierarchy) ResetStats() {
+	h.L1I.Misses, h.L1I.MSHRMerges = 0, 0
+	h.L1D.Misses, h.L1D.MSHRMerges = 0, 0
+	h.L2.Misses, h.L2.MSHRMerges = 0, 0
+}
+
 // accessThrough performs an access at level c backed by lower, returning
 // the cycle at which data is available. now is the access cycle.
 func (h *Hierarchy) accessThrough(c *Cache, line uint64, now int64, lower func(int64) int64) int64 {
-	c.Accesses++
 	c.reapMSHRs(now)
 	if way, hit := c.probe(line); hit {
 		c.touch(way)
@@ -296,7 +305,6 @@ func (h *Hierarchy) accessL2(pc, line uint64, now int64) int64 {
 		for _, pline := range h.Prefetch.Observe(pc, line) {
 			if _, hit := h.L2.probe(pline); !hit {
 				h.L2.fill(pline)
-				h.L2.PrefetchFills++
 			}
 		}
 	}

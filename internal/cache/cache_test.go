@@ -114,11 +114,12 @@ func TestMSHRBoundsOutstanding(t *testing.T) {
 func TestInstVsDataCachesIndependent(t *testing.T) {
 	h := newTestHierarchy()
 	h.ReadInst(0x400000, 0)
-	if h.L1D.Accesses != 0 {
-		t.Fatal("instruction fetch touched the D-cache")
+	line := uint64(0x400000) >> lineShift
+	if _, hit := h.L1D.probe(line); hit {
+		t.Fatal("instruction fetch filled the D-cache")
 	}
-	if h.L1I.Accesses != 1 {
-		t.Fatal("instruction fetch did not touch the I-cache")
+	if _, hit := h.L1I.probe(line); !hit {
+		t.Fatal("instruction fetch did not fill the I-cache")
 	}
 }
 
@@ -195,12 +196,13 @@ func TestPrefetchInstallsIntoL2(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		h.ReadData(pc, base+uint64(i)*128, int64(i)*500)
 	}
-	if h.L2.PrefetchFills == 0 {
-		t.Fatal("no prefetches installed into L2")
+	next := base + 8*128
+	if _, hit := h.L2.probe(next >> lineShift); !hit {
+		t.Fatal("the next strided line was not prefetched into L2")
 	}
-	// The next strided access should be an L2 hit (prefetched).
+	// Its demand access is therefore an L2 hit.
 	start := int64(100000)
-	done := h.ReadData(pc, base+8*128, start)
+	done := h.ReadData(pc, next, start)
 	if done-start > int64(h.L1D.cfg.Latency+h.L2.cfg.Latency)+2 {
 		t.Fatalf("prefetched line still cost %d cycles", done-start)
 	}
@@ -229,17 +231,17 @@ func TestMemoryLatencyBounds(t *testing.T) {
 	}
 }
 
+// TestMemoryBankConflictsSlow: accesses issued in the same cycle
+// serialize on the banks and the shared bus, so each completes later
+// than the one before it.
 func TestMemoryBankConflictsSlow(t *testing.T) {
 	m := NewMemory(DefaultMemConfig())
-	// Hammer one bank: same row-sized region, different rows.
-	var lats []int64
+	var prev int64
 	for i := 0; i < 4; i++ {
-		now := int64(0)
-		done := m.Access(uint64(i)*(8<<10)*16>>6, now)
-		lats = append(lats, done)
-	}
-	_ = lats // bank mapping is hashed; just assert monotone sanity
-	if m.Accesses != 4 {
-		t.Fatalf("accesses = %d", m.Accesses)
+		done := m.Access(uint64(i)*(8<<10)*16>>6, 0)
+		if done <= prev {
+			t.Fatalf("access %d completes at cycle %d, not after the previous one's %d", i, done, prev)
+		}
+		prev = done
 	}
 }

@@ -43,8 +43,6 @@ type Memory struct {
 	// every Table I-shaped config); -1/0 fall back to divide/modulo.
 	rowShift int
 	bankMask uint64
-
-	Accesses uint64
 }
 
 // NewMemory builds the DRAM model.
@@ -74,13 +72,11 @@ func (m *Memory) Reset() {
 		m.openRow[i] = ^uint64(0)
 	}
 	m.busFree = 0
-	m.Accesses = 0
 }
 
 // Access performs a line-fill read beginning no earlier than cycle now and
 // returns the data-available cycle.
 func (m *Memory) Access(line uint64, now int64) int64 {
-	m.Accesses++
 	addr := line << lineShift
 	var row uint64
 	if m.rowShift >= 0 {

@@ -7,30 +7,25 @@ import "fmt"
 // validates that the snapshot geometry matches the live tables before
 // touching anything.
 
-// CacheSnapshot is the serializable state of one cache level: contents,
-// LRU state and the stats counters. In-flight MSHRs are absent: Warm
-// quiesces them, and checkpoints are taken and restored only before a
-// processor's first detailed cycle.
+// CacheSnapshot is the serializable state of one cache level: contents
+// and LRU state. In-flight MSHRs are absent: Warm quiesces them, and
+// checkpoints are taken and restored only before a processor's first
+// detailed cycle. The miss and merge counters are absent too: they are
+// zeroed where the measured window starts, so no checkpoint carries them.
 type CacheSnapshot struct {
 	Tags    []uint64
 	Valid   []bool
 	LastUse []uint64
 	Clock   uint64
-
-	Accesses, Misses, PrefetchFills, MSHRMerges uint64
 }
 
 // Snapshot deep-copies the cache state.
 func (c *Cache) Snapshot() *CacheSnapshot {
 	return &CacheSnapshot{
-		Tags:          append([]uint64(nil), c.tags...),
-		Valid:         append([]bool(nil), c.valid...),
-		LastUse:       append([]uint64(nil), c.lastUse...),
-		Clock:         c.clock,
-		Accesses:      c.Accesses,
-		Misses:        c.Misses,
-		PrefetchFills: c.PrefetchFills,
-		MSHRMerges:    c.MSHRMerges,
+		Tags:    append([]uint64(nil), c.tags...),
+		Valid:   append([]bool(nil), c.valid...),
+		LastUse: append([]uint64(nil), c.lastUse...),
+		Clock:   c.clock,
 	}
 }
 
@@ -43,7 +38,6 @@ func (c *Cache) Restore(s *CacheSnapshot) error {
 	copy(c.valid, s.Valid)
 	copy(c.lastUse, s.LastUse)
 	c.clock = s.Clock
-	c.Accesses, c.Misses, c.PrefetchFills, c.MSHRMerges = s.Accesses, s.Misses, s.PrefetchFills, s.MSHRMerges
 	return nil
 }
 
@@ -61,16 +55,12 @@ func (c *Cache) QuiesceTiming() {
 // rows. The bank and bus clocks are absent for the same reason as the
 // MSHRs (see CacheSnapshot).
 type MemorySnapshot struct {
-	OpenRow  []uint64
-	Accesses uint64
+	OpenRow []uint64
 }
 
 // Snapshot deep-copies the DRAM state.
 func (m *Memory) Snapshot() *MemorySnapshot {
-	return &MemorySnapshot{
-		OpenRow:  append([]uint64(nil), m.openRow...),
-		Accesses: m.Accesses,
-	}
+	return &MemorySnapshot{OpenRow: append([]uint64(nil), m.openRow...)}
 }
 
 // Restore overwrites the DRAM model from a snapshot, validating bank count.
@@ -79,7 +69,6 @@ func (m *Memory) Restore(s *MemorySnapshot) error {
 		return fmt.Errorf("cache: memory snapshot has %d banks, model has %d", len(s.OpenRow), len(m.openRow))
 	}
 	copy(m.openRow, s.OpenRow)
-	m.Accesses = s.Accesses
 	return nil
 }
 

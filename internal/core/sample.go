@@ -54,8 +54,6 @@ type SamplingParams struct {
 	// this); each interval restores the nearest one at or before its
 	// warming start instead of re-warming from scratch.
 	Checkpoints CheckpointSource
-	// Parallelism caps the worker count (0 = GOMAXPROCS).
-	Parallelism int
 	// OnInterval, when set, is invoked after each interval completes with
 	// the number of finished intervals and the total. Calls are
 	// serialized and done is strictly increasing, so callers can stream
@@ -142,11 +140,11 @@ func (l *limitStream) Err() error {
 
 // RunSampled estimates the measured region [warmup, warmup+insts) of a
 // workload by detailed simulation of evenly-spaced intervals, sharded
-// across pooled processors. The aggregate Result sums the per-interval
-// statistics; its IPC is the mean of per-interval IPCs (the quantity
-// the confidence interval in SampleStats describes). The reduction is
-// performed in interval order, so the outcome is bit-identical
-// regardless of worker scheduling.
+// across up to GOMAXPROCS pooled processors. The aggregate Result sums
+// the per-interval statistics; its IPC is the mean of per-interval IPCs
+// (the quantity the confidence interval in SampleStats describes). The
+// reduction is performed in interval order, so the outcome is
+// bit-identical regardless of worker scheduling.
 func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, mk ConfigFactory, sp SamplingParams) (pipeline.Result, SampleStats, error) {
 	if err := sp.validate(insts); err != nil {
 		return pipeline.Result{}, SampleStats{}, err
@@ -170,10 +168,7 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	}
 	outs := make([]intervalOut, sp.Intervals)
 
-	nw := sp.Parallelism
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
+	nw := runtime.GOMAXPROCS(0)
 	if nw > sp.Intervals {
 		nw = sp.Intervals
 	}

@@ -23,6 +23,13 @@ func sampleProfile(t *testing.T, name string) workload.Source {
 	return workload.ProfileSource{Prof: prof}
 }
 
+// setWorkers runs the interval scheduler with n workers until t ends:
+// RunSampled starts GOMAXPROCS of them.
+func setWorkers(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestRunSampledDeterministicAcrossParallelism(t *testing.T) {
 	src := sampleProfile(t, "gcc")
 	sp := SamplingParams{
@@ -32,9 +39,8 @@ func TestRunSampledDeterministicAcrossParallelism(t *testing.T) {
 		DetailWarmup:  500,
 	}
 	run := func(par int) (pipeline.Result, SampleStats) {
-		p := sp
-		p.Parallelism = par
-		r, st, err := RunSampled(context.Background(), src, 8000, 40000, Baseline(), p)
+		setWorkers(t, par)
+		r, st, err := RunSampled(context.Background(), src, 8000, 40000, Baseline(), sp)
 		if err != nil {
 			t.Fatalf("RunSampled(par=%d): %v", par, err)
 		}
@@ -93,7 +99,6 @@ func TestRunSampledCheckpointsMatchContinuousWarming(t *testing.T) {
 				Intervals:     3,
 				IntervalInsts: 2000,
 				DetailWarmup:  500,
-				Parallelism:   2,
 			}
 			full := base
 			full.WarmupInsts = warmup + insts // warm continuously from instruction 0
@@ -218,7 +223,7 @@ func (s openPanicSource) Open(maxInsts int64) (isa.Stream, error) {
 // error, counted by bebop_core_run_panics_total, instead of escaping to
 // the caller.
 func TestOpenPanicIsRecovered(t *testing.T) {
-	sp := SamplingParams{Intervals: 3, IntervalInsts: 1000, DetailWarmup: 200, Parallelism: 2}
+	sp := SamplingParams{Intervals: 3, IntervalInsts: 1000, DetailWarmup: 200}
 	for _, tc := range []struct {
 		name   string
 		skip   int64 // opens that succeed before the panicking ones

@@ -257,7 +257,6 @@ func TestChaosIntervalPanicFailsRunNotProcess(t *testing.T) {
 		IntervalInsts: 4_000,
 		WarmupInsts:   10_000,
 		DetailWarmup:  1_000,
-		Parallelism:   2,
 	}
 	armFault(t, "core.interval", faultinject.Plan{Mode: faultinject.ModePanic, Nth: 3})
 	_, _, err := core.RunSampled(context.Background(), src, warmup, insts, perf.Configs()[0].Mk, sp)

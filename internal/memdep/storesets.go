@@ -13,8 +13,6 @@ type StoreSets struct {
 	ssid   []int32  // PC-indexed store set IDs, -1 = none
 	lfst   []uint64 // store-set-indexed last fetched store sequence number
 	nextID int32
-
-	Violations uint64
 }
 
 // New builds a predictor with n-entry SSID and LFST tables.
@@ -39,7 +37,6 @@ func (s *StoreSets) Reset() {
 		s.lfst[i] = 0
 	}
 	s.nextID = 0
-	s.Violations = 0
 }
 
 func (s *StoreSets) idx(pc uint64) int {
@@ -87,7 +84,6 @@ func (s *StoreSets) StoreRetired(pc, seq uint64) {
 // original merging rules (the lower existing SSID wins; unassigned PCs
 // receive a fresh ID).
 func (s *StoreSets) Violation(loadPC, storePC uint64) {
-	s.Violations++
 	li, si := s.idx(loadPC), s.idx(storePC)
 	lid, sid := s.ssid[li], s.ssid[si]
 	switch {

@@ -64,15 +64,6 @@ func TestUnrelatedStoreNoDependence(t *testing.T) {
 	}
 }
 
-func TestViolationCounter(t *testing.T) {
-	s := New(1024)
-	s.Violation(1, 2)
-	s.Violation(3, 4)
-	if s.Violations != 2 {
-		t.Fatalf("violations = %d", s.Violations)
-	}
-}
-
 func TestStorageBitsPositive(t *testing.T) {
 	s := New(1024)
 	if s.StorageBits() <= 0 {

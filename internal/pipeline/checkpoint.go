@@ -16,8 +16,11 @@ import (
 // every structure Warm leaves alone still holds its reset value: the
 // pipeline queues, the store sets, MSHRs and DRAM bank/bus clocks (Warm
 // quiesces both before it returns), and the value predictor's
-// speculative window, update queue and counters. All fields are
-// exported plain data (fixed-width integers, bools, strings, arrays,
+// speculative window and update queue. No counter travels either:
+// every counter Result reports, the caches' and the value predictor's
+// included, is zeroed where the measured window starts, so a restored
+// processor reports only what it counts after that boundary. All fields
+// are exported plain data (fixed-width integers, bools, strings, arrays,
 // slices, structs and pointers) so the checkpoint side-file codec
 // (internal/trace) can walk them by reflection.
 //

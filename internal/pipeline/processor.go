@@ -89,16 +89,11 @@ type Processor struct {
 	// warmup boundary so they cover exactly the measured window.
 	h2pBr  *h2pTable
 	h2pVal *h2pTable
-	// Measurement window: counters at the warmup boundary are snapshotted
-	// and subtracted, mirroring the paper's "warm 50M, measure 100M"
-	// methodology.
-	warmed       bool
-	warmStats    Stats
-	warmCycles   int64
-	warmL1D      uint64
-	warmL2       uint64
-	warmL1DMerge uint64
-	warmL2Merge  uint64
+	// Measurement window: every counter Result reports is zeroed at the
+	// warmup boundary, which warmCycles records, mirroring the paper's
+	// "warm 50M, measure 100M" methodology.
+	warmed     bool
+	warmCycles int64
 }
 
 // Stats accumulates run statistics.
@@ -135,7 +130,7 @@ type Result struct {
 	L2Misses  uint64
 	// MSHR merges per level: misses that coalesced into an already
 	// in-flight fill instead of starting a new one — secondary-miss
-	// traffic that Accesses/Misses alone leave invisible.
+	// traffic that the miss counts alone leave invisible.
 	L1DMSHRMerges uint64
 	L2MSHRMerges  uint64
 	StorageBits   int
@@ -271,10 +266,7 @@ func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	p.warmingUOps = p.warmingUOps[:0]
 	p.stats = Stats{}
 	p.warmed = false
-	p.warmStats = Stats{}
 	p.warmCycles = 0
-	p.warmL1D, p.warmL2 = 0, 0
-	p.warmL1DMerge, p.warmL2Merge = 0, 0
 }
 
 // Release drops the finished job's stream and value predictor references
@@ -290,9 +282,9 @@ func (p *Processor) Release() {
 // (0 = no bound). The first warmupInsts retired instructions are
 // excluded from all reported statistics: caches, branch predictor and
 // value predictor train during warmup, and measurement starts only at
-// the boundary (the methodology of Section V-C). With no detailed warmup
-// the boundary is the first cycle, so nothing counted before the call —
-// by Warm, or in a restored checkpoint — is reported either.
+// the boundary (the methodology of Section V-C), where every reported
+// counter is zeroed. With no detailed warmup the boundary is the first
+// cycle, so nothing Warm counted before the call is reported either.
 //
 //bebop:hotpath
 func (p *Processor) RunWarm(warmupInsts, maxCycles int64) Result {
@@ -315,18 +307,17 @@ func (p *Processor) RunWarm(warmupInsts, maxCycles int64) Result {
 			break
 		}
 	}
-	p.stats.Cycles = p.now
+	p.stats.Cycles = p.now - p.warmCycles
 	return p.result()
 }
 
+// markWarm starts the measured window: it zeroes every counter Result
+// reports, so nothing counted before the boundary is reported.
 func (p *Processor) markWarm() {
 	p.warmed = true
-	p.warmStats = p.stats
 	p.warmCycles = p.now
-	p.warmL1D = p.mem.L1D.Misses
-	p.warmL2 = p.mem.L2.Misses
-	p.warmL1DMerge = p.mem.L1D.MSHRMerges
-	p.warmL2Merge = p.mem.L2.MSHRMerges
+	p.stats = Stats{}
+	p.mem.ResetStats()
 	if p.h2pBr != nil {
 		p.h2pBr.clear()
 		p.h2pVal.clear()
@@ -337,33 +328,13 @@ func (p *Processor) markWarm() {
 }
 
 func (p *Processor) result() Result {
-	stats := p.stats
-	if p.warmed {
-		stats = Stats{
-			Cycles:           p.stats.Cycles - p.warmCycles,
-			Insts:            p.stats.Insts - p.warmStats.Insts,
-			UOps:             p.stats.UOps - p.warmStats.UOps,
-			FetchedUOps:      p.stats.FetchedUOps - p.warmStats.FetchedUOps,
-			BrCondRetired:    p.stats.BrCondRetired - p.warmStats.BrCondRetired,
-			BrMispredicts:    p.stats.BrMispredicts - p.warmStats.BrMispredicts,
-			BTBMisses:        p.stats.BTBMisses - p.warmStats.BTBMisses,
-			ValueMispredicts: p.stats.ValueMispredicts - p.warmStats.ValueMispredicts,
-			MemOrderFlushes:  p.stats.MemOrderFlushes - p.warmStats.MemOrderFlushes,
-			SquashedUOps:     p.stats.SquashedUOps - p.warmStats.SquashedUOps,
-			EarlyExecuted:    p.stats.EarlyExecuted - p.warmStats.EarlyExecuted,
-			LateExecuted:     p.stats.LateExecuted - p.warmStats.LateExecuted,
-			FreeLoadImms:     p.stats.FreeLoadImms - p.warmStats.FreeLoadImms,
-			LoadsExecuted:    p.stats.LoadsExecuted - p.warmStats.LoadsExecuted,
-			StoreForwards:    p.stats.StoreForwards - p.warmStats.StoreForwards,
-		}
-	}
 	r := Result{
 		Config:        p.cfg.Name,
-		Stats:         stats,
-		L1DMisses:     p.mem.L1D.Misses - p.warmL1D,
-		L2Misses:      p.mem.L2.Misses - p.warmL2,
-		L1DMSHRMerges: p.mem.L1D.MSHRMerges - p.warmL1DMerge,
-		L2MSHRMerges:  p.mem.L2.MSHRMerges - p.warmL2Merge,
+		Stats:         p.stats,
+		L1DMisses:     p.mem.L1D.Misses,
+		L2Misses:      p.mem.L2.Misses,
+		L1DMSHRMerges: p.mem.L1D.MSHRMerges,
+		L2MSHRMerges:  p.mem.L2.MSHRMerges,
 	}
 	if r.Cycles > 0 {
 		r.IPC = float64(r.Insts) / float64(r.Cycles)

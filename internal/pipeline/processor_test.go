@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bebop/internal/branch"
+	"bebop/internal/cache"
 	"bebop/internal/isa"
 	"bebop/internal/predictor"
 	"bebop/internal/workload"
@@ -201,6 +202,36 @@ func TestNoWarmupExcludesFunctionalWarming(t *testing.T) {
 	if r.Insts != 0 || r.L1DMisses != 0 || r.L2Misses != 0 || r.L1DMSHRMerges != 0 || r.L2MSHRMerges != 0 {
 		t.Fatalf("an empty measured window reports %d insts, %d/%d L1D/L2 misses, %d/%d merges",
 			r.Insts, r.L1DMisses, r.L2Misses, r.L1DMSHRMerges, r.L2MSHRMerges)
+	}
+}
+
+// TestRestoreCarriesNoCounters: counters are zeroed where the measured
+// window starts, so no checkpoint carries them, and a processor restored
+// from a warmed checkpoint reads no misses or merges at any cache level.
+func TestRestoreCarriesNoCounters(t *testing.T) {
+	prof, _ := workload.ProfileByName("mcf")
+	p := New(DefaultConfig(), workload.New(prof, 20_000))
+	if n := p.Warm(20_000); n != 20_000 {
+		t.Fatalf("warmed %d of 20000 instructions", n)
+	}
+	if p.mem.L1D.Misses == 0 {
+		t.Fatal("warming counted no L1D misses, so restoring could not carry any")
+	}
+	ck, err := p.Snapshot(20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := New(DefaultConfig(), workload.New(prof, 20_000))
+	if err := q.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []struct {
+		name string
+		c    *cache.Cache
+	}{{"L1I", q.mem.L1I}, {"L1D", q.mem.L1D}, {"L2", q.mem.L2}} {
+		if l.c.Misses != 0 || l.c.MSHRMerges != 0 {
+			t.Errorf("restored %s reads %d misses and %d merges, want 0 and 0", l.name, l.c.Misses, l.c.MSHRMerges)
+		}
 	}
 }
 

@@ -117,10 +117,6 @@ type DVTAGE struct {
 	fpc  *FPC
 	rng  *util.RNG
 	tick int
-
-	// strideOverflows counts strides that did not fit StrideBits, the
-	// coverage loss mechanism of partial strides.
-	StrideOverflows uint64
 }
 
 // dvtComp is one tagged component, struct-of-arrays: tags[i]/useful[i]
@@ -410,12 +406,7 @@ func (d *DVTAGE) Update(u *UpdateBlock) {
 		} else {
 			provConf[m] = d.fpc.Wrong(provConf[m])
 			if haveStride[m] {
-				if st, ok := util.TruncateSigned(newStride[m], d.cfg.StrideBits); ok {
-					provStrides[m] = st
-				} else {
-					d.StrideOverflows++
-					provStrides[m] = 0
-				}
+				provStrides[m], _ = util.TruncateSigned(newStride[m], d.cfg.StrideBits)
 			}
 		}
 	}
@@ -525,12 +516,7 @@ func (d *DVTAGE) allocate(u *UpdateBlock, newStride *[MaxNPred]int64, haveStride
 				c.conf[base+m] = provConf[m]
 			case s.Used && haveStride[m]:
 				c.conf[base+m] = 0
-				if st, ok := util.TruncateSigned(newStride[m], d.cfg.StrideBits); ok {
-					c.strides[base+m] = st
-				} else {
-					d.StrideOverflows++
-					c.strides[base+m] = 0
-				}
+				c.strides[base+m], _ = util.TruncateSigned(newStride[m], d.cfg.StrideBits)
 			default:
 				// Keep the provider's stride as a best guess.
 				c.strides[base+m] = provStrides[m]

@@ -88,16 +88,13 @@ func TestTwoDeltaCannotLearnCFStride(t *testing.T) {
 
 func TestDVTAGEPartialStrideOverflow(t *testing.T) {
 	// Strides of 1000 do not fit an 8-bit field: the predictor must not
-	// confidently predict them, and it must count overflows.
+	// confidently predict them.
 	cfg := smallDVTAGE(1)
 	cfg.StrideBits = 8
 	p := NewDVTAGEInst(cfg)
 	_, used := trainInst(p, 0x400100, 600, 150, func(i int) uint64 { return uint64(i) * 1000 }, nil)
 	if used > 10 {
 		t.Fatalf("8-bit D-VTAGE confidently predicted stride-1000 %d times", used)
-	}
-	if p.d.StrideOverflows == 0 {
-		t.Fatal("no stride overflows recorded")
 	}
 	// Small strides still work.
 	p2 := NewDVTAGEInst(cfg)

@@ -31,27 +31,25 @@ type DVTAGESnapshot struct {
 
 	Comps []DVTAGECompSnapshot
 
-	FPCRNGState     uint64
-	AllocRNGState   uint64
-	Tick            int
-	StrideOverflows uint64
+	FPCRNGState   uint64
+	AllocRNGState uint64
+	Tick          int
 }
 
 // Snapshot deep-copies the predictor state.
 func (d *DVTAGE) Snapshot() *DVTAGESnapshot {
 	s := &DVTAGESnapshot{
-		LVTValid:        append([]bool(nil), d.lvtValid...),
-		LVTTags:         append([]uint16(nil), d.lvtTags...),
-		LVTVals:         append([]uint64(nil), d.lvtVals...),
-		LVTHas:          append([]bool(nil), d.lvtHas...),
-		LVTBtag:         append([]uint8(nil), d.lvtBtag...),
-		VT0Strides:      append([]int64(nil), d.vt0Strides...),
-		VT0Conf:         append([]uint8(nil), d.vt0Conf...),
-		Comps:           make([]DVTAGECompSnapshot, len(d.comps)),
-		FPCRNGState:     d.fpc.rng.State(),
-		AllocRNGState:   d.rng.State(),
-		Tick:            d.tick,
-		StrideOverflows: d.StrideOverflows,
+		LVTValid:      append([]bool(nil), d.lvtValid...),
+		LVTTags:       append([]uint16(nil), d.lvtTags...),
+		LVTVals:       append([]uint64(nil), d.lvtVals...),
+		LVTHas:        append([]bool(nil), d.lvtHas...),
+		LVTBtag:       append([]uint8(nil), d.lvtBtag...),
+		VT0Strides:    append([]int64(nil), d.vt0Strides...),
+		VT0Conf:       append([]uint8(nil), d.vt0Conf...),
+		Comps:         make([]DVTAGECompSnapshot, len(d.comps)),
+		FPCRNGState:   d.fpc.rng.State(),
+		AllocRNGState: d.rng.State(),
+		Tick:          d.tick,
 	}
 	for i := range d.comps {
 		c := &d.comps[i]
@@ -98,6 +96,5 @@ func (d *DVTAGE) Restore(s *DVTAGESnapshot) error {
 	d.fpc.rng.SetState(s.FPCRNGState)
 	d.rng.SetState(s.AllocRNGState)
 	d.tick = s.Tick
-	d.StrideOverflows = s.StrideOverflows
 	return nil
 }

@@ -32,14 +32,11 @@ const CheckpointExt = ".ckpt"
 // amortizable across sampled-simulation requests.
 //
 // The file format lives in checkpoint_codec.go. It is fixed-width, so a
-// side-file is about as large as the state it restores: roughly 550 KB
-// per point for the baseline configuration and 680 KB for
+// side-file is about as large as the state it restores: roughly 540 KB
+// per point for the baseline configuration and 660 KB for
 // EOLE_4_60/Medium. Sampled runs open it as a CheckpointSet instead,
 // which decodes only the points they restore.
 type CheckpointFile struct {
-	// Version is the side-file format version, stamped by
-	// WriteCheckpoints and LoadCheckpoints.
-	Version int
 	// TraceName and TraceInsts identify the trace the snapshots were
 	// trained on; CheckpointSet.Validate refuses a side-file whose
 	// identity does not match the opened trace.
@@ -82,10 +79,8 @@ func CheckpointPath(tracePath, configName string) string {
 
 // WriteCheckpoints streams the side-file to path via a temp file and
 // rename, so a crashed build never leaves a truncated file a later run
-// would trust. The format version is stamped onto cf here; callers only
-// fill the identity and the points.
+// would trust.
 func WriteCheckpoints(path string, cf *CheckpointFile) error {
-	cf.Version = checkpointVersion
 	if err := cf.check(); err != nil {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
@@ -218,7 +213,6 @@ func LoadCheckpoints(path string) (*CheckpointFile, error) {
 // decodeAll decodes every point of the set into a CheckpointFile.
 func (s *CheckpointSet) decodeAll() (*CheckpointFile, error) {
 	cf := &CheckpointFile{
-		Version:    checkpointVersion,
 		TraceName:  s.traceName,
 		TraceInsts: s.traceInsts,
 		ConfigName: s.configName,

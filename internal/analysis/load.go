@@ -18,7 +18,6 @@ import (
 // A Package is one type-checked package ready for analysis.
 type Package struct {
 	PkgPath string
-	Dir     string
 	GoFiles []string
 	Fset    *token.FileSet
 	Files   []*ast.File
@@ -147,7 +146,6 @@ func TypeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goF
 	}
 	return &Package{
 		PkgPath: pkgPath,
-		Dir:     dir,
 		GoFiles: paths,
 		Fset:    fset,
 		Files:   files,

@@ -305,7 +305,7 @@ func (b *BlockVP) OnRetire(u *pipeline.UOp) {
 // the LVT).
 func (b *BlockVP) train(rec *blockRec) {
 	if rec.anyUsed {
-		u := predictor.UpdateBlock{BlockPC: rec.blockPC, Lookup: rec.lookup, Slots: rec.slots}
+		u := predictor.UpdateBlock{Lookup: rec.lookup, Slots: rec.slots}
 		b.dvt.Update(&u)
 	}
 	b.win.InvalidateSeq(rec.seq)

@@ -32,7 +32,6 @@ func mkBlock(blockPC uint64, seq uint64, boundaries []uint8, vals []uint64) []*p
 		uops[i] = &pipeline.UOp{
 			Seq:      seq + uint64(i),
 			PC:       blockPC + uint64(boundaries[i]),
-			BlockPC:  blockPC,
 			Boundary: boundaries[i],
 			Dest:     isa.Reg(1 + i),
 			Class:    isa.ClassALU,

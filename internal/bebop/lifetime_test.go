@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bebop/internal/branch"
+	"bebop/internal/isa"
 	"bebop/internal/pipeline"
 	"bebop/internal/specwindow"
 )
@@ -131,9 +132,9 @@ func TestRecordLifetimeProperty(t *testing.T) {
 				// Every in-flight reference is either resolvable to a live
 				// record of the µ-op's own block, or stale (freed under it).
 				for _, iu := range inflight {
-					if rec := recOf(iu.u); rec != nil && rec.blockPC != iu.u.BlockPC {
+					if rec := recOf(iu.u); rec != nil && rec.blockPC != isa.BlockPC(iu.u.PC) {
 						t.Fatalf("step %d: µ-op %d resolved a record of block %#x, its block is %#x",
-							step, iu.u.Seq, rec.blockPC, iu.u.BlockPC)
+							step, iu.u.Seq, rec.blockPC, isa.BlockPC(iu.u.PC))
 					}
 				}
 				s := b.Stats()
@@ -166,7 +167,7 @@ func TestRecordLifetimeProperty(t *testing.T) {
 					}
 					newBlockPC := blocks[rng.Intn(len(blocks))]
 					if len(squashed) > 0 {
-						newBlockPC = squashed[0].u.BlockPC
+						newBlockPC = isa.BlockPC(squashed[0].u.PC)
 					}
 					b.OnFlush(keepSeq, newBlockPC)
 					// Refetch the squashed µ-ops grouped into block
@@ -174,10 +175,10 @@ func TestRecordLifetimeProperty(t *testing.T) {
 					// pipeline's refetch would.
 					for i := 0; i < len(squashed); {
 						j := i
-						blockPC := squashed[i].u.BlockPC
+						blockPC := isa.BlockPC(squashed[i].u.PC)
 						var bounds []uint8
 						var vals []uint64
-						for j < len(squashed) && squashed[j].u.BlockPC == blockPC {
+						for j < len(squashed) && isa.BlockPC(squashed[j].u.PC) == blockPC {
 							bounds = append(bounds, squashed[j].u.Boundary)
 							vals = append(vals, squashed[j].val)
 							j++

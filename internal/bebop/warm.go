@@ -20,7 +20,6 @@ func (b *BlockVP) WarmFetchBlock(blockPC uint64, hist *branch.History, uops []pi
 	np := b.dvt.NPred()
 
 	var u predictor.UpdateBlock
-	u.BlockPC = blockPC
 	u.Lookup = bl
 
 	var consumed [predictor.MaxNPred]bool

@@ -61,13 +61,9 @@ func (j Job[V]) cacheKey() string { return j.Key + "\x00" + j.Bench }
 
 // JobResult is the outcome of one job within a batch.
 type JobResult[V any] struct {
-	Key, Bench string
-	Value      V
-	Err        error
-	// Cached reports that the value was served from the cache (or from
-	// another in-flight execution of the same job).
-	Cached  bool
-	Elapsed time.Duration
+	Bench string
+	Value V
+	Err   error
 }
 
 // Event reports one completed job (hit, run, or error). Completed/Total
@@ -159,12 +155,10 @@ func (e *Engine[V]) RunBatch(ctx context.Context, jobs []Job[V]) ([]JobResult[V]
 			job := jobs[i]
 			start := time.Now()
 			val, cached, err := e.resolve(ctx, job)
-			elapsed := time.Since(start)
-			out[i] = JobResult[V]{Key: job.Key, Bench: job.Bench,
-				Value: val, Err: err, Cached: cached, Elapsed: elapsed}
+			out[i] = JobResult[V]{Bench: job.Bench, Value: val, Err: err}
 			if e.onProg != nil {
 				e.onProg(Event{Key: job.Key, Bench: job.Bench,
-					Cached: cached, Err: err, Elapsed: elapsed,
+					Cached: cached, Err: err, Elapsed: time.Since(start),
 					Completed: int(completed.Add(1)), Total: len(jobs)})
 			}
 		}(i)

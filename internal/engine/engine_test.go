@@ -117,9 +117,9 @@ func TestCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	for _, r := range rs {
+	for i, r := range rs {
 		if r.Err == nil {
-			t.Fatalf("job %s finished despite cancellation", r.Key)
+			t.Fatalf("job %d finished despite cancellation", i)
 		}
 	}
 	// Cancelled executions must unpublish their cache entries so a later
@@ -160,11 +160,12 @@ func TestCacheAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rs {
-		if !r.Cached {
-			t.Fatalf("second batch not served from cache: %+v", r)
+	for i, r := range rs {
+		if r.Err != nil || r.Value != i {
+			t.Fatalf("cached result %d: %+v", i, r)
 		}
 	}
+	// The second batch is served from the cache: three hits, no new run.
 	st := e.Stats()
 	if st.Misses != 3 || st.Hits != 3 || st.Runs != 3 {
 		t.Fatalf("hits=%d misses=%d runs=%d, want 3/3/3", st.Hits, st.Misses, st.Runs)

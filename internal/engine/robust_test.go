@@ -49,8 +49,8 @@ func TestPanicNotCachedAndCarriesStack(t *testing.T) {
 	if err != nil || res.Value != 11 {
 		t.Fatalf("resubmission = (%v, %v), want (11, nil)", res.Value, err)
 	}
-	if res.Cached {
-		t.Fatal("resubmission served a cached panicked result")
+	if st := e.Stats(); st.Hits != 0 || st.Runs != 2 {
+		t.Fatalf("resubmission served a cached panicked result: hits=%d runs=%d, want 0/2", st.Hits, st.Runs)
 	}
 }
 

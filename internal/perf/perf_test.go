@@ -1,191 +1,15 @@
 package perf
 
 import (
-	"path/filepath"
 	"testing"
+
+	"bebop/internal/workload"
 )
 
-func TestMeasureSmoke(t *testing.T) {
-	rep, err := Measure(Options{Insts: 2000, Workloads: []string{"gcc"}, Note: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One generate point per config plus one replay and one sampled
-	// point per workload.
-	if want := len(Configs()) + 2; len(rep.Points) != want {
-		t.Fatalf("got %d points, want %d (per-config generate + replay + sampled)", len(rep.Points), want)
-	}
-	replays, sampled := 0, 0
-	for _, p := range rep.Points {
-		if p.Insts == 0 || p.UOps == 0 {
-			t.Fatalf("%s/%s: no instructions measured: %+v", p.Config, p.Bench, p)
-		}
-		if p.WallSeconds <= 0 || p.InstsPerSec <= 0 {
-			t.Fatalf("%s/%s: degenerate timing: %+v", p.Config, p.Bench, p)
-		}
-		switch p.Mode {
-		case "replay":
-			replays++
-		case "sampled":
-			sampled++
-			// A sampled cell simulates a fraction of the budget in
-			// detail, so the effective rate must beat the detailed rate.
-			if p.EffectiveInstsPerSec <= p.InstsPerSec {
-				t.Fatalf("sampled cell has no leverage: %+v", p)
-			}
-		case "generate":
-			if p.EffectiveInstsPerSec != 0 {
-				t.Fatalf("effective rate on a non-sampled cell: %+v", p)
-			}
-		default:
-			t.Fatalf("%s/%s: unknown mode %q", p.Config, p.Bench, p.Mode)
-		}
-	}
-	if replays != 1 || sampled != 1 {
-		t.Fatalf("got %d replay and %d sampled points, want 1 each", replays, sampled)
-	}
-	if rep.Totals.Insts == 0 || rep.Totals.WallSeconds <= 0 {
-		t.Fatalf("degenerate totals: %+v", rep.Totals)
-	}
-	if rep.ReplayTotals == nil || rep.ReplayTotals.Insts == 0 {
-		t.Fatalf("degenerate replay totals: %+v", rep.ReplayTotals)
-	}
-	if rep.SampledTotals == nil || rep.SampledTotals.GeomeanInstsPerSec <= 0 {
-		t.Fatalf("degenerate sampled totals: %+v", rep.SampledTotals)
-	}
-}
-
-// TestReplayMatchesGenerate: the replay cell is the same simulation as
-// the generate cell, so the architectural numbers (not the timing) must
-// agree exactly.
-func TestReplayMatchesGenerate(t *testing.T) {
-	rep, err := Measure(Options{Insts: 2000, Workloads: []string{"bzip2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gen, rpl *Point
-	for i := range rep.Points {
-		p := &rep.Points[i]
-		if p.Config != Configs()[0].Name {
-			continue
-		}
-		switch p.Mode {
-		case "generate":
-			gen = p
-		case "replay":
-			rpl = p
-		}
-	}
-	if gen == nil || rpl == nil {
-		t.Fatalf("missing generate/replay pair in %+v", rep.Points)
-	}
-	if gen.Insts != rpl.Insts || gen.UOps != rpl.UOps || gen.IPC != rpl.IPC {
-		t.Fatalf("replay diverged from generate:\ngenerate: %+v\nreplay:   %+v", gen, rpl)
-	}
-}
-
-func TestMeasureUnknownBench(t *testing.T) {
-	if _, err := Measure(Options{Insts: 100, Workloads: []string{"nope"}}); err == nil {
-		t.Fatal("unknown benchmark must error")
-	}
-}
-
-func TestReportRoundTrip(t *testing.T) {
-	rep, err := Measure(Options{Insts: 1000, Workloads: []string{"swim"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != Schema || len(back.Points) != len(rep.Points) {
-		t.Fatalf("round trip mangled the report: %+v", back)
-	}
-	if back.Totals.Insts != rep.Totals.Insts {
-		t.Fatalf("totals mismatch: %d vs %d", back.Totals.Insts, rep.Totals.Insts)
-	}
-}
-
 func TestPinnedSetIsValid(t *testing.T) {
-	rep, err := Measure(Options{Insts: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (len(Configs()) + 2) * len(PinnedWorkloads())
-	if len(rep.Points) != want {
-		t.Fatalf("pinned matrix produced %d points, want %d", len(rep.Points), want)
-	}
-}
-
-// gateReport builds a minimal report whose generate cells run at the
-// given rates (keyed by bench name under one config).
-func gateReport(rates map[string]float64) Report {
-	var rep Report
-	for bench, r := range rates {
-		rep.Points = append(rep.Points, Point{
-			Config: "cfg", Bench: bench, Mode: "generate", InstsPerSec: r,
-		})
-	}
-	return rep
-}
-
-func TestGate(t *testing.T) {
-	ref := gateReport(map[string]float64{"a": 1000, "b": 2000})
-
-	// Identical rates pass with ratio 1.
-	if ratio, err := Gate(gateReport(map[string]float64{"a": 1000, "b": 2000}), ref, 0.25); err != nil || ratio != 1 {
-		t.Fatalf("identical reports: ratio=%v err=%v", ratio, err)
-	}
-	// A uniform 10% regression stays inside a 25% gate.
-	if _, err := Gate(gateReport(map[string]float64{"a": 900, "b": 1800}), ref, 0.25); err != nil {
-		t.Fatalf("10%% regression tripped a 25%% gate: %v", err)
-	}
-	// An order-of-magnitude mistake fails.
-	if _, err := Gate(gateReport(map[string]float64{"a": 100, "b": 200}), ref, 0.25); err == nil {
-		t.Fatal("10x regression passed a 25% gate")
-	}
-	// Cells only one side has are ignored; no common cells is an error.
-	if _, err := Gate(gateReport(map[string]float64{"zzz": 1000}), ref, 0.25); err == nil {
-		t.Fatal("gate with no common cells must error")
-	}
-}
-
-// TestGeomeanInTotals pins the schema-3 field: totals carry the geomean
-// of their mode's per-cell rates (effective rates for sampled cells).
-func TestGeomeanInTotals(t *testing.T) {
-	rep, err := Measure(Options{Insts: 1000, Workloads: []string{"swim", "gcc"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != 4 {
-		t.Fatalf("Schema = %d, want 4", rep.Schema)
-	}
-	if rep.Totals.GeomeanInstsPerSec <= 0 {
-		t.Fatalf("generate geomean not computed: %+v", rep.Totals)
-	}
-	if rep.ReplayTotals.GeomeanInstsPerSec <= 0 {
-		t.Fatalf("replay geomean not computed: %+v", rep.ReplayTotals)
-	}
-	if rep.SampledTotals.GeomeanInstsPerSec <= 0 {
-		t.Fatalf("sampled geomean not computed: %+v", rep.SampledTotals)
-	}
-	if got := geomeanRate(rep.Points, "generate"); got != rep.Totals.GeomeanInstsPerSec {
-		t.Fatalf("generate geomean %v != recomputed %v", rep.Totals.GeomeanInstsPerSec, got)
-	}
-	// The sampled geomean must reflect effective, not detailed, rates.
-	// (Whether it beats replay depends on the budget: checkpoint-restore
-	// overhead is fixed, so the leverage only shows at real budgets.)
-	if got := geomeanRate(rep.Points, "sampled"); got != rep.SampledTotals.GeomeanInstsPerSec {
-		t.Fatalf("sampled geomean %v != recomputed %v", rep.SampledTotals.GeomeanInstsPerSec, got)
-	}
-	for _, p := range rep.Points {
-		if p.Mode == "sampled" && p.headlineRate() != p.EffectiveInstsPerSec {
-			t.Fatalf("sampled cell not judged by its effective rate: %+v", p)
+	for _, name := range PinnedWorkloads() {
+		if _, ok := workload.ProfileByName(name); !ok {
+			t.Errorf("pinned workload %q is not in the workload catalog", name)
 		}
 	}
 }

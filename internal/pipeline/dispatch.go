@@ -91,7 +91,6 @@ func (p *Processor) dispatch(u *UOp, needsIQ bool) {
 		case u.IsLoadImm && p.cfg.VP != nil:
 			u.Executed = true
 			u.DoneAt = p.now
-			u.EarlyExec = true
 			p.stats.FreeLoadImms++
 		case u.Class == isa.ClassNop:
 			u.Executed = true
@@ -102,7 +101,6 @@ func (p *Processor) dispatch(u *UOp, needsIQ bool) {
 		default: // EOLE early execution
 			u.Executed = true
 			u.DoneAt = p.now
-			u.EarlyExec = true
 			p.stats.EarlyExecuted++
 		}
 	} else {

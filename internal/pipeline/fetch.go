@@ -177,7 +177,6 @@ func (p *Processor) freeInst(di *dynInst) {
 func (p *Processor) activateInst(di *dynInst) {
 	in := &di.inst
 	boundary := uint8(isa.BlockOffset(in.PC))
-	blockPC := isa.BlockPC(in.PC)
 	// Size the µ-op slice. Re-expanding to capacity first recovers UOps a
 	// previous (narrower) activation sliced out of view — without this,
 	// every widening activation would leak the hidden objects and allocate
@@ -203,7 +202,6 @@ func (p *Processor) activateInst(di *dynInst) {
 		u.Seq = p.seqCtr
 		p.seqCtr++
 		u.PC = in.PC
-		u.BlockPC = blockPC
 		u.Boundary = boundary
 		u.UopIdx = int8(i)
 		u.Dest = mo.Dest

@@ -34,7 +34,6 @@ type UOp struct {
 	InIQ       bool
 	Issued     bool
 	Executed   bool
-	EarlyExec  bool // EOLE early execution (or free load-immediate)
 	LateExec   bool // EOLE late execution at commit
 	Committed  bool
 	Squashed   bool
@@ -70,9 +69,8 @@ type UOp struct {
 
 	inst *dynInst
 
-	// PC is the parent instruction's address, BlockPC the block address.
-	PC      uint64
-	BlockPC uint64
+	// PC is the parent instruction's address.
+	PC uint64
 	// Value is the architectural result (trace oracle), Addr the memory
 	// address for loads/stores, PrevValue/HasPrev the oracle for the
 	// idealistic speculative window.
@@ -125,11 +123,11 @@ type dynInst struct {
 }
 
 // reset clears the per-activation state for reuse. Fields that
-// activateInst assigns unconditionally right after (Seq, PC, BlockPC,
-// Boundary, UopIdx, Dest, Src, Class, Value, Addr, IsLoadImm, Eligible,
+// activateInst assigns unconditionally right after (Seq, PC, Boundary,
+// UopIdx, Dest, Src, Class, Value, Addr, IsLoadImm, Eligible,
 // PrevValue, HasPrev, VPSlot, FetchedAt, IsBranch, inst) are skipped, as
 // is Outcome: its only consumer (InstVP) fully overwrites it at fetch
-// before any read. Zeroing just what needs it keeps the ~300-byte struct
+// before any read. Zeroing just what needs it keeps the ~350-byte struct
 // off the per-µ-op refetch path.
 func (u *UOp) reset() {
 	u.dep = [2]uint64{}
@@ -137,7 +135,7 @@ func (u *UOp) reset() {
 	u.readyAt, u.pending = 0, 0
 	u.waiters, u.waitNext = waitLink{}, [2]waitLink{}
 	u.Dispatched, u.InIQ, u.Issued, u.Executed = false, false, false, false
-	u.EarlyExec, u.LateExec, u.Committed, u.Squashed = false, false, false, false
+	u.LateExec, u.Committed, u.Squashed = false, false, false
 	u.PredConfident, u.BrMispredicted, u.Predicted = false, false, false
 	u.StoreDepSeq = 0
 	u.VPRec = nil

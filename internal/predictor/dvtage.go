@@ -219,8 +219,9 @@ type BlockLookup struct {
 	altHas     bool
 }
 
-func (d *DVTAGE) lvtIndex(blockPC uint64) (int32, uint16) {
-	h := util.Mix64(blockPC)
+// lvtIndex derives a block's LVT index and tag from its index hash,
+// util.Mix64 of the block PC.
+func (d *DVTAGE) lvtIndex(h uint64) (int32, uint16) {
 	idx := int32(h & uint64(len(d.lvtTags)-1))
 	tag := uint16((h >> 48) & ((1 << d.cfg.LVTTagBits) - 1))
 	return idx, tag
@@ -239,9 +240,8 @@ func (d *DVTAGE) Lookup(blockPC uint64, hist *branch.History) BlockLookup {
 
 	idxHash := util.Mix64(blockPC)
 	tagHash := util.Mix64(blockPC ^ 0x9E37)
-	li := int(idxHash & uint64(len(d.lvtTags)-1))
-	bl.lvtIdx = int32(li)
-	bl.lvtTag = uint16((idxHash >> 48) & ((1 << d.cfg.LVTTagBits) - 1))
+	bl.lvtIdx, bl.lvtTag = d.lvtIndex(idxHash)
+	li := int(bl.lvtIdx)
 
 	if d.lvtValid[li] && d.lvtTags[li] == bl.lvtTag {
 		bl.LVTHit = true
@@ -330,9 +330,8 @@ type SlotUpdate struct {
 
 // UpdateBlock carries one retired block's training information.
 type UpdateBlock struct {
-	BlockPC uint64
-	Lookup  BlockLookup
-	Slots   [MaxNPred]SlotUpdate
+	Lookup BlockLookup
+	Slots  [MaxNPred]SlotUpdate
 }
 
 // Update trains the predictor with a retired block, following Section

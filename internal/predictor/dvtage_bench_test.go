@@ -27,7 +27,7 @@ func benchDVTAGE() (*DVTAGE, *branch.History) {
 	for i := 0; i < 512; i++ {
 		pc := uint64(0x400000 + 64*(i&127))
 		bl := d.Lookup(pc, &h)
-		u := UpdateBlock{BlockPC: pc, Lookup: bl}
+		u := UpdateBlock{Lookup: bl}
 		for s := 0; s < 3; s++ {
 			u.Slots[s] = SlotUpdate{
 				Used: true, Actual: uint64(i * (s + 1)),
@@ -58,7 +58,7 @@ func BenchmarkDVTAGELookupUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pc := uint64(0x400000 + 64*(i&127))
 		bl := d.Lookup(pc, h)
-		u := UpdateBlock{BlockPC: pc, Lookup: bl}
+		u := UpdateBlock{Lookup: bl}
 		for s := 0; s < 3; s++ {
 			pred, conf := d.PredictSlot(&bl, s, bl.Last[s], bl.LVTHit && bl.HasLast[s])
 			u.Slots[s] = SlotUpdate{

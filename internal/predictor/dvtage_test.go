@@ -132,7 +132,6 @@ func TestDVTAGEBlockMultiSlot(t *testing.T) {
 	for iter := 0; iter < 600; iter++ {
 		bl := d.Lookup(blockPC, &h)
 		var u UpdateBlock
-		u.BlockPC = blockPC
 		u.Lookup = bl
 		for s := 0; s < 3; s++ {
 			vals[s] += strides[s]
@@ -164,7 +163,6 @@ func TestDVTAGEByteTagMonotoneRule(t *testing.T) {
 	// Establish slot 0 with byte tag 0.
 	bl := d.Lookup(blockPC, &h)
 	var u UpdateBlock
-	u.BlockPC = blockPC
 	u.Lookup = bl
 	u.Slots[0] = SlotUpdate{Used: true, Actual: 100, ByteTag: 0}
 	d.Update(&u)
@@ -175,7 +173,7 @@ func TestDVTAGEByteTagMonotoneRule(t *testing.T) {
 	}
 
 	// Update slot 0 with a greater byte tag: must be ignored.
-	u = UpdateBlock{BlockPC: blockPC, Lookup: bl}
+	u = UpdateBlock{Lookup: bl}
 	u.Slots[0] = SlotUpdate{Used: true, Actual: 999, ByteTag: 3}
 	d.Update(&u)
 
@@ -188,7 +186,7 @@ func TestDVTAGEByteTagMonotoneRule(t *testing.T) {
 	}
 
 	// A lesser (equal-or-smaller) tag may update.
-	u = UpdateBlock{BlockPC: blockPC, Lookup: bl}
+	u = UpdateBlock{Lookup: bl}
 	u.Slots[0] = SlotUpdate{Used: true, Actual: 555, ByteTag: 0}
 	d.Update(&u)
 	bl = d.Lookup(blockPC, &h)
@@ -205,7 +203,7 @@ func TestDVTAGELVTTagAllocation(t *testing.T) {
 	var h branch.History
 	a := uint64(0x1000)
 	bl := d.Lookup(a, &h)
-	u := UpdateBlock{BlockPC: a, Lookup: bl}
+	u := UpdateBlock{Lookup: bl}
 	u.Slots[0] = SlotUpdate{Used: true, Actual: 1234, ByteTag: 0}
 	d.Update(&u)
 	bl = d.Lookup(a, &h)
@@ -215,8 +213,8 @@ func TestDVTAGELVTTagAllocation(t *testing.T) {
 	// Find a block PC mapping to the same LVT index but different tag.
 	var b uint64
 	for cand := uint64(0x2000); ; cand += 16 {
-		i1, t1 := d.lvtIndex(a)
-		i2, t2 := d.lvtIndex(cand)
+		i1, t1 := d.lvtIndex(util.Mix64(a))
+		i2, t2 := d.lvtIndex(util.Mix64(cand))
 		if i1 == i2 && t1 != t2 {
 			b = cand
 			break
@@ -226,7 +224,7 @@ func TestDVTAGELVTTagAllocation(t *testing.T) {
 	if blB.LVTHit {
 		t.Fatal("different tag must miss")
 	}
-	uB := UpdateBlock{BlockPC: b, Lookup: blB}
+	uB := UpdateBlock{Lookup: blB}
 	uB.Slots[0] = SlotUpdate{Used: true, Actual: 777, ByteTag: 2}
 	d.Update(&uB)
 	blB = d.Lookup(b, &h)
@@ -271,7 +269,7 @@ func TestDVTAGEConfidencePropagationOnAllocate(t *testing.T) {
 		v1 += 8
 		p0, _ := d.PredictSlot(&bl, 0, bl.Last[0], bl.LVTHit && bl.HasLast[0])
 		p1, _ := d.PredictSlot(&bl, 1, bl.Last[1], bl.LVTHit && bl.HasLast[1])
-		u := UpdateBlock{BlockPC: blockPC, Lookup: bl}
+		u := UpdateBlock{Lookup: bl}
 		u.Slots[0] = SlotUpdate{Used: true, Actual: v0, Predicted: p0, WasPredicted: bl.LVTHit, ByteTag: 0}
 		u.Slots[1] = SlotUpdate{Used: true, Actual: v1, Predicted: p1, WasPredicted: bl.LVTHit, ByteTag: 4}
 		d.Update(&u)
@@ -284,7 +282,7 @@ func TestDVTAGEConfidencePropagationOnAllocate(t *testing.T) {
 	if !c0 || p0 != v0+4 {
 		t.Skipf("slot 0 not yet confident (conf warmup is probabilistic)")
 	}
-	u := UpdateBlock{BlockPC: blockPC, Lookup: bl}
+	u := UpdateBlock{Lookup: bl}
 	u.Slots[0] = SlotUpdate{Used: true, Actual: v0 + 4, Predicted: p0, WasPredicted: true, ByteTag: 0}
 	u.Slots[1] = SlotUpdate{Used: true, Actual: 999999, Predicted: bl.Last[1] + 8, WasPredicted: true, ByteTag: 4}
 	v0 += 4

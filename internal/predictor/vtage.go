@@ -42,7 +42,6 @@ func DefaultVTAGEConfig() VTAGEConfig {
 // so the provider scan touches dense tag lanes instead of striding over
 // 16-byte entries.
 type VTAGE struct {
-	cfg     VTAGEConfig
 	base    []lvEntry
 	comps   []vtageComp
 	idxBits int // log2(CompEntries), shared by every component
@@ -71,7 +70,6 @@ func NewVTAGE(cfg VTAGEConfig) *VTAGE {
 		panic("predictor: VTAGE needs one history length per component")
 	}
 	v := &VTAGE{
-		cfg:     cfg,
 		base:    make([]lvEntry, cfg.BaseEntries),
 		idxBits: util.Log2(cfg.CompEntries),
 		fpc:     NewFPC(cfg.FPCProbs, cfg.Seed),

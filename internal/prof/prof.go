@@ -1,8 +1,8 @@
-// Package prof wires runtime/pprof into the command-line tools: every
-// perf-facing command (bebop-bench, bebop-sim) exposes -cpuprofile and
-// -memprofile flags through it, so a performance investigation starts
-// from a profile instead of a guess. See README "Profiling the hot loop"
-// for the workflow.
+// Package prof wires runtime/pprof into the command-line tools:
+// bebop-sim's -cpuprofile and -memprofile flags (through the sim
+// package) and bebop-serve's opt-in -pprof endpoint come from it, so a
+// performance investigation starts from a profile instead of a guess.
+// See README "Profiling the hot loop" for the workflow.
 package prof
 
 import (

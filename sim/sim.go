@@ -1,5 +1,5 @@
 // Package sim is the public SDK of the BeBoP reproduction: the stable,
-// versioned surface through which every consumer — the five cmd/
+// versioned surface through which every consumer — the four cmd/
 // binaries, the examples, the HTTP service and external importers — runs
 // simulations. Everything under bebop/internal/ is free to change;
 // this package is not.

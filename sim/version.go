@@ -8,7 +8,7 @@ import (
 
 // Version reports the module version, VCS revision and Go toolchain
 // baked into the binary by the Go linker — the one version string all
-// five commands print for -version. Built without VCS metadata (e.g.
+// four commands print for -version. Built without VCS metadata (e.g.
 // `go run` from a tarball) it degrades gracefully.
 func Version() string {
 	out := "bebop"

@@ -43,8 +43,10 @@ type SamplingParams struct {
 	// IntervalInsts is the number of instructions measured per interval.
 	IntervalInsts int64
 	// WarmupInsts is the functional-warming window before each interval.
-	// Ignored for intervals served from a checkpoint, whose state embeds
-	// continuous warming from instruction 0.
+	// Ignored for every interval when Checkpoints is set: an interval
+	// restores the nearest point at or before its start and warms on
+	// from there, or warms from instruction 0 when no point qualifies,
+	// so its state is continuous warming from instruction 0 either way.
 	WarmupInsts int64
 	// DetailWarmup is the number of detailed-but-unmeasured instructions
 	// run between warming and measurement.
@@ -52,7 +54,8 @@ type SamplingParams struct {
 	// Checkpoints optionally serves pre-built microarchitectural
 	// snapshots (trace.CheckpointSet and trace.CheckpointFile implement
 	// this); each interval restores the nearest one at or before its
-	// warming start instead of re-warming from scratch.
+	// start and warms the rest of the way, instead of re-warming from
+	// scratch.
 	Checkpoints CheckpointSource
 	// OnInterval, when set, is invoked after each interval completes with
 	// the number of finished intervals and the total. Calls are
@@ -307,8 +310,11 @@ func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stre
 		}
 	}
 	if !usedCkpt {
+		// With checkpoints an interval below the first point warms from
+		// instruction 0, as the points do, so its state does not depend
+		// on which spec built the side-file.
 		ff := s - sp.WarmupInsts
-		if ff < 0 {
+		if ff < 0 || sp.Checkpoints != nil {
 			ff = 0
 		}
 		if ff > 0 {

@@ -6,17 +6,19 @@ import (
 
 	"bebop/internal/branch"
 	"bebop/internal/cache"
+	"bebop/internal/isa"
 	"bebop/internal/predictor"
 )
 
 // Checkpoint is the state functional warming (Warm) trains: the global
-// history, TAGE, BTB, RAS, the cache hierarchy and the value predictor's
-// tables. Nothing else travels. Checkpoints are taken and restored only
-// on a processor that has run no detailed cycle (errDetailed), and there
-// every structure Warm leaves alone still holds its reset value: the
-// pipeline queues, the store sets, MSHRs and DRAM bank/bus clocks (Warm
-// quiesces both before it returns), and the value predictor's
-// speculative window and update queue. No counter travels either:
+// history, TAGE, BTB, RAS, the cache hierarchy, the value predictor's
+// tables and the fetch-block occurrence Warm has open. Nothing else
+// travels. Checkpoints are taken and restored only on a processor that
+// has run no detailed cycle (errDetailed), and there every structure
+// Warm leaves alone still holds its reset value: the pipeline queues,
+// the store sets, MSHRs and DRAM bank/bus clocks (Warm quiesces both
+// before it returns), and the value predictor's speculative window and
+// update queue. No counter travels either:
 // every counter Result reports, the caches' and the value predictor's
 // included, is zeroed where the measured window starts, so a restored
 // processor reports only what it counts after that boundary. All fields
@@ -25,9 +27,11 @@ import (
 // (internal/trace) can walk them by reflection.
 //
 // A checkpoint represents *continuous functional warming from
-// instruction 0* up to InstOffset: restoring it and running detailed
-// from there is equivalent to warming the same processor straight
-// through, which is what the checkpoint differential test pins.
+// instruction 0* up to InstOffset. Warming is split-invariant — Warm(a),
+// Snapshot, Restore, Warm(b) leaves the state Warm(a+b) leaves, wherever
+// a falls — so restoring and warming or running detailed from there is
+// equivalent to warming straight through, which TestWarmSplitInvariant
+// and the checkpoint differential test pin.
 type Checkpoint struct {
 	// InstOffset is the number of dynamic instructions consumed from the
 	// stream when the checkpoint was taken.
@@ -46,6 +50,13 @@ type Checkpoint struct {
 	// VP carries the value predictor's D-VTAGE tables when the
 	// configuration has one that supports snapshotting (VPSnapshotter).
 	VP *predictor.DVTAGESnapshot
+
+	// WarmBlockOpen, WarmBlockPC and WarmUOps are the fetch-block
+	// occurrence Warm has open, with the µ-ops it has accumulated for the
+	// value predictor; the next Warm or RunWarm carries it on.
+	WarmBlockOpen bool
+	WarmBlockPC   uint64
+	WarmUOps      []WarmUOp
 }
 
 // VPSnapshotter is the optional checkpoint interface of a VP
@@ -74,6 +85,10 @@ func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
 		BTB:        p.btb.Snapshot(),
 		RAS:        p.ras.Snapshot(),
 		Mem:        p.mem.Snapshot(),
+
+		WarmBlockOpen: p.warmingBlockOpen,
+		WarmBlockPC:   p.warmingBlockPC,
+		WarmUOps:      append([]WarmUOp(nil), p.warmingUOps...),
 	}
 	if p.cfg.VP != nil {
 		vs, ok := p.cfg.VP.(VPSnapshotter)
@@ -99,6 +114,19 @@ func (p *Processor) Restore(ck *Checkpoint) error {
 	if ck.TAGE == nil || ck.BTB == nil || ck.RAS == nil || ck.Mem == nil {
 		return fmt.Errorf("pipeline: checkpoint incomplete")
 	}
+	if !ck.WarmBlockOpen && len(ck.WarmUOps) > 0 {
+		return fmt.Errorf("pipeline: checkpoint carries warming µ-ops but no open block")
+	}
+	// A taken branch ends an occurrence, so it holds at most one
+	// instruction per byte of the block.
+	if len(ck.WarmUOps) > isa.FetchBlockSize*isa.MaxUOpsPerInst {
+		return fmt.Errorf("pipeline: checkpoint's open block carries %d µ-ops", len(ck.WarmUOps))
+	}
+	for _, u := range ck.WarmUOps {
+		if isa.BlockPC(u.PC) != ck.WarmBlockPC {
+			return fmt.Errorf("pipeline: warming µ-op at PC %#x lies outside the open block %#x", u.PC, ck.WarmBlockPC)
+		}
+	}
 	if err := p.tage.Restore(ck.TAGE); err != nil {
 		return err
 	}
@@ -112,6 +140,9 @@ func (p *Processor) Restore(ck *Checkpoint) error {
 		return err
 	}
 	p.hist.RestoreCheckpoint(ck.Hist)
+	// Copied, not aliased: the checkpoint may be shared or reused.
+	p.warmingBlockOpen, p.warmingBlockPC = ck.WarmBlockOpen, ck.WarmBlockPC
+	p.warmingUOps = append(p.warmingUOps[:0], ck.WarmUOps...)
 	if p.cfg.VP == nil {
 		if ck.VP != nil {
 			return fmt.Errorf("pipeline: checkpoint carries value predictor state but config %s has none", p.cfg.Name)

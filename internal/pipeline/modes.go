@@ -70,7 +70,9 @@ type VPWarmer interface {
 //
 // On return all in-flight timing state (cache MSHRs, DRAM bank/bus
 // clocks) is quiesced: warming's synthetic clock is meaningless to a
-// detailed run restarting at cycle 0.
+// detailed run restarting at cycle 0. The last fetch-block occurrence
+// stays open, so a later Warm extends it as one longer call would;
+// Snapshot carries it, and RunWarm closes it before its first cycle.
 func (p *Processor) Warm(insts int64) int64 {
 	vpw, _ := p.cfg.VP.(VPWarmer)
 	var n int64
@@ -92,7 +94,6 @@ func (p *Processor) Warm(insts int64) int64 {
 		n++
 		p.warmInst(&in, vpw)
 	}
-	p.flushWarmingBlock(vpw)
 	p.mem.QuiesceTiming()
 	return n
 }

@@ -285,9 +285,12 @@ func (p *Processor) Release() {
 // the boundary (the methodology of Section V-C), where every reported
 // counter is zeroed. With no detailed warmup the boundary is the first
 // cycle, so nothing Warm counted before the call is reported either.
+// The fetch block Warm left open is closed before the first cycle.
 //
 //bebop:hotpath
 func (p *Processor) RunWarm(warmupInsts, maxCycles int64) Result {
+	vpw, _ := p.cfg.VP.(VPWarmer)
+	p.flushWarmingBlock(vpw)
 	if warmupInsts <= 0 {
 		p.markWarm()
 	}

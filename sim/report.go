@@ -94,7 +94,10 @@ type SamplingReport struct {
 	IntervalInsts int64 `json:"interval_insts"`
 	WarmupInsts   int64 `json:"warmup_insts"`
 	DetailWarmup  int64 `json:"detail_warmup"`
-	// CheckpointsUsed counts intervals served from a checkpoint restore.
+	// CheckpointsUsed counts the intervals the side-file, as found,
+	// could restore: a provenance count. An interval below the file's
+	// first point warms from instruction 0 instead, so the other
+	// statistics do not depend on it.
 	CheckpointsUsed int `json:"checkpoints_used"`
 	// IPCMean is the mean of per-interval IPCs (equal to the report's
 	// IPC field); IPCCI95 is the Student-t 95% confidence half-width.

@@ -76,21 +76,27 @@ func TestSampledRunThroughSDK(t *testing.T) {
 	}
 }
 
-func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	prof, _ := workload.ProfileByName("mcf")
-	path := filepath.Join(dir, "mcf"+trace.Ext)
+// recordTrace records insts instructions of the named profile into a
+// .bbt file in a fresh temporary directory and returns its path.
+func recordTrace(t *testing.T, bench string, insts int64) string {
+	t.Helper()
+	prof, _ := workload.ProfileByName(bench)
+	path := filepath.Join(t.TempDir(), bench+trace.Ext)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := trace.Record(f, workload.New(prof, 60_000), trace.WriterOptions{Name: "mcf"}); err != nil {
+	if _, _, err := trace.Record(f, workload.New(prof, insts), trace.WriterOptions{Name: bench}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
+	path := recordTrace(t, "mcf", 60_000)
 	spec := RunSpec{
 		Trace:    path,
 		Config:   "eole-bebop/Medium",
@@ -177,19 +183,7 @@ func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
 // and the run rebuilds the file once and reports what a fresh build
 // reports.
 func TestSampledCheckpointSideFileRestoresLazily(t *testing.T) {
-	dir := t.TempDir()
-	prof, _ := workload.ProfileByName("gcc")
-	path := filepath.Join(dir, "gcc"+trace.Ext)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := trace.Record(f, workload.New(prof, 60_000), trace.WriterOptions{Name: "gcc"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := recordTrace(t, "gcc", 60_000)
 	spec := RunSpec{
 		Trace:    path,
 		Config:   "baseline",
@@ -257,6 +251,92 @@ func TestSampledCheckpointSideFileRestoresLazily(t *testing.T) {
 		case tc.rebuilt == 0 && !bytes.Equal(got, data):
 			t.Errorf("%s: a reused side-file was rewritten", tc.name)
 		}
+	}
+}
+
+// runOverSideFile runs spec over the side-file another spec, builder,
+// leaves next to spec's trace: it removes the trace's side-files, runs
+// builder, which writes a fresh one, then runs spec, which reuses it.
+func runOverSideFile(t *testing.T, builder, spec RunSpec) Report {
+	t.Helper()
+	old, err := filepath.Glob(spec.Trace + ".*" + trace.CheckpointExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range old {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuilt := mCkptRebuilt.Value()
+	if _, err := Run(context.Background(), builder); err != nil {
+		t.Fatalf("building the side-file: %v", err)
+	}
+	if mCkptRebuilt.Value() != rebuilt+1 {
+		t.Fatal("the builder did not write a side-file")
+	}
+	reused := mCkptReused.Value()
+	rep, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mCkptReused.Value() != reused+1 {
+		t.Fatal("the run did not reuse the side-file the builder wrote")
+	}
+	return rep
+}
+
+// TestCheckpointedRunIndependentOfSideFileSpacing: a checkpointed spec
+// reports the same over a side-file whose points another spec spaced
+// as over its own. Warming is split-invariant, so an interval that
+// restores an earlier point and warms the rest of the way reaches the
+// state a point at its start holds.
+func TestCheckpointedRunIndependentOfSideFileSpacing(t *testing.T) {
+	path := recordTrace(t, "gcc", 60_000)
+	spec := RunSpec{
+		Trace:    path,
+		Config:   "eole-bebop/Medium",
+		Insts:    40_000,
+		Sampling: &SamplingSpec{Intervals: 20, Checkpoints: true},
+	}
+	coarse := spec
+	coarse.Sampling = &SamplingSpec{Intervals: 5, Checkpoints: true}
+	own := runOverSideFile(t, spec, spec)
+	got := runOverSideFile(t, coarse, spec)
+	if !reflect.DeepEqual(got, own) {
+		t.Errorf("the report depends on the side-file's point spacing:\nown:    %+v\ncoarse: %+v", own.Sampling, got.Sampling)
+	}
+}
+
+// TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero: an interval
+// that starts below the side-file's first point warms from instruction
+// 0, so it reports what a restore would have given. Only the provenance
+// count, CheckpointsUsed, tells the runs apart.
+func TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero(t *testing.T) {
+	path := recordTrace(t, "gcc", 60_000)
+	// Measures [10,000, 30,000) in intervals starting every 1,000.
+	spec := RunSpec{
+		Trace:    path,
+		Config:   "baseline",
+		Insts:    20_000,
+		Sampling: &SamplingSpec{Intervals: 20, Checkpoints: true},
+	}
+	// Builds points at 20,000 and 40,000 only.
+	sparse := RunSpec{
+		Trace:    path,
+		Config:   "baseline",
+		Insts:    40_000,
+		Sampling: &SamplingSpec{Intervals: 2, Checkpoints: true},
+	}
+	own := runOverSideFile(t, spec, spec)
+	got := runOverSideFile(t, sparse, spec)
+	if own.Sampling.CheckpointsUsed != 20 || got.Sampling.CheckpointsUsed >= 20 {
+		t.Fatalf("checkpoints used: %d over the spec's own side-file, %d over the sparse one; want 20 and fewer",
+			own.Sampling.CheckpointsUsed, got.Sampling.CheckpointsUsed)
+	}
+	got.Sampling.CheckpointsUsed = own.Sampling.CheckpointsUsed
+	if !reflect.DeepEqual(got, own) {
+		t.Errorf("intervals below the first point report differently:\nown:    %+v\nsparse: %+v", own.Sampling, got.Sampling)
 	}
 }
 

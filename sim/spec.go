@@ -114,8 +114,10 @@ type SamplingSpec struct {
 	// interval (0 = insts/(10*intervals): 10% detailed coverage).
 	IntervalInsts int64 `json:"interval_insts,omitempty"`
 	// Warmup is the functional-warming window before each interval
-	// (0 = 8*interval_insts). Ignored for intervals restored from a
-	// checkpoint, whose state embeds continuous warming.
+	// (0 = 8*interval_insts). Ignored for every interval when
+	// Checkpoints is set: each interval's state is then continuous
+	// warming from instruction 0, restored from the nearest side-file
+	// point at or before its start, or warmed from 0 below the first.
 	Warmup int64 `json:"warmup,omitempty"`
 	// DetailWarmup is the number of detailed-but-unmeasured instructions
 	// run between warming and measurement (0 = interval_insts/4).

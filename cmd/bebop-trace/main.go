@@ -192,8 +192,8 @@ func cmdInfo(args []string) error {
 }
 
 // cmdCheckpoint builds the checkpoint side-file sampled runs restore
-// from: one continuous functional-warming pass over the trace, snapshots
-// taken at frame-aligned intervals, written next to the trace. Sampled
+// from: one continuous functional-warming pass over the trace, a
+// snapshot at every multiple of -every, written next to the trace. Sampled
 // runs build the file on demand anyway (sim caches it transparently);
 // this subcommand pre-pays the pass, e.g. before handing a trace
 // directory to bebop-serve.

@@ -401,20 +401,13 @@ func closeStream(s isa.Stream) error {
 	return nil
 }
 
-// frameAligner is implemented by trace.Reader over seekable sources:
-// FrameStart snaps an instruction offset down to its frame boundary so
-// a later SeekInst to a checkpoint decodes nothing it throws away.
-type frameAligner interface {
-	FrameStart(n int64) (int64, bool)
-}
-
 // BuildCheckpoints warms one processor continuously over [0, upTo) and
-// snapshots its microarchitectural state every `every` instructions
-// (offsets snapped down to trace frame boundaries when the stream can
-// report them). The returned checkpoints carry continuous-warming
-// state: restoring one and warming forward is equivalent to warming
-// straight through, so one build serves every later sampled run.
-// Configurations whose value predictor cannot snapshot (the idealistic
+// snapshots its microarchitectural state at every multiple of `every`
+// below upTo. Warming is split-invariant, so restoring a point and
+// warming or running detailed from it is equivalent to warming straight
+// through: one build serves every later sampled run, and an interval
+// that starts on a point restores it and warms nothing. Configurations
+// whose value predictor cannot snapshot (the idealistic
 // per-instruction infrastructure) are reported as an error, and so is a
 // panic during the pass (the processor runs inside simulate's guard).
 func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) ([]*pipeline.Checkpoint, string, error) {
@@ -436,26 +429,14 @@ func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) 
 		return cfg
 	}
 	err = simulate(named, stream, func(p *pipeline.Processor) error {
-		fa, _ := stream.(frameAligner)
-		pos := int64(0)
-		for target := every; target < upTo; target += every {
-			at := target
-			if fa != nil {
-				if aligned, ok := fa.FrameStart(target); ok {
-					at = aligned
-				}
-			}
-			if at <= pos {
-				continue
-			}
-			if n := p.Warm(at - pos); n != at-pos {
+		for at := every; at < upTo; at += every {
+			if n := p.Warm(every); n != every {
 				return fmt.Errorf("core: workload %q ended at instruction %d, checkpoint wanted %d",
-					src.Name(), pos+n, at)
+					src.Name(), at-every+n, at)
 			}
-			pos = at
-			ck, err := p.Snapshot(pos)
+			ck, err := p.Snapshot(at)
 			if err != nil {
-				return fmt.Errorf("core: checkpoint at instruction %d: %w", pos, err)
+				return fmt.Errorf("core: checkpoint at instruction %d: %w", at, err)
 			}
 			points = append(points, ck)
 		}

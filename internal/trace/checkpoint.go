@@ -24,12 +24,11 @@ const CheckpointExt = ".ckpt"
 // configuration) pair, held in memory: what BuildCheckpoints produces
 // and WriteCheckpoints stores, and what LoadCheckpoints decodes in full.
 // Points hold full microarchitectural snapshots taken during a single
-// continuous functional-warming pass over the trace, each at a frame
-// boundary (Checkpoint.InstOffset equals some frame's first
-// instruction), sorted by instruction offset. Restoring a point and
-// running detailed from its offset is equivalent to warming straight
-// through from instruction 0 — which is what makes the warmup cost
-// amortizable across sampled-simulation requests.
+// continuous functional-warming pass over the trace, sorted by
+// instruction offset. Restoring a point and warming or running detailed
+// from its offset is equivalent to warming straight through from
+// instruction 0 — which is what makes the warmup cost amortizable
+// across sampled-simulation requests, whatever spacing built the file.
 //
 // The file format lives in checkpoint_codec.go. It is fixed-width, so a
 // side-file is about as large as the state it restores: roughly 540 KB
@@ -279,25 +278,4 @@ func (cf *CheckpointFile) RestoreNearest(p *pipeline.Processor, inst int64) (at 
 		return 0, false, err
 	}
 	return ck.InstOffset, true, nil
-}
-
-// FrameStart returns the first instruction of the last frame starting
-// at or before instruction n — the offset a checkpoint for target n
-// should be taken at, so a later SeekInst to the checkpoint lands on a
-// frame boundary and decodes nothing it throws away. Requires the frame
-// index (seekable source); returns 0, false otherwise.
-func (r *Reader) FrameStart(n int64) (int64, bool) {
-	if !r.hasIndex || len(r.index) == 0 || n < 0 {
-		return 0, false
-	}
-	lo, hi := 0, len(r.index)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if r.index[mid].firstInst <= uint64(n) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return int64(r.index[lo].firstInst), true
 }

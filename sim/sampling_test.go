@@ -330,13 +330,38 @@ func TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero(t *testing.T) {
 	}
 	own := runOverSideFile(t, spec, spec)
 	got := runOverSideFile(t, sparse, spec)
-	if own.Sampling.CheckpointsUsed != 20 || got.Sampling.CheckpointsUsed >= 20 {
-		t.Fatalf("checkpoints used: %d over the spec's own side-file, %d over the sparse one; want 20 and fewer",
+	if own.Sampling.CheckpointsUsed != 20 || got.Sampling.CheckpointsUsed != 10 {
+		t.Fatalf("checkpoints used: %d over the spec's own side-file, %d over the sparse one; want 20 and 10",
 			own.Sampling.CheckpointsUsed, got.Sampling.CheckpointsUsed)
 	}
 	got.Sampling.CheckpointsUsed = own.Sampling.CheckpointsUsed
 	if !reflect.DeepEqual(got, own) {
 		t.Errorf("intervals below the first point report differently:\nown:    %+v\nsparse: %+v", own.Sampling, got.Sampling)
+	}
+}
+
+// TestDefaultCheckpointedIntervalsWarmNothing: with the default warmup
+// and interval count, the side-file's points lie on the interval grid,
+// so every interval restores the point at its start and records no
+// warming span.
+func TestDefaultCheckpointedIntervalsWarmNothing(t *testing.T) {
+	path := recordTrace(t, "gcc", 30_000)
+	rep, err := New(WithTrace(path), WithConfig("eole-bebop/Medium"), WithInsts(20_000),
+		WithSampling(SamplingSpec{Checkpoints: true}), WithTelemetry()).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	for _, sp := range rep.Telemetry.Spans {
+		switch sp.Name {
+		case "warming", "fast-forward":
+			t.Errorf("interval %d records a %s span of %d instructions", sp.Interval, sp.Name, sp.Insts)
+		case "restore":
+			restored++
+		}
+	}
+	if n := rep.Sampling.Intervals; restored != n || rep.Sampling.CheckpointsUsed != n {
+		t.Errorf("%d restore spans and %d checkpoints used, want %d of each", restored, rep.Sampling.CheckpointsUsed, n)
 	}
 }
 

@@ -114,7 +114,6 @@ func cmdRecord(args []string) error {
 	n := fs.Int64("n", 100_000, "instructions to record")
 	out := fs.String("o", "", "output path (default <bench>-<n>.bbt)")
 	frame := fs.Int("frame", trace.DefaultFrameInsts, "instructions per frame")
-	uncompressed := fs.Bool("uncompressed", false, "disable flate compression of frame payloads")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -133,10 +132,9 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	insts, uops, err := trace.Record(f, g, trace.WriterOptions{
-		Name:         *bench,
-		Seed:         seed,
-		FrameInsts:   *frame,
-		Uncompressed: *uncompressed,
+		Name:       *bench,
+		Seed:       seed,
+		FrameInsts: *frame,
 	})
 	if err == nil {
 		err = f.Close()
@@ -177,12 +175,8 @@ func cmdInfo(args []string) error {
 		return err
 	}
 	h := r.Header()
-	compression := "flate"
-	if !h.Compressed {
-		compression = "none"
-	}
 	fmt.Printf("trace        %s\n", *path)
-	fmt.Printf("format       .bbt version %d, compression %s\n", h.Version, compression)
+	fmt.Printf("format       .bbt version %d\n", trace.Version)
 	fmt.Printf("workload     %s (seed %#x)\n", h.Name, h.Seed)
 	fmt.Printf("insts        %d\n", h.Insts)
 	fmt.Printf("uops         %d (%.2f µ-ops/inst)\n", h.UOps, ratio(h.UOps, h.Insts))
@@ -219,7 +213,7 @@ func cmdCheckpoint(args []string) error {
 	r.Close()
 	upTo := int64(hdr.Insts)
 	if upTo == 0 {
-		return fmt.Errorf("checkpoint: %s has no instruction count", *path)
+		return fmt.Errorf("checkpoint: %s holds no instructions", *path)
 	}
 	spacing := *every
 	if spacing <= 0 {
@@ -287,12 +281,10 @@ func cmdDump(args []string) error {
 			return err
 		}
 		defer r.Close()
-		if *skip > 0 {
-			if err := r.SeekInst(*skip); err != nil {
-				return err
-			}
+		r.SetLimit(*skip + *n)
+		if err := r.SeekInst(*skip); err != nil {
+			return err
 		}
-		r.SetLimit(*n)
 		stream = r
 	default:
 		if *bench == "" {

@@ -116,7 +116,7 @@ type errStream interface{ Err() error }
 
 // sizedStream is implemented by streams with a known total length
 // (trace.Reader); generators produce however many are asked for.
-type sizedStream interface{ TotalInsts() (int64, bool) }
+type sizedStream interface{ TotalInsts() int64 }
 
 // openBudgeted opens src for a run of warmup+insts instructions. A
 // stream that knows its length must cover that budget: a half-warmed
@@ -127,27 +127,13 @@ func openBudgeted(src workload.Source, warmup, insts int64) (isa.Stream, error) 
 	if err != nil {
 		return nil, err
 	}
-	ss, ok := stream.(sizedStream)
-	if !ok {
-		return stream, nil
-	}
-	switch total, known := ss.TotalInsts(); {
-	case !known:
-		// A sized stream that cannot state its length (a trace streamed
-		// without patched header counts) is exactly the case where a
-		// short run would pass silently; refuse it.
-		err = fmt.Errorf(
-			"core: workload %q has an unknown instruction count; replay it from a seekable source",
-			src.Name())
-	case total < warmup+insts:
-		err = fmt.Errorf(
+	if ss, ok := stream.(sizedStream); ok && ss.TotalInsts() < warmup+insts {
+		closeStream(stream)
+		return nil, fmt.Errorf(
 			"core: workload %q holds %d instructions, need %d (%d warmup + %d measured); shrink -n or record a longer trace",
-			src.Name(), total, warmup+insts, warmup, insts)
-	default:
-		return stream, nil
+			src.Name(), ss.TotalInsts(), warmup+insts, warmup, insts)
 	}
-	closeStream(stream)
-	return nil, err
+	return stream, nil
 }
 
 // cancelStream wraps a workload stream so a cancelled context ends the

@@ -113,33 +113,8 @@ func (sp SamplingParams) validate(insts int64) error {
 }
 
 // instSeeker is implemented by streams that can jump to an absolute
-// instruction position (trace.Reader over a seekable source).
+// instruction position (trace.Reader).
 type instSeeker interface{ SeekInst(n int64) error }
-
-// limitStream caps how many instructions pass through after the cap is
-// armed; unlike trace.Reader.SetLimit it works over any stream, so the
-// sampled scheduler treats synthetic generators and traces uniformly.
-type limitStream struct {
-	inner isa.Stream
-	limit int64 // <0 = unlimited
-}
-
-func (l *limitStream) Next(in *isa.Inst) bool {
-	if l.limit == 0 {
-		return false
-	}
-	if l.limit > 0 {
-		l.limit--
-	}
-	return l.inner.Next(in)
-}
-
-func (l *limitStream) Err() error {
-	if es, ok := l.inner.(errStream); ok {
-		return es.Err()
-	}
-	return nil
-}
 
 // RunSampled estimates the measured region [warmup, warmup+insts) of a
 // workload by detailed simulation of evenly-spaced intervals, sharded
@@ -263,17 +238,16 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 	if ctx.Done() != nil {
 		run = &cancelStream{inner: stream, ctx: ctx}
 	}
-	ls := &limitStream{inner: run, limit: -1}
-	err = simulate(mk, ls, func(p *pipeline.Processor) error {
+	err = simulate(mk, run, func(p *pipeline.Processor) error {
 		if err := faultinject.Fire("core.interval"); err != nil {
 			return err
 		}
 		var err error
-		r, usedCkpt, err = measureInterval(telemetry.TraceFrom(ctx), p, stream, ls, s, idx, sp)
+		r, usedCkpt, err = measureInterval(telemetry.TraceFrom(ctx), p, stream, s, idx, sp)
 		return err
 	})
-	if err == nil {
-		err = ls.Err()
+	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
+		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
 	}
 	if cerr := closeStream(stream); cerr != nil && err == nil {
 		err = cerr
@@ -283,10 +257,11 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 
 // measureInterval positions p cheaply at the interval (seek,
 // fast-forward or checkpoint restore), functionally warms it up to s,
-// then runs DetailWarmup+IntervalInsts instructions in detail through
-// ls, measuring the final IntervalInsts. stream is the raw stream under
-// ls, consulted for seeking.
-func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stream, ls *limitStream, s int64, idx int, sp SamplingParams) (pipeline.Result, bool, error) {
+// then runs in detail to the end of the stream, which runInterval
+// opened to end DetailWarmup+IntervalInsts instructions past s, and
+// measures the final IntervalInsts. stream is the raw stream p runs
+// from, consulted for seeking.
+func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stream, s int64, idx int, sp SamplingParams) (pipeline.Result, bool, error) {
 	pos := int64(0) // absolute instruction position reached so far
 	usedCkpt := false
 	if sp.Checkpoints != nil {
@@ -339,8 +314,7 @@ func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stre
 		}
 		wsp.End()
 	}
-	ls.limit = sp.DetailWarmup + sp.IntervalInsts
-	dsp := tr.Start("detailed").SetInterval(idx).SetInsts(ls.limit)
+	dsp := tr.Start("detailed").SetInterval(idx).SetInsts(sp.DetailWarmup + sp.IntervalInsts)
 	r := p.RunWarm(sp.DetailWarmup, 0)
 	dsp.End()
 	// The warmup boundary is detected at cycle granularity, so up to a

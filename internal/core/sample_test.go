@@ -125,6 +125,39 @@ func TestRunSampledCheckpointsMatchContinuousWarming(t *testing.T) {
 	}
 }
 
+// TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero: with
+// checkpoints, an interval that starts below the first point warms from
+// instruction 0, as the points do, so it reports what continuous
+// warming gives; only CheckpointsUsed tells it apart.
+func TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero(t *testing.T) {
+	src := sampleProfile(t, "gcc")
+	mk := Baseline()
+	const warmup, insts = 6000, 24000 // intervals start at 6,000, 14,000 and 22,000
+	points, _, err := BuildCheckpoints(src, mk, 5000, warmup+insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := SamplingParams{Intervals: 3, IntervalInsts: 2000, DetailWarmup: 500}
+	full := base
+	full.WarmupInsts = warmup + insts
+	sparse := base
+	sparse.Checkpoints = memCheckpoints(points[1:]) // the first point is at 10,000
+	rFull, stFull, err := RunSampled(context.Background(), src, warmup, insts, mk, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rSparse, stSparse, err := RunSampled(context.Background(), src, warmup, insts, mk, sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stSparse.CheckpointsUsed != 2 {
+		t.Errorf("checkpoints used for %d intervals, want 2", stSparse.CheckpointsUsed)
+	}
+	if rFull != rSparse || !reflect.DeepEqual(stFull.IntervalIPCs, stSparse.IntervalIPCs) {
+		t.Errorf("intervals below the first point report differently:\nfull:   %+v\nsparse: %+v", rFull, rSparse)
+	}
+}
+
 // memCheckpoints is an in-memory CheckpointSource for tests.
 type memCheckpoints []*pipeline.Checkpoint
 

@@ -78,7 +78,7 @@ func CheckpointPath(tracePath, configName string) string {
 
 // WriteCheckpoints streams the side-file to path via a temp file and
 // rename, so a crashed build never leaves a truncated file a later run
-// would trust.
+// would trust. The file is readable by all, like the trace beside it.
 func WriteCheckpoints(path string, cf *CheckpointFile) error {
 	if err := cf.check(); err != nil {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
@@ -106,6 +106,9 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
@@ -147,8 +150,7 @@ func (s *CheckpointSet) Close() error {
 }
 
 // Validate checks the side-file belongs to the opened trace and the
-// requested configuration. hdr is the trace's header (totals recovered
-// from the index for seekable sources).
+// requested configuration. hdr is the trace's header.
 func (s *CheckpointSet) Validate(hdr Header, configName string) error {
 	if s.configName != configName {
 		return fmt.Errorf("trace: checkpoints are for config %q, run uses %q", s.configName, configName)
@@ -161,6 +163,15 @@ func (s *CheckpointSet) Validate(hdr Header, configName string) error {
 			s.traceInsts, hdr.Insts)
 	}
 	return nil
+}
+
+// FirstPoint returns the instruction offset of the set's first point;
+// ok is false when the set holds none.
+func (s *CheckpointSet) FirstPoint() (inst int64, ok bool) {
+	if len(s.insts) == 0 {
+		return 0, false
+	}
+	return s.insts[0], true
 }
 
 // pointScratch is one decode's working memory: the point and the bytes

@@ -201,6 +201,23 @@ func TestCheckpointCodecCompleteness(t *testing.T) {
 	}
 }
 
+// TestSideFileIsReadableByAll: a side-file gets the trace's mode, not
+// the owner-only mode of the temporary file it is written through, so a
+// server running under another account can restore from it.
+func TestSideFileIsReadableByAll(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "filled"+CheckpointExt)
+	if err := WriteCheckpoints(path, filledFile(t)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Mode().Perm(); got != 0o644 {
+		t.Errorf("side-file mode %v, want %v", got, os.FileMode(0o644))
+	}
+}
+
 // TestCheckpointLayoutRefusesWhatItCannotEncode: the layout walk, which
 // both directions run before touching a file, names the offending field.
 func TestCheckpointLayoutRefusesWhatItCannotEncode(t *testing.T) {

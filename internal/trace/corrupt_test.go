@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
-	"os"
+	"fmt"
+	"strings"
 	"testing"
 
 	"bebop/internal/isa"
@@ -25,10 +25,10 @@ func mkTrace(t testing.TB, insts int64, opts WriterOptions) []byte {
 	return buf.Bytes()
 }
 
-// noSeek forces the streaming (index-free) reader path.
-type noSeek struct{ r io.Reader }
-
-func (n noSeek) Read(p []byte) (int, error) { return n.r.Read(p) }
+// openBytes opens an in-memory trace.
+func openBytes(data []byte) (*Reader, error) {
+	return NewReader(bytes.NewReader(data), int64(len(data)))
+}
 
 // drain consumes every instruction the reader will yield and returns
 // the sticky error.
@@ -39,138 +39,127 @@ func drain(r *Reader) error {
 	return r.Err()
 }
 
-// openBoth runs NewReader over both the seekable and streaming paths
-// and requires each to surface an ErrFormat, at open or during replay.
-func openBoth(t *testing.T, data []byte, what string) {
+// mustRefuse requires an ErrFormat, at open or during replay.
+func mustRefuse(t *testing.T, data []byte, what string) error {
 	t.Helper()
-	for _, seekable := range []bool{true, false} {
-		var src io.Reader = bytes.NewReader(data)
-		if !seekable {
-			src = noSeek{src}
-		}
-		r, err := NewReader(src)
-		if err == nil {
-			err = drain(r)
-		}
-		if err == nil {
-			t.Fatalf("%s (seekable=%v): corrupt input accepted", what, seekable)
-		}
-		if !errors.Is(err, ErrFormat) {
-			t.Fatalf("%s (seekable=%v): error %v is not ErrFormat", what, seekable, err)
-		}
+	r, err := openBytes(data)
+	if err == nil {
+		err = drain(r)
 	}
+	if err == nil {
+		t.Fatalf("%s: corrupt input accepted", what)
+	}
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("%s: error %v is not ErrFormat", what, err)
+	}
+	return err
 }
 
 func TestBadMagic(t *testing.T) {
 	data := mkTrace(t, 500, WriterOptions{})
 	data[0] ^= 0xFF
-	openBoth(t, data, "bad magic")
+	mustRefuse(t, data, "bad magic")
 }
 
 func TestWrongVersion(t *testing.T) {
 	data := mkTrace(t, 500, WriterOptions{})
 	binary.LittleEndian.PutUint16(data[4:6], Version+7)
-	openBoth(t, data, "wrong version")
+	mustRefuse(t, data, "wrong version")
 }
 
 // TestTruncated cuts the trace at every structurally interesting point:
-// inside the fixed header, inside the name, inside a frame payload, and
-// just before the trailer. Every cut must surface an error, never a
-// panic and never a silent short replay.
+// inside the fixed header, inside the name, inside a frame, inside the
+// index and inside the trailer. Every cut must surface an error, never
+// a panic and never a silent short replay.
 func TestTruncated(t *testing.T) {
 	data := mkTrace(t, 2000, WriterOptions{FrameInsts: 256})
-	// Cuts inside the header or the frame list fail on both paths.
 	for _, cut := range []int{0, 3, headerFixedLen - 1, headerFixedLen + 1,
-		headerFixedLen + 40, len(data) / 2} {
-		openBoth(t, data[:cut], "truncated")
-	}
-	// Cuts inside the index or trailer leave every frame intact, so the
-	// sequential path legitimately replays to the sentinel; the seekable
-	// path must still refuse at open.
-	for _, cut := range []int{len(data) - trailerLen, len(data) - 1} {
-		if _, err := NewReader(bytes.NewReader(data[:cut])); !errors.Is(err, ErrFormat) {
-			t.Fatalf("trailer cut at %d accepted: %v", cut, err)
-		}
+		headerFixedLen + 40, len(data) / 2, len(data) - trailerLen - 1,
+		len(data) - trailerLen, len(data) - 1} {
+		mustRefuse(t, data[:cut], fmt.Sprintf("cut at byte %d", cut))
 	}
 }
 
-// TestHeaderCountMismatch: patched header counts must agree with the
-// index totals.
-func TestHeaderCountMismatch(t *testing.T) {
-	data := mkTrace(t, 500, WriterOptions{})
-	// The counts live at a fixed offset; the streaming path cannot
-	// cross-check them, so only the seekable path verifies.
-	binary.LittleEndian.PutUint64(data[headerCountsOff:], 99999)
-	if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
-		t.Fatalf("count mismatch accepted: %v", err)
-	}
-}
-
-// corruptFile assembles header + raw frames by hand so tests can inject
-// structurally valid but semantically corrupt frames.
+// corruptFile assembles a complete file by hand (header, frames, index,
+// trailer) so tests can inject structurally valid but semantically
+// corrupt content.
 type corruptFile struct {
-	buf bytes.Buffer
+	buf   bytes.Buffer
+	index []frameIndexEntry
+	// insts and uops are the index totals; addFrame advances insts.
+	insts, uops uint64
 }
 
 func newCorruptFile(t *testing.T) *corruptFile {
 	t.Helper()
 	c := &corruptFile{}
-	w, err := NewWriter(&c.buf, WriterOptions{Name: "corrupt", Uncompressed: true})
-	if err != nil {
+	// NewWriter emits exactly the header; the Writer itself is dropped.
+	if _, err := NewWriter(&c.buf, WriterOptions{Name: "corrupt"}); err != nil {
 		t.Fatal(err)
 	}
-	// NewWriter has emitted exactly the header; drop the Writer and
-	// append frames manually.
-	_ = w
 	return c
 }
 
-// addFrame appends an uncompressed frame with the declared counts and
-// payload.
-func (c *corruptFile) addFrame(instCount, uopCount uint64, payload []byte) {
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, instCount)
-	hdr = binary.AppendUvarint(hdr, uopCount)
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	c.buf.Write(hdr)
+// addFrame appends a frame declaring instCount instructions.
+func (c *corruptFile) addFrame(instCount uint64, payload []byte) {
+	c.index = append(c.index, frameIndexEntry{firstInst: c.insts, offset: uint64(c.buf.Len()), instCount: instCount})
+	c.insts += instCount
 	c.buf.Write(payload)
 }
 
-func (c *corruptFile) bytes() []byte { return c.buf.Bytes() }
-
-// TestUOpCountExceedsMax covers both declarations of a µ-op count: the
-// frame header's aggregate and the per-instruction ctrl field. A frame
-// declaring more µ-ops than instCount×MaxUOpsPerInst, or an instruction
-// whose ctrl bits decode past isa.MaxUOpsPerInst, must error.
-func TestUOpCountExceedsMax(t *testing.T) {
-	// Frame-header aggregate: 1 instruction, 100 µ-ops.
-	c := newCorruptFile(t)
-	c.addFrame(1, 100, []byte{0})
-	r, err := NewReader(noSeek{bytes.NewReader(c.bytes())})
-	if err != nil {
-		t.Fatal(err)
+// bytes returns the frames with the index and trailer appended.
+func (c *corruptFile) bytes() []byte {
+	data := bytes.Clone(c.buf.Bytes())
+	indexOff := uint64(len(data))
+	data = binary.AppendUvarint(data, uint64(len(c.index)))
+	var prev frameIndexEntry
+	for _, e := range c.index {
+		data = binary.AppendUvarint(data, e.firstInst-prev.firstInst)
+		data = binary.AppendUvarint(data, e.offset-prev.offset)
+		data = binary.AppendUvarint(data, e.instCount)
+		prev = e
 	}
-	if err := drain(r); !errors.Is(err, ErrFormat) {
-		t.Fatalf("frame µ-op overflow accepted: %v", err)
-	}
+	data = binary.AppendUvarint(data, c.insts)
+	data = binary.AppendUvarint(data, c.uops)
+	data = binary.LittleEndian.AppendUint64(data, indexOff)
+	return append(data, TrailerMagic...)
+}
 
-	// Per-instruction ctrl field: numUOps bits say 5 > MaxUOpsPerInst(4).
+// oneInst is the payload of one µ-op-free instruction.
+func oneInst() []byte {
 	var payload []byte
 	payload = binary.AppendVarint(payload, 0x400) // pc delta
 	payload = binary.AppendUvarint(payload, 4)    // size
-	payload = append(payload, 5<<4)               // ctrl: kind none, 5 µ-ops
+	return append(payload, 0)                     // ctrl: kind none, 0 µ-ops
+}
+
+// TestHeaderCountMismatch: the totals Header reports come from the
+// index and must agree with its frames.
+func TestHeaderCountMismatch(t *testing.T) {
+	c := newCorruptFile(t)
+	c.addFrame(1, oneInst())
+	c.insts = 99999
+	mustRefuse(t, c.bytes(), "index totals past the frames")
+}
+
+// TestUOpCountExceedsMax covers both declarations of a µ-op count: the
+// index total and the per-instruction ctrl field. A trace declaring
+// more µ-ops than insts×MaxUOpsPerInst, or an instruction whose ctrl
+// bits decode past isa.MaxUOpsPerInst, must error.
+func TestUOpCountExceedsMax(t *testing.T) {
+	// Index total: 1 instruction, 100 µ-ops.
+	c := newCorruptFile(t)
+	c.addFrame(1, oneInst())
+	c.uops = 100
+	mustRefuse(t, c.bytes(), "index µ-op overflow")
+
+	// Per-instruction ctrl field: numUOps bits say 5 > MaxUOpsPerInst(4).
+	payload := oneInst()
+	payload[len(payload)-1] = 5 << 4
 	c = newCorruptFile(t)
-	c.addFrame(1, 4, payload)
-	r, err = NewReader(noSeek{bytes.NewReader(c.bytes())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = drain(r)
-	if !errors.Is(err, ErrFormat) {
-		t.Fatalf("per-inst µ-op overflow accepted: %v", err)
-	}
-	if want := "exceeds isa.MaxUOpsPerInst"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
+	c.addFrame(1, payload)
+	err := mustRefuse(t, c.bytes(), "per-inst µ-op overflow")
+	if want := "exceeds isa.MaxUOpsPerInst"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the µ-op bound", err)
 	}
 }
@@ -178,19 +167,50 @@ func TestUOpCountExceedsMax(t *testing.T) {
 // TestFrameTrailingGarbage: payload bytes beyond the declared
 // instructions are corruption, not padding.
 func TestFrameTrailingGarbage(t *testing.T) {
-	var payload []byte
-	payload = binary.AppendVarint(payload, 0x400)
-	payload = binary.AppendUvarint(payload, 4)
-	payload = append(payload, 0)                // ctrl: 0 µ-ops
-	payload = append(payload, 0xAA, 0xBB, 0xCC) // garbage
 	c := newCorruptFile(t)
-	c.addFrame(1, 0, payload)
-	r, err := NewReader(noSeek{bytes.NewReader(c.bytes())})
-	if err != nil {
-		t.Fatal(err)
+	c.addFrame(1, append(oneInst(), 0xAA, 0xBB, 0xCC))
+	mustRefuse(t, c.bytes(), "trailing frame garbage")
+}
+
+// TestLyingIndexOffsets: an index whose frames do not tile the bytes
+// between the header and the index, or do not count instructions in
+// order, is refused at open, before any frame is read.
+func TestLyingIndexOffsets(t *testing.T) {
+	honest := newCorruptFile(t)
+	honest.addFrame(1, oneInst())
+	honest.addFrame(1, oneInst())
+	r, err := openBytes(honest.bytes())
+	if err == nil {
+		err = drain(r)
 	}
-	if err := drain(r); !errors.Is(err, ErrFormat) {
-		t.Fatalf("trailing frame garbage accepted: %v", err)
+	if err != nil {
+		t.Fatalf("the hand-built file without lies: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		lie  func(c *corruptFile)
+	}{
+		{"first frame inside the header", func(c *corruptFile) { c.index[0].offset-- }},
+		{"empty frame", func(c *corruptFile) { c.index[1].offset = c.index[0].offset }},
+		{"frame before its predecessor", func(c *corruptFile) { c.index[1].offset = c.index[0].offset - 1 }},
+		{"frame past the index", func(c *corruptFile) { c.index[1].offset = uint64(c.buf.Len()) + 5 }},
+		{"instruction gap", func(c *corruptFile) { c.index[1].firstInst++; c.insts++ }},
+		{"empty frame count", func(c *corruptFile) { c.index[1].instCount = 0; c.insts-- }},
+	} {
+		c := newCorruptFile(t)
+		c.addFrame(1, oneInst())
+		c.addFrame(1, oneInst())
+		tc.lie(c)
+		mustRefuse(t, c.bytes(), tc.name)
+	}
+
+	// The trailer's index offset must lie between the header and the
+	// trailer.
+	data := mkTrace(t, 500, WriterOptions{})
+	for _, off := range []uint64{0, headerFixedLen, uint64(len(data)), 1 << 62} {
+		bad := bytes.Clone(data)
+		binary.LittleEndian.PutUint64(bad[len(bad)-trailerLen:], off)
+		mustRefuse(t, bad, fmt.Sprintf("index offset %d", off))
 	}
 }
 
@@ -210,41 +230,44 @@ func TestWriterRejectsInvalidInst(t *testing.T) {
 	}
 }
 
-// FuzzReader throws arbitrary bytes at both reader paths: nothing may
-// panic, and for the seed corpus of valid traces the replay must
-// complete cleanly. Run with `go test -fuzz=FuzzReader ./internal/trace`.
+// FuzzReader throws arbitrary bytes at the reader: nothing may panic,
+// and for the seed corpus of valid traces the replay must complete
+// cleanly. Each input is replayed from the start and again from a seek
+// into its middle. Run with `go test -fuzz=FuzzReader ./internal/trace`.
 func FuzzReader(f *testing.F) {
 	valid := mkTrace(f, 300, WriterOptions{FrameInsts: 64})
-	validUnc := mkTrace(f, 300, WriterOptions{FrameInsts: 64, Uncompressed: true})
+	oneFrame := mkTrace(f, 300, WriterOptions{})
 	f.Add(valid)
-	f.Add(validUnc)
+	f.Add(oneFrame)
 	truncated := valid[:len(valid)/2]
 	f.Add(truncated)
 	magic := append([]byte{}, valid...)
 	magic[0] ^= 0xFF
 	f.Add(magic)
-	flipped := append([]byte{}, validUnc...)
+	flipped := append([]byte{}, oneFrame...)
 	flipped[headerFixedLen+20] ^= 0x55
 	f.Add(flipped)
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, seekable := range []bool{true, false} {
-			var src io.Reader = bytes.NewReader(data)
-			if !seekable {
-				src = noSeek{src}
+		r, err := openBytes(data)
+		if err != nil {
+			return
+		}
+		r.SetLimit(10_000) // bound fuzz work, not correctness
+		var in isa.Inst
+		for r.Next(&in) {
+			if in.NumUOps > isa.MaxUOpsPerInst {
+				t.Fatalf("reader produced %d µ-ops", in.NumUOps)
 			}
-			r, err := NewReader(src)
-			if err != nil {
-				continue
-			}
-			r.SetLimit(10_000) // bound fuzz work, not correctness
-			var in isa.Inst
-			for r.Next(&in) {
-				if in.NumUOps > isa.MaxUOpsPerInst {
-					t.Fatalf("reader produced %d µ-ops", in.NumUOps)
-				}
+		}
+		if r.SeekInst(int64(r.Header().Insts/2)) != nil {
+			return
+		}
+		for r.Next(&in) {
+			if in.NumUOps > isa.MaxUOpsPerInst {
+				t.Fatalf("reader produced %d µ-ops after a seek", in.NumUOps)
 			}
 		}
 	})
@@ -254,7 +277,7 @@ func FuzzReader(f *testing.F) {
 // nonzero totals must be rejected at open — it previously let SeekInst
 // index into an empty frame list.
 func TestZeroFrameIndexWithTotals(t *testing.T) {
-	// A legitimately empty trace: sentinel, numFrames=0, totals 0/0.
+	// A legitimately empty trace: numFrames=0, totals 0/0.
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, WriterOptions{Name: "empty"})
 	if err != nil {
@@ -266,7 +289,7 @@ func TestZeroFrameIndexWithTotals(t *testing.T) {
 	data := buf.Bytes()
 
 	// The empty trace itself opens cleanly and seeks to a clean EOF.
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := openBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +305,7 @@ func TestZeroFrameIndexWithTotals(t *testing.T) {
 	// totalInsts, totalUOps — one byte each here) to lie about length.
 	indexOff := binary.LittleEndian.Uint64(data[len(data)-trailerLen:])
 	data[indexOff+1] = 5
-	if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
-		t.Fatalf("frameless index with totals accepted: %v", err)
-	}
+	mustRefuse(t, data, "frameless index with totals")
 }
 
 // TestWriterCapsFrameBytes: with a huge -frame and maximally verbose
@@ -296,7 +317,7 @@ func TestWriterCapsFrameBytes(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, WriterOptions{
-		Name: "fat", Uncompressed: true, FrameInsts: maxFrameInsts,
+		Name: "fat", FrameInsts: maxFrameInsts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +355,7 @@ func TestWriterCapsFrameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := openBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("writer produced a trace its reader rejects: %v", err)
 	}
@@ -351,49 +372,37 @@ func TestWriterCapsFrameBytes(t *testing.T) {
 	}
 }
 
-// TestRecordPropagatesSourceError: re-recording from a fallible stream
-// that dies mid-way must fail, not emit a silently truncated trace.
-func TestRecordPropagatesSourceError(t *testing.T) {
-	data := mkTrace(t, 2000, WriterOptions{FrameInsts: 256})
-	src, err := NewReader(noSeek{bytes.NewReader(data[:len(data)/2])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, _, err := Record(&buf, src, WriterOptions{Name: "rerecord"}); err == nil {
-		t.Fatal("truncated source accepted by Record")
-	}
+// errSourceFailed is what failingStream reports.
+var errSourceFailed = errors.New("source failed")
+
+// failingStream yields n instructions of a generator, then fails.
+type failingStream struct {
+	isa.Stream
+	n int
 }
 
-// TestResetClosesOwnedFile: rearming an OpenFile reader over a new
-// source must release the old handle, and Close must not then close a
-// stale one.
-func TestResetClosesOwnedFile(t *testing.T) {
-	data := mkTrace(t, 300, WriterOptions{})
-	dir := t.TempDir()
-	path := dir + "/a.bbt"
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+func (f *failingStream) Next(in *isa.Inst) bool {
+	if f.n == 0 {
+		return false
 	}
-	r, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
+	f.n--
+	return f.Stream.Next(in)
+}
+
+func (f *failingStream) Err() error {
+	if f.n == 0 {
+		return errSourceFailed
 	}
-	old := r.file.(*os.File)
-	if err := r.Reset(bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	if r.file != nil {
-		t.Fatal("Reset kept ownership of the old file handle")
-	}
-	// The old descriptor must be closed: a second Close errors.
-	if err := old.Close(); err == nil {
-		t.Fatal("Reset leaked the OpenFile handle")
-	}
-	if err := drain(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+// TestRecordPropagatesSourceError: recording from a fallible stream
+// that dies mid-way must fail, not emit a silently truncated trace.
+func TestRecordPropagatesSourceError(t *testing.T) {
+	prof, _ := workload.ProfileByName("gcc")
+	src := &failingStream{Stream: workload.New(prof, 2000), n: 1000}
+	var buf bytes.Buffer
+	if _, _, err := Record(&buf, src, WriterOptions{Name: "rerecord"}); !errors.Is(err, errSourceFailed) {
+		t.Fatalf("failed source: Record returned %v", err)
 	}
 }

@@ -5,31 +5,30 @@
 // captured, mutated or externally-produced workloads plug into the same
 // sweeps as the synthetic Table II suite.
 //
-// # Wire format (.bbt)
+// # Wire format (.bbt, version 2)
 //
-//	File    := Header Frame* Sentinel Index Trailer
-//	Header  := magic "BBTr" | version u16 | flags u16 | seed u64
-//	           | insts u64 | uops u64 | nameLen uvarint | name bytes
-//	Frame   := instCount uvarint (>0) | uopCount uvarint
-//	           | rawLen uvarint | payLen uvarint | payload[payLen]
-//	Sentinel:= uvarint 0 (a frame with instCount 0 ends the frame list)
+//	File    := Header Frame* Index Trailer
+//	Header  := magic "BBTr" | version u16 | seed u64 | nameLen uvarint
+//	           | name bytes
+//	Frame   := Inst* (the frame's payload, nothing else)
 //	Index   := numFrames uvarint
 //	           | numFrames × { firstInstΔ uvarint | offsetΔ uvarint
 //	                           | instCount uvarint }
 //	           | totalInsts uvarint | totalUOps uvarint
 //	Trailer := indexOff u64 | magic "rTBB"
 //
-// Fixed-width header fields are little-endian. The header instruction
-// and µ-op counts are patched in place on Close when the destination
-// supports io.WriterAt (files); for pure streams they are zero and
-// readers recover the totals from the Index. The Index maps each frame
-// to its absolute file offset and first instruction number, so a
-// seekable reader can skip to a warmup boundary without decoding the
-// prefix.
+// Fixed-width fields are little-endian. A frame carries no header: it
+// ends where the next frame, or the index, starts, and the Index gives
+// its absolute file offset, its first instruction number and its
+// instruction count. The Reader reads the header, the trailer and the
+// Index at open, checks every frame's span against the file, and then
+// loads each frame with one ReadAt, so it can start at any frame
+// without reading the ones before it. The Index also holds the trace's
+// instruction and µ-op totals.
 //
-// Frame payloads are the per-instruction encoding below, optionally
-// flate-compressed (flags bit 0). All delta state resets at every frame
-// boundary, which is what makes frames independently decodable:
+// A frame's payload is the per-instruction encoding below. All delta
+// state resets at every frame boundary, which is what makes frames
+// independently decodable:
 //
 //	Inst    := pcΔ varint (vs. previous inst's architectural next PC)
 //	           | size uvarint
@@ -61,36 +60,34 @@ const (
 	// Magic opens every .bbt file; TrailerMagic closes it.
 	Magic        = "BBTr"
 	TrailerMagic = "rTBB"
-	// Version is the current format version; readers reject others.
-	Version = 1
+	// Version is the format version this build writes and reads; OpenFile
+	// refuses every other one.
+	Version = 2
 )
 
-// flagCompressed marks flate-compressed frame payloads (header flags bit 0).
-const flagCompressed = 1 << 0
-
-// Fixed header geometry: magic(4) + version(2) + flags(2) + seed(8) +
-// insts(8) + uops(8), then the variable-length name.
+// Fixed geometry: the header's magic(4) + version(2) + seed(8) before
+// the variable-length name, and the trailer.
 const (
-	headerFixedLen  = 24 + 8
-	headerCountsOff = 16 // byte offset of the insts/uops pair, for patching
-	trailerLen      = 12 // indexOff u64 + TrailerMagic
+	headerFixedLen = 4 + 2 + 8
+	trailerLen     = 12 // indexOff u64 + TrailerMagic
 )
 
 // DefaultFrameInsts is the default number of instructions per frame:
-// large enough to amortize frame headers and give flate context, small
-// enough that skip-to-boundary decodes little.
+// large enough that one read loads many instructions, small enough that
+// a seek decodes little.
 const DefaultFrameInsts = 4096
 
-// Sanity bounds on declared sizes, so corrupt or adversarial inputs fail
-// with an error instead of attempting enormous allocations.
+// Bounds on declared sizes. Every span is also checked against the
+// file's size before it is read, so a corrupt or adversarial input
+// fails with an error instead of attempting an enormous allocation.
 const (
-	maxFrameInsts  = 1 << 20
-	maxFrameBytes  = 1 << 26
-	maxNameLen     = 1 << 12
-	maxIndexFrames = 1 << 24
-	// maxIndexBytes bounds the raw index: a frame count, three uvarints
-	// per frame and the two totals, each at most MaxVarintLen64 bytes.
-	maxIndexBytes = binary.MaxVarintLen64 * (3 + 3*maxIndexFrames)
+	maxFrameInsts = 1 << 20
+	maxFrameBytes = 1 << 26
+	maxNameLen    = 1 << 12
+	// maxInstEncoding bounds one encoded instruction: pcΔ, size, ctrl and
+	// targetΔ, then per µ-op its flags, destination, two sources and
+	// three varint deltas.
+	maxInstEncoding = 3*binary.MaxVarintLen64 + 1 + isa.MaxUOpsPerInst*(4+3*binary.MaxVarintLen64)
 )
 
 // ErrFormat is wrapped by every malformed-input error, so callers can
@@ -101,19 +98,14 @@ func formatErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrFormat, fmt.Sprintf(format, args...))
 }
 
-// Header is the self-describing identity of a trace.
+// Header is the self-describing identity of a trace: the name and seed
+// the header stores, and the totals the index stores.
 type Header struct {
-	// Version is the format version the file was written with.
-	Version int
-	// Compressed reports flate-compressed frame payloads.
-	Compressed bool
 	// Name and Seed identify the source workload (profile name and seed
 	// for recorded generators; free-form for external producers).
 	Name string
 	Seed uint64
-	// Insts and UOps are the trace totals. Zero when the trace was
-	// written to a non-seekable destination and the index has not been
-	// read yet (see Reader.Header).
+	// Insts and UOps are the trace totals.
 	Insts uint64
 	UOps  uint64
 }
@@ -336,6 +328,6 @@ func (d *instDecoder) decodeUOp(u *isa.MicroOp, slot int) error {
 // frameIndexEntry locates one frame inside the file.
 type frameIndexEntry struct {
 	firstInst uint64 // index of the frame's first instruction
-	offset    uint64 // absolute file offset of the frame header
+	offset    uint64 // absolute file offset of the frame's first byte
 	instCount uint64
 }

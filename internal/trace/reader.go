@@ -1,85 +1,77 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"bebop/internal/faultinject"
 	"bebop/internal/isa"
 )
 
-// Reader streams a .bbt trace back as an isa.Stream: a processor runs
-// from it exactly as it runs from the live generator the trace was
-// recorded from. The reader is steady-state allocation-free — frame,
-// payload and decompression buffers are reused across frames, and Reset
-// rearms the same Reader over a new byte source without reallocating
-// them — so replay preserves the pipeline's allocation-free hot loop.
-//
-// When the source is an io.ReadSeeker the frame index is loaded at open
-// time, which validates the trailer, recovers the totals for headers
-// written to non-seekable destinations, and enables SeekInst (fast skip
-// to a warmup boundary). A plain io.Reader is consumed strictly
-// sequentially and never touches the index.
+// Reader replays a .bbt trace as an isa.Stream: a processor runs from
+// it exactly as it runs from the live generator the trace was recorded
+// from. Opening a Reader reads the header, the trailer and the frame
+// index; each frame is then loaded with one ReadAt when the replay
+// reaches it or SeekInst lands in it. The frame buffer is reused across
+// frames, so replay is steady-state allocation-free and preserves the
+// pipeline's allocation-free hot loop.
 //
 // Errors are sticky: Next returns false and Err reports what went
-// wrong. A nil Err after exhaustion means the trace ended cleanly at
-// the sentinel.
+// wrong. A nil Err after exhaustion means the replay reached the end of
+// the trace, or its limit, cleanly.
 type Reader struct {
-	src  io.Reader
-	rs   io.ReadSeeker // non-nil when src can seek
-	file io.Closer     // owned handle when built by OpenFile
+	src  io.ReaderAt
+	file io.Closer // owned handle when built by OpenFile
 
 	hdr      Header
-	nameBuf  []byte
-	idxBuf   []byte // raw frame index, read in one call at open
 	index    []frameIndexEntry
-	hasIndex bool
+	indexOff uint64 // where the last frame ends
 
-	off      uint64 // bytes consumed from src (tracks seeks)
-	dataOff  uint64 // offset of the first frame
-	limit    int64  // max instructions to return, <0 = unlimited
-	returned int64
+	pos  int64 // trace instruction number of the next instruction
+	stop int64 // Next returns nothing at or past this instruction
+	next int   // frame to load when the current one runs out
 
 	frameRem int
 	dec      instDecoder
-	payBuf   []byte
-	rawBuf   []byte
-	payRd    bytes.Reader
-	fr       io.ReadCloser // flate decompressor, reused via flate.Resetter
-	b1       [1]byte       // single-byte read buffer; a local would escape per call
+	buf      []byte
 
 	// Telemetry accumulates locally (plain counters on the decode path)
-	// and flushes to the process registry at end-of-trace, Close and
-	// Reset — never per frame.
+	// and flushes to the process registry on Close, never per frame.
 	framesRead   uint64
 	payloadBytes uint64
 
-	eof bool
 	err error
 }
 
-// NewReader parses the header (and, for seekable sources, the trailer
-// and frame index) and returns a Reader positioned at the first
-// instruction.
-func NewReader(src io.Reader) (*Reader, error) {
-	r := &Reader{limit: -1}
-	if err := r.Reset(src); err != nil {
+// NewReader reads the header, the trailer and the frame index of the
+// size-byte trace in src, and returns a Reader positioned at its first
+// instruction. Every frame's span is checked against size before any
+// frame is read.
+func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
+	r := &Reader{src: src}
+	if err := r.open(size); err != nil {
 		return nil, err
 	}
+	r.stop = int64(r.hdr.Insts)
 	return r, nil
 }
 
-// OpenFile opens a .bbt file; Close releases the handle.
+// OpenFile opens a .bbt file through NewReader; Close releases the
+// handle.
 func OpenFile(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := NewReader(f)
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r, err := NewReader(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -88,54 +80,10 @@ func OpenFile(path string) (*Reader, error) {
 	return r, nil
 }
 
-// Reset rearms the Reader over a new byte source, reusing every buffer
-// the previous trace grew. The limit is cleared, and a file handle
-// owned by OpenFile is closed — do not Reset onto the handle the
-// Reader already owns.
-func (r *Reader) Reset(src io.Reader) error {
-	r.flushTelemetry()
-	if r.file != nil {
-		r.file.Close()
-		r.file = nil
-	}
-	r.src = src
-	r.rs, _ = src.(io.ReadSeeker)
-	r.off = 0
-	r.limit = -1
-	r.returned = 0
-	r.frameRem = 0
-	r.eof = false
-	r.err = nil
-	r.hasIndex = false
-	r.index = r.index[:0]
-	if err := r.readHeader(); err != nil {
-		r.err = err
-		return err
-	}
-	r.dataOff = r.off
-	if r.rs != nil {
-		if err := r.loadIndex(); err != nil {
-			r.err = err
-			return err
-		}
-	}
-	return nil
-}
-
-// Close releases the underlying file when the Reader owns one
-// (OpenFile); Readers over caller-provided sources close nothing.
+// Close publishes the Reader's replay counters and releases the file
+// when the Reader owns one (OpenFile); Readers over caller-provided
+// sources close nothing.
 func (r *Reader) Close() error {
-	r.flushTelemetry()
-	if r.file == nil {
-		return nil
-	}
-	err := r.file.Close()
-	r.file = nil
-	return err
-}
-
-// flushTelemetry publishes locally accumulated replay counters.
-func (r *Reader) flushTelemetry() {
 	if r.framesRead > 0 {
 		mFrames.Add(r.framesRead)
 		r.framesRead = 0
@@ -144,36 +92,37 @@ func (r *Reader) flushTelemetry() {
 		mPayloadBytes.Add(r.payloadBytes)
 		r.payloadBytes = 0
 	}
+	if r.file == nil {
+		return nil
+	}
+	err := r.file.Close()
+	r.file = nil
+	return err
 }
 
-// Header returns the trace identity. Totals are zero only for traces
-// written to a non-seekable destination and read from one too.
+// Header returns the trace identity and totals.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Frames reports the frame count, or 0 when no index is available.
+// Frames reports the frame count.
 func (r *Reader) Frames() int { return len(r.index) }
 
 // Err returns the sticky decode error, nil after a clean end of trace.
 func (r *Reader) Err() error { return r.err }
 
-// TotalInsts reports the trace's total instruction count when known:
-// always for seekable sources (the index carries the totals), and for
-// streams whose header counts were patched at record time.
-// core's runs use it to refuse a warmup+measure budget the trace
-// cannot cover, instead of silently reporting a cold, short run.
-func (r *Reader) TotalInsts() (int64, bool) {
-	if r.hasIndex || r.hdr.Insts != 0 || r.hdr.UOps != 0 {
-		return int64(r.hdr.Insts), true
-	}
-	return 0, false
-}
+// TotalInsts reports the trace's total instruction count. core's runs
+// use it to refuse a warmup+measure budget the trace cannot cover,
+// instead of silently reporting a cold, short run.
+func (r *Reader) TotalInsts() int64 { return int64(r.hdr.Insts) }
 
-// SetLimit caps how many further instructions Next will produce
-// (n < 0 = unlimited). FileSource.Open uses it to align a replay with
-// the warmup+measure budget of a synthetic run.
+// SetLimit makes Next stop before instruction n of the trace (n < 0:
+// at the trace's end). SeekInst keeps the limit, so a replay opened for
+// n instructions ends at instruction n wherever it was positioned, as
+// a generator built for n instructions does. FileSource.Open sets it.
 func (r *Reader) SetLimit(n int64) {
-	r.limit = n
-	r.returned = 0
+	r.stop = int64(r.hdr.Insts)
+	if n >= 0 && n < r.stop {
+		r.stop = n
+	}
 }
 
 // Next implements isa.Stream. It is the replay hot read: one call per
@@ -181,16 +130,11 @@ func (r *Reader) SetLimit(n int64) {
 //
 //bebop:hotpath
 func (r *Reader) Next(in *isa.Inst) bool {
-	if r.err != nil || r.eof {
+	if r.err != nil || r.pos >= r.stop {
 		return false
 	}
-	if r.limit >= 0 && r.returned >= r.limit {
+	if r.frameRem == 0 && !r.loadFrame(r.next) {
 		return false
-	}
-	if r.frameRem == 0 {
-		if !r.nextFrame() {
-			return false
-		}
 	}
 	if err := r.dec.decodeInst(in); err != nil {
 		r.err = err
@@ -202,140 +146,63 @@ func (r *Reader) Next(in *isa.Inst) bool {
 		r.err = formatErr("frame payload has %d trailing bytes", len(r.dec.buf)-r.dec.pos)
 		return false
 	}
-	r.returned++
+	r.pos++
 	return true
 }
 
-// nextFrame reads and decodes the next frame header and payload into
-// the reusable buffers. It returns false at the sentinel (clean end) or
-// on error.
-func (r *Reader) nextFrame() bool {
-	if ferr := faultinject.Fire("trace.frame.decode"); ferr != nil {
-		r.err = formatErr("frame decode: %v", ferr)
+// loadFrame reads frame i with one ReadAt into the reusable buffer and
+// arms the decoder on it. It returns false on error.
+func (r *Reader) loadFrame(i int) bool {
+	if err := faultinject.Fire("trace.frame.decode"); err != nil {
+		r.err = formatErr("frame decode: %v", err)
 		return false
 	}
-	instCount, err := r.readUvarint()
-	if err != nil {
-		r.err = formatErr("frame header: %v", err)
+	e := r.index[i]
+	end := r.indexOff
+	if i+1 < len(r.index) {
+		end = r.index[i+1].offset
+	}
+	n := int(end - e.offset)
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	r.buf = r.buf[:n]
+	if err := readFull(r.src, r.buf, int64(e.offset)); err != nil {
+		r.err = formatErr("frame %d: %v", i, err)
 		return false
 	}
-	if instCount == 0 {
-		r.eof = true
-		r.flushTelemetry()
-		return false
-	}
-	if instCount > maxFrameInsts {
-		r.err = formatErr("frame declares %d instructions (bound %d)", instCount, maxFrameInsts)
-		return false
-	}
-	uopCount, err := r.readUvarint()
-	if err != nil {
-		r.err = formatErr("frame header: %v", err)
-		return false
-	}
-	if uopCount > instCount*isa.MaxUOpsPerInst {
-		r.err = formatErr("frame declares %d µ-ops for %d instructions (max %d each)",
-			uopCount, instCount, isa.MaxUOpsPerInst)
-		return false
-	}
-	rawLen, err := r.readUvarint()
-	if err != nil {
-		r.err = formatErr("frame header: %v", err)
-		return false
-	}
-	payLen, err := r.readUvarint()
-	if err != nil {
-		r.err = formatErr("frame header: %v", err)
-		return false
-	}
-	if rawLen > maxFrameBytes || payLen > maxFrameBytes {
-		r.err = formatErr("frame of %d/%d bytes exceeds the %d bound", payLen, rawLen, maxFrameBytes)
-		return false
-	}
-	if !r.hdr.Compressed && payLen != rawLen {
-		r.err = formatErr("uncompressed frame with payload %d != raw %d", payLen, rawLen)
-		return false
-	}
-
-	var rerr error
-	r.payBuf, rerr = appendRead(r.payBuf[:0], r.src, payLen)
-	r.off += uint64(len(r.payBuf))
 	r.framesRead++
-	r.payloadBytes += uint64(len(r.payBuf))
-	if rerr != nil {
-		r.err = formatErr("frame payload: %v", rerr)
-		return false
-	}
-	raw := r.payBuf
-	if r.hdr.Compressed {
-		r.payRd.Reset(r.payBuf)
-		if r.fr == nil {
-			r.fr = flate.NewReader(&r.payRd)
-		} else if err := r.fr.(flate.Resetter).Reset(&r.payRd, nil); err != nil {
-			r.err = formatErr("flate reset: %v", err)
-			return false
-		}
-		r.rawBuf, rerr = appendRead(r.rawBuf[:0], r.fr, rawLen)
-		if rerr != nil {
-			r.err = formatErr("flate payload: %v", rerr)
-			return false
-		}
-		if n, _ := r.fr.Read(r.b1[:]); n != 0 {
-			r.err = formatErr("flate payload longer than declared raw length %d", rawLen)
-			return false
-		}
-		raw = r.rawBuf
-	}
-	r.dec.reset(raw)
-	r.frameRem = int(instCount)
+	r.payloadBytes += uint64(n)
+	r.dec.reset(r.buf)
+	r.frameRem = int(e.instCount)
+	r.next = i + 1
 	return true
 }
 
-// SeekInst positions the Reader so the next instruction produced is
-// instruction n (0-based) of the trace, using the frame index to skip
-// whole frames and decoding only the remainder. It requires a seekable
-// source. Seeking past the end leaves the Reader cleanly exhausted.
-// The limit, if any, applies to instructions produced after the seek.
+// SeekInst positions the Reader so the next instruction Next returns is
+// instruction n (0-based) of the trace: it loads the frame holding n and
+// decodes only the instructions before n in that frame. Seeking to or
+// past the end leaves the Reader cleanly exhausted. The limit SetLimit
+// set stays where it is.
 func (r *Reader) SeekInst(n int64) error {
-	if r.rs == nil {
-		return fmt.Errorf("trace: SeekInst requires a seekable source")
-	}
 	if r.err != nil {
 		return r.err
 	}
 	if n < 0 {
 		return fmt.Errorf("trace: SeekInst(%d): negative instruction", n)
 	}
-	r.returned = 0
+	r.pos = n
 	r.frameRem = 0
-	if len(r.index) == 0 || uint64(n) >= r.hdr.Insts {
-		r.eof = true
+	if n >= int64(r.hdr.Insts) {
 		return nil
 	}
-	// Binary search the last frame whose firstInst <= n.
-	lo, hi := 0, len(r.index)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if r.index[mid].firstInst <= uint64(n) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	e := r.index[lo]
-	if err := r.seekTo(e.offset); err != nil {
-		return err
-	}
-	r.eof = false
-	if !r.nextFrame() {
-		if r.err == nil {
-			r.err = formatErr("index points past the frame list (frame %d at offset %d)", lo, e.offset)
-		}
+	i := sort.Search(len(r.index), func(i int) bool { return r.index[i].firstInst > uint64(n) }) - 1
+	if !r.loadFrame(i) {
 		return r.err
 	}
-	var scratch isa.Inst
-	for skip := uint64(n) - e.firstInst; skip > 0; skip-- {
-		if err := r.dec.decodeInst(&scratch); err != nil {
+	var skipped isa.Inst
+	for k := r.index[i].firstInst; k < uint64(n); k++ {
+		if err := r.dec.decodeInst(&skipped); err != nil {
 			r.err = err
 			return err
 		}
@@ -344,83 +211,67 @@ func (r *Reader) SeekInst(n int64) error {
 	return nil
 }
 
-// readHeader parses the fixed header and workload name.
-func (r *Reader) readHeader() error {
-	var fixed [headerFixedLen]byte
-	if err := r.readFull(fixed[:]); err != nil {
+// open reads and checks the header, the trailer and the index of a
+// size-byte trace.
+func (r *Reader) open(size int64) error {
+	if size < headerFixedLen+trailerLen {
+		return formatErr("%d bytes cannot hold a header and a trailer", size)
+	}
+	// One read covers the fixed fields, the name length and the longest
+	// name the format allows, bounded by where the trailer starts.
+	h := make([]byte, min(size-trailerLen, headerFixedLen+binary.MaxVarintLen64+maxNameLen))
+	if err := readFull(r.src, h, 0); err != nil {
 		return formatErr("header: %v", err)
 	}
-	if string(fixed[:4]) != Magic {
-		return formatErr("bad magic %q (want %q)", fixed[:4], Magic)
+	if string(h[:4]) != Magic {
+		return formatErr("bad magic %q (want %q)", h[:4], Magic)
 	}
-	version := binary.LittleEndian.Uint16(fixed[4:6])
-	if version != Version {
-		return formatErr("unsupported format version %d (want %d)", version, Version)
+	if v := binary.LittleEndian.Uint16(h[4:6]); v != Version {
+		return formatErr("format version %d, this build reads only version %d: re-record the trace with `bebop-trace record`", v, Version)
 	}
-	flags := binary.LittleEndian.Uint16(fixed[6:8])
-	r.hdr = Header{
-		Version:    int(version),
-		Compressed: flags&flagCompressed != 0,
-		Seed:       binary.LittleEndian.Uint64(fixed[8:16]),
-		Insts:      binary.LittleEndian.Uint64(fixed[16:24]),
-		UOps:       binary.LittleEndian.Uint64(fixed[24:32]),
-		Name:       r.hdr.Name, // replaced below; kept when identical to avoid realloc
-	}
-	nameLen, err := r.readUvarint()
-	if err != nil {
-		return formatErr("header name length: %v", err)
+	r.hdr.Seed = binary.LittleEndian.Uint64(h[6:headerFixedLen])
+	nameLen, n := binary.Uvarint(h[headerFixedLen:])
+	if n <= 0 {
+		return formatErr("header: truncated or overlong name length")
 	}
 	if nameLen > maxNameLen {
 		return formatErr("header name of %d bytes exceeds the %d bound", nameLen, maxNameLen)
 	}
-	r.nameBuf = grow(r.nameBuf, int(nameLen))
-	if err := r.readFull(r.nameBuf); err != nil {
-		return formatErr("header name: %v", err)
+	h = h[headerFixedLen+n:]
+	if nameLen > uint64(len(h)) {
+		return formatErr("header name of %d bytes runs into the trailer", nameLen)
 	}
-	if string(r.nameBuf) != r.hdr.Name {
-		r.hdr.Name = string(r.nameBuf)
-	}
-	return nil
-}
+	r.hdr.Name = string(h[:nameLen])
+	dataOff := uint64(headerFixedLen+n) + nameLen
 
-// loadIndex validates the trailer, loads the frame index and recovers
-// the totals, then repositions the source at the first frame. The
-// index is read in one call, from its offset up to the trailer, into a
-// buffer the Reader reuses across Resets.
-func (r *Reader) loadIndex() error {
-	end, err := r.rs.Seek(-trailerLen, io.SeekEnd)
-	if err != nil {
-		return formatErr("trailer: %v", err)
-	}
 	var tr [trailerLen]byte
-	r.off = uint64(end)
-	if err := r.readFull(tr[:]); err != nil {
+	if err := readFull(r.src, tr[:], size-trailerLen); err != nil {
 		return formatErr("trailer: %v", err)
 	}
 	if string(tr[8:]) != TrailerMagic {
 		return formatErr("bad trailer magic %q (want %q)", tr[8:], TrailerMagic)
 	}
-	indexOff := binary.LittleEndian.Uint64(tr[:8])
-	if indexOff < r.dataOff || indexOff >= uint64(end) {
-		return formatErr("index offset %d outside frame region [%d, %d)", indexOff, r.dataOff, end)
+	r.indexOff = binary.LittleEndian.Uint64(tr[:8])
+	indexEnd := uint64(size - trailerLen)
+	if r.indexOff < dataOff || r.indexOff >= indexEnd {
+		return formatErr("index offset %d outside [%d, %d)", r.indexOff, dataOff, indexEnd)
 	}
-	if n := uint64(end) - indexOff; n > maxIndexBytes {
-		return formatErr("index of %d bytes exceeds the %d bound", n, maxIndexBytes)
+	idx := make([]byte, indexEnd-r.indexOff)
+	if err := readFull(r.src, idx, int64(r.indexOff)); err != nil {
+		return formatErr("index: %v", err)
 	}
-	if err := r.seekTo(indexOff); err != nil {
-		return err
-	}
-	var rerr error
-	r.idxBuf, rerr = appendRead(r.idxBuf[:0], r.src, uint64(end)-indexOff)
-	if rerr != nil {
-		return formatErr("index: %v", rerr)
-	}
-	r.off = uint64(end)
-	idx := r.idxBuf
+	return r.readIndex(idx, dataOff)
+}
+
+// readIndex decodes the index and checks that its frames tile
+// [dataOff, indexOff) in instruction order and that its totals agree
+// with them.
+func (r *Reader) readIndex(idx []byte, dataOff uint64) error {
+	size := len(idx)
 	uvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(idx)
 		if n <= 0 {
-			return 0, fmt.Errorf("truncated or overlong uvarint at index byte %d", len(r.idxBuf)-len(idx))
+			return 0, fmt.Errorf("truncated or overlong uvarint at index byte %d", size-len(idx))
 		}
 		idx = idx[n:]
 		return v, nil
@@ -429,36 +280,42 @@ func (r *Reader) loadIndex() error {
 	if err != nil {
 		return formatErr("index: %v", err)
 	}
-	if numFrames > maxIndexFrames {
-		return formatErr("index declares %d frames (bound %d)", numFrames, maxIndexFrames)
+	// An entry takes at least three bytes, so the index allocated below
+	// is bounded by the bytes actually read.
+	if numFrames > uint64(len(idx))/3 {
+		return formatErr("index declares %d frames in %d bytes", numFrames, len(idx))
 	}
+	r.index = make([]frameIndexEntry, numFrames)
 	var prev frameIndexEntry
-	for i := uint64(0); i < numFrames; i++ {
-		fd, err := uvarint()
-		if err != nil {
-			return formatErr("index entry %d: %v", i, err)
+	for i := range r.index {
+		var d [3]uint64 // firstInstΔ, offsetΔ, instCount
+		for k := range d {
+			if d[k], err = uvarint(); err != nil {
+				return formatErr("index entry %d: %v", i, err)
+			}
 		}
-		od, err := uvarint()
-		if err != nil {
-			return formatErr("index entry %d: %v", i, err)
+		e := frameIndexEntry{firstInst: prev.firstInst + d[0], offset: prev.offset + d[1], instCount: d[2]}
+		switch {
+		case e.instCount == 0 || e.instCount > maxFrameInsts:
+			return formatErr("index entry %d declares %d instructions", i, e.instCount)
+		case e.firstInst != prev.firstInst+prev.instCount:
+			return formatErr("frame %d starts at instruction %d, the frames before it hold %d",
+				i, e.firstInst, prev.firstInst+prev.instCount)
+		case i == 0 && e.offset != dataOff:
+			return formatErr("first frame at byte %d does not follow the header (%d)", e.offset, dataOff)
+		case i > 0 && (d[1] == 0 || d[1] > maxFrameBytes):
+			return formatErr("frame %d spans %d bytes (bound %d)", i-1, d[1], maxFrameBytes)
+		case e.offset >= r.indexOff:
+			return formatErr("frame %d starts at byte %d, not before the index at %d", i, e.offset, r.indexOff)
 		}
-		ic, err := uvarint()
-		if err != nil {
-			return formatErr("index entry %d: %v", i, err)
-		}
-		e := frameIndexEntry{
-			firstInst: prev.firstInst + fd,
-			offset:    prev.offset + od,
-			instCount: ic,
-		}
-		if i == 0 && e.offset != r.dataOff {
-			return formatErr("first frame offset %d does not follow the header (%d)", e.offset, r.dataOff)
-		}
-		if ic == 0 || ic > maxFrameInsts {
-			return formatErr("index entry %d declares %d instructions", i, ic)
-		}
-		r.index = append(r.index, e)
+		r.index[i] = e
 		prev = e
+	}
+	switch {
+	case numFrames == 0 && r.indexOff != dataOff:
+		return formatErr("%d bytes between the header and an empty index", r.indexOff-dataOff)
+	case numFrames > 0 && r.indexOff-prev.offset > maxFrameBytes:
+		return formatErr("frame %d spans %d bytes (bound %d)", numFrames-1, r.indexOff-prev.offset, maxFrameBytes)
 	}
 	totalInsts, err := uvarint()
 	if err != nil {
@@ -468,96 +325,15 @@ func (r *Reader) loadIndex() error {
 	if err != nil {
 		return formatErr("index totals: %v", err)
 	}
-	if numFrames == 0 && (totalInsts != 0 || totalUOps != 0) {
-		return formatErr("index declares no frames but totals of %d instructions / %d µ-ops", totalInsts, totalUOps)
-	}
-	if numFrames > 0 && prev.firstInst+prev.instCount != totalInsts {
-		return formatErr("index totals %d instructions, frames sum to %d", totalInsts, prev.firstInst+prev.instCount)
-	}
-	if r.hdr.Insts != 0 && (r.hdr.Insts != totalInsts || r.hdr.UOps != totalUOps) {
-		return formatErr("header counts (%d insts, %d µ-ops) disagree with index (%d, %d)",
-			r.hdr.Insts, r.hdr.UOps, totalInsts, totalUOps)
+	switch {
+	case totalInsts != prev.firstInst+prev.instCount:
+		return formatErr("index totals %d instructions, its frames hold %d", totalInsts, prev.firstInst+prev.instCount)
+	case totalUOps > totalInsts*isa.MaxUOpsPerInst:
+		return formatErr("index totals %d µ-ops for %d instructions (max %d each)", totalUOps, totalInsts, isa.MaxUOpsPerInst)
+	case len(idx) != 0:
+		return formatErr("%d stray bytes after the index totals", len(idx))
 	}
 	r.hdr.Insts = totalInsts
 	r.hdr.UOps = totalUOps
-	r.hasIndex = true
-	return r.seekTo(r.dataOff)
-}
-
-func (r *Reader) seekTo(off uint64) error {
-	if _, err := r.rs.Seek(int64(off), io.SeekStart); err != nil {
-		return formatErr("seek to %d: %v", off, err)
-	}
-	r.off = off
 	return nil
-}
-
-func (r *Reader) readFull(b []byte) error {
-	n, err := io.ReadFull(r.src, b)
-	r.off += uint64(n)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("unexpected end of trace at offset %d", r.off)
-	}
-	return err
-}
-
-// readUvarint decodes a uvarint directly from the source, one byte at a
-// time; frame headers are a handful of bytes, so this never dominates.
-func (r *Reader) readUvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if err := r.readFull(r.b1[:]); err != nil {
-			return 0, err
-		}
-		c := r.b1[0]
-		if c < 0x80 {
-			if i == binary.MaxVarintLen64-1 && c > 1 {
-				return 0, fmt.Errorf("uvarint overflows 64 bits")
-			}
-			return x | uint64(c)<<s, nil
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, fmt.Errorf("uvarint longer than %d bytes", binary.MaxVarintLen64)
-}
-
-// grow returns buf resized to n bytes, reusing its backing array when
-// capacity allows — the steady-state path never allocates.
-func grow(buf []byte, n int) []byte {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return append(buf[:cap(buf)], make([]byte, n-cap(buf))...)
-}
-
-// zeroChunk backs appendRead's bounded growth steps; it lives in .bss.
-var zeroChunk [1 << 18]byte
-
-// appendRead appends exactly n bytes from rd onto buf, growing in
-// bounded chunks so a corrupt length field cannot force a huge
-// allocation before the bytes actually exist. Steady state (capacity
-// already grown) reads straight into the backing array.
-func appendRead(buf []byte, rd io.Reader, n uint64) ([]byte, error) {
-	for n > 0 {
-		c := n
-		if c > uint64(len(zeroChunk)) {
-			c = uint64(len(zeroChunk))
-		}
-		start := len(buf)
-		if cap(buf) >= start+int(c) {
-			buf = buf[:start+int(c)]
-		} else {
-			buf = append(buf, zeroChunk[:c]...)
-		}
-		if _, err := io.ReadFull(rd, buf[start:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				err = fmt.Errorf("unexpected end of input with %d payload bytes missing", n)
-			}
-			return buf, err
-		}
-		n -= c
-	}
-	return buf, nil
 }

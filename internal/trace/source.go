@@ -34,8 +34,9 @@ func NewFileSource(path string) FileSource {
 // Name implements workload.Source.
 func (s FileSource) Name() string { return s.Workload }
 
-// Open implements workload.Source: the returned stream is a *Reader, so
-// it also implements io.Closer and exposes Err for corruption checks.
+// Open implements workload.Source: the returned stream is a *Reader
+// that stops before instruction maxInsts of the trace, so it also
+// implements io.Closer and exposes Err for corruption checks.
 func (s FileSource) Open(maxInsts int64) (isa.Stream, error) {
 	r, err := OpenFile(s.Path)
 	if err != nil {

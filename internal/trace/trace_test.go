@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -46,18 +47,23 @@ func record(t *testing.T, prof workload.Profile, insts int64, opts trace.WriterO
 	return buf.Bytes()
 }
 
+// openBytes opens an in-memory trace.
+func openBytes(t *testing.T, data []byte) *trace.Reader {
+	t.Helper()
+	r, err := trace.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestRoundTripAllProfiles proves record→replay reproduces the live
-// generator instruction-for-instruction over the whole Table II suite,
-// with compression on (the default) and off.
+// generator instruction-for-instruction over the whole Table II suite.
 func TestRoundTripAllProfiles(t *testing.T) {
 	const insts = 5000
-	for i, prof := range workload.Profiles() {
-		opts := trace.WriterOptions{FrameInsts: 512}
-		if i%2 == 1 {
-			opts.Uncompressed = true
-		}
-		data := record(t, prof, insts, opts)
-		r, err := trace.NewReader(bytes.NewReader(data))
+	for _, prof := range workload.Profiles() {
+		data := record(t, prof, insts, trace.WriterOptions{FrameInsts: 512})
+		r, err := trace.NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("%s: open: %v", prof.Name, err)
 		}
@@ -114,10 +120,10 @@ func TestReplayResultIdenticalAllProfiles(t *testing.T) {
 	}
 }
 
-// TestFilePatchedHeaderAndSeek checks that file-backed writers patch
-// the header counts in place and that SeekInst lands exactly on the
-// requested instruction without decoding the prefix differently.
-func TestFilePatchedHeaderAndSeek(t *testing.T) {
+// TestSeekInst checks that a file-backed trace reports its totals and
+// that SeekInst lands exactly on the requested instruction without
+// decoding the prefix differently.
+func TestSeekInst(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
 	const insts = 20000
 	path := filepath.Join(t.TempDir(), "gcc"+trace.Ext)
@@ -134,25 +140,14 @@ func TestFilePatchedHeaderAndSeek(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The fixed header alone (first 32 bytes) must carry the totals:
-	// that is the io.WriterAt patch, not the index fallback.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := trace.NewReader(noSeek{bytes.NewReader(raw)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := sr.Header(); h.Insts != n || h.UOps != uops {
-		t.Fatalf("streamed header counts %d/%d, want patched %d/%d", h.Insts, h.UOps, n, uops)
-	}
-
 	r, err := trace.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	if h := r.Header(); h.Insts != n || h.UOps != uops {
+		t.Fatalf("header totals %d/%d, recorded %d/%d", h.Insts, h.UOps, n, uops)
+	}
 	if r.Frames() != (insts+1023)/1024 {
 		t.Fatalf("index has %d frames, want %d", r.Frames(), (insts+1023)/1024)
 	}
@@ -189,69 +184,63 @@ func TestFilePatchedHeaderAndSeek(t *testing.T) {
 	}
 }
 
-// TestSetLimit caps replay like a generator's maxInsts.
+// count drains r and returns how many instructions it yielded.
+func count(t *testing.T, r *trace.Reader) int64 {
+	t.Helper()
+	var in isa.Inst
+	n := int64(0)
+	for r.Next(&in) {
+		n++
+	}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return n
+}
+
+// TestSetLimit caps replay like a generator's maxInsts: the limit is an
+// instruction of the trace, so a seek does not move it.
 func TestSetLimit(t *testing.T) {
 	prof, _ := workload.ProfileByName("swim")
-	data := record(t, prof, 3000, trace.WriterOptions{})
-	r, err := trace.NewReader(bytes.NewReader(data))
-	if err != nil {
+	data := record(t, prof, 3000, trace.WriterOptions{FrameInsts: 512})
+	r := openBytes(t, data)
+	r.SetLimit(1234)
+	if got := count(t, r); got != 1234 {
+		t.Fatalf("limited replay produced %d insts, want 1234", got)
+	}
+	const n, k = 2500, 1100
+	r = openBytes(t, data)
+	r.SetLimit(n)
+	if err := r.SeekInst(k); err != nil {
 		t.Fatal(err)
 	}
-	r.SetLimit(1234)
-	var in isa.Inst
-	count := 0
-	for r.Next(&in) {
-		count++
+	if got := count(t, r); got != n-k {
+		t.Fatalf("after SetLimit(%d) and SeekInst(%d) replay produced %d insts, want %d", n, k, got, n-k)
 	}
-	if count != 1234 || r.Err() != nil {
-		t.Fatalf("limited replay produced %d insts (err %v), want 1234", count, r.Err())
+	r = openBytes(t, data)
+	r.SetLimit(-1)
+	if got := count(t, r); got != 3000 {
+		t.Fatalf("unlimited replay produced %d insts, want 3000", got)
 	}
 }
 
 // TestReplayAllocationFree extends PR 2's hot-loop property to traces:
-// once buffers are warm, a processor replaying a trace allocates
-// (near) nothing — the Reader reuses its frame, payload and flate
-// state across frames and across Resets.
-//
-// The uncompressed path gets the same 500-alloc budget as
-// TestHotLoopAllocationFree: the Reader contributes ~2 allocations per
-// full replay. Flate replay additionally pays compress/flate's
-// per-block huffman tables (~70 per 4096-inst frame, not reusable from
-// outside the stdlib); that is per-frame, not per-instruction, and the
-// looser budget pins it so per-instruction churn still fails.
+// once buffers are warm, a processor replaying a trace allocates (near)
+// nothing. The budget is TestHotLoopAllocationFree's 500; opening the
+// Reader, a fresh one per run, accounts for a handful of allocations
+// and its frame buffer is reused across frames.
 func TestReplayAllocationFree(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
-	for _, tc := range []struct {
-		name   string
-		opts   trace.WriterOptions
-		budget float64
-	}{
-		{"uncompressed", trace.WriterOptions{Uncompressed: true}, 500},
-		{"flate", trace.WriterOptions{}, 1500},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			data := record(t, prof, 30000, tc.opts)
-			br := bytes.NewReader(data)
-			r, err := trace.NewReader(br)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := pipeline.New(pipeline.DefaultConfig(), r)
-			p.RunWarm(0, 0) // warm pools, rings, and reader buffers
+	data := record(t, prof, 30000, trace.WriterOptions{})
+	p := pipeline.New(pipeline.DefaultConfig(), openBytes(t, data))
+	p.RunWarm(0, 0) // warm pools and rings
 
-			allocs := testing.AllocsPerRun(1, func() {
-				br.Reset(data)
-				if err := r.Reset(br); err != nil {
-					t.Fatal(err)
-				}
-				p.Reset(pipeline.DefaultConfig(), r)
-				p.RunWarm(0, 0)
-			})
-			if allocs > tc.budget {
-				t.Fatalf("trace replay allocates: %.0f allocs for 30k insts (budget %.0f)",
-					allocs, tc.budget)
-			}
-		})
+	allocs := testing.AllocsPerRun(1, func() {
+		p.Reset(pipeline.DefaultConfig(), openBytes(t, data))
+		p.RunWarm(0, 0)
+	})
+	if allocs > 500 {
+		t.Fatalf("trace replay allocates: %.0f allocs for 30k insts (budget 500)", allocs)
 	}
 }
 
@@ -301,11 +290,6 @@ func TestCatalogFromDir(t *testing.T) {
 	}
 }
 
-// noSeek hides the Seeker of a bytes.Reader, forcing the streaming path.
-type noSeek struct{ r *bytes.Reader }
-
-func (n noSeek) Read(p []byte) (int, error) { return n.r.Read(p) }
-
 // TestRunSourceRejectsShortTrace: a trace shorter than the
 // warmup+measure budget errors instead of silently reporting a cold,
 // short run as measured statistics.
@@ -328,32 +312,63 @@ func TestRunSourceRejectsShortTrace(t *testing.T) {
 	}
 }
 
-// countingReadSeeker counts the Read calls made on it.
-type countingReadSeeker struct {
-	io.ReadSeeker
+// countingReaderAt counts the ReadAt calls made on it.
+type countingReaderAt struct {
+	io.ReaderAt
 	reads int
 }
 
-func (c *countingReadSeeker) Read(p []byte) (int, error) {
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	c.reads++
-	return c.ReadSeeker.Read(p)
+	return c.ReaderAt.ReadAt(p, off)
 }
 
-// TestOpenReadsIndexInOneCall: opening a seekable trace reads the
-// header, the trailer and the whole frame index in a handful of calls,
-// however many frames the index lists.
+// TestOpenReadsIndexInOneCall: opening a trace reads the header, the
+// trailer and the whole frame index in one call each, however many
+// frames the index lists, and a replay reads each frame in one call.
 func TestOpenReadsIndexInOneCall(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
 	data := record(t, prof, 40_000, trace.WriterOptions{FrameInsts: 256})
-	src := &countingReadSeeker{ReadSeeker: bytes.NewReader(data)}
-	r, err := trace.NewReader(src)
+	src := &countingReaderAt{ReaderAt: bytes.NewReader(data)}
+	r, err := trace.NewReader(src, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Frames() < 150 {
 		t.Fatalf("trace has %d frames; the test wants a long index", r.Frames())
 	}
-	if src.reads > 6 {
-		t.Errorf("opening a %d-frame trace issued %d reads, want at most 6", r.Frames(), src.reads)
+	if src.reads != 3 {
+		t.Errorf("opening a %d-frame trace issued %d reads, want 3", r.Frames(), src.reads)
+	}
+	count(t, r)
+	if src.reads != 3+r.Frames() {
+		t.Errorf("replaying %d frames issued %d reads, want %d", r.Frames(), src.reads-3, r.Frames())
+	}
+}
+
+// TestV1TraceRefused: a trace in the previous format, recorded before
+// version 2, fails to open and fails the catalog scan, with a message
+// that names its version and how to replace it.
+func TestV1TraceRefused(t *testing.T) {
+	const v1 = "testdata/trace-v1.bbt"
+	_, err := trace.OpenFile(v1)
+	if !errors.Is(err, trace.ErrFormat) {
+		t.Fatalf("OpenFile(%s): %v, want ErrFormat", v1, err)
+	}
+	for _, want := range []string{"version 1", "bebop-trace record"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	data, err := os.ReadFile(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "gcc-300"+trace.Ext), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Catalog(dir); !errors.Is(err, trace.ErrFormat) {
+		t.Fatalf("catalog over a v1 trace: %v, want ErrFormat", err)
 	}
 }

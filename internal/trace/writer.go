@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -14,17 +13,14 @@ type WriterOptions struct {
 	// Name and Seed identify the source workload in the header.
 	Name string
 	Seed uint64
-	// Uncompressed disables flate compression of frame payloads.
-	Uncompressed bool
 	// FrameInsts is the number of instructions per frame
 	// (0 = DefaultFrameInsts).
 	FrameInsts int
 }
 
-// Writer serializes an instruction stream into the .bbt format. It
-// streams: frames go out as they fill, the index and trailer on Close,
-// and when the destination supports io.WriterAt (files) the header
-// instruction/µ-op counts are patched in place.
+// Writer serializes an instruction stream into the .bbt format on any
+// io.Writer. It streams: the header goes out at NewWriter, each frame's
+// payload as the frame fills, and the index and trailer on Close.
 type Writer struct {
 	dst   io.Writer
 	opts  WriterOptions
@@ -32,13 +28,10 @@ type Writer struct {
 	insts uint64
 	uops  uint64
 
-	st        deltaState
-	frameIns  int    // instructions in the open frame
-	frameUOps uint64 // µ-ops in the open frame
-	raw       []byte // open frame payload, uncompressed
-	scratch   []byte // compression and header staging buffer
-	fw        *flate.Writer
-	index     []frameIndexEntry
+	st       deltaState
+	frameIns int    // instructions in the open frame
+	raw      []byte // open frame payload, then the index staging buffer
+	index    []frameIndexEntry
 
 	closed bool
 	err    error
@@ -57,25 +50,10 @@ func NewWriter(dst io.Writer, opts WriterOptions) (*Writer, error) {
 		return nil, fmt.Errorf("trace: workload name longer than %d bytes", maxNameLen)
 	}
 	w := &Writer{dst: dst, opts: opts}
-	if !opts.Uncompressed {
-		fw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			return nil, err
-		}
-		w.fw = fw
-	}
-
-	hdr := make([]byte, 0, headerFixedLen+len(opts.Name)+2)
+	hdr := make([]byte, 0, headerFixedLen+binary.MaxVarintLen64+len(opts.Name))
 	hdr = append(hdr, Magic...)
 	hdr = binary.LittleEndian.AppendUint16(hdr, Version)
-	var flags uint16
-	if !opts.Uncompressed {
-		flags |= flagCompressed
-	}
-	hdr = binary.LittleEndian.AppendUint16(hdr, flags)
 	hdr = binary.LittleEndian.AppendUint64(hdr, opts.Seed)
-	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // insts, patched on Close
-	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // uops, patched on Close
 	hdr = binary.AppendUvarint(hdr, uint64(len(opts.Name)))
 	hdr = append(hdr, opts.Name...)
 	if err := w.write(hdr); err != nil {
@@ -113,9 +91,8 @@ func (w *Writer) WriteInst(in *isa.Inst) error {
 	// Close the frame early if the next instruction could push the
 	// payload past the reader's maxFrameBytes bound: a verbose workload
 	// at a large -frame must never produce a file our own Reader
-	// rejects. The 1MB margin covers the longest encodable instruction
-	// and flate's worst-case expansion of an incompressible payload.
-	if w.frameIns > 0 && len(w.raw) > maxFrameBytes-(1<<20) {
+	// rejects.
+	if w.frameIns > 0 && len(w.raw)+maxInstEncoding > maxFrameBytes {
 		if err := w.flushFrame(); err != nil {
 			return err
 		}
@@ -126,7 +103,6 @@ func (w *Writer) WriteInst(in *isa.Inst) error {
 	}
 	w.raw = appendInst(w.raw, in, &w.st)
 	w.frameIns++
-	w.frameUOps += uint64(in.NumUOps)
 	w.insts++
 	w.uops += uint64(in.NumUOps)
 	if w.frameIns >= w.opts.FrameInsts {
@@ -135,59 +111,21 @@ func (w *Writer) WriteInst(in *isa.Inst) error {
 	return nil
 }
 
-// flushFrame emits the open frame: header varints, then the payload,
-// flate-compressed unless disabled.
+// flushFrame writes the open frame's payload.
 func (w *Writer) flushFrame() error {
 	if w.frameIns == 0 || w.err != nil {
 		return w.err
 	}
-	payload := w.raw
-	if w.fw != nil {
-		w.scratch = w.scratch[:0]
-		cw := sliceWriter{buf: &w.scratch}
-		w.fw.Reset(cw)
-		if _, err := w.fw.Write(w.raw); err != nil {
-			w.err = fmt.Errorf("trace: compress: %w", err)
-			return w.err
-		}
-		if err := w.fw.Close(); err != nil {
-			w.err = fmt.Errorf("trace: compress: %w", err)
-			return w.err
-		}
-		payload = w.scratch
-	}
-
-	var hdr [4 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(w.frameIns))
-	n += binary.PutUvarint(hdr[n:], w.frameUOps)
-	n += binary.PutUvarint(hdr[n:], uint64(len(w.raw)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	if err := w.write(hdr[:n]); err != nil {
-		return err
-	}
-	if err := w.write(payload); err != nil {
+	if err := w.write(w.raw); err != nil {
 		return err
 	}
 	w.index[len(w.index)-1].instCount = uint64(w.frameIns)
 	w.raw = w.raw[:0]
 	w.frameIns = 0
-	w.frameUOps = 0
 	return nil
 }
 
-// sliceWriter appends to an external byte slice; it lets the flate
-// writer target the reusable scratch buffer without a bytes.Buffer.
-type sliceWriter struct{ buf *[]byte }
-
-func (s sliceWriter) Write(p []byte) (int, error) {
-	*s.buf = append(*s.buf, p...)
-	return len(p), nil
-}
-
-// Close flushes the open frame and writes the sentinel, index and
-// trailer. When the destination supports io.WriterAt, the header
-// instruction/µ-op counts are patched so the file is self-describing
-// without reading the index.
+// Close flushes the open frame and writes the index and trailer.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
@@ -196,36 +134,20 @@ func (w *Writer) Close() error {
 	if err := w.flushFrame(); err != nil {
 		return err
 	}
-	indexOff := w.off + 1 // after the sentinel byte
-
-	w.scratch = w.scratch[:0]
-	w.scratch = append(w.scratch, 0) // sentinel: frame with instCount 0
-	w.scratch = binary.AppendUvarint(w.scratch, uint64(len(w.index)))
+	indexOff := w.off
+	buf := binary.AppendUvarint(w.raw[:0], uint64(len(w.index)))
 	var prev frameIndexEntry
 	for _, e := range w.index {
-		w.scratch = binary.AppendUvarint(w.scratch, e.firstInst-prev.firstInst)
-		w.scratch = binary.AppendUvarint(w.scratch, e.offset-prev.offset)
-		w.scratch = binary.AppendUvarint(w.scratch, e.instCount)
+		buf = binary.AppendUvarint(buf, e.firstInst-prev.firstInst)
+		buf = binary.AppendUvarint(buf, e.offset-prev.offset)
+		buf = binary.AppendUvarint(buf, e.instCount)
 		prev = e
 	}
-	w.scratch = binary.AppendUvarint(w.scratch, w.insts)
-	w.scratch = binary.AppendUvarint(w.scratch, w.uops)
-	w.scratch = binary.LittleEndian.AppendUint64(w.scratch, indexOff)
-	w.scratch = append(w.scratch, TrailerMagic...)
-	if err := w.write(w.scratch); err != nil {
-		return err
-	}
-
-	if wa, ok := w.dst.(io.WriterAt); ok {
-		var counts [16]byte
-		binary.LittleEndian.PutUint64(counts[:8], w.insts)
-		binary.LittleEndian.PutUint64(counts[8:], w.uops)
-		if _, err := wa.WriteAt(counts[:], headerCountsOff); err != nil {
-			w.err = fmt.Errorf("trace: patch header counts: %w", err)
-			return w.err
-		}
-	}
-	return nil
+	buf = binary.AppendUvarint(buf, w.insts)
+	buf = binary.AppendUvarint(buf, w.uops)
+	buf = binary.LittleEndian.AppendUint64(buf, indexOff)
+	buf = append(buf, TrailerMagic...)
+	return w.write(buf)
 }
 
 // Insts and UOps report the totals recorded so far.
@@ -234,11 +156,11 @@ func (w *Writer) Insts() uint64 { return w.insts }
 // UOps reports the total µ-ops recorded so far.
 func (w *Writer) UOps() uint64 { return w.uops }
 
-// Record drains stream into dst and closes the Writer, returning the
-// recorded instruction and µ-op totals. A source that fails mid-stream
-// (a corrupt trace being re-recorded) is an error: without the check a
-// truncated recording would be structurally valid and the loss
-// undetectable downstream.
+// Record drains stream into dst, which may be any io.Writer, and closes
+// the Writer, returning the recorded instruction and µ-op totals. A
+// source that fails mid-stream (a corrupt trace being re-recorded) is
+// an error: without the check a truncated recording would be
+// structurally valid and the loss undetectable downstream.
 func Record(dst io.Writer, stream isa.Stream, opts WriterOptions) (insts, uops uint64, err error) {
 	w, err := NewWriter(dst, opts)
 	if err != nil {

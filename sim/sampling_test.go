@@ -254,12 +254,11 @@ func TestSampledCheckpointSideFileRestoresLazily(t *testing.T) {
 	}
 }
 
-// runOverSideFile runs spec over the side-file another spec, builder,
-// leaves next to spec's trace: it removes the trace's side-files, runs
-// builder, which writes a fresh one, then runs spec, which reuses it.
-func runOverSideFile(t *testing.T, builder, spec RunSpec) Report {
+// buildSideFile removes the side-files next to maker's trace and runs
+// maker, which writes a fresh one.
+func buildSideFile(t *testing.T, maker RunSpec) {
 	t.Helper()
-	old, err := filepath.Glob(spec.Trace + ".*" + trace.CheckpointExt)
+	old, err := filepath.Glob(maker.Trace + ".*" + trace.CheckpointExt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,19 +268,26 @@ func runOverSideFile(t *testing.T, builder, spec RunSpec) Report {
 		}
 	}
 	rebuilt := mCkptRebuilt.Value()
-	if _, err := Run(context.Background(), builder); err != nil {
+	if _, err := Run(context.Background(), maker); err != nil {
 		t.Fatalf("building the side-file: %v", err)
 	}
 	if mCkptRebuilt.Value() != rebuilt+1 {
-		t.Fatal("the builder did not write a side-file")
+		t.Fatal("the maker did not write a side-file")
 	}
+}
+
+// runOverSideFile runs spec over the side-file another spec, maker,
+// leaves next to spec's trace, which spec must reuse.
+func runOverSideFile(t *testing.T, maker, spec RunSpec) Report {
+	t.Helper()
+	buildSideFile(t, maker)
 	reused := mCkptReused.Value()
 	rep, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mCkptReused.Value() != reused+1 {
-		t.Fatal("the run did not reuse the side-file the builder wrote")
+		t.Fatal("the run did not reuse the side-file the maker wrote")
 	}
 	return rep
 }
@@ -293,26 +299,29 @@ func runOverSideFile(t *testing.T, builder, spec RunSpec) Report {
 // state a point at its start holds.
 func TestCheckpointedRunIndependentOfSideFileSpacing(t *testing.T) {
 	path := recordTrace(t, "gcc", 60_000)
+	// Intervals start every 2,000 from 20,000, on the spec's own points.
 	spec := RunSpec{
 		Trace:    path,
 		Config:   "eole-bebop/Medium",
 		Insts:    40_000,
 		Sampling: &SamplingSpec{Intervals: 20, Checkpoints: true},
 	}
-	coarse := spec
-	coarse.Sampling = &SamplingSpec{Intervals: 5, Checkpoints: true}
+	// Points every 1,333, denser than the spec's, so the spec reuses
+	// them, but off its grid: most intervals warm from an earlier point.
+	offGrid := spec
+	offGrid.Sampling = &SamplingSpec{Intervals: 30, Checkpoints: true}
 	own := runOverSideFile(t, spec, spec)
-	got := runOverSideFile(t, coarse, spec)
+	got := runOverSideFile(t, offGrid, spec)
 	if !reflect.DeepEqual(got, own) {
-		t.Errorf("the report depends on the side-file's point spacing:\nown:    %+v\ncoarse: %+v", own.Sampling, got.Sampling)
+		t.Errorf("the report depends on the side-file's point spacing:\nown:     %+v\noff-grid: %+v", own.Sampling, got.Sampling)
 	}
 }
 
-// TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero: an interval
-// that starts below the side-file's first point warms from instruction
-// 0, so it reports what a restore would have given. Only the provenance
-// count, CheckpointsUsed, tells the runs apart.
-func TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero(t *testing.T) {
+// TestCheckpointedRunRebuildsASparserSideFile: a checkpointed spec
+// rebuilds a side-file whose first point lies past the spacing it would
+// build itself, so every interval restores a point from then on; the
+// report equals the one over the spec's own side-file.
+func TestCheckpointedRunRebuildsASparserSideFile(t *testing.T) {
 	path := recordTrace(t, "gcc", 60_000)
 	// Measures [10,000, 30,000) in intervals starting every 1,000.
 	spec := RunSpec{
@@ -329,14 +338,20 @@ func TestCheckpointedIntervalsBelowTheFirstPointWarmFromZero(t *testing.T) {
 		Sampling: &SamplingSpec{Intervals: 2, Checkpoints: true},
 	}
 	own := runOverSideFile(t, spec, spec)
-	got := runOverSideFile(t, sparse, spec)
-	if own.Sampling.CheckpointsUsed != 20 || got.Sampling.CheckpointsUsed != 10 {
-		t.Fatalf("checkpoints used: %d over the spec's own side-file, %d over the sparse one; want 20 and 10",
-			own.Sampling.CheckpointsUsed, got.Sampling.CheckpointsUsed)
+	buildSideFile(t, sparse)
+	rebuilt := mCkptRebuilt.Value()
+	got, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got.Sampling.CheckpointsUsed = own.Sampling.CheckpointsUsed
+	if mCkptRebuilt.Value() != rebuilt+1 {
+		t.Error("the spec reused the sparser side-file")
+	}
+	if got.Sampling.CheckpointsUsed != 20 {
+		t.Errorf("checkpoints used for %d of 20 intervals", got.Sampling.CheckpointsUsed)
+	}
 	if !reflect.DeepEqual(got, own) {
-		t.Errorf("intervals below the first point report differently:\nown:    %+v\nsparse: %+v", own.Sampling, got.Sampling)
+		t.Errorf("the rebuilt side-file reports differently:\nown:     %+v\nrebuilt: %+v", own.Sampling, got.Sampling)
 	}
 }
 

@@ -268,11 +268,14 @@ func (s *Sim) runSampled(ctx context.Context, spec RunSpec, src workload.Source,
 // trace's checkpoint side-file. The side-file is the cache that
 // amortizes warming across sampled runs: the first request pays one
 // continuous functional-warming pass, every later one restores. A
-// side-file that is missing, fails to open or belongs to a different
-// trace or configuration is rebuilt before the run; one whose point
+// side-file that is missing, fails to open, belongs to a different
+// trace or configuration, or whose first point lies past the spacing
+// this spec would build is rebuilt before the run; one whose point
 // fails to decode or restore when an interval needs it is rebuilt and
 // the run repeated. Either way the file counts as rebuilt, once, and
-// never as reused.
+// never as reused. A spec's own side-file always passes the spacing
+// check, so specs cannot take turns rebuilding one file, and a denser
+// file is reused.
 func runCheckpointed(ctx context.Context, fs trace.FileSource, mk core.ConfigFactory, spec RunSpec, sp core.SamplingParams) (pipeline.Result, core.SampleStats, error) {
 	cfgName := mk().Name
 	path := trace.CheckpointPath(fs.Path, cfgName)
@@ -283,7 +286,8 @@ func runCheckpointed(ctx context.Context, fs trace.FileSource, mk core.ConfigFac
 	hdr := r.Header()
 	r.Close()
 	if set, err := trace.OpenCheckpoints(path); err == nil {
-		if err := set.Validate(hdr, cfgName); err == nil {
+		first, ok := set.FirstPoint()
+		if set.Validate(hdr, cfgName) == nil && ok && first <= checkpointSpacing(spec) {
 			sp.Checkpoints = set
 			res, st, err := core.RunSampled(ctx, fs, *spec.Warmup, spec.Insts, mk, sp)
 			set.Close()
@@ -304,20 +308,17 @@ func runCheckpointed(ctx context.Context, fs trace.FileSource, mk core.ConfigFac
 	return core.RunSampled(ctx, fs, *spec.Warmup, spec.Insts, mk, sp)
 }
 
+// checkpointSpacing is the point spacing a side-file built for spec
+// uses: one point per interval stride, bounded so a huge run cannot
+// bloat the side-file past 64 snapshots.
+func checkpointSpacing(spec RunSpec) int64 {
+	return max(spec.Insts/int64(spec.Sampling.Intervals), (*spec.Warmup+spec.Insts)/64, 1)
+}
+
 // rebuildCheckpoints builds the side-file at path in one continuous
 // functional-warming pass over the trace, writes it and returns it.
 func rebuildCheckpoints(fs trace.FileSource, mk core.ConfigFactory, spec RunSpec, hdr trace.Header, path string) (*trace.CheckpointFile, error) {
-	upTo := *spec.Warmup + spec.Insts
-	// One point per interval stride, bounded so a huge run cannot bloat
-	// the side-file past 64 snapshots.
-	every := spec.Insts / int64(spec.Sampling.Intervals)
-	if min := upTo / 64; every < min {
-		every = min
-	}
-	if every < 1 {
-		every = 1
-	}
-	points, name, err := core.BuildCheckpoints(fs, mk, every, upTo)
+	points, name, err := core.BuildCheckpoints(fs, mk, checkpointSpacing(spec), *spec.Warmup+spec.Insts)
 	if err != nil {
 		return nil, err
 	}

@@ -224,24 +224,27 @@ func TestSetLimit(t *testing.T) {
 	}
 }
 
-// TestReplayAllocationFree extends PR 2's hot-loop property to traces:
-// once buffers are warm, a processor replaying a trace allocates (near)
-// nothing. The budget is TestHotLoopAllocationFree's 500; opening the
-// Reader, a fresh one per run, accounts for a handful of allocations
-// and its frame buffer is reused across frames.
+// TestReplayAllocationFree extends the pipeline's hot-loop property to
+// traces: once buffers are warm, a processor replaying a trace allocates
+// (near) nothing. The budget is TestHotLoopAllocationFree's 500; opening
+// the Reader, a fresh one per run, accounts for a handful of allocations
+// and its frame buffer is reused across frames. Frames are stored raw,
+// so the one case is the uncompressed replay.
 func TestReplayAllocationFree(t *testing.T) {
-	prof, _ := workload.ProfileByName("gcc")
-	data := record(t, prof, 30000, trace.WriterOptions{})
-	p := pipeline.New(pipeline.DefaultConfig(), openBytes(t, data))
-	p.RunWarm(0, 0) // warm pools and rings
+	t.Run("uncompressed", func(t *testing.T) {
+		prof, _ := workload.ProfileByName("gcc")
+		data := record(t, prof, 30000, trace.WriterOptions{})
+		p := pipeline.New(pipeline.DefaultConfig(), openBytes(t, data))
+		p.RunWarm(0, 0) // warm pools and rings
 
-	allocs := testing.AllocsPerRun(1, func() {
-		p.Reset(pipeline.DefaultConfig(), openBytes(t, data))
-		p.RunWarm(0, 0)
+		allocs := testing.AllocsPerRun(1, func() {
+			p.Reset(pipeline.DefaultConfig(), openBytes(t, data))
+			p.RunWarm(0, 0)
+		})
+		if allocs > 500 {
+			t.Fatalf("trace replay allocates: %.0f allocs for 30k insts (budget 500)", allocs)
+		}
 	})
-	if allocs > 500 {
-		t.Fatalf("trace replay allocates: %.0f allocs for 30k insts (budget 500)", allocs)
-	}
 }
 
 // TestCatalogFromDir builds the CLI catalog: 36 profiles plus scanned

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	bebop-serve -addr :8080 -n 100000 -max-insts 2000000 -run-timeout 60s \
-//	    -rate 5 -admit-concurrency 16 -drain-timeout 30s
+//	    -rate 5 -admit-concurrency 4 -drain-timeout 30s
 //
 // v1 API:
 //
@@ -61,15 +61,14 @@ func main() {
 	n := flag.Int64("n", 100_000, "default dynamic instructions per workload (sweeps: fixed per process)")
 	maxInsts := flag.Int64("max-insts", 0, "upper bound on a run request's instruction budget (0 = 10x -n)")
 	runTimeout := flag.Duration("run-timeout", 60*time.Second, "wall-clock bound for one POST /v1/runs simulation (0 = none)")
-	maxConcurrent := flag.Int("max-concurrent-runs", 4, "max concurrent /v1/runs simulations")
 	maxRuns := flag.Int("max-runs", 256, "max async runs retained in the store (oldest finished evicted first)")
 	runTTL := flag.Duration("run-ttl", 15*time.Minute, "how long a completed async run stays queryable (0 = until -max-runs evicts it)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, how long in-flight runs may finish before being aborted")
 	rate := flag.Float64("rate", 0, "sustained per-client request rate on simulation routes (req/s, 0 = unlimited)")
 	burst := flag.Float64("burst", 0, "per-client burst above -rate (0 = max(rate, 1))")
 	maxClients := flag.Int("max-clients", 0, "max tracked rate-limit clients (0 = 4096)")
-	admitConc := flag.Int("admit-concurrency", 16, "max concurrently admitted simulation requests")
-	admitQueue := flag.Int("admit-queue", -1, "max requests queued past -admit-concurrency before shedding 503 (-1 = 4x concurrency)")
+	admitConc := flag.Int("admit-concurrency", 4, "max runs and sweeps executing at once, sync or async (a sweep's own simulations are bounded by -p)")
+	admitQueue := flag.Int("admit-queue", -1, "max runs and sweeps queued past -admit-concurrency before shedding 503 (-1 = 4x concurrency)")
 	par := flag.Int("p", 0, "max parallel sweep simulations (0 = GOMAXPROCS)")
 	traceDir := flag.String("trace-dir", "", "directory of .bbt traces to add as named workloads")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (live CPU/heap profiling)")
@@ -96,13 +95,12 @@ func main() {
 	}
 
 	s, err := newServer(serverConfig{
-		defaultInsts:      *n,
-		maxInsts:          *maxInsts,
-		runTimeout:        *runTimeout,
-		maxConcurrentRuns: *maxConcurrent,
-		traceDir:          *traceDir,
-		parallel:          *par,
-		pprof:             *pprofFlag,
+		defaultInsts: *n,
+		maxInsts:     *maxInsts,
+		runTimeout:   *runTimeout,
+		traceDir:     *traceDir,
+		parallel:     *par,
+		pprof:        *pprofFlag,
 		admit: admission.Config{
 			RatePerSec:  *rate,
 			Burst:       *burst,
@@ -125,8 +123,8 @@ func main() {
 	}
 
 	// SIGTERM/SIGINT starts the drain ladder: flip /readyz to 503 and
-	// shed new admissions, let in-flight runs finish up to
-	// -drain-timeout, abort and mark the survivors, then close the
+	// shed new admissions, let the simulations the gate holds finish up
+	// to -drain-timeout, abort and mark the survivors, then close the
 	// listener. SSE subscribers receive their terminal event before
 	// Shutdown's grace window ends, and the process exits 0.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -135,7 +133,8 @@ func main() {
 	go func() {
 		defer close(drained)
 		<-ctx.Done()
-		slog.Info("drain: signal received", "inflight", s.inflight.Load(),
+		active, queued := s.admit.Depth()
+		slog.Info("drain: signal received", "active", active, "queued", queued,
 			"timeout", s.cfg.drainTimeout)
 		s.drain()
 		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -36,12 +36,87 @@ func getStatus(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not reached within 10s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gateDepth reads the admission gate's running and queued simulations
+// from /healthz.
+func gateDepth(t *testing.T, base string) (active, queued int) {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Limits struct {
+			Admission struct{ Active, Queued int }
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Limits.Admission.Active, h.Limits.Admission.Queued
+}
+
+// sseKinds subscribes to an SSE stream and delivers each event's kind;
+// the channel closes when the stream ends.
+func sseKinds(t *testing.T, url string) <-chan string {
+	t.Helper()
+	sub, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sub.Body.Close() })
+	// Buffered so the stream keeps flowing while the test is busy
+	// elsewhere, such as in a drain.
+	kinds := make(chan string, 64)
+	go func() {
+		defer close(kinds)
+		sc := bufio.NewScanner(sub.Body)
+		for sc.Scan() {
+			if line := sc.Text(); strings.HasPrefix(line, "event: ") {
+				kinds <- strings.TrimPrefix(line, "event: ")
+			}
+		}
+	}()
+	return kinds
+}
+
+// terminalKind waits for a stream's first terminal event.
+func terminalKind(t *testing.T, kinds <-chan string) string {
+	t.Helper()
+	timeout := time.After(15 * time.Second)
+	for {
+		select {
+		case kind, ok := <-kinds:
+			if !ok {
+				t.Fatal("SSE stream ended without a terminal event")
+			}
+			if kind == "done" || kind == "error" || kind == "aborted" {
+				return kind
+			}
+		case <-timeout:
+			t.Fatal("no terminal SSE event within 15s")
+		}
+	}
+}
+
 func TestReadyzFlipsOnDrainWhileHealthzStaysLive(t *testing.T) {
 	ts, s := testServerS(t, serverConfig{defaultInsts: 5_000})
 	if got := getStatus(t, ts.URL+"/readyz"); got != http.StatusOK {
 		t.Fatalf("readyz before drain: %d", got)
 	}
-	s.beginDrain()
+	s.admit.SetDraining(true)
 	if got := getStatus(t, ts.URL+"/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("readyz during drain: %d, want 503", got)
 	}
@@ -193,74 +268,87 @@ func TestDrainAbortsAsyncRunWithTerminalSSE(t *testing.T) {
 		maxInsts:     500_000_000,
 		drainTimeout: 50 * time.Millisecond,
 	})
-	resp, blob := postJSON(t, ts.URL+"/v1/runs?async=1",
-		`{"workload":"swim","insts":400000000}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit: %d (%s)", resp.StatusCode, blob)
-	}
-	var acc struct {
-		ID        string `json:"id"`
-		EventsURL string `json:"events_url"`
-	}
-	if err := json.Unmarshal(blob, &acc); err != nil {
-		t.Fatal(err)
-	}
-
+	id, eventsURL := startAsyncRun(t, ts, `{"workload":"swim","insts":400000000}`)
 	// Subscribe before the drain so the terminal event arrives live.
-	events := make(chan string, 64)
-	sub, err := http.Get(ts.URL + acc.EventsURL)
+	events := sseKinds(t, ts.URL+eventsURL)
+
+	// Wait until the simulation holds its slot, then drain.
+	waitFor(t, "async run holds a slot", func() bool { active, _ := s.admit.Depth(); return active == 1 })
+	s.drain()
+
+	if kind := terminalKind(t, events); kind != "aborted" {
+		t.Fatalf("run reached %q before the drain aborted it; raise insts", kind)
+	}
+	// Terminal state is queryable too.
+	resp, err := http.Get(ts.URL + "/v1/runs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Body.Close()
-	go func() {
-		sc := bufio.NewScanner(sub.Body)
-		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, "event: ") {
-				events <- strings.TrimPrefix(line, "event: ")
-			}
-		}
-		close(events)
-	}()
-
-	// Wait until the simulation is actually in flight, then drain.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.inflight.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("async run never started")
-		}
-		time.Sleep(time.Millisecond)
+	var status struct {
+		State string `json:"state"`
 	}
-	s.drain()
+	json.NewDecoder(resp.Body).Decode(&status)
+	resp.Body.Close()
+	if status.State != "aborted" {
+		t.Fatalf("status after drain = %q, want aborted", status.State)
+	}
+}
 
-	timeout := time.After(15 * time.Second)
-	for {
-		select {
-		case kind, ok := <-events:
-			if !ok {
-				t.Fatal("SSE stream ended without a terminal event")
-			}
-			if kind == "aborted" {
-				// Terminal state is queryable too.
-				resp, err := http.Get(ts.URL + "/v1/runs/" + acc.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var status struct {
-					State string `json:"state"`
-				}
-				json.NewDecoder(resp.Body).Decode(&status)
-				resp.Body.Close()
-				if status.State != "aborted" {
-					t.Fatalf("status after drain = %q, want aborted", status.State)
-				}
-				return
-			}
-			if kind == "done" || kind == "error" {
-				t.Fatalf("run reached %q before the drain aborted it; raise insts", kind)
-			}
-		case <-timeout:
-			t.Fatal("no terminal SSE event after drain")
+// TestAdmissionGateHoldsAsyncRuns: the admission gate bounds async runs
+// from their POST to their end. With one slot and one queue place, a
+// long async run holds the slot, a second queues behind it and a third
+// is shed with 503; a drain then aborts both admitted runs, each with a
+// terminal SSE event, and leaves the gate empty.
+func TestAdmissionGateHoldsAsyncRuns(t *testing.T) {
+	ts, s := testServerS(t, serverConfig{
+		defaultInsts: 5_000,
+		maxInsts:     500_000_000,
+		drainTimeout: 50 * time.Millisecond,
+		admit:        admission.Config{Concurrency: 1, Queue: 1},
+	})
+	const long = `{"workload":"swim","insts":400000000}`
+	const shedQueue = `bebop_admission_requests_total{decision="shed_queue"}`
+
+	_, running := startAsyncRun(t, ts, long)
+	waitFor(t, "first async run holds the slot", func() bool {
+		active, queued := gateDepth(t, ts.URL)
+		return active == 1 && queued == 0
+	})
+	_, queued := startAsyncRun(t, ts, long)
+	if a, q := gateDepth(t, ts.URL); a != 1 || q != 1 {
+		t.Fatalf("gate after the second async run = (%d active, %d queued), want (1, 1)", a, q)
+	}
+
+	before := scrapeMetrics(t, ts.URL)[shedQueue]
+	resp, blob := postJSON(t, ts.URL+"/v1/runs?async=1", long)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("third async run answered %d (%s), want 503", resp.StatusCode, blob)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("queue shed without Retry-After")
+	}
+	if d := scrapeMetrics(t, ts.URL)[shedQueue] - before; d != 1 {
+		t.Fatalf("%s advanced by %v, want 1", shedQueue, d)
+	}
+	// Invalid specs answer 400 before they ask the full gate for a place.
+	for url, body := range map[string]string{
+		"/v1/runs?async=1": `{"workload":"nope"}`,
+		"/v1/runs":         `{"workload":"swim","insts":-1}`,
+		"/v1/sweeps":       `{"experiments":["nope"]}`,
+	} {
+		if resp, blob := postJSON(t, ts.URL+url, body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s %s with the gate full: %d (%s), want 400", url, body, resp.StatusCode, blob)
+		}
+	}
+
+	streams := []<-chan string{sseKinds(t, ts.URL+running), sseKinds(t, ts.URL+queued)}
+	s.drain()
+	if a, q := gateDepth(t, ts.URL); a != 0 || q != 0 {
+		t.Fatalf("gate after drain = (%d active, %d queued), want empty", a, q)
+	}
+	for i, events := range streams {
+		if kind := terminalKind(t, events); kind != "aborted" {
+			t.Fatalf("run %d ended %q, want aborted", i, kind)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bebop/internal/admission"
@@ -35,21 +34,21 @@ type serverConfig struct {
 	// runTimeout bounds one POST /v1/runs simulation (0 = none); the
 	// request context still cancels earlier if the client disconnects.
 	runTimeout time.Duration
-	// maxConcurrentRuns bounds simultaneous /v1/runs simulations.
-	maxConcurrentRuns int
-	traceDir          string
-	parallel          int
+	traceDir   string
+	parallel   int
 	// pprof mounts the net/http/pprof surface under /debug/pprof/.
 	pprof bool
-	// admit configures the front-door rate limiter and load-shed gate.
+	// admit configures the front-door rate limiter and the gate that
+	// bounds running and queued simulations.
 	admit admission.Config
 	// runTTL and maxStoredRuns bound the async run store: completed
 	// runs older than runTTL (or past the count cap, oldest-finished
 	// first) are evicted and answer 410 Gone afterwards.
 	runTTL        time.Duration
 	maxStoredRuns int
-	// drainTimeout is how long a SIGTERM'd server waits for in-flight
-	// runs before cancelling them and marking survivors "aborted".
+	// drainTimeout is how long a SIGTERM'd server waits for the
+	// simulations the gate holds before cancelling them and marking
+	// survivors "aborted".
 	drainTimeout time.Duration
 }
 
@@ -57,17 +56,15 @@ type serverConfig struct {
 type server struct {
 	cfg     serverConfig
 	sweeper *sim.Sweeper
-	runSem  chan struct{}
 	store   *runStore
-	admit   *admission.Controller
+	// admit owns the drain switch and every simulation's slot or queue
+	// place: sync runs, async runs and sweeps.
+	admit *admission.Controller
 
 	// baseCtx parents every simulation (sync and async); baseCancel is
-	// the drain-timeout abort switch. inflight counts simulations (not
-	// HTTP requests) the drain sequence must wait for.
+	// the drain-timeout abort switch.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	draining   atomic.Bool
-	inflight   atomic.Int64
 }
 
 func newServer(cfg serverConfig) (*server, error) {
@@ -79,9 +76,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	if cfg.defaultInsts > cfg.maxInsts {
 		cfg.defaultInsts = cfg.maxInsts
-	}
-	if cfg.maxConcurrentRuns <= 0 {
-		cfg.maxConcurrentRuns = 4
 	}
 	sw, err := sim.NewSweeper(sim.SweepOptions{
 		Insts:    cfg.defaultInsts,
@@ -95,7 +89,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	return &server{
 		cfg:        cfg,
 		sweeper:    sw,
-		runSem:     make(chan struct{}, cfg.maxConcurrentRuns),
 		store:      newRunStore(cfg.runTTL, cfg.maxStoredRuns),
 		admit:      admission.New(cfg.admit),
 		baseCtx:    baseCtx,
@@ -112,7 +105,8 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/experiments", s.experimentsV1)
 	mux.HandleFunc("GET /v1/workloads", s.workloadsV1)
 	mux.HandleFunc("GET /v1/configs", s.configsV1)
-	// Admission control wraps only the expensive simulation routes.
+	// Admission control wraps only the expensive simulation routes,
+	// whose handlers take a gate place once their spec validates.
 	// Catalog reads, run status and SSE subscriptions stay unwrapped:
 	// a draining node must keep serving terminal events to subscribers
 	// even while it sheds new work.
@@ -184,14 +178,12 @@ func (s *server) healthz(w http.ResponseWriter, _ *http.Request) {
 		"status":   "ok",
 		"version":  sim.Version(),
 		"engine":   s.sweeper.Stats(),
-		"draining": s.draining.Load(),
-		"inflight": s.inflight.Load(),
+		"draining": s.admit.Draining(),
 		"store":    s.store.stats(),
 		"limits": map[string]any{
 			"default_insts":         s.cfg.defaultInsts,
 			"max_insts":             s.cfg.maxInsts,
 			"run_timeout_seconds":   s.cfg.runTimeout.Seconds(),
-			"max_concurrent_runs":   s.cfg.maxConcurrentRuns,
 			"drain_timeout_seconds": s.cfg.drainTimeout.Seconds(),
 			"admission":             s.admit.Limits(),
 		},
@@ -201,42 +193,35 @@ func (s *server) healthz(w http.ResponseWriter, _ *http.Request) {
 // readyz is readiness: 503 once the drain switch flips, so load
 // balancers stop routing new work here while /healthz stays green.
 func (s *server) readyz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
+	if s.admit.Draining() {
+		active, queued := s.admit.Depth()
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "draining", "inflight": s.inflight.Load(),
+			"status": "draining", "active": active, "queued": queued,
 		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
-// beginDrain flips the node out of rotation: readiness answers 503 and
-// the admission layer sheds every new simulation request. In-flight
-// work keeps running.
-func (s *server) beginDrain() {
-	s.draining.Store(true)
-	s.admit.SetDraining(true)
-}
-
-// abortInflight cancels baseCtx, the parent of every simulation. Async
-// runs observe it within ~1K simulated instructions and finish as
-// "aborted"; sync handlers answer 503.
-func (s *server) abortInflight() { s.baseCancel() }
-
-// drain executes the shutdown ladder: stop admitting, wait up to
-// cfg.drainTimeout for in-flight simulations, then cancel the
-// survivors and wait briefly for their terminal events to publish.
+// drain executes the shutdown ladder: flip the drain switch (readiness
+// answers 503, admission sheds new work), wait up to cfg.drainTimeout
+// for the gate to empty, then cancel baseCtx, the parent of every
+// simulation, and wait briefly for the survivors to give their places
+// back. Async runs observe the cancellation within ~1K simulated
+// instructions and finish as "aborted"; sync handlers answer 503.
 func (s *server) drain() {
-	s.beginDrain()
+	s.admit.SetDraining(true)
+	idle := func() bool { active, queued := s.admit.Depth(); return active+queued == 0 }
 	deadline := time.Now().Add(s.cfg.drainTimeout)
-	for s.inflight.Load() > 0 && time.Now().Before(deadline) {
+	for !idle() && time.Now().Before(deadline) {
 		time.Sleep(25 * time.Millisecond)
 	}
-	if n := s.inflight.Load(); n > 0 {
-		slog.Warn("drain: timeout, aborting in-flight runs", "count", n)
-		s.abortInflight()
+	if !idle() {
+		active, queued := s.admit.Depth()
+		slog.Warn("drain: timeout, aborting admitted simulations", "active", active, "queued", queued)
+		s.baseCancel()
 		grace := time.Now().Add(5 * time.Second)
-		for s.inflight.Load() > 0 && time.Now().Before(grace) {
+		for !idle() && time.Now().Before(grace) {
 			time.Sleep(25 * time.Millisecond)
 		}
 	}
@@ -318,12 +303,19 @@ func (s *server) runsV1(w http.ResponseWriter, req *http.Request) {
 		opts = append(opts, sim.WithTelemetry())
 	}
 
+	// The run takes its gate place here, after validation: a full gate
+	// answers 503 before an async run exists.
+	t := s.admit.Enter(w)
+	if t == nil {
+		return
+	}
+
 	// ?async=1 detaches the run from the request: the response is an
 	// immediate 202 with the run id, progress streams over
 	// GET /v1/runs/{id}/events, and the report lands at GET /v1/runs/{id}.
 	if isTrue(req.URL.Query().Get("async")) {
 		run := s.store.create(spec)
-		go s.executeAsync(run, opts)
+		go s.executeAsync(run, t, opts)
 		writeJSON(w, http.StatusAccepted, map[string]any{
 			"id":         run.ID,
 			"status_url": "/v1/runs/" + run.ID,
@@ -332,35 +324,15 @@ func (s *server) runsV1(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// One slot per run, bounded: a burst of requests queues here instead
-	// of oversubscribing the simulator; a client that gives up while
-	// queued costs nothing (ctx is checked before the run starts).
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
 	// Tie the run to the drain abort switch: when the drain timeout
 	// cancels baseCtx, this run stops within ~1K simulated instructions
 	// and the client gets a 503 instead of a hung connection.
+	ctx, cancel := context.WithCancel(req.Context())
+	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
-	select {
-	case s.runSem <- struct{}{}:
-		defer func() { <-s.runSem }()
-	case <-ctx.Done():
-		if s.answerDrainAbort(w, ctx.Err()) {
-			return
-		}
-		logClientGone(req, ctx.Err())
-		return
-	}
-	if s.cfg.runTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.runTimeout)
-		defer cancel()
-	}
-
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	start := time.Now()
-	rep, err := sim.FromSpec(spec, opts...).Run(ctx)
+	rep, err := s.execute(ctx, t, spec, opts)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
@@ -384,6 +356,22 @@ func (s *server) runsV1(w http.ResponseWriter, req *http.Request) {
 		"remote", req.RemoteAddr)
 }
 
+// execute runs one admitted simulation, sync or async: it waits for the
+// ticket's slot (a client that gives up while queued costs nothing),
+// runs the spec under ctx and -run-timeout, and gives the place back.
+func (s *server) execute(ctx context.Context, t *admission.Ticket, spec sim.RunSpec, opts []sim.Option) (sim.Report, error) {
+	defer t.Done()
+	if err := t.Wait(ctx); err != nil {
+		return sim.Report{}, err
+	}
+	if s.cfg.runTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.runTimeout)
+		defer cancel()
+	}
+	return sim.FromSpec(spec, opts...).Run(ctx)
+}
+
 func isTrue(v string) bool {
 	return v == "1" || v == "true" || v == "yes"
 }
@@ -401,31 +389,13 @@ func (s *server) answerDrainAbort(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// executeAsync runs one detached simulation: it competes for the same
-// run slots as synchronous requests and honours the same -run-timeout,
-// but lives on the server's base context — an events subscriber
-// disconnecting never cancels the run, while the drain abort does, in
-// which case the run finishes "aborted" (a terminal SSE event) rather
-// than "error".
-func (s *server) executeAsync(run *asyncRun, opts []sim.Option) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	select {
-	case s.runSem <- struct{}{}:
-		defer func() { <-s.runSem }()
-	case <-s.baseCtx.Done():
-		run.abort("server draining: run aborted before it started; resubmit elsewhere")
-		return
-	}
-	ctx := s.baseCtx
-	if s.cfg.runTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.runTimeout)
-		defer cancel()
-	}
+// executeAsync runs one detached simulation on the server's base
+// context: an events subscriber disconnecting never cancels the run,
+// while the drain abort does, in which case the run finishes "aborted"
+// (a terminal SSE event) rather than "error".
+func (s *server) executeAsync(run *asyncRun, t *admission.Ticket, opts []sim.Option) {
 	start := time.Now()
-	opts = append(opts, sim.WithProgress(run.progress))
-	rep, err := sim.FromSpec(run.Spec, opts...).Run(ctx)
+	rep, err := s.execute(s.baseCtx, t, run.Spec, append(opts, sim.WithProgress(run.progress)))
 	if errors.Is(err, context.Canceled) && s.baseCtx.Err() != nil {
 		run.abort("server draining: run aborted; resubmit elsewhere")
 		slog.Warn("async run aborted by drain", "id", run.ID)
@@ -516,6 +486,15 @@ func (s *server) sweepsV1(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
+	if spec, err = spec.Validate(); err != nil {
+		clientOrServerError(w, err)
+		return
+	}
+	t := s.admit.Enter(w)
+	if t == nil {
+		return
+	}
+	defer t.Done()
 	format := req.URL.Query().Get("format")
 	if format == "" {
 		format = "json" // unlike the CLI, the service defaults to JSON
@@ -530,7 +509,7 @@ func (s *server) sweepsV1(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// Sweeps participate in the drain ladder like runs: baseCtx
-	// cancellation aborts them, and inflight accounting holds the drain
+	// cancellation aborts them, and their gate place holds the drain
 	// loop open until they finish.
 	ctx, cancel := context.WithCancel(req.Context())
 	defer cancel()
@@ -542,9 +521,9 @@ func (s *server) sweepsV1(w http.ResponseWriter, req *http.Request) {
 	// document so errors still map to statuses.
 	var buf strings.Builder
 	start := time.Now()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	err = s.sweeper.Write(ctx, &buf, format, spec)
+	if err = t.Wait(ctx); err == nil {
+		err = s.sweeper.Write(ctx, &buf, format, spec)
+	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			if s.answerDrainAbort(w, err) {

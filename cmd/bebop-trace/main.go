@@ -5,34 +5,30 @@
 //
 //	bebop-trace record -bench swim -n 100000 -o swim-100k.bbt
 //	bebop-trace info   -trace swim-100k.bbt
-//	bebop-trace checkpoint -trace swim-100k.bbt -config eole-bebop -predictor Medium
 //	bebop-trace dump   -bench swim -n 40
 //	bebop-trace dump   -trace swim-100k.bbt -summary
 //
 // record serializes a synthetic Table II workload as a trace; info
-// prints the self-describing header and frame geometry; checkpoint
-// pre-builds a trace's warm-state side-file for one configuration; dump
-// is the original listing/summary view, now over either a generator or
-// a trace. To run a processor from a trace, use bebop-sim -trace, whose
+// prints the self-describing header and frame geometry; dump is the
+// original listing/summary view, now over either a generator or a
+// trace. To run a processor from a trace, use bebop-sim -trace, whose
 // result is bit-identical to simulating the generator the trace was
-// recorded from.
+// recorded from; a sampled run with -sample-checkpoints builds the
+// trace's checkpoint side-file the first time it needs one.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"bebop/internal/cli"
-	"bebop/internal/core"
 	"bebop/internal/isa"
 	"bebop/internal/trace"
 	"bebop/internal/util"
 	"bebop/internal/workload"
 	"bebop/internal/workload/probe"
-	"bebop/sim"
 )
 
 func main() {
@@ -46,12 +42,10 @@ func main() {
 		err = cmdRecord(os.Args[2:])
 	case "info":
 		err = cmdInfo(os.Args[2:])
-	case "checkpoint":
-		err = cmdCheckpoint(os.Args[2:])
 	case "dump":
 		err = cmdDump(os.Args[2:])
 	case "version", "-version", "--version":
-		fmt.Println(sim.Version())
+		fmt.Println(cli.Version())
 		return
 	case "-h", "-help", "--help", "help":
 		usage()
@@ -72,7 +66,6 @@ func usage() {
 Subcommands:
   record   record a synthetic workload as a .bbt trace
   info     print a trace's header and frame geometry
-  checkpoint  build a trace's warm-state checkpoint side-file for a config
   dump     list instructions or per-class totals (generator or trace)
   version  print version and exit
 
@@ -182,74 +175,6 @@ func cmdInfo(args []string) error {
 	fmt.Printf("uops         %d (%.2f µ-ops/inst)\n", h.UOps, ratio(h.UOps, h.Insts))
 	fmt.Printf("frames       %d\n", r.Frames())
 	fmt.Printf("bytes        %d (%.2f B/inst)\n", st.Size(), ratio(uint64(st.Size()), h.Insts))
-	return nil
-}
-
-// cmdCheckpoint builds the checkpoint side-file sampled runs restore
-// from: one continuous functional-warming pass over the trace, a
-// snapshot at every multiple of -every, written next to the trace. Sampled
-// runs build the file on demand anyway (sim caches it transparently);
-// this subcommand pre-pays the pass, e.g. before handing a trace
-// directory to bebop-serve.
-func cmdCheckpoint(args []string) error {
-	fs := flag.NewFlagSet("bebop-trace checkpoint", flag.ExitOnError)
-	path := fs.String("trace", "", ".bbt trace to checkpoint (required)")
-	config := fs.String("config", "baseline", strings.Join(sim.Configs(), " | "))
-	pred := fs.String("predictor", "",
-		"predictor ("+strings.Join(sim.Predictors(), ", ")+") or Table III config")
-	every := fs.Int64("every", 0, "instructions between snapshots (0 = trace length / 64)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-
-	if *path == "" {
-		return fmt.Errorf("checkpoint: -trace is required")
-	}
-	r, err := trace.OpenFile(*path)
-	if err != nil {
-		return err
-	}
-	hdr := r.Header()
-	r.Close()
-	upTo := int64(hdr.Insts)
-	if upTo == 0 {
-		return fmt.Errorf("checkpoint: %s holds no instructions", *path)
-	}
-	spacing := *every
-	if spacing <= 0 {
-		spacing = upTo / 64
-	}
-	if spacing < 1 {
-		spacing = 1
-	}
-	mk, err := core.NamedFactory(*config, *pred)
-	if err != nil {
-		return err
-	}
-	points, cfgName, err := core.BuildCheckpoints(trace.NewFileSource(*path), mk, spacing, upTo)
-	if err != nil {
-		return err
-	}
-	cf := &trace.CheckpointFile{
-		TraceName:  hdr.Name,
-		TraceInsts: upTo,
-		ConfigName: cfgName,
-		Points:     points,
-	}
-	out := trace.CheckpointPath(*path, cfgName)
-	if err := trace.WriteCheckpoints(out, cf); err != nil {
-		return err
-	}
-	st, err := os.Stat(out)
-	if err != nil {
-		return err
-	}
-	at := make([]string, len(points))
-	for i, ck := range points {
-		at[i] = strconv.FormatInt(ck.InstOffset, 10)
-	}
-	fmt.Printf("checkpointed %s for %s: %d snapshots at instructions %s, %d bytes -> %s\n",
-		*path, cfgName, len(points), strings.Join(at, ", "), st.Size(), out)
 	return nil
 }
 

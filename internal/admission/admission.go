@@ -5,12 +5,13 @@
 //   - a per-client token-bucket rate limiter (keyed by X-Client-ID or
 //     the remote address), answering 429 with Retry-After when a client
 //     exceeds its sustained rate;
-//   - a concurrency + queue-depth gate that load-sheds with 503 (plus a
-//     queue-depth estimate and Retry-After) instead of queueing
+//   - a gate, the one ledger of simulation work: it bounds running
+//     simulations and the queue behind them, and load-sheds with 503
+//     (plus a queue-depth estimate and Retry-After) instead of queueing
 //     unboundedly — an overloaded node answers fast and cheap rather
 //     than slowly for everyone;
 //   - a drain switch flipped on SIGTERM: a draining node stops
-//     admitting new work so in-flight runs can finish.
+//     admitting new work so the simulations the gate holds can finish.
 //
 // Every decision is exported through the telemetry registry
 // (bebop_admission_requests_total by decision, live queued/active
@@ -43,9 +44,9 @@ var (
 	mShedDrain = telemetry.Default.Counter(`bebop_admission_requests_total{decision="shed_drain"}`,
 		"Admission decisions: admitted, or shed by rate limit, queue bound, or drain.")
 	mQueuedG = telemetry.Default.Gauge("bebop_admission_queued",
-		"Requests admitted past the rate limiter, waiting for a concurrency slot.")
+		"Simulations holding a gate place, waiting for a slot.")
 	mActiveG = telemetry.Default.Gauge("bebop_admission_active",
-		"Requests holding a concurrency slot right now.")
+		"Simulations holding a gate slot right now.")
 )
 
 // ErrShed is wrapped by gate rejections so callers can map them to 503.
@@ -148,61 +149,85 @@ func (l *RateLimiter) Clients() int {
 	return len(l.buckets)
 }
 
-// Gate bounds concurrent admitted requests and the queue behind them.
-// Past Concurrency, requests wait; past Concurrency+Queue, Acquire
-// sheds immediately — the node's answer under overload is a fast 503,
-// never an unbounded queue.
+// Gate bounds concurrent simulations and the queue behind them. A
+// simulation takes a place with Enter: past Concurrency+Queue places
+// it sheds immediately, so the node's answer under overload is a fast
+// 503, never an unbounded queue. The place is a queue place until
+// Ticket.Wait claims one of the Concurrency slots, and Ticket.Done
+// gives back whichever the ticket holds.
 type Gate struct {
-	slots    chan struct{}
-	maxQueue int64
-	queued   atomic.Int64
+	slots     chan struct{}
+	maxPlaces int64
+	places    atomic.Int64 // slot holders plus waiters
 }
 
-// NewGate builds a gate admitting concurrency simultaneous holders with
-// up to queue waiters. concurrency <= 0 defaults to 16; queue < 0
+// NewGate builds a gate running concurrency simultaneous simulations
+// with up to queue waiters. concurrency <= 0 defaults to 4; queue < 0
 // defaults to 4*concurrency.
 func NewGate(concurrency, queue int) *Gate {
 	if concurrency <= 0 {
-		concurrency = 16
+		concurrency = 4
 	}
 	if queue < 0 {
 		queue = 4 * concurrency
 	}
-	return &Gate{slots: make(chan struct{}, concurrency), maxQueue: int64(queue)}
+	return &Gate{slots: make(chan struct{}, concurrency), maxPlaces: int64(concurrency + queue)}
 }
 
-// Acquire claims a slot, waiting in the bounded queue if necessary.
-// It returns a release function on success; a *ShedError when the queue
-// is full; or ctx.Err() when the caller gave up while queued.
-func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
-	release = func() { <-g.slots }
-	select {
-	case g.slots <- struct{}{}:
-		return release, nil
-	default:
-	}
-	if q := g.queued.Add(1); q > g.maxQueue {
-		g.queued.Add(-1)
+// Ticket is one simulation's claim on a Gate: a queue place from Enter,
+// a slot once Wait returns nil, nothing after Done.
+type Ticket struct {
+	g      *Gate
+	active bool
+}
+
+// Enter takes a place for one simulation, or returns a *ShedError when
+// every slot is busy and the queue is full.
+func (g *Gate) Enter() (*Ticket, error) {
+	if g.places.Add(1) > g.maxPlaces {
+		g.places.Add(-1)
 		active, queued := g.Depth()
+		mShedQueue.Inc()
 		return nil, &ShedError{Active: active, Queued: queued,
 			RetryAfter: g.retryAfter(queued)}
 	}
+	mAdmitted.Inc()
 	mQueuedG.Add(1)
-	defer func() {
-		g.queued.Add(-1)
-		mQueuedG.Add(-1)
-	}()
-	select {
-	case g.slots <- struct{}{}:
-		return release, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return &Ticket{g: g}, nil
 }
 
-// Depth reports current holders and waiters.
+// Wait blocks until the ticket holds a slot. It returns ctx.Err() when
+// ctx ends first; the ticket then keeps its queue place until Done.
+func (t *Ticket) Wait(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case t.g.slots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	t.active = true
+	mQueuedG.Add(-1)
+	mActiveG.Add(1)
+	return nil
+}
+
+// Done gives back the slot or the queue place the ticket holds.
+func (t *Ticket) Done() {
+	if t.active {
+		<-t.g.slots
+		mActiveG.Add(-1)
+	} else {
+		mQueuedG.Add(-1)
+	}
+	t.g.places.Add(-1)
+}
+
+// Depth reports slot holders and the places waiting for a slot.
 func (g *Gate) Depth() (active, queued int) {
-	return len(g.slots), int(g.queued.Load())
+	active = len(g.slots)
+	return active, max(0, int(g.places.Load())-active)
 }
 
 // Concurrency reports the slot count.
@@ -227,15 +252,16 @@ type Config struct {
 	Burst      float64
 	// MaxClients bounds tracked rate-limit buckets (0 = 4096).
 	MaxClients int
-	// Concurrency bounds simultaneously admitted requests (0 = 16);
+	// Concurrency bounds simultaneously running simulations (0 = 4);
 	// Queue bounds waiters beyond that (-1 = 4*Concurrency, 0 = no
 	// queue: shed as soon as every slot is busy).
 	Concurrency int
 	Queue       int
 }
 
-// Controller composes the rate limiter, the gate and the drain switch
-// into one admission decision, exposed as HTTP middleware via Wrap.
+// Controller composes the rate limiter, the drain switch and the gate:
+// Wrap applies the first two to every request on a simulation route,
+// and Enter puts the simulation a request asks for through the gate.
 type Controller struct {
 	limiter  *RateLimiter
 	gate     *Gate
@@ -251,8 +277,31 @@ func New(cfg Config) *Controller {
 }
 
 // SetDraining flips the drain switch: a draining controller sheds every
-// request with 503 so in-flight work can finish and the node can exit.
+// request with 503 so admitted simulations can finish and the node can
+// exit.
 func (c *Controller) SetDraining(v bool) { c.draining.Store(v) }
+
+// Draining reports the drain switch.
+func (c *Controller) Draining() bool { return c.draining.Load() }
+
+// Depth reports the running and the queued simulations.
+func (c *Controller) Depth() (active, queued int) { return c.gate.Depth() }
+
+// Enter takes a gate place for one simulation. When the gate is full it
+// answers 503 with Retry-After and the gate's depth, and returns nil.
+func (c *Controller) Enter(w http.ResponseWriter) *Ticket {
+	t, err := c.gate.Enter()
+	var shed *ShedError
+	if errors.As(err, &shed) {
+		writeDenied(w, http.StatusServiceUnavailable, shed.RetryAfter, map[string]any{
+			"error":       "server at capacity; request shed instead of queued",
+			"active":      shed.Active,
+			"queue_depth": shed.Queued,
+		})
+		return nil
+	}
+	return t
+}
 
 // Limits describes the configured bounds for /healthz.
 func (c *Controller) Limits() map[string]any {
@@ -261,7 +310,7 @@ func (c *Controller) Limits() map[string]any {
 		"rate_per_sec": c.limiter.rate,
 		"burst":        c.limiter.burst,
 		"concurrency":  c.gate.Concurrency(),
-		"queue":        c.gate.maxQueue,
+		"queue":        c.gate.maxPlaces - int64(c.gate.Concurrency()),
 		"active":       active,
 		"queued":       queued,
 		"rate_clients": c.limiter.Clients(),
@@ -281,9 +330,9 @@ func ClientKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// Wrap applies the admission decision in front of next: drain → 503,
-// rate limit → 429 + Retry-After, queue overflow → 503 + Retry-After +
-// queue depth. Admitted requests hold a gate slot for their duration.
+// Wrap applies the request checks in front of next: drain → 503 +
+// Retry-After, rate limit → 429 + Retry-After. The gate is not here:
+// next takes a place with Enter once it holds a valid simulation.
 func (c *Controller) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if c.draining.Load() {
@@ -300,24 +349,6 @@ func (c *Controller) Wrap(next http.Handler) http.Handler {
 			})
 			return
 		}
-		release, err := c.gate.Acquire(r.Context())
-		if err != nil {
-			var shed *ShedError
-			if errors.As(err, &shed) {
-				mShedQueue.Inc()
-				writeDenied(w, http.StatusServiceUnavailable, shed.RetryAfter, map[string]any{
-					"error":       "server at capacity; request shed instead of queued",
-					"active":      shed.Active,
-					"queue_depth": shed.Queued,
-				})
-			}
-			// ctx.Err(): the client is gone; nothing to write.
-			return
-		}
-		defer release()
-		mAdmitted.Inc()
-		mActiveG.Add(1)
-		defer mActiveG.Add(-1)
 		next.ServeHTTP(w, r)
 	})
 }

@@ -83,30 +83,38 @@ func TestRateLimiterEvictsOldestAtCap(t *testing.T) {
 	}
 }
 
+// enter takes a gate place and fails the test when the gate sheds.
+func enter(t *testing.T, g *Gate) *Ticket {
+	t.Helper()
+	tk, err := g.Enter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tk
+}
+
 func TestGateConcurrencyAndQueueBound(t *testing.T) {
 	g := NewGate(2, 1)
-	rel1, err := g.Acquire(context.Background())
-	if err != nil {
+	ctx := context.Background()
+	t1, t2 := enter(t, g), enter(t, g)
+	if err := t1.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := g.Acquire(context.Background())
-	if err != nil {
+	if err := t2.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	// Third caller queues; it must block until a slot frees.
-	acquired := make(chan func(), 1)
-	go func() {
-		rel, err := g.Acquire(context.Background())
-		if err != nil {
-			t.Error(err)
-		}
-		acquired <- rel
-	}()
-	waitFor(t, func() bool { _, q := g.Depth(); return q == 1 })
+	// The third simulation takes the queue place before it waits, the
+	// way an async run does before its 202.
+	t3 := enter(t, g)
+	if a, q := g.Depth(); a != 2 || q != 1 {
+		t.Fatalf("depth = (%d,%d), want (2,1)", a, q)
+	}
+	acquired := make(chan error, 1)
+	go func() { acquired <- t3.Wait(ctx) }()
 
-	// Fourth caller overflows the queue: an immediate ShedError.
-	_, err = g.Acquire(context.Background())
+	// A fourth overflows the queue: an immediate ShedError.
+	_, err := g.Enter()
 	var shed *ShedError
 	if !errors.As(err, &shed) || !errors.Is(err, ErrShed) {
 		t.Fatalf("overflow did not shed: %v", err)
@@ -115,14 +123,17 @@ func TestGateConcurrencyAndQueueBound(t *testing.T) {
 		t.Fatalf("shed retry hint %v < 1s", shed.RetryAfter)
 	}
 
-	rel1()
+	t1.Done()
 	select {
-	case rel := <-acquired:
-		rel()
+	case err := <-acquired:
+		if err != nil {
+			t.Fatal(err)
+		}
+		t3.Done()
 	case <-time.After(2 * time.Second):
-		t.Fatal("queued caller never got the freed slot")
+		t.Fatal("queued simulation never got the freed slot")
 	}
-	rel2()
+	t2.Done()
 	if a, q := g.Depth(); a != 0 || q != 0 {
 		t.Fatalf("depth after release = (%d,%d), want (0,0)", a, q)
 	}
@@ -130,16 +141,22 @@ func TestGateConcurrencyAndQueueBound(t *testing.T) {
 
 func TestGateQueuedCallerHonorsContext(t *testing.T) {
 	g := NewGate(1, 4)
-	rel, err := g.Acquire(context.Background())
-	if err != nil {
+	holder := enter(t, g)
+	if err := holder.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer holder.Done()
+	waiter := enter(t, g)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := g.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if err := waiter.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued caller got %v, want DeadlineExceeded", err)
 	}
+	// A waiter that gave up keeps its place until Done gives it back.
+	if _, q := g.Depth(); q != 1 {
+		t.Fatalf("queue depth %d before Done, want 1", q)
+	}
+	waiter.Done()
 	if _, q := g.Depth(); q != 0 {
 		t.Fatalf("abandoned waiter still counted: queue depth %d", q)
 	}
@@ -153,15 +170,19 @@ func TestGateConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, err := g.Acquire(context.Background())
+			tk, err := g.Enter()
 			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer tk.Done()
+			if err := tk.Wait(context.Background()); err != nil {
 				t.Error(err)
 				return
 			}
 			peak.observe(active.add(1))
 			time.Sleep(time.Millisecond)
 			active.add(-1)
-			rel()
 		}()
 	}
 	wg.Wait()
@@ -231,46 +252,47 @@ func TestControllerWrapRateLimit(t *testing.T) {
 	}
 }
 
-func TestControllerWrapShedsQueueOverflowWithDepth(t *testing.T) {
+func TestControllerEnterShedsQueueOverflowWithDepth(t *testing.T) {
 	c := New(Config{Concurrency: 1, Queue: 0})
-	release := make(chan struct{})
-	h := c.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		w.WriteHeader(http.StatusOK)
-	}))
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	first := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(ts.URL)
-		if err == nil {
-			resp.Body.Close()
-		}
-		first <- err
-	}()
-	waitFor(t, func() bool { a, _ := c.gate.Depth(); return a == 1 })
-
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
+	first := c.Enter(httptest.NewRecorder())
+	if first == nil {
+		t.Fatal("an empty gate shed")
 	}
-	blob, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overflow request: %d, want 503 (%s)", resp.StatusCode, blob)
+
+	rec := httptest.NewRecorder()
+	if tk := c.Enter(rec); tk != nil {
+		t.Fatal("a full gate with no queue gave out a second place")
+	}
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("overflow answered %d, Retry-After %q; want 503 with a hint",
+			rec.Code, rec.Header().Get("Retry-After"))
 	}
 	var body struct {
 		QueueDepth        *int `json:"queue_depth"`
 		RetryAfterSeconds int  `json:"retry_after_seconds"`
 	}
-	if err := json.Unmarshal(blob, &body); err != nil || body.QueueDepth == nil || body.RetryAfterSeconds < 1 {
-		t.Fatalf("shed body not actionable: %s", blob)
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.QueueDepth == nil || body.RetryAfterSeconds < 1 {
+		t.Fatalf("shed body not actionable: %s", rec.Body)
 	}
 
-	close(release)
-	if err := <-first; err != nil {
-		t.Fatal(err)
+	// Wrap holds no place: with the gate full it still serves requests.
+	h := c.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("Wrap answered %d with the gate full, want 200", rec.Code)
+	}
+
+	first.Done()
+	if tk := c.Enter(httptest.NewRecorder()); tk == nil {
+		t.Fatal("Done did not give the place back")
+	} else {
+		tk.Done()
+	}
+	if a, q := c.Depth(); a != 0 || q != 0 {
+		t.Fatalf("depth = (%d,%d), want (0,0)", a, q)
 	}
 }
 
@@ -313,16 +335,5 @@ func TestClientKey(t *testing.T) {
 	r.Header.Set("X-Client-ID", "team-42")
 	if got := ClientKey(r); got != "team-42" {
 		t.Fatalf("header key = %q", got)
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached within 2s")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -209,13 +209,11 @@ func (b *BlockVP) OnFetchBlock(blockPC, firstSeq uint64, hist *branch.History, u
 	b.attribute(rec, uops)
 }
 
-// attribute hands the record's predictions to the block's µ-ops by
-// matching each result-producing µ-op's instruction boundary byte against
-// the per-prediction byte tags, in slot order (Section II-B1, Fig. 2).
-// µ-ops with no matching slot stay unpredicted and will claim a free slot
-// at retirement, teaching the entry the block's real layout.
+// attribute hands the record's predictions to the block's µ-ops at
+// fetch (matchSlot). µ-ops with no matching slot stay unpredicted and
+// will claim a free slot at retirement (claimSlot), teaching the entry
+// the block's real layout.
 func (b *BlockVP) attribute(rec *blockRec, uops []*pipeline.UOp) {
-	lvtHit := rec.lookup.LVTHit
 	for _, u := range uops {
 		u.VPRec = rec
 		u.VPGen = rec.gen
@@ -223,24 +221,46 @@ func (b *BlockVP) attribute(rec *blockRec, uops []*pipeline.UOp) {
 		if !u.Eligible {
 			continue
 		}
-		if !lvtHit {
-			continue // no byte tags to match against yet
-		}
-		for m := 0; m < b.dvt.NPred(); m++ {
-			if rec.consumed[m] || !rec.lookup.HasLast[m] {
-				continue
-			}
-			if rec.lookup.ByteTags[m] != u.Boundary {
-				continue
-			}
-			rec.consumed[m] = true
+		if m := b.matchSlot(&rec.lookup, &rec.consumed, u.Boundary); m >= 0 {
 			u.VPSlot = int8(m)
 			u.Predicted = rec.predOK[m]
 			u.PredValue = rec.pred[m]
 			u.PredConfident = rec.conf[m] && !rec.noUse
-			break
 		}
 	}
+}
+
+// matchSlot is the fetch-time half of attribution (Section II-B1,
+// Fig. 2): a result-producing µ-op takes the first slot, in slot order,
+// that is not yet handed out and whose byte tag equals the µ-op's
+// instruction boundary byte. It marks the slot consumed and returns it,
+// or -1 when none matches (an LVT miss has no byte tags to match yet).
+// Every µ-op of a block is matched before any of them claims a slot.
+func (b *BlockVP) matchSlot(l *predictor.BlockLookup, consumed *[predictor.MaxNPred]bool, boundary uint8) int {
+	if !l.LVTHit {
+		return -1
+	}
+	for m := 0; m < b.dvt.NPred(); m++ {
+		if !consumed[m] && l.HasLast[m] && l.ByteTags[m] == boundary {
+			consumed[m] = true
+			return m
+		}
+	}
+	return -1
+}
+
+// claimSlot is the retire-time half of attribution: a result that
+// matched no slot at fetch claims the first slot neither handed out at
+// fetch nor claimed by an older result of the block, establishing its
+// byte tag. It returns -1 when the block has more results than Npred
+// (the prediction is lost).
+func (b *BlockVP) claimSlot(consumed *[predictor.MaxNPred]bool, slots *[predictor.MaxNPred]predictor.SlotUpdate) int {
+	for m := 0; m < b.dvt.NPred(); m++ {
+		if !consumed[m] && !slots[m].Used {
+			return m
+		}
+	}
+	return -1
 }
 
 // OnRetire implements pipeline.VP: retired µ-ops fill their block's update
@@ -269,16 +289,7 @@ func (b *BlockVP) OnRetire(u *pipeline.UOp) {
 	b.stats.Eligible++
 	slot := int(u.VPSlot)
 	if slot < 0 {
-		// Claim the first slot not handed out at fetch and not already
-		// claimed at retire.
-		for m := 0; m < b.dvt.NPred(); m++ {
-			if rec.consumed[m] || rec.slots[m].Used {
-				continue
-			}
-			slot = m
-			break
-		}
-		if slot < 0 {
+		if slot = b.claimSlot(&rec.consumed, &rec.slots); slot < 0 {
 			return // block has more results than Npred: prediction lost
 		}
 	} else {

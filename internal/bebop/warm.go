@@ -8,68 +8,61 @@ import (
 
 // WarmFetchBlock implements pipeline.VPWarmer: one D-VTAGE access per
 // block occurrence, with attribution and training collapsed to a point.
-// The fetch-time flow of OnFetchBlock is reproduced — byte-tag matching
-// against the LVT entry in slot order, unmatched retired results
-// claiming free slots — but the update block trains immediately instead
-// of travelling through the speculative window and FIFO update queue:
-// warming is in order, so the architectural value IS the in-flight last
-// value, and training on the spot leaves no state a checkpoint would
-// have to carry. Stats are untouched (warming precedes measurement).
+// Attribution runs in the pipeline's order through the same helpers:
+// the whole block is matched against the byte tags first (matchSlot,
+// as OnFetchBlock does), then the unmatched results claim free slots in
+// program order (claimSlot, as OnRetire does). The update block trains
+// immediately instead of travelling through the speculative window and
+// FIFO update queue: warming is in order, so the architectural value IS
+// the in-flight last value, and training on the spot leaves no state a
+// checkpoint would have to carry. Stats are untouched (warming precedes
+// measurement).
 func (b *BlockVP) WarmFetchBlock(blockPC uint64, hist *branch.History, uops []pipeline.WarmUOp) {
 	bl := b.dvt.Lookup(blockPC, hist)
-	np := b.dvt.NPred()
+	u := predictor.UpdateBlock{Lookup: bl}
 
-	var u predictor.UpdateBlock
-	u.Lookup = bl
-
+	// Fetch: match every eligible µ-op; matchedAt lists the ones that
+	// took a slot, in program order.
 	var consumed [predictor.MaxNPred]bool
-	anyUsed := false
+	var matchedAt [predictor.MaxNPred]int
+	n := 0
 	for i := range uops {
 		w := &uops[i]
 		if !w.Eligible {
 			continue
 		}
-		// Fetch-time attribution: match the µ-op's boundary byte against
-		// the per-slot byte tags, in slot order.
-		slot := -1
-		if bl.LVTHit {
-			for m := 0; m < np; m++ {
-				if consumed[m] || !bl.HasLast[m] {
-					continue
-				}
-				if bl.ByteTags[m] != w.Boundary {
-					continue
-				}
-				consumed[m] = true
-				slot = m
-				break
-			}
-		}
-		predicted := slot >= 0 && bl.HasLast[slot]
-		var predValue uint64
-		if predicted {
-			predValue = bl.Last[slot] + uint64(bl.Strides[slot])
-		}
+		slot := b.matchSlot(&bl, &consumed, w.Boundary)
 		if slot < 0 {
-			// Retire-time slot claim, establishing the byte tag.
-			for m := 0; m < np; m++ {
-				if consumed[m] || u.Slots[m].Used {
-					continue
-				}
-				slot = m
-				break
-			}
-			if slot < 0 {
-				continue // more results than Npred: prediction lost
-			}
+			continue
 		}
 		u.Slots[slot] = predictor.SlotUpdate{
 			Used:         true,
 			Actual:       w.Value,
-			Predicted:    predValue,
-			WasPredicted: predicted,
+			Predicted:    bl.Last[slot] + uint64(bl.Strides[slot]),
+			WasPredicted: true,
 			ByteTag:      w.Boundary,
 		}
+		matchedAt[n] = i
+		n++
+	}
+
+	// Retire: the unmatched results claim free slots in program order.
+	anyUsed := n > 0
+	k := 0
+	for i := range uops {
+		w := &uops[i]
+		if !w.Eligible {
+			continue
+		}
+		if k < n && matchedAt[k] == i {
+			k++
+			continue
+		}
+		slot := b.claimSlot(&consumed, &u.Slots)
+		if slot < 0 {
+			break // more results than Npred: the rest are lost
+		}
+		u.Slots[slot] = predictor.SlotUpdate{Used: true, Actual: w.Value, ByteTag: w.Boundary}
 		anyUsed = true
 	}
 	if anyUsed {

@@ -1,5 +1,6 @@
 // Package cli holds the scaffolding every bebop command shares:
-// structured diagnostic logging behind the common -log-format flag.
+// structured diagnostic logging behind the common -log-format flag, and
+// the version string.
 // Result output (reports, tables, listings) stays on stdout untouched;
 // this package only governs the diagnostic stream on stderr, so piping
 // a command's output composes with either format.
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"runtime/debug"
 )
 
 // AddLogFormat registers the shared -log-format flag on fs and returns
@@ -41,4 +43,44 @@ func InitLogging(format string) error {
 func Fatal(err error) {
 	slog.Error(err.Error())
 	os.Exit(1)
+}
+
+// Version reports the module version, VCS revision and Go toolchain
+// baked into the binary by the Go linker — the one version string all
+// four commands print for -version. Built without VCS metadata (e.g.
+// `go run` from a tarball) it degrades gracefully. It lives here, below
+// bebop/sim, so a command that runs no simulation (bebop-trace) prints
+// it without linking the simulator.
+func Version() string {
+	out := "bebop"
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return out + " (no build info)"
+	}
+	ver := bi.Main.Version
+	if ver == "" {
+		ver = "(devel)"
+	}
+	out += " " + ver
+	var rev, dirty string
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	if len(rev) > 12 {
+		rev = rev[:12]
+	}
+	if rev != "" {
+		out += " (" + rev + dirty + ")"
+	}
+	if bi.GoVersion != "" {
+		out += " " + bi.GoVersion
+	}
+	return out
 }

@@ -405,8 +405,8 @@ func TableIIIByName(name string) (bebop.Config, error) {
 // "baseline", "eole", "baseline-vp" (pred selects a predictor, see
 // AllPredictorNames) or "eole-bebop" (pred selects a Table III config).
 // Custom BeBoP geometries resolve in sim.factoryFor; every named
-// configuration goes through this resolver, so the sim SDK and
-// bebop-trace checkpoint agree on names and error text.
+// configuration goes through this resolver, so every front end (through
+// the sim SDK) and perfbench's probe agree on names and error text.
 func NamedFactory(config, pred string) (ConfigFactory, error) {
 	switch config {
 	case "baseline":

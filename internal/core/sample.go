@@ -75,12 +75,8 @@ type CheckpointSource interface {
 }
 
 // SampleStats reports the sampling reduction alongside the aggregate
-// pipeline.Result.
+// pipeline.Result; the parameters are the caller's SamplingParams.
 type SampleStats struct {
-	Intervals       int
-	IntervalInsts   int64
-	WarmupInsts     int64
-	DetailWarmup    int64
 	CheckpointsUsed int
 	// IPCMean is the mean of per-interval IPCs (the SMARTS estimator);
 	// IPCCI95 is the 95% confidence half-width around it.
@@ -187,13 +183,7 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 
 	// Reduce in interval order: deterministic under any parallelism.
 	var well util.Welford
-	st := SampleStats{
-		Intervals:     sp.Intervals,
-		IntervalInsts: sp.IntervalInsts,
-		WarmupInsts:   sp.WarmupInsts,
-		DetailWarmup:  sp.DetailWarmup,
-		IntervalIPCs:  make([]float64, 0, sp.Intervals),
-	}
+	st := SampleStats{IntervalIPCs: make([]float64, 0, sp.Intervals)}
 	var agg pipeline.Result
 	for i := range outs {
 		o := &outs[i]

@@ -81,6 +81,8 @@ func (s VPStats) Accuracy() float64 {
 type InstVP struct {
 	P     predictor.Predictor
 	stats VPStats
+	// warm holds WarmFetchBlock's predictions for one block, reused.
+	warm []predictor.Outcome
 }
 
 // NewInstVP wraps a per-instruction predictor.
@@ -130,20 +132,26 @@ func (v *InstVP) OnRetire(u *UOp) {
 	}
 }
 
-// WarmFetchBlock implements VPWarmer: during functional warming each
-// eligible µ-op is predicted and immediately trained on its
-// architectural value — the steady-state predict-at-fetch /
-// train-at-retire cycle collapsed to a point, leaving no in-flight
-// state. Stats are untouched (warming precedes the measurement window).
+// WarmFetchBlock implements VPWarmer: during functional warming the
+// block's eligible µ-ops are predicted, then each is trained on its
+// architectural value, in the order OnFetchBlock and OnRetire would
+// see them — the steady-state predict-at-fetch / train-at-retire cycle
+// collapsed to a point, leaving no in-flight state. Stats are untouched
+// (warming precedes the measurement window).
 func (v *InstVP) WarmFetchBlock(_ uint64, hist *branch.History, uops []WarmUOp) {
+	v.warm = v.warm[:0]
 	for i := range uops {
-		w := &uops[i]
-		if !w.Eligible {
-			continue
+		if w := &uops[i]; w.Eligible {
+			v.warm = append(v.warm, v.P.Predict(w.PC, int(w.UopIdx), hist, w.PrevValue, w.HasPrev))
 		}
-		o := v.P.Predict(w.PC, int(w.UopIdx), hist, w.PrevValue, w.HasPrev)
-		if o.Predicted {
-			v.P.Update(&o, w.Value)
+	}
+	k := 0
+	for i := range uops {
+		if w := &uops[i]; w.Eligible {
+			if o := &v.warm[k]; o.Predicted {
+				v.P.Update(o, w.Value)
+			}
+			k++
 		}
 	}
 }

@@ -248,10 +248,10 @@ func (s *Sim) runSampled(ctx context.Context, spec RunSpec, src workload.Source,
 	}
 	rep := newReport(spec, src.Name(), res)
 	rep.Sampling = &SamplingReport{
-		Intervals:       st.Intervals,
-		IntervalInsts:   st.IntervalInsts,
-		WarmupInsts:     st.WarmupInsts,
-		DetailWarmup:    st.DetailWarmup,
+		Intervals:       spec.Sampling.Intervals,
+		IntervalInsts:   spec.Sampling.IntervalInsts,
+		WarmupInsts:     spec.Sampling.Warmup,
+		DetailWarmup:    spec.Sampling.DetailWarmup,
 		CheckpointsUsed: st.CheckpointsUsed,
 		IPCMean:         st.IPCMean,
 		IPCStdDev:       st.IPCStdDev,

@@ -1,48 +1,14 @@
 package sim
 
 import (
-	"runtime/debug"
-
+	"bebop/internal/cli"
 	"bebop/internal/prof"
 )
 
 // Version reports the module version, VCS revision and Go toolchain
-// baked into the binary by the Go linker — the one version string all
-// four commands print for -version. Built without VCS metadata (e.g.
-// `go run` from a tarball) it degrades gracefully.
-func Version() string {
-	out := "bebop"
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return out + " (no build info)"
-	}
-	ver := bi.Main.Version
-	if ver == "" {
-		ver = "(devel)"
-	}
-	out += " " + ver
-	var rev, dirty string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			if s.Value == "true" {
-				dirty = "+dirty"
-			}
-		}
-	}
-	if len(rev) > 12 {
-		rev = rev[:12]
-	}
-	if rev != "" {
-		out += " (" + rev + dirty + ")"
-	}
-	if bi.GoVersion != "" {
-		out += " " + bi.GoVersion
-	}
-	return out
-}
+// baked into the binary: the one version string all four commands
+// print for -version.
+func Version() string { return cli.Version() }
 
 // StartCPUProfile begins a CPU profile written to path, returning the
 // stop function. An empty path is a no-op. Exposed so perf-facing

@@ -15,6 +15,7 @@ import (
 
 	"bebop/internal/trace"
 	"bebop/internal/workload"
+	"bebop/internal/workload/probe"
 	"bebop/sim"
 )
 
@@ -380,7 +381,7 @@ func TestV1CatalogEndpoints(t *testing.T) {
 	}
 	getJSON(t, ts.URL+"/v1/workloads", &wl)
 	var gridPoints int
-	for _, f := range sim.ProbeFamilies() {
+	for _, f := range probe.Families() {
 		gridPoints += len(f.Grid)
 	}
 	if len(wl.Workloads) != 36+gridPoints || wl.Workloads[0].Kind != "synthetic" {

@@ -12,8 +12,8 @@
 //	bebop-sim -trace-dir traces -bench swim-mutated -n 50000
 //	bebop-sim -spec run.json
 //	bebop-sim -bench mcf -config eole-bebop/Large -print-spec > run.json
-//	bebop-sim -probe vp-stride -config eole-bebop -predictor Medium
-//	bebop-sim -probe list
+//	bebop-sim -bench probe/vp-stride/16 -config eole-bebop -predictor Medium
+//	bebop-sim -list
 //
 // Configurations:
 //
@@ -56,7 +56,6 @@ func main() {
 	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled: functional-warming instructions before each interval (0 = 8x interval)")
 	sampleDetail := flag.Int64("sample-detail", 0, "sampled: detailed-warmup instructions before measuring (0 = interval/4)")
 	sampleCkpt := flag.Bool("sample-checkpoints", false, "sampled: build/reuse the trace's checkpoint side-file (-trace only)")
-	probeFam := flag.String("probe", "", "sweep this probe family's pressure grid under -config (or 'list')")
 	specPath := flag.String("spec", "", "run this JSON RunSpec file (replaces the selection flags)")
 	printSpec := flag.Bool("print-spec", false, "print the normalized RunSpec as JSON and exit without running")
 	asJSON := flag.Bool("json", false, "emit the result as JSON")
@@ -89,15 +88,7 @@ func main() {
 			fatal(err)
 		}
 		for _, w := range infos {
-			if w.Kind == "trace" {
-				fmt.Printf("%-12s trace    %s\n", w.Name, w.Path)
-				continue
-			}
-			typ := "FP "
-			if w.INT {
-				typ = "INT"
-			}
-			fmt.Printf("%-12s %-8s %s paper-IPC=%.3f\n", w.Name, w.Suite, typ, w.PaperIPC)
+			fmt.Println(listLine(w))
 		}
 		return
 	}
@@ -116,13 +107,6 @@ func main() {
 		*npred, *base, *tagged, *stride, *win, *pol, sampling)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *probeFam != "" {
-		if err := runProbe(*probeFam, spec, *tracePath, *asJSON); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *printSpec {
@@ -241,58 +225,21 @@ func buildSpec(specPath, bench, tracePath, traceDir, config, pred string, n int6
 	return spec, nil
 }
 
-// runProbe sweeps one probe family's default pressure grid under the
-// configuration the selection flags describe, printing the accuracy-vs-
-// pressure cliff curve as a text table (or the raw Reports as JSON).
-func runProbe(family string, base sim.RunSpec, tracePath string, asJSON bool) error {
-	if tracePath != "" {
-		return fmt.Errorf("-probe and -trace are mutually exclusive")
+// listLine formats one -list entry by its kind: a trace with its path,
+// a probe grid point with its axis and pressure, and a Table II profile
+// with its suite, type and paper IPC.
+func listLine(w sim.WorkloadInfo) string {
+	switch w.Kind {
+	case "trace":
+		return fmt.Sprintf("%-12s trace    %s", w.Name, w.Path)
+	case "probe":
+		return fmt.Sprintf("%-12s probe    %s=%d", w.Name, w.Axis, w.Pressure)
 	}
-	if family == "list" {
-		for _, f := range sim.ProbeFamilies() {
-			fmt.Printf("%-14s axis=%-8s grid=%v\n  %s\n", f.Name, f.Axis, f.Grid, f.Doc)
-		}
-		return nil
+	typ := "FP "
+	if w.INT {
+		typ = "INT"
 	}
-	var fam sim.ProbeFamily
-	found := false
-	for _, f := range sim.ProbeFamilies() {
-		if f.Name == family {
-			fam, found = f, true
-			break
-		}
-	}
-	if !found {
-		names := make([]string, 0, 8)
-		for _, f := range sim.ProbeFamilies() {
-			names = append(names, f.Name)
-		}
-		return fmt.Errorf("unknown probe family %q; valid: %s (or 'list')",
-			family, strings.Join(names, ", "))
-	}
-
-	reps := make([]sim.Report, 0, len(fam.Grid))
-	for _, p := range fam.Grid {
-		spec := base
-		spec.Workload = sim.ProbeWorkloadName(fam.Name, p)
-		rep, err := sim.Run(context.Background(), spec)
-		if err != nil {
-			return err
-		}
-		reps = append(reps, rep)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(reps)
-	}
-	fmt.Printf("probe family %s (axis %s) under %s\n", fam.Name, fam.Axis, reps[0].Config)
-	fmt.Printf("%10s %8s %10s %11s %11s\n", fam.Axis, "ipc", "br_mpki", "vp_cover", "vp_accuracy")
-	for i, rep := range reps {
-		fmt.Printf("%10d %8.3f %10.2f %10.1f%% %10.3f%%\n",
-			fam.Grid[i], rep.IPC, rep.BranchMPKI, 100*rep.VP.Coverage, 100*rep.VP.Accuracy)
-	}
-	return nil
+	return fmt.Sprintf("%-12s %-8s %s paper-IPC=%.3f", w.Name, w.Suite, typ, w.PaperIPC)
 }
 
 func fatal(err error) { cli.Fatal(err) }

@@ -68,7 +68,7 @@ func TestHistorySnapshotRestore(t *testing.T) {
 	if h.Bits(1) != 1 {
 		t.Fatal("restore did not recover the snapshot")
 	}
-	if h.Path() != snap.Path() {
+	if h.Path() != snap.Path {
 		t.Fatal("path history not restored")
 	}
 }

@@ -32,11 +32,11 @@ package branch
 // previous word, each boundary contributes a precomputed two-bit XOR mask
 // gated on that bit of the pre-push history.
 //
-// Register values are a pure function of the direction history, so
-// checkpoint/restore does not snapshot them: Restore (mispredict
-// recovery) and Reset recompute from the restored bit vector, which keeps
-// History snapshots small and makes the invariant value == foldSlow(n,
-// width) impossible to desynchronize.
+// Register values are a pure function of the direction history, so a
+// HistorySnapshot has none by construction: Restore (mispredict recovery
+// and checkpoint restore alike) and Reset recompute them from the
+// restored bit vector, which keeps snapshots small and makes the
+// invariant value == foldSlow(n, width) impossible to desynchronize.
 
 // maxFoldWidth is the widest registrable fold. Index and tag widths are
 // at most ~20 bits in any configuration; 63 keeps every shift in push()

@@ -25,8 +25,8 @@ type History struct {
 	// path is the path history register (low PC bits of taken targets).
 	path uint64
 	// folds, when non-nil, is the incremental folded-register file (see
-	// fold.go). Its values are a pure function of dir, so snapshots drop
-	// it and restores recompute.
+	// fold.go).
+	//bebop:nosnap derived from dir: Restore and Reset recompute the registers
 	folds *foldedSet
 }
 
@@ -108,26 +108,6 @@ func (h *History) Bits(n int) uint64 {
 		return h.dir[0]
 	}
 	return h.dir[0] & ((uint64(1) << n) - 1)
-}
-
-// Snapshot returns a copy of the history for checkpoint/restore. The
-// snapshot carries no folded registers: their values derive from the
-// direction vector, and a snapshot read through Fold must not alias the
-// live registers.
-func (h *History) Snapshot() History {
-	s := *h
-	s.folds = nil
-	return s
-}
-
-// Restore overwrites the history from a snapshot (mispredict recovery)
-// and recomputes the folded registers from the restored bit vector.
-func (h *History) Restore(s History) {
-	h.dir = s.dir
-	h.path = s.path
-	if h.folds != nil {
-		h.folds.recompute(h)
-	}
 }
 
 // Reset clears the history to its zero state, keeping the registered

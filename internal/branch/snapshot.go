@@ -10,24 +10,23 @@ import (
 // Restore validates geometry: a checkpoint taken under one configuration
 // must never be silently poured into tables of another shape.
 
-// HistorySnapshot is the serializable form of a History: the raw
-// direction vector and the path register. Folded registers are a pure
+// HistorySnapshot is the one saved form of a History, for mispredict
+// recovery and side-file checkpoints alike: the raw direction vector
+// and the path register. It has no folded registers, which are a pure
 // function of the direction bits and are recomputed on restore.
 type HistorySnapshot struct {
 	Dir  [MaxHistoryBits / 64]uint64
 	Path uint64
 }
 
-// Checkpoint captures the history in serializable form. (Snapshot, which
-// returns a History value, is the in-run mispredict-recovery path; this
-// is the cross-run checkpoint path.)
-func (h *History) Checkpoint() HistorySnapshot {
+// Snapshot captures the history.
+func (h *History) Snapshot() HistorySnapshot {
 	return HistorySnapshot{Dir: h.dir, Path: h.path}
 }
 
-// RestoreCheckpoint overwrites the history from a checkpoint and
-// recomputes the folded registers from the restored bit vector.
-func (h *History) RestoreCheckpoint(s HistorySnapshot) {
+// Restore overwrites the history from a snapshot and recomputes the
+// folded registers from the restored bit vector.
+func (h *History) Restore(s HistorySnapshot) {
 	h.dir = s.Dir
 	h.path = s.Path
 	if h.folds != nil {

@@ -98,8 +98,7 @@ func open(src workload.Source, n int64) (stream isa.Stream, err error) {
 // guard. On a normal return, fn's error included, the processor is
 // released back to procPool; after a panic the seized processor is
 // dropped, not pooled, so its unknown state cannot poison a later run.
-// The caller owns stream, opened with open, and closes it after
-// simulate returns.
+// runStream is its one caller.
 func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) error) error {
 	return guard(func() error {
 		proc := acquireProc(mk(), stream)
@@ -108,6 +107,29 @@ func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) 
 		procPool.Put(proc)
 		return err
 	})
+}
+
+// runStream is the one lifecycle of a stream this package simulates,
+// opened by the caller with open or openBudgeted: it runs fn on a pooled
+// processor over the stream inside simulate, reports an error the
+// stream recorded mid-run (a corrupt trace), and closes it. The
+// processor reads through a cancelStream only when ctx can be cancelled
+// or on wants progress, which keeps the polling wrapper off the hot path
+// of plain context.Background runs (benchmarks, allocation gates). fn
+// closes over the raw stream when it seeks.
+func runStream(ctx context.Context, src workload.Source, stream isa.Stream, total int64, on func(streamed, total int64), mk ConfigFactory, fn func(*pipeline.Processor) error) error {
+	run := stream
+	if ctx.Done() != nil || on != nil {
+		run = &cancelStream{inner: stream, ctx: ctx, total: total, on: on}
+	}
+	err := simulate(mk, run, fn)
+	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
+		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
+	}
+	if cerr := closeStream(stream); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // errStream is implemented by streams that can fail mid-run (a corrupt
@@ -140,7 +162,7 @@ func openBudgeted(src workload.Source, warmup, insts int64) (isa.Stream, error) 
 // run: Next polls ctx every cancelCheckInsts instructions and reports
 // end-of-stream once the context is done, letting the pipeline drain its
 // in-flight window and return; the recorded context error then surfaces
-// through RunSourceProgress's errStream check. The wrapper is
+// through runStream's errStream check. The wrapper is
 // pass-through otherwise, so a run that is never cancelled stays
 // bit-identical to an unwrapped one.
 type cancelStream struct {
@@ -205,18 +227,9 @@ func RunSourceProgress(ctx context.Context, src workload.Source, warmup, insts i
 	if err != nil {
 		return pipeline.Result{}, err
 	}
-	// Wrap for cancellation only when the context can actually be
-	// cancelled: the polling wrapper stays off the hot path for plain
-	// context.Background runs (benchmarks, allocation gates). The size
-	// check above ran against the raw stream, so wrapping cannot turn a
-	// sized source into an unsized-looking one.
-	run := stream
-	if ctx.Done() != nil || on != nil {
-		run = &cancelStream{inner: stream, ctx: ctx, total: warmup + insts, on: on}
-	}
 	sp := telemetry.TraceFrom(ctx).Start("detailed").SetInsts(warmup + insts)
 	var r pipeline.Result
-	err = simulate(mk, run, func(p *pipeline.Processor) error {
+	err = runStream(ctx, src, stream, warmup+insts, on, mk, func(p *pipeline.Processor) error {
 		if err := faultinject.Fire("core.run"); err != nil {
 			return err
 		}
@@ -224,12 +237,6 @@ func RunSourceProgress(ctx context.Context, src workload.Source, warmup, insts i
 		return nil
 	})
 	sp.End()
-	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
-		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
-	}
-	if cerr := closeStream(stream); cerr != nil && err == nil {
-		err = cerr
-	}
 	return r, err
 }
 
@@ -404,9 +411,10 @@ func TableIIIByName(name string) (bebop.Config, error) {
 // NamedFactory resolves a CLI configuration name to its factory:
 // "baseline", "eole", "baseline-vp" (pred selects a predictor, see
 // AllPredictorNames) or "eole-bebop" (pred selects a Table III config).
-// Custom BeBoP geometries resolve in sim.factoryFor; every named
-// configuration goes through this resolver, so every front end (through
-// the sim SDK) and perfbench's probe agree on names and error text.
+// Custom BeBoP geometries resolve through BlockConfig, BlockName and
+// EOLEBeBoP; every named configuration goes through this resolver, so
+// every front end (through the sim SDK) and perfbench's probe agree on
+// names.
 func NamedFactory(config, pred string) (ConfigFactory, error) {
 	switch config {
 	case "baseline":

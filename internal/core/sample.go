@@ -67,9 +67,9 @@ type SamplingParams struct {
 
 // CheckpointSource restores pre-built snapshots. RestoreNearest
 // restores the snapshot with the largest instruction offset ≤ inst into
-// p and returns that offset; ok is false, and p untouched, when none
-// qualifies. Interval workers call it concurrently, each with its own
-// processor.
+// p and returns that offset; when none qualifies it returns 0 and false
+// and leaves p untouched. Interval workers call it concurrently, each
+// with its own processor.
 type CheckpointSource interface {
 	RestoreNearest(p *pipeline.Processor, inst int64) (at int64, ok bool, err error)
 }
@@ -224,11 +224,7 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 	if err != nil {
 		return pipeline.Result{}, false, err
 	}
-	run := stream
-	if ctx.Done() != nil {
-		run = &cancelStream{inner: stream, ctx: ctx}
-	}
-	err = simulate(mk, run, func(p *pipeline.Processor) error {
+	err = runStream(ctx, src, stream, 0, nil, mk, func(p *pipeline.Processor) error {
 		if err := faultinject.Fire("core.interval"); err != nil {
 			return err
 		}
@@ -236,67 +232,43 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 		r, usedCkpt, err = measureInterval(telemetry.TraceFrom(ctx), p, stream, s, idx, sp)
 		return err
 	})
-	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
-		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
-	}
-	if cerr := closeStream(stream); cerr != nil && err == nil {
-		err = cerr
-	}
 	return r, usedCkpt, err
 }
 
-// measureInterval positions p cheaply at the interval (seek,
-// fast-forward or checkpoint restore), functionally warms it up to s,
-// then runs in detail to the end of the stream, which runInterval
-// opened to end DetailWarmup+IntervalInsts instructions past s, and
-// measures the final IntervalInsts. stream is the raw stream p runs
-// from, consulted for seeking.
+// measureInterval positions p cheaply where the interval's warming
+// starts (checkpoint restore, then seek or fast-forward), functionally
+// warms it up to s, then runs in detail to the end of the stream, which
+// runInterval opened to end DetailWarmup+IntervalInsts instructions
+// past s, and measures the final IntervalInsts. stream is the raw
+// stream p runs from, consulted for seeking.
 func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stream, s int64, idx int, sp SamplingParams) (pipeline.Result, bool, error) {
-	pos := int64(0) // absolute instruction position reached so far
-	usedCkpt := false
-	if sp.Checkpoints != nil {
-		rsp := tr.Start("restore").SetInterval(idx)
-		at, restored, err := sp.Checkpoints.RestoreNearest(p, s)
-		if err != nil {
+	// Without checkpoints warming starts WarmupInsts before s. With them
+	// it starts at the restored point, or at instruction 0 below the
+	// first point, as the points do, so the interval's state does not
+	// depend on which spec built the side-file.
+	start, usedCkpt := max(s-sp.WarmupInsts, 0), false
+	var span *telemetry.ActiveSpan
+	if sp.Checkpoints == nil {
+		span = tr.Start("fast-forward")
+	} else {
+		span = tr.Start("restore")
+		var err error
+		if start, usedCkpt, err = sp.Checkpoints.RestoreNearest(p, s); err != nil {
 			return pipeline.Result{}, false, err
 		}
-		if restored {
-			if sk, ok := stream.(instSeeker); ok {
-				if err := sk.SeekInst(at); err != nil {
-					return pipeline.Result{}, false, err
-				}
-			} else if n := p.FastForward(at); n != at {
-				return pipeline.Result{}, false, fmt.Errorf(
-					"stream ended at instruction %d, checkpoint is at %d", n, at)
-			}
-			rsp.SetInsts(at).End()
-			pos = at
-			usedCkpt = true
-		}
 	}
-	if !usedCkpt {
-		// With checkpoints an interval below the first point warms from
-		// instruction 0, as the points do, so its state does not depend
-		// on which spec built the side-file.
-		ff := s - sp.WarmupInsts
-		if ff < 0 || sp.Checkpoints != nil {
-			ff = 0
-		}
-		if ff > 0 {
-			fsp := tr.Start("fast-forward").SetInterval(idx).SetInsts(ff)
-			if sk, ok := stream.(instSeeker); ok {
-				if err := sk.SeekInst(ff); err != nil {
-					return pipeline.Result{}, false, err
-				}
-			} else if n := p.FastForward(ff); n != ff {
-				return pipeline.Result{}, false, fmt.Errorf(
-					"stream ended at instruction %d, interval warmup starts at %d", n, ff)
+	if start > 0 {
+		if sk, ok := stream.(instSeeker); ok {
+			if err := sk.SeekInst(start); err != nil {
+				return pipeline.Result{}, false, err
 			}
-			fsp.End()
+		} else if n := p.FastForward(start); n != start {
+			return pipeline.Result{}, false, fmt.Errorf(
+				"stream ended at instruction %d, warming starts at %d", n, start)
 		}
-		pos = ff
+		span.SetInterval(idx).SetInsts(start).End()
 	}
-	if gap := s - pos; gap > 0 {
+	if gap := s - start; gap > 0 {
 		wsp := tr.Start("warming").SetInterval(idx).SetInsts(gap)
 		if n := p.Warm(gap); n != gap {
 			return pipeline.Result{}, false, fmt.Errorf(
@@ -326,31 +298,12 @@ func addResult(agg, src *pipeline.Result) {
 		agg.Config = src.Config
 		agg.StorageBits = src.StorageBits
 	}
-	agg.Cycles += src.Cycles
-	agg.Insts += src.Insts
-	agg.UOps += src.UOps
-	agg.FetchedUOps += src.FetchedUOps
-	agg.BrCondRetired += src.BrCondRetired
-	agg.BrMispredicts += src.BrMispredicts
-	agg.BTBMisses += src.BTBMisses
-	agg.ValueMispredicts += src.ValueMispredicts
-	agg.MemOrderFlushes += src.MemOrderFlushes
-	agg.SquashedUOps += src.SquashedUOps
-	agg.EarlyExecuted += src.EarlyExecuted
-	agg.LateExecuted += src.LateExecuted
-	agg.FreeLoadImms += src.FreeLoadImms
-	agg.LoadsExecuted += src.LoadsExecuted
-	agg.StoreForwards += src.StoreForwards
+	agg.Stats.Add(src.Stats)
+	agg.VP.Add(src.VP)
 	agg.L1DMisses += src.L1DMisses
 	agg.L2Misses += src.L2Misses
 	agg.L1DMSHRMerges += src.L1DMSHRMerges
 	agg.L2MSHRMerges += src.L2MSHRMerges
-	agg.VP.Eligible += src.VP.Eligible
-	agg.VP.Attributed += src.VP.Attributed
-	agg.VP.Used += src.VP.Used
-	agg.VP.UsedCorrect += src.VP.UsedCorrect
-	agg.VP.SpecWindowHits += src.VP.SpecWindowHits
-	agg.VP.SpecWindowProbes += src.VP.SpecWindowProbes
 	// Per-interval H2P attributions coalesce by PC. Each input is already
 	// top-N truncated, so merged counts are lower bounds for PCs outside
 	// some interval's top-N; the merged list is left uncapped (it is
@@ -382,7 +335,6 @@ func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) 
 	if err != nil {
 		return nil, "", err
 	}
-	defer closeStream(stream)
 	var (
 		name   string
 		points []*pipeline.Checkpoint
@@ -392,7 +344,7 @@ func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) 
 		name = cfg.Name
 		return cfg
 	}
-	err = simulate(named, stream, func(p *pipeline.Processor) error {
+	err = runStream(context.Background(), src, stream, upTo, nil, named, func(p *pipeline.Processor) error {
 		for at := every; at < upTo; at += every {
 			if n := p.Warm(every); n != every {
 				return fmt.Errorf("core: workload %q ended at instruction %d, checkpoint wanted %d",
@@ -408,9 +360,6 @@ func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) 
 	})
 	if err != nil {
 		return nil, "", err
-	}
-	if es, ok := stream.(errStream); ok && es.Err() != nil {
-		return nil, "", fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
 	}
 	return points, name, nil
 }

@@ -334,3 +334,55 @@ func TestBuildCheckpointsRecoversStreamPanic(t *testing.T) {
 		t.Errorf("the processor seized by the panic was pooled and reused")
 	}
 }
+
+// TestAddResultSumsEveryCounter pins that a sampled run's aggregate sums
+// every integer counter of pipeline.Result, Stats and VP included, so a
+// counter added to the pipeline cannot silently read 0 in a sampled
+// report. StorageBits is configuration, not a counter: it is copied.
+func TestAddResultSumsEveryCounter(t *testing.T) {
+	var in pipeline.Result
+	next := int64(1)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); {
+			case f.Kind() == reflect.Struct:
+				fill(f)
+			case f.CanInt():
+				f.SetInt(next)
+				next++
+			case f.CanUint():
+				f.SetUint(uint64(next))
+				next++
+			}
+		}
+	}
+	fill(reflect.ValueOf(&in).Elem())
+	in.Config = "cfg"
+
+	var agg pipeline.Result
+	addResult(&agg, &in)
+	addResult(&agg, &in)
+	if agg.Config != in.Config {
+		t.Errorf("Config = %q, want %q copied", agg.Config, in.Config)
+	}
+	var check func(path string, got, want reflect.Value)
+	check = func(path string, got, want reflect.Value) {
+		for i := 0; i < got.NumField(); i++ {
+			name := path + got.Type().Field(i).Name
+			g, w := got.Field(i), want.Field(i)
+			factor := uint64(2)
+			if name == "StorageBits" {
+				factor = 1
+			}
+			switch {
+			case g.Kind() == reflect.Struct:
+				check(name+".", g, w)
+			case g.CanInt() && uint64(g.Int()) != factor*uint64(w.Int()),
+				g.CanUint() && g.Uint() != factor*w.Uint():
+				t.Errorf("%s = %v after summing two copies of %v, want ×%d", name, g, w, factor)
+			}
+		}
+	}
+	check("", reflect.ValueOf(agg), reflect.ValueOf(in))
+}

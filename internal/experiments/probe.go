@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
 	"bebop/internal/core"
 	"bebop/internal/engine"
 	"bebop/internal/pipeline"
+	"bebop/internal/workload"
 	"bebop/internal/workload/probe"
 )
 
@@ -30,42 +28,17 @@ type ProbeCurve struct {
 // results are cached by (configuration name, probe name) like any other
 // workload.
 func (r *Runner) ProbeSweep(f probe.Family, mk core.ConfigFactory) (ProbeCurve, error) {
-	key := mk().Name
-	jobs := make([]engine.Job[pipeline.Result], len(f.Grid))
+	names := make([]string, len(f.Grid))
 	for i, p := range f.Grid {
-		src, err := f.Source(p)
-		if err != nil {
-			return ProbeCurve{}, err
-		}
-		jobs[i] = engine.Job[pipeline.Result]{
-			Key:   key,
-			Bench: src.Name(),
-			Run: func(ctx context.Context) (pipeline.Result, error) {
-				return core.RunSourceCtx(ctx, src, r.opts.Insts/2, r.opts.Insts, mk)
-			},
-		}
+		names[i] = probe.SourceName(f.Name, p)
 	}
-	rs, err := r.eng.RunBatch(r.ctx, jobs)
+	byName, err := r.batch(mk, names, func(i int) (workload.Source, error) { return f.Source(f.Grid[i]) })
 	if err != nil {
-		if r.err == nil {
-			r.err = err
-		}
 		return ProbeCurve{}, err
 	}
-	curve := ProbeCurve{Family: f, Config: key}
-	byName := make(map[string]pipeline.Result, len(rs))
-	for _, jr := range rs {
-		if jr.Err != nil {
-			return ProbeCurve{}, jr.Err
-		}
-		byName[jr.Bench] = jr.Value
-	}
-	for _, p := range f.Grid {
-		res, ok := byName[probe.SourceName(f.Name, p)]
-		if !ok {
-			return ProbeCurve{}, fmt.Errorf("experiments: probe %s/%d produced no result", f.Name, p)
-		}
-		curve.Points = append(curve.Points, ProbePoint{Pressure: p, Result: res})
+	curve := ProbeCurve{Family: f, Config: mk().Name}
+	for i, p := range f.Grid {
+		curve.Points = append(curve.Points, ProbePoint{Pressure: p, Result: byName[names[i]]})
 	}
 	return curve, nil
 }

@@ -108,19 +108,35 @@ func (r *Runner) Workloads() []string {
 // On cancellation it records the error (Report returns it) and returns
 // the partial results; downstream speedup math skips missing benchmarks.
 func (r *Runner) Results(mk core.ConfigFactory) map[string]pipeline.Result {
-	key := mk().Name
 	names := r.Workloads()
+	out, _ := r.batch(mk, names, func(i int) (workload.Source, error) {
+		src, ok := r.opts.Catalog.Lookup(names[i])
+		if !ok {
+			return nil, fmt.Errorf("experiments: %w",
+				util.UnknownName("workload", names[i], r.opts.Catalog.Names()))
+		}
+		return src, nil
+	})
+	return out
+}
+
+// batch runs one engine job per named workload under the configuration
+// mk builds, at the session budget (half of Insts warms up, then Insts
+// are measured), and returns the results of the jobs that succeeded by
+// name. The engine caches each result by (configuration name, workload
+// name), so source, which resolves names[i], runs only on a miss. A
+// failed batch's error is returned and recorded for Report.
+func (r *Runner) batch(mk core.ConfigFactory, names []string, source func(i int) (workload.Source, error)) (map[string]pipeline.Result, error) {
+	key := mk().Name
 	jobs := make([]engine.Job[pipeline.Result], len(names))
 	for i, name := range names {
-		bench := name
 		jobs[i] = engine.Job[pipeline.Result]{
 			Key:   key,
-			Bench: bench,
+			Bench: name,
 			Run: func(ctx context.Context) (pipeline.Result, error) {
-				src, ok := r.opts.Catalog.Lookup(bench)
-				if !ok {
-					return pipeline.Result{}, fmt.Errorf("experiments: %w",
-						util.UnknownName("workload", bench, r.opts.Catalog.Names()))
+				src, err := source(i)
+				if err != nil {
+					return pipeline.Result{}, err
 				}
 				// Honor ctx mid-simulation, not just at scheduling: a
 				// cancelled sweep (client disconnect, -timeout, Ctrl-C)
@@ -139,7 +155,7 @@ func (r *Runner) Results(mk core.ConfigFactory) map[string]pipeline.Result {
 			out[jr.Bench] = jr.Value
 		}
 	}
-	return out
+	return out, err
 }
 
 // Series is one per-benchmark speedup curve plus its summary, the unit of

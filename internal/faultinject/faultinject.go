@@ -6,12 +6,11 @@
 // load per Fire call, so the points stay in release builds and the
 // chaos suite exercises exactly the binary that ships.
 //
-// A point fires according to its Plan: on the nth call, on every nth
-// call, or with a seeded probability per call — optionally bounded by a
-// total fire budget. When it fires it either returns an error (the
-// caller propagates it like any IO failure), panics (exercising the
-// recover ladders in engine/core), or sleeps (simulating a stuck worker
-// so timeout paths can be proven).
+// A point fires according to its Plan: on the nth call, or on every nth
+// call. When it fires it either returns an error (the caller propagates
+// it like any IO failure), panics (exercising the recover ladders in
+// engine/core), or sleeps (simulating a stuck worker so timeout paths
+// can be proven).
 //
 // Points threaded through the simulator:
 //
@@ -27,7 +26,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,8 +43,8 @@ var ErrInjected = errors.New("injected fault")
 type Mode int
 
 const (
-	// ModeError makes Fire return the Plan's error (default: an
-	// ErrInjected-wrapped error naming the point).
+	// ModeError makes Fire return an ErrInjected-wrapped error naming
+	// the point.
 	ModeError Mode = iota
 	// ModePanic makes Fire panic, exercising recover paths.
 	ModePanic
@@ -55,34 +53,23 @@ const (
 	ModeDelay
 )
 
-// Plan is one point's trigger schedule. Fire triggers when any armed
-// condition matches: call == Nth, call % Every == 0, or a seeded coin
-// with probability P. Fires stops triggering after Limit fires (0 = no
-// bound). The zero Plan never triggers.
+// Plan is one point's trigger schedule. Fire triggers when either armed
+// condition matches: call == Nth or call % Every == 0. The zero Plan
+// never triggers.
 type Plan struct {
 	Mode Mode
-	// Err is returned by ModeError fires; nil selects a default error
-	// wrapping ErrInjected.
-	Err error
 	// Sleep is the ModeDelay duration.
 	Sleep time.Duration
 	// Nth fires on exactly the nth Fire call (1-based); 0 disables.
 	Nth int
 	// Every fires on every nth call (1-based); 0 disables.
 	Every int
-	// P fires with probability P per call, drawn from a rand seeded
-	// with Seed — the same seed replays the same fire pattern.
-	P    float64
-	Seed int64
-	// Limit caps total fires (0 = unlimited).
-	Limit int
 }
 
 // point is one armed failure point.
 type point struct {
 	mu    sync.Mutex
 	plan  Plan
-	rng   *rand.Rand
 	calls int
 	fires int
 }
@@ -110,11 +97,7 @@ func (r *Registry) Arm(name string, p Plan) {
 	if _, ok := r.points[name]; !ok {
 		r.armed.Add(1)
 	}
-	pt := &point{plan: p}
-	if p.P > 0 {
-		pt.rng = rand.New(rand.NewSource(p.Seed))
-	}
-	r.points[name] = pt
+	r.points[name] = &point{plan: p}
 }
 
 // Reset disarms every point.
@@ -197,9 +180,6 @@ func (r *Registry) Fire(name string) error {
 		time.Sleep(plan.Sleep)
 		return nil
 	default:
-		if plan.Err != nil {
-			return plan.Err
-		}
 		return fmt.Errorf("faultinject: %q: %w", name, ErrInjected)
 	}
 }
@@ -208,19 +188,7 @@ func (r *Registry) Fire(name string) error {
 // holds pt.mu.
 func (pt *point) trigger() bool {
 	p := pt.plan
-	if p.Limit > 0 && pt.fires >= p.Limit {
-		return false
-	}
-	if p.Nth > 0 && pt.calls == p.Nth {
-		return true
-	}
-	if p.Every > 0 && pt.calls%p.Every == 0 {
-		return true
-	}
-	if p.P > 0 && pt.rng != nil && pt.rng.Float64() < p.P {
-		return true
-	}
-	return false
+	return p.Nth > 0 && pt.calls == p.Nth || p.Every > 0 && pt.calls%p.Every == 0
 }
 
 // Fire evaluates a point on the Default registry.
@@ -231,8 +199,8 @@ func Fire(name string) error { return Default.Fire(name) }
 //
 //	point[:key=value]...[,point[:key=value]...]...
 //
-// Keys: mode (error|panic|delay), nth, every, p, seed, limit,
-// sleep (a time.Duration). Example:
+// Keys: mode (error|panic|delay), nth, every, sleep (a
+// time.Duration). Example:
 //
 //	BEBOP_FAULTS='core.run:mode=panic:nth=1,trace.frame.decode:every=100'
 //
@@ -276,12 +244,6 @@ func (r *Registry) ArmFromSpec(spec string) error {
 				a.plan.Nth, err = strconv.Atoi(v)
 			case "every":
 				a.plan.Every, err = strconv.Atoi(v)
-			case "limit":
-				a.plan.Limit, err = strconv.Atoi(v)
-			case "p":
-				a.plan.P, err = strconv.ParseFloat(v, 64)
-			case "seed":
-				a.plan.Seed, err = strconv.ParseInt(v, 10, 64)
 			case "sleep":
 				a.plan.Sleep, err = time.ParseDuration(v)
 			default:

@@ -80,7 +80,7 @@ func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
 	ck := &Checkpoint{
 		InstOffset: instOffset,
 		ConfigName: p.cfg.Name,
-		Hist:       p.hist.Checkpoint(),
+		Hist:       p.hist.Snapshot(),
 		TAGE:       p.tage.Snapshot(),
 		BTB:        p.btb.Snapshot(),
 		RAS:        p.ras.Snapshot(),
@@ -139,7 +139,7 @@ func (p *Processor) Restore(ck *Checkpoint) error {
 	if err := p.mem.Restore(ck.Mem); err != nil {
 		return err
 	}
-	p.hist.RestoreCheckpoint(ck.Hist)
+	p.hist.Restore(ck.Hist)
 	// Copied, not aliased: the checkpoint may be shared or reused.
 	p.warmingBlockOpen, p.warmingBlockPC = ck.WarmBlockOpen, ck.WarmBlockPC
 	p.warmingUOps = append(p.warmingUOps[:0], ck.WarmUOps...)

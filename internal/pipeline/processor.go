@@ -115,6 +115,26 @@ type Stats struct {
 	StoreForwards    uint64
 }
 
+// Add sums o's counters into s: a sampled run's aggregate is the sum of
+// its intervals' counters.
+func (s *Stats) Add(o Stats) {
+	s.Cycles += o.Cycles
+	s.Insts += o.Insts
+	s.UOps += o.UOps
+	s.FetchedUOps += o.FetchedUOps
+	s.BrCondRetired += o.BrCondRetired
+	s.BrMispredicts += o.BrMispredicts
+	s.BTBMisses += o.BTBMisses
+	s.ValueMispredicts += o.ValueMispredicts
+	s.MemOrderFlushes += o.MemOrderFlushes
+	s.SquashedUOps += o.SquashedUOps
+	s.EarlyExecuted += o.EarlyExecuted
+	s.LateExecuted += o.LateExecuted
+	s.FreeLoadImms += o.FreeLoadImms
+	s.LoadsExecuted += o.LoadsExecuted
+	s.StoreForwards += o.StoreForwards
+}
+
 // Result is the outcome of a simulation run.
 type Result struct {
 	Config string

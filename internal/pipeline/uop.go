@@ -115,7 +115,7 @@ type dynInst struct {
 	brPredOK bool // TAGE was consulted (conditional branch)
 	// histBefore snapshots the global history before this instruction's
 	// branch outcome was pushed, for repair on squash.
-	histBefore branch.History
+	histBefore branch.HistorySnapshot
 	pushedHist bool
 	committed  int // µ-ops committed so far
 

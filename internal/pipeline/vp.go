@@ -54,6 +54,16 @@ type VPStats struct {
 	SpecWindowHits, SpecWindowProbes uint64
 }
 
+// Add sums o's counters into s.
+func (s *VPStats) Add(o VPStats) {
+	s.Eligible += o.Eligible
+	s.Attributed += o.Attributed
+	s.Used += o.Used
+	s.UsedCorrect += o.UsedCorrect
+	s.SpecWindowHits += o.SpecWindowHits
+	s.SpecWindowProbes += o.SpecWindowProbes
+}
+
 // Coverage returns used predictions per eligible µ-op.
 func (s VPStats) Coverage() float64 {
 	if s.Eligible == 0 {

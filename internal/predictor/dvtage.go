@@ -447,12 +447,9 @@ func (d *DVTAGE) Update(u *UpdateBlock) {
 			continue
 		}
 		if lvtMatched && d.lvtHas[lvtBase+m] && s.ByteTag > d.lvtBtag[lvtBase+m] {
-			// Monotone rule: keep the lesser stored tag; the value still
-			// tracks the slot's owning instruction, so only update the
-			// value if the tags agree.
-			if s.ByteTag != d.lvtBtag[lvtBase+m] {
-				continue
-			}
+			// Monotone rule: the slot keeps its lesser stored tag and the
+			// value of the instruction that tag names.
+			continue
 		}
 		d.lvtVals[lvtBase+m] = s.Actual
 		d.lvtBtag[lvtBase+m] = s.ByteTag

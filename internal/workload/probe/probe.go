@@ -38,8 +38,6 @@ type Family struct {
 	Name string
 	// Axis names the pressure knob, e.g. "period" or "blocks".
 	Axis string
-	// Doc is a one-line description of what the family stresses.
-	Doc string
 	// Grid is the default pressure sweep, in increasing order.
 	Grid []int
 	// build compiles the static probe program for one pressure point.
@@ -52,56 +50,48 @@ func Families() []Family {
 		{
 			Name:  "tage-history",
 			Axis:  "period",
-			Doc:   "branch taken once every <period> iterations; predictable only while 2*period-1 <= TAGE MaxHist",
 			Grid:  []int{4, 8, 16, 24, 32, 48, 64, 96, 128, 160},
 			build: buildTAGEHistory,
 		},
 		{
 			Name:  "tage-capacity",
 			Axis:  "branches",
-			Doc:   "<branches> static branches with balanced period-16 patterns; 16 contexts each must fit the tagged components",
 			Grid:  []int{2, 8, 32, 64, 128, 256, 512, 1024},
 			build: buildTAGECapacity,
 		},
 		{
 			Name:  "tage-dilution",
 			Axis:  "decoys",
-			Doc:   "period-8 victim branch diluted by <decoys> alternating branches; victim needs 1+7*(decoys+2) history bits",
 			Grid:  []int{0, 1, 2, 4, 8, 16, 32, 64},
 			build: buildTAGEDilution,
 		},
 		{
 			Name:  "vp-stride",
 			Axis:  "stride",
-			Doc:   "single value with constant stride <stride>; predictable only while the stride fits StrideBits",
 			Grid:  []int{1, 16, 64, 120, 240, 4096, 1 << 20},
 			build: buildVPStride,
 		},
 		{
 			Name:  "vp-history",
 			Axis:  "period",
-			Doc:   "sawtooth value of period <period> with a phase-marker branch; needs a D-VTAGE history length >= 2*period-1",
 			Grid:  []int{2, 4, 8, 16, 24, 32, 48, 64, 96},
 			build: buildVPHistory,
 		},
 		{
 			Name:  "vp-capacity",
 			Axis:  "blocks",
-			Doc:   "<blocks> distinct fetch blocks each producing one constant value; pressure on the last-value table's entry count",
 			Grid:  []int{16, 64, 256, 1024, 4096},
 			build: buildVPCapacity,
 		},
 		{
 			Name:  "vp-lvs",
 			Axis:  "run",
-			Doc:   "value constant for runs of <run> then jumping; confidence (FPC) saturates only when runs outlast ~129 corrects",
 			Grid:  []int{8, 32, 128, 512, 2048, 8192},
 			build: buildVPLVS,
 		},
 		{
 			Name:  "bebop-block",
 			Axis:  "uops",
-			Doc:   "<uops> predictable values packed into ONE fetch block; coverage capped at NPred/uops past the entry's slot count",
 			Grid:  []int{1, 2, 3, 4, 5, 6, 7, 8},
 			build: buildBeBoPBlock,
 		},

@@ -33,7 +33,7 @@ type WorkloadInfo struct {
 	// Path locates a trace workload's .bbt file.
 	Path string `json:"path,omitempty"`
 	// Axis and Pressure describe probe workloads: the family's pressure
-	// knob and this point's value on it (see ProbeFamilies).
+	// knob and this point's value on it.
 	Axis     string `json:"axis,omitempty"`
 	Pressure int    `json:"pressure,omitempty"`
 }

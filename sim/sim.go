@@ -38,12 +38,9 @@ import (
 
 	"bebop/internal/core"
 	"bebop/internal/pipeline"
-	"bebop/internal/specwindow"
 	"bebop/internal/telemetry"
 	"bebop/internal/trace"
-	"bebop/internal/util"
 	"bebop/internal/workload"
-	"bebop/internal/workload/probe"
 )
 
 // Checkpoint side-file outcomes: a validated side-file restores for
@@ -165,15 +162,7 @@ func (s *Sim) Spec() (RunSpec, error) { return s.spec.Validate() }
 // cancelled context stops the simulation within ~1K instructions and
 // returns ctx's error. Identical specs produce bit-identical Reports.
 func (s *Sim) Run(ctx context.Context) (Report, error) {
-	spec, cat, err := s.spec.validate()
-	if err != nil {
-		return Report{}, err
-	}
-	src, err := sourceFor(spec, cat)
-	if err != nil {
-		return Report{}, err
-	}
-	mk, err := factoryFor(spec)
+	spec, src, mk, err := s.spec.resolve()
 	if err != nil {
 		return Report{}, err
 	}
@@ -339,56 +328,10 @@ func Run(ctx context.Context, spec RunSpec) (Report, error) {
 	return FromSpec(spec).Run(ctx)
 }
 
-// sourceFor resolves a validated spec's workload selection to a source.
-// cat is the catalog validate already built for the workload check (nil
-// for trace/profile selections, or when the caller validated separately).
-func sourceFor(spec RunSpec, cat *workload.Catalog) (workload.Source, error) {
-	switch {
-	case spec.Trace != "":
-		return trace.NewFileSource(spec.Trace), nil
-	case spec.Profile != nil:
-		return workload.ProfileSource{Prof: *spec.Profile}, nil
-	case probe.IsProbeName(spec.Workload):
-		return probe.FromName(spec.Workload)
-	default:
-		if cat == nil {
-			var err error
-			if cat, err = trace.Catalog(spec.TraceDir); err != nil {
-				return nil, err
-			}
-		}
-		src, ok := cat.Lookup(spec.Workload)
-		if !ok {
-			return nil, util.UnknownName("workload", spec.Workload, cat.Names())
-		}
-		return src, nil
-	}
-}
-
-// factoryFor resolves a validated spec's configuration to a pipeline
-// config factory.
-func factoryFor(spec RunSpec) (core.ConfigFactory, error) {
-	if spec.BeBoP != nil {
-		bb := *spec.BeBoP
-		policy, ok := specwindow.ParsePolicy(bb.Policy)
-		if !ok {
-			return nil, util.UnknownName("recovery policy", bb.Policy, Policies())
-		}
-		cfg := core.BlockConfig(bb.NPred, bb.BaseEntries, bb.TaggedEntries,
-			bb.StrideBits, bb.WindowSize, policy)
-		return core.EOLEBeBoP(core.BlockName(cfg), cfg), nil
-	}
-	return core.NamedFactory(spec.Config, spec.Predictor)
-}
-
 // StorageKBOf reports a configuration's value predictor storage in KB
 // without running it (Table III accounting); 0 when it has no VP.
 func StorageKBOf(spec RunSpec) (float64, error) {
-	spec, err := spec.Validate()
-	if err != nil {
-		return 0, err
-	}
-	mk, err := factoryFor(spec)
+	_, _, mk, err := spec.resolve()
 	if err != nil {
 		return 0, err
 	}

@@ -589,7 +589,7 @@ func TestNamesAndVersion(t *testing.T) {
 		}
 	}
 	var gridPoints int
-	for _, f := range ProbeFamilies() {
+	for _, f := range probe.Families() {
 		gridPoints += len(f.Grid)
 	}
 	if probes != gridPoints || len(infos) != 36+gridPoints {

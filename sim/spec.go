@@ -239,14 +239,15 @@ func (s RunSpec) JSON() ([]byte, error) {
 // actionable: unknown names are *UnknownNameError values listing the
 // valid names.
 func (s RunSpec) Validate() (RunSpec, error) {
-	out, _, err := s.validate()
+	out, _, _, err := s.resolve()
 	return out, err
 }
 
-// validate is Validate, additionally returning the workload catalog it
-// built to check the workload name (nil for trace/profile runs), so Run
-// can resolve the source without a second TraceDir scan.
-func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
+// resolve is Validate, additionally returning what running the spec
+// needs: its workload source and its configuration factory. It is the
+// one place a spec's names resolve, so Validate, Run and StorageKBOf
+// cannot disagree.
+func (s RunSpec) resolve() (RunSpec, workload.Source, core.ConfigFactory, error) {
 	out := s
 	switch {
 	case out.SchemaVersion >= 0 && out.SchemaVersion <= RunSpecSchemaVersion:
@@ -255,7 +256,7 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		// was actually run under.
 		out.SchemaVersion = RunSpecSchemaVersion
 	default:
-		return RunSpec{}, nil, fmt.Errorf("sim: %w: RunSpec schema_version %d is not supported by this binary (max %d)",
+		return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: RunSpec schema_version %d is not supported by this binary (max %d)",
 			ErrInvalidSpec, out.SchemaVersion, RunSpecSchemaVersion)
 	}
 
@@ -268,39 +269,41 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 	}
 	switch {
 	case selected == 0:
-		return RunSpec{}, nil, fmt.Errorf("sim: %w: no workload selected: set one of workload (a catalog name), trace (a .bbt path) or profile (an inline synthetic benchmark)", ErrInvalidSpec)
+		return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: no workload selected: set one of workload (a catalog name), trace (a .bbt path) or profile (an inline synthetic benchmark)", ErrInvalidSpec)
 	case selected > 1:
-		return RunSpec{}, nil, fmt.Errorf("sim: %w: workload, trace and profile are mutually exclusive; set exactly one", ErrInvalidSpec)
+		return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: workload, trace and profile are mutually exclusive; set exactly one", ErrInvalidSpec)
 	}
-	if out.Profile != nil {
-		if err := checkProfile(out.Profile); err != nil {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: inline profile %w", ErrInvalidSpec, err)
-		}
-	}
-	fileBacked := out.Trace != ""
-	var cat *workload.Catalog
+	var src workload.Source
 	switch {
+	case out.Trace != "":
+		src = trace.NewFileSource(out.Trace)
+	case out.Profile != nil:
+		if err := checkProfile(out.Profile); err != nil {
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: inline profile %w", ErrInvalidSpec, err)
+		}
+		src = workload.ProfileSource{Prof: *out.Profile}
 	case probe.IsProbeName(out.Workload):
 		// Probe workloads are synthesized from their name, not looked up
 		// in the catalog: any "probe/<family>/<pressure>" is accepted.
-		if _, err := probe.FromName(out.Workload); err != nil {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: %w", ErrInvalidSpec, err)
-		}
-	case out.Workload != "":
 		var err error
-		if cat, err = trace.Catalog(out.TraceDir); err != nil {
-			return RunSpec{}, nil, err
+		if src, err = probe.FromName(out.Workload); err != nil {
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: %w", ErrInvalidSpec, err)
 		}
-		src, ok := cat.Lookup(out.Workload)
-		if !ok {
-			return RunSpec{}, nil, util.UnknownName("workload", out.Workload, cat.Names())
+	default:
+		cat, err := trace.Catalog(out.TraceDir)
+		if err != nil {
+			return RunSpec{}, nil, nil, err
 		}
-		_, fileBacked = src.(trace.FileSource)
+		var ok bool
+		if src, ok = cat.Lookup(out.Workload); !ok {
+			return RunSpec{}, nil, nil, util.UnknownName("workload", out.Workload, cat.Names())
+		}
 	}
+	_, fileBacked := src.(trace.FileSource)
 
 	// Budget.
 	if out.Insts < 0 {
-		return RunSpec{}, nil, fmt.Errorf("sim: %w: insts must be positive, got %d", ErrInvalidSpec, out.Insts)
+		return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: insts must be positive, got %d", ErrInvalidSpec, out.Insts)
 	}
 	if out.Insts == 0 {
 		out.Insts = DefaultInsts
@@ -309,7 +312,7 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		w := out.Insts / 2
 		out.Warmup = &w
 	} else if *out.Warmup < 0 {
-		return RunSpec{}, nil, fmt.Errorf("sim: %w: warmup must be >= 0, got %d", ErrInvalidSpec, *out.Warmup)
+		return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: warmup must be >= 0, got %d", ErrInvalidSpec, *out.Warmup)
 	} else {
 		w := *out.Warmup // don't alias the caller's int
 		out.Warmup = &w
@@ -324,17 +327,17 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 			sp.Intervals = 20
 		}
 		if sp.Intervals < 2 {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: sampling needs at least 2 intervals, got %d", ErrInvalidSpec, sp.Intervals)
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: sampling needs at least 2 intervals, got %d", ErrInvalidSpec, sp.Intervals)
 		}
 		if sp.IntervalInsts == 0 {
 			sp.IntervalInsts = out.Insts / (10 * int64(sp.Intervals))
 		}
 		if sp.IntervalInsts < 1 {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: sampling interval_insts must be positive, got %d (budget %d too small for %d intervals?)",
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: sampling interval_insts must be positive, got %d (budget %d too small for %d intervals?)",
 				ErrInvalidSpec, sp.IntervalInsts, out.Insts, sp.Intervals)
 		}
 		if sp.Warmup < 0 || sp.DetailWarmup < 0 {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: sampling warmup and detail_warmup must be >= 0, got %d and %d",
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: sampling warmup and detail_warmup must be >= 0, got %d and %d",
 				ErrInvalidSpec, sp.Warmup, sp.DetailWarmup)
 		}
 		if sp.Warmup == 0 {
@@ -344,11 +347,11 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 			sp.DetailWarmup = sp.IntervalInsts / 4
 		}
 		if stride := out.Insts / int64(sp.Intervals); sp.DetailWarmup+sp.IntervalInsts > stride {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: %d sampling intervals of %d+%d instructions do not fit the measured budget %d (stride %d)",
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: %d sampling intervals of %d+%d instructions do not fit the measured budget %d (stride %d)",
 				ErrInvalidSpec, sp.Intervals, sp.DetailWarmup, sp.IntervalInsts, out.Insts, stride)
 		}
 		if sp.Checkpoints && !fileBacked {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: sampling checkpoints need a trace-backed workload; a synthetic one has no file to put the side-file next to", ErrInvalidSpec)
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: sampling checkpoints need a trace-backed workload; a synthetic one has no file to put the side-file next to", ErrInvalidSpec)
 		}
 		out.Sampling = &sp
 	}
@@ -358,7 +361,7 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 	cfg, pred := out.Config, out.Predictor
 	if i := strings.IndexByte(cfg, '/'); i >= 0 {
 		if pred != "" {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: config %q already names a predictor; drop the separate predictor field %q", ErrInvalidSpec, cfg, pred)
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: config %q already names a predictor; drop the separate predictor field %q", ErrInvalidSpec, cfg, pred)
 		}
 		cfg, pred = cfg[:i], cfg[i+1:]
 	}
@@ -368,15 +371,16 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		// predictor; canonicalize it.
 		cfg = "eole-bebop"
 	}
+	var mk core.ConfigFactory
 	if out.BeBoP != nil {
 		if cfg == "" {
 			cfg = "eole-bebop"
 		}
 		if cfg != "eole-bebop" {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: a custom bebop geometry requires config \"eole-bebop\", got %q", ErrInvalidSpec, cfg)
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: a custom bebop geometry requires config \"eole-bebop\", got %q", ErrInvalidSpec, cfg)
 		}
 		if pred != "" {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: predictor %q and a custom bebop geometry are mutually exclusive; drop one", ErrInvalidSpec, pred)
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: predictor %q and a custom bebop geometry are mutually exclusive; drop one", ErrInvalidSpec, pred)
 		}
 		bb := *out.BeBoP
 		if bb.Policy == "" {
@@ -384,7 +388,7 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 		}
 		policy, ok := specwindow.ParsePolicy(bb.Policy)
 		if !ok {
-			return RunSpec{}, nil, util.UnknownName("recovery policy", bb.Policy, Policies())
+			return RunSpec{}, nil, nil, util.UnknownName("recovery policy", bb.Policy, Policies())
 		}
 		// Store the canonical spelling: "dnrdnr" and "DnRDnR" are one
 		// geometry, so they must normalize to one spec and one name.
@@ -394,9 +398,11 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 			bb.WindowSize = -1
 		}
 		if err := checkGeometry(bb); err != nil {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: bebop geometry %+v: %w", ErrInvalidSpec, bb, err)
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: bebop geometry %+v: %w", ErrInvalidSpec, bb, err)
 		}
 		out.BeBoP = &bb
+		geom := core.BlockConfig(bb.NPred, bb.BaseEntries, bb.TaggedEntries, bb.StrideBits, bb.WindowSize, policy)
+		mk = core.EOLEBeBoP(core.BlockName(geom), geom)
 	}
 	if cfg == "" {
 		cfg = "baseline"
@@ -404,29 +410,33 @@ func (s RunSpec) validate() (RunSpec, *workload.Catalog, error) {
 	switch cfg {
 	case "baseline", "eole":
 		if pred != "" {
-			return RunSpec{}, nil, fmt.Errorf("sim: %w: config %q takes no predictor, got %q (use baseline-vp or eole-bebop to choose one)", ErrInvalidSpec, cfg, pred)
+			return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: config %q takes no predictor, got %q (use baseline-vp or eole-bebop to choose one)", ErrInvalidSpec, cfg, pred)
 		}
 	case "baseline-vp":
 		if pred == "" {
 			pred = "D-VTAGE"
 		}
-		if _, err := core.NewInstPredictor(pred); err != nil {
-			return RunSpec{}, nil, util.UnknownName("predictor", pred, core.AllPredictorNames())
-		}
 	case "eole-bebop":
-		if out.BeBoP == nil {
-			if pred == "" {
-				pred = "Medium"
-			}
-			if _, err := core.TableIIIByName(pred); err != nil {
-				return RunSpec{}, nil, util.UnknownName("Table III config", pred, core.TableIIINames())
-			}
+		if pred == "" && mk == nil {
+			pred = "Medium"
 		}
 	default:
-		return RunSpec{}, nil, util.UnknownName("configuration", out.Config, Configs())
+		return RunSpec{}, nil, nil, util.UnknownName("configuration", out.Config, Configs())
+	}
+	if mk == nil {
+		var err error
+		if mk, err = core.NamedFactory(cfg, pred); err != nil {
+			// An unknown predictor or Table III name: report it bare, as
+			// every other front-door name error reads.
+			var une *UnknownNameError
+			if errors.As(err, &une) {
+				err = une
+			}
+			return RunSpec{}, nil, nil, err
+		}
 	}
 	out.Config, out.Predictor = cfg, pred
-	return out, cat, nil
+	return out, src, mk, nil
 }
 
 // Bounds on what a spec may ask the simulator to build. Each sits far

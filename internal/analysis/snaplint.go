@@ -8,11 +8,12 @@ import (
 	"strings"
 )
 
-// Snaplint cross-checks the checkpoint seam (PR 7): for every type with
-// a niladic Snapshot/Checkpoint/SnapshotVP method and a matching
-// Restore, every struct field mutated by a state-evolving method must be
-// referenced by both the snapshot and the restore method (directly or
-// through another method of the same type). A field written in the hot
+// Snaplint cross-checks the checkpoint seam: for every type with a
+// snapshot method (a niladic Snapshot, or AppendState taking the byte
+// string it appends to) and a restore method (Restore or LoadState,
+// taking one argument), every struct field mutated by a state-evolving
+// method must be referenced by both (directly or through another method
+// of the same type). A field written in the hot
 // path but absent from the checkpoint is exactly the silent-desync class
 // that corrupts .ckpt reuse: the checkpointed run diverges bit-for-bit
 // from the straight-through run only under the profiles that exercise
@@ -31,8 +32,10 @@ var Snaplint = &Analyzer{
 	Run:   runSnaplint,
 }
 
-var snapshotNames = map[string]bool{"Snapshot": true, "Checkpoint": true, "SnapshotVP": true}
-var restoreNames = map[string]bool{"Restore": true, "RestoreCheckpoint": true, "RestoreVP": true}
+// snapshotNames and restoreNames map the method names of the checkpoint
+// pair to their parameter counts.
+var snapshotNames = map[string]int{"Snapshot": 0, "AppendState": 1}
+var restoreNames = map[string]int{"Restore": 1, "LoadState": 1}
 
 // snapType aggregates everything snaplint learns about one struct type.
 type snapType struct {
@@ -88,10 +91,10 @@ func runSnaplint(pass *Pass) error {
 			mi := analyzeMethod(pass, fd)
 			st.methods[fd.Name.Name] = mi
 			nparams := fd.Type.Params.NumFields()
-			if snapshotNames[fd.Name.Name] && nparams == 0 {
+			if n, ok := snapshotNames[fd.Name.Name]; ok && nparams == n {
 				st.snapshot = append(st.snapshot, fd.Name.Name)
 			}
-			if restoreNames[fd.Name.Name] && nparams == 1 {
+			if n, ok := restoreNames[fd.Name.Name]; ok && nparams == n {
 				st.restore = append(st.restore, fd.Name.Name)
 			}
 		}
@@ -277,7 +280,9 @@ func checkCoverage(pass *Pass, st *snapType) {
 	}
 	sort.Strings(methodNames)
 	for _, name := range methodNames {
-		if snapshotNames[name] || restoreNames[name] || isConstructionMethod(name) {
+		_, snap := snapshotNames[name]
+		_, rest := restoreNames[name]
+		if snap || rest || isConstructionMethod(name) {
 			continue
 		}
 		for f, at := range st.methods[name].writes {

@@ -4,6 +4,7 @@ import (
 	"bebop/internal/branch"
 	"bebop/internal/pipeline"
 	"bebop/internal/predictor"
+	"bebop/internal/util"
 )
 
 // WarmFetchBlock implements pipeline.VPWarmer: one D-VTAGE access per
@@ -69,3 +70,12 @@ func (b *BlockVP) WarmFetchBlock(blockPC uint64, hist *branch.History, uops []pi
 		b.dvt.Update(&u)
 	}
 }
+
+// AppendState implements pipeline.VPSnapshotter. The D-VTAGE tables are
+// the only BeBoP state functional warming trains (WarmFetchBlock): the
+// speculative window, the FIFO update queue and the counters change only
+// in detailed runs, and checkpoints are taken before any.
+func (b *BlockVP) AppendState(s []byte) []byte { return b.dvt.AppendState(s) }
+
+// LoadState implements pipeline.VPSnapshotter.
+func (b *BlockVP) LoadState(r *util.StateReader) error { return b.dvt.LoadState(r) }

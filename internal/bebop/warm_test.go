@@ -1,7 +1,7 @@
 package bebop
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
 	"bebop/internal/branch"
@@ -48,7 +48,7 @@ func TestWarmAttributesInPipelineOrder(t *testing.T) {
 	pipe.OnRetire(younger[0])
 	warm.WarmFetchBlock(blockPC, &h, warmBlock(blockPC, bounds, vals))
 
-	if got, want := warm.SnapshotVP(), pipe.SnapshotVP(); !reflect.DeepEqual(got, want) {
+	if !bytes.Equal(warm.AppendState(nil), pipe.AppendState(nil)) {
 		t.Fatal("WarmFetchBlock trained D-VTAGE differently from OnFetchBlock + OnRetire")
 	}
 }

@@ -95,8 +95,8 @@ func (h *History) foldSlow(n, width int) uint64 {
 func (h *History) Path() uint64 { return h.path }
 
 // Bits returns the n most recent direction bits (n <= 64), most recent in
-// bit 0. Used by the workload generator to derive control-flow-dependent
-// values and by tests.
+// bit 0. No simulator code calls it: it is a probe kept for the tests,
+// which read the raw direction bits through it.
 func (h *History) Bits(n int) uint64 {
 	if n <= 0 {
 		return 0
@@ -117,5 +117,29 @@ func (h *History) Reset() {
 	h.path = 0
 	if h.folds != nil {
 		h.folds.zero()
+	}
+}
+
+// HistorySnapshot is the one saved form of a History, for mispredict
+// recovery and checkpoints alike: the raw direction vector and the path
+// register. It has no folded registers, which are a pure function of
+// the direction bits and are recomputed on restore.
+type HistorySnapshot struct {
+	Dir  [MaxHistoryBits / 64]uint64
+	Path uint64
+}
+
+// Snapshot captures the history.
+func (h *History) Snapshot() HistorySnapshot {
+	return HistorySnapshot{Dir: h.dir, Path: h.path}
+}
+
+// Restore overwrites the history from a snapshot and recomputes the
+// folded registers from the restored bit vector.
+func (h *History) Restore(s HistorySnapshot) {
+	h.dir = s.Dir
+	h.path = s.Path
+	if h.folds != nil {
+		h.folds.recompute(h)
 	}
 }

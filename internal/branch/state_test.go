@@ -1,0 +1,142 @@
+package branch
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"bebop/internal/util"
+)
+
+// distinct sets every element of s to a distinct value, most non-zero.
+func distinct[T ~int8 | ~uint8 | ~uint16 | ~uint64](s []T, seed int) {
+	for i := range s {
+		s[i] = T(i*7 + seed + 1)
+	}
+}
+
+// stateComponent is what every component of the checkpoint implements.
+type stateComponent interface {
+	AppendState([]byte) []byte
+	LoadState(*util.StateReader) error
+}
+
+// loadAll decodes b into c and requires every byte to be consumed.
+func loadAll(c stateComponent, b []byte) error {
+	r := util.NewStateReader(b)
+	if err := c.LoadState(r); err != nil {
+		return err
+	}
+	if r.Left() != 0 {
+		return fmt.Errorf("%d bytes left", r.Left())
+	}
+	return nil
+}
+
+// TestStateRoundTrip: with every table filled, AppendState then
+// LoadState into a fresh instance reproduces the whole struct.
+func TestStateRoundTrip(t *testing.T) {
+	tage := NewTAGE(DefaultTAGEConfig())
+	distinct(tage.base, 1)
+	for i := range tage.comps {
+		c := &tage.comps[i]
+		distinct(c.ctr, 10*i+2)
+		distinct(c.tag, 10*i+3)
+		distinct(c.useful, 10*i+4)
+	}
+	tage.useAltOnNA, tage.tick = -5, 1234
+	tage.rng.Uint64()
+
+	btb := NewBTB(4096, 4)
+	for i := range btb.entries {
+		btb.entries[i] = btbEntry{valid: i%3 != 0, tag: uint64(i + 1), target: uint64(2*i + 3), lastUse: uint64(3*i + 5)}
+	}
+	btb.clock = 99
+
+	ras := NewRAS(16)
+	for i := range 20 { // wraps, so every slot is live
+		ras.Push(uint64(0x1000 + i))
+	}
+
+	for _, tc := range []struct {
+		name      string
+		full, got stateComponent
+	}{
+		{"TAGE", tage, NewTAGE(DefaultTAGEConfig())},
+		{"BTB", btb, NewBTB(4096, 4)},
+		{"RAS", ras, NewRAS(16)},
+	} {
+		if err := loadAll(tc.got, tc.full.AppendState(nil)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(tc.full, tc.got) {
+			t.Errorf("%s does not round-trip", tc.name)
+		}
+	}
+}
+
+// TestRASStateIgnoresDeadSlots: slots past the live depth are written as
+// zero, so the state depends only on the live stack.
+func TestRASStateIgnoresDeadSlots(t *testing.T) {
+	used, fresh := NewRAS(8), NewRAS(8)
+	for _, r := range []*RAS{used, fresh} {
+		r.Push(1)
+		r.Push(2)
+	}
+	used.Pop()
+	used.Pop()
+	used.Push(1)
+	used.Push(2) // the live stack matches fresh; the slots past it need not
+	used.stack[5] = 77
+	if !bytes.Equal(used.AppendState(nil), fresh.AppendState(nil)) {
+		t.Error("a dead slot's contents reached the state")
+	}
+}
+
+// TestLoadStateRejectsImpossibleState: state of another geometry, a
+// RAS position outside its stack, a bool byte other than 0 or 1, a
+// short encoding, are refused with an error and no panic.
+func TestLoadStateRejectsImpossibleState(t *testing.T) {
+	rasState := func(edit func(r *RAS)) []byte {
+		r := NewRAS(16)
+		r.Push(1)
+		r.Push(2)
+		edit(r)
+		return r.AppendState(nil)
+	}
+	small := DefaultTAGEConfig()
+	small.CompEntries /= 2
+	btb := NewBTB(4096, 4).AppendState(nil)
+	btbBadBool := append([]byte(nil), btb...)
+	btbBadBool[8] = 2 // the first entry's valid byte, after the entry count
+	for _, tc := range []struct {
+		name  string
+		into  stateComponent
+		state []byte
+	}{
+		{"RAS top past the stack", NewRAS(16), rasState(func(r *RAS) { r.top = len(r.stack) + 3 })},
+		{"RAS top negative", NewRAS(16), rasState(func(r *RAS) { r.top = -1 })},
+		{"RAS depth past the stack", NewRAS(16), rasState(func(r *RAS) { r.depth = len(r.stack) + 1 })},
+		{"RAS depth negative", NewRAS(16), rasState(func(r *RAS) { r.depth = -1 })},
+		{"RAS stack of another size", NewRAS(8), rasState(func(*RAS) {})},
+		{"TAGE tables of another size", NewTAGE(DefaultTAGEConfig()), NewTAGE(small).AppendState(nil)},
+		{"BTB of another size", NewBTB(2048, 4), btb},
+		{"BTB valid byte other than 0 or 1", NewBTB(4096, 4), btbBadBool},
+		{"BTB truncated", NewBTB(4096, 4), btb[:len(btb)-1]},
+	} {
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Errorf("%s: LoadState panicked: %v", tc.name, rec)
+				}
+			}()
+			if err := tc.into.LoadState(util.NewStateReader(tc.state)); err == nil {
+				t.Errorf("%s: loaded", tc.name)
+			}
+		}()
+	}
+	if err := loadAll(NewRAS(16), rasState(func(*RAS) {})); err != nil {
+		t.Fatalf("the unbroken RAS state does not load: %v", err)
+	}
+}

@@ -98,6 +98,16 @@ func (c *Cache) Reset() {
 	c.Misses, c.MSHRMerges = 0, 0
 }
 
+// QuiesceTiming drops all in-flight timing state from the cache level:
+// outstanding MSHRs are discarded as if their fills completed. Warming
+// mode runs on a synthetic clock, so any MSHR it leaves behind would
+// carry absolute cycle numbers meaningless to a detailed run restarting
+// at cycle 0.
+func (c *Cache) QuiesceTiming() {
+	c.mshrs = c.mshrs[:0]
+	c.mshrMin = 0
+}
+
 func (c *Cache) set(line uint64) int {
 	return int(line & uint64(c.sets-1))
 }
@@ -214,14 +224,13 @@ func DefaultHierarchyConfig() HierarchyConfig {
 
 // NewHierarchy builds the full memory system.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h := &Hierarchy{
-		L1I: NewCache("L1I", cfg.L1I),
-		L1D: NewCache("L1D", cfg.L1D),
-		L2:  NewCache("L2", cfg.L2),
-		Mem: NewMemory(cfg.Mem),
+	return &Hierarchy{
+		L1I:      NewCache("L1I", cfg.L1I),
+		L1D:      NewCache("L1D", cfg.L1D),
+		L2:       NewCache("L2", cfg.L2),
+		Mem:      NewMemory(cfg.Mem),
+		Prefetch: NewStridePrefetcher(cfg.PrefetchDegree),
 	}
-	h.Prefetch = NewStridePrefetcher(cfg.PrefetchDegree)
-	return h
 }
 
 // Reset clears every level, the DRAM model and the prefetcher in place,
@@ -231,9 +240,17 @@ func (h *Hierarchy) Reset() {
 	h.L1D.Reset()
 	h.L2.Reset()
 	h.Mem.Reset()
-	if h.Prefetch != nil {
-		h.Prefetch.Reset()
-	}
+	h.Prefetch.Reset()
+}
+
+// QuiesceTiming clears in-flight timing state (MSHRs, bank/bus clocks)
+// at every level while keeping contents, LRU, open rows and prefetcher
+// training — the state functional warming exists to build.
+func (h *Hierarchy) QuiesceTiming() {
+	h.L1I.QuiesceTiming()
+	h.L1D.QuiesceTiming()
+	h.L2.QuiesceTiming()
+	h.Mem.QuiesceTiming()
 }
 
 // ResetStats zeroes every level's miss and MSHR-merge counters, leaving
@@ -301,11 +318,9 @@ func (h *Hierarchy) accessL2(pc, line uint64, now int64) int64 {
 	})
 	// Train the stride prefetcher on the demand stream and install
 	// prefetches into L2 (degree 8, Table I).
-	if h.Prefetch != nil {
-		for _, pline := range h.Prefetch.Observe(pc, line) {
-			if _, hit := h.L2.probe(pline); !hit {
-				h.L2.fill(pline)
-			}
+	for _, pline := range h.Prefetch.Observe(pc, line) {
+		if _, hit := h.L2.probe(pline); !hit {
+			h.L2.fill(pline)
 		}
 	}
 	return done

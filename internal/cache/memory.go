@@ -74,6 +74,16 @@ func (m *Memory) Reset() {
 	m.busFree = 0
 }
 
+// QuiesceTiming clears the bank/bus busy clocks (timing state) while
+// keeping the open-row registers (locality state a warmed run should
+// inherit).
+func (m *Memory) QuiesceTiming() {
+	for i := range m.bankFree {
+		m.bankFree[i] = 0
+	}
+	m.busFree = 0
+}
+
 // Access performs a line-fill read beginning no earlier than cycle now and
 // returns the data-available cycle.
 func (m *Memory) Access(line uint64, now int64) int64 {

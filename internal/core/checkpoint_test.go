@@ -73,71 +73,6 @@ func warmInPieces(mk ConfigFactory, stream isa.Stream, ends []int64) (*pipeline.
 	return nil, fmt.Errorf("no split ends")
 }
 
-// TestRestoreRejectsImpossibleState: a checkpoint whose parallel arrays
-// disagree in length, whose positions lie outside their tables, or
-// whose open fetch block warming could never have left, is refused by
-// Restore with an error. Accepting it would panic later in the run, or
-// keep the previous run's entries where the short array stops.
-func TestRestoreRejectsImpossibleState(t *testing.T) {
-	mk := EOLEBeBoP("Medium", MediumConfig())
-	stream, err := sampleProfile(t, "gcc").Open(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pipeline.New(mk(), stream)
-	if n := p.Warm(4000); n != 4000 {
-		t.Fatalf("warmed %d of 4000 instructions", n)
-	}
-	if ck, err := p.Snapshot(4000); err != nil || len(ck.WarmUOps) == 0 {
-		t.Fatalf("the test needs an open block with µ-ops at instruction 4000 (err %v)", err)
-	}
-	for _, tc := range []struct {
-		name string
-		edit func(ck *pipeline.Checkpoint)
-	}{
-		{"RAS top past the stack", func(ck *pipeline.Checkpoint) { ck.RAS.Top = len(ck.RAS.Stack) + 3 }},
-		{"RAS top negative", func(ck *pipeline.Checkpoint) { ck.RAS.Top = -1 }},
-		{"RAS depth past the stack", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = len(ck.RAS.Stack) + 1 }},
-		{"RAS depth negative", func(ck *pipeline.Checkpoint) { ck.RAS.Depth = -1 }},
-		{"prefetcher last lines short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.LastLine = pf.LastLine[1:] }},
-		{"prefetcher strides short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Stride = pf.Stride[1:] }},
-		{"prefetcher confidences short", func(ck *pipeline.Checkpoint) { pf := ck.Mem.Prefetch; pf.Conf = pf.Conf[1:] }},
-		{"D-VTAGE LVT tags short", func(ck *pipeline.Checkpoint) { ck.VP.LVTTags = ck.VP.LVTTags[1:] }},
-		{"D-VTAGE LVT presence short", func(ck *pipeline.Checkpoint) { ck.VP.LVTHas = ck.VP.LVTHas[1:] }},
-		{"D-VTAGE LVT byte tags short", func(ck *pipeline.Checkpoint) { ck.VP.LVTBtag = ck.VP.LVTBtag[1:] }},
-		{"D-VTAGE VT0 confidences short", func(ck *pipeline.Checkpoint) { ck.VP.VT0Conf = ck.VP.VT0Conf[1:] }},
-		{"D-VTAGE component useful bits short", func(ck *pipeline.Checkpoint) { c := &ck.VP.Comps[0]; c.Useful = c.Useful[1:] }},
-		{"D-VTAGE component confidences short", func(ck *pipeline.Checkpoint) { c := &ck.VP.Comps[0]; c.Conf = c.Conf[1:] }},
-		{"warming µ-ops with no open block", func(ck *pipeline.Checkpoint) { ck.WarmBlockOpen = false }},
-		{"more warming µ-ops than a block holds", func(ck *pipeline.Checkpoint) {
-			for len(ck.WarmUOps) <= isa.FetchBlockSize*isa.MaxUOpsPerInst {
-				ck.WarmUOps = append(ck.WarmUOps, ck.WarmUOps[0])
-			}
-		}},
-		{"warming µ-op outside the open block", func(ck *pipeline.Checkpoint) { ck.WarmUOps[0].PC += isa.FetchBlockSize }},
-	} {
-		ck, err := p.Snapshot(4000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.edit(ck)
-		rec, err := restoreRecovered(mk, ck)
-		switch {
-		case rec != nil:
-			t.Errorf("%s: Restore panicked: %v", tc.name, rec)
-		case err == nil:
-			t.Errorf("%s: restored", tc.name)
-		}
-	}
-	ck, err := p.Snapshot(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := restoreRecovered(mk, ck); err != nil || rec != nil {
-		t.Fatalf("the unbroken checkpoint does not restore: %v %v", err, rec)
-	}
-}
-
 // TestCheckpointsRefuseADetailedProcessor: Snapshot and Restore refuse
 // a processor that has run a detailed cycle since New or Reset, even
 // one that ran to the end of its stream and drained. A checkpoint
@@ -173,11 +108,4 @@ func TestCheckpointsRefuseADetailedProcessor(t *testing.T) {
 			t.Errorf("%s: Restore after Reset: %v", name, err)
 		}
 	}
-}
-
-// restoreRecovered restores ck into a fresh processor of mk's
-// configuration and returns what Restore panicked with, or its error.
-func restoreRecovered(mk ConfigFactory, ck *pipeline.Checkpoint) (rec any, err error) {
-	defer func() { rec = recover() }()
-	return nil, pipeline.New(mk(), nil).Restore(ck)
 }

@@ -15,7 +15,7 @@
 // Points threaded through the simulator:
 //
 //	trace.checkpoint.read   checkpoint side-file open
-//	trace.checkpoint.point  one side-file point's read and decode
+//	trace.checkpoint.point  one side-file point's read
 //	trace.checkpoint.write  checkpoint side-file encode/rename
 //	trace.frame.decode      .bbt frame header/payload decode
 //	engine.worker           engine job execution (inside the recover scope)

@@ -83,6 +83,10 @@ type Processor struct {
 	warmingBlockPC   uint64
 	warmingBlockOpen bool
 	warmingUOps      []WarmUOp
+	// stateLen is the length of the last checkpoint state Snapshot
+	// built: under one configuration the next differs only by the open
+	// block's µ-ops, so it sizes the next state's buffer.
+	stateLen int
 
 	stats Stats
 	// H2P attribution tables (nil unless cfg.CollectH2P); cleared at the

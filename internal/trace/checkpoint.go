@@ -22,7 +22,7 @@ const CheckpointExt = ".ckpt"
 
 // CheckpointFile is the checkpoint side-file for one (trace, processor
 // configuration) pair, held in memory: what BuildCheckpoints produces
-// and WriteCheckpoints stores, and what LoadCheckpoints decodes in full.
+// and WriteCheckpoints stores, and what LoadCheckpoints reads in full.
 // Points hold full microarchitectural snapshots taken during a single
 // continuous functional-warming pass over the trace, sorted by
 // instruction offset. Restoring a point and warming or running detailed
@@ -34,7 +34,7 @@ const CheckpointExt = ".ckpt"
 // side-file is about as large as the state it restores: roughly 540 KB
 // per point for the baseline configuration and 660 KB for
 // EOLE_4_60/Medium. Sampled runs open it as a CheckpointSet instead,
-// which decodes only the points they restore.
+// which reads only the points they restore.
 type CheckpointFile struct {
 	// TraceName and TraceInsts identify the trace the snapshots were
 	// trained on; CheckpointSet.Validate refuses a side-file whose
@@ -83,10 +83,6 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 	if err := cf.check(); err != nil {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
-	fp, err := checkpointLayout()
-	if err != nil {
-		return fmt.Errorf("trace: write checkpoints: %w", err)
-	}
 	if err := faultinject.Fire("trace.checkpoint.write"); err != nil {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
@@ -96,12 +92,7 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	e := ckptEncoder{w: bufio.NewWriterSize(tmp, ckptBufSize)}
-	if err := e.encode(cf, fp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("trace: encode checkpoints: %w", err)
-	}
-	if err := e.w.Flush(); err != nil {
+	if err := encodeCheckpoints(bufio.NewWriterSize(tmp, ckptBufSize), cf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
@@ -115,7 +106,7 @@ func WriteCheckpoints(path string, cf *CheckpointFile) error {
 }
 
 // OpenCheckpoints opens a side-file and reads and checks its header and
-// index; no point is decoded until RestoreNearest restores it.
+// index; no point is read until RestoreNearest restores it.
 // Identity against a particular trace and configuration is the separate
 // Validate step, so callers can report "no checkpoints" and "wrong
 // checkpoints" differently.
@@ -174,30 +165,26 @@ func (s *CheckpointSet) FirstPoint() (inst int64, ok bool) {
 	return s.insts[0], true
 }
 
-// pointScratch is one decode's working memory: the point and the bytes
-// it is read into. RestoreNearest draws them from scratchPool, so a
-// worker restoring interval after interval decodes into tables the
-// previous decode already sized.
-type pointScratch struct {
-	ck  pipeline.Checkpoint
-	buf []byte
-}
+// pointBufs holds the buffers RestoreNearest reads points into, so a
+// worker restoring interval after interval reuses one the previous read
+// already sized.
+var pointBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-var scratchPool = sync.Pool{New: func() any { return new(pointScratch) }}
-
-// RestoreNearest reads and decodes the point with the largest
-// instruction offset ≤ inst, restores it into p and returns that
-// offset; ok is false, and p untouched, when every point lies past
-// inst. No other point is read. Every error wraps ErrBadPoint.
+// RestoreNearest reads the point with the largest instruction offset
+// ≤ inst, restores it into p and returns that offset; ok is false, and
+// p untouched, when every point lies past inst. No other point is read.
+// Every error wraps ErrBadPoint, and after one p must be Reset before it
+// is used again, as after a refused Processor.Restore.
 func (s *CheckpointSet) RestoreNearest(p *pipeline.Processor, inst int64) (at int64, ok bool, err error) {
 	i := sort.Search(len(s.insts), func(i int) bool { return s.insts[i] > inst }) - 1
 	if i < 0 {
 		return 0, false, nil
 	}
-	sc := scratchPool.Get().(*pointScratch)
-	defer scratchPool.Put(sc)
-	if sc.buf, err = s.decodePoint(i, &sc.ck, sc.buf); err == nil {
-		err = p.Restore(&sc.ck)
+	buf := pointBufs.Get().(*[]byte)
+	defer pointBufs.Put(buf)
+	state, err := s.readPoint(i, buf)
+	if err == nil {
+		err = p.Restore(&pipeline.Checkpoint{InstOffset: s.insts[i], ConfigName: s.configName, State: state})
 	}
 	if err != nil {
 		return 0, false, s.pointErr(i, err)
@@ -209,19 +196,20 @@ func (s *CheckpointSet) pointErr(i int, err error) error {
 	return fmt.Errorf("trace: %s: point %d: %w: %w", s.path, i, ErrBadPoint, err)
 }
 
-// LoadCheckpoints opens a side-file and decodes every point, through the
-// decoder RestoreNearest uses for one.
+// LoadCheckpoints opens a side-file and reads every point, through the
+// reader RestoreNearest uses for one.
 func LoadCheckpoints(path string) (*CheckpointFile, error) {
 	s, err := OpenCheckpoints(path)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	return s.decodeAll()
+	return s.readAll()
 }
 
-// decodeAll decodes every point of the set into a CheckpointFile.
-func (s *CheckpointSet) decodeAll() (*CheckpointFile, error) {
+// readAll reads every point of the set into a CheckpointFile, each
+// point's state copied out of the read buffer.
+func (s *CheckpointSet) readAll() (*CheckpointFile, error) {
 	cf := &CheckpointFile{
 		TraceName:  s.traceName,
 		TraceInsts: s.traceInsts,
@@ -230,18 +218,19 @@ func (s *CheckpointSet) decodeAll() (*CheckpointFile, error) {
 	}
 	var buf []byte
 	for i := range cf.Points {
-		ck := new(pipeline.Checkpoint)
-		var err error
-		if buf, err = s.decodePoint(i, ck, buf); err != nil {
+		state, err := s.readPoint(i, &buf)
+		if err != nil {
 			return nil, s.pointErr(i, err)
 		}
-		cf.Points[i] = ck
+		cf.Points[i] = &pipeline.Checkpoint{
+			InstOffset: s.insts[i], ConfigName: s.configName, State: append([]byte(nil), state...),
+		}
 	}
 	return cf, nil
 }
 
 // check enforces the structural invariants WriteCheckpoints guarantees
-// and OpenCheckpoints and the point decoder check again.
+// and OpenCheckpoints and the point reader check again.
 func (cf *CheckpointFile) check() error {
 	if cf.ConfigName == "" || cf.TraceName == "" {
 		return fmt.Errorf("checkpoint file missing trace or config identity")

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -62,7 +61,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("%s: loaded %d points, wrote %d", name, len(cf.Points), len(points))
 		}
 		for i, want := range points {
-			nilEmptySlices(reflect.ValueOf(want).Elem())
 			if !reflect.DeepEqual(want, cf.Points[i]) {
 				t.Errorf("%s: point %d (instruction %d) differs after the round trip", name, i, want.InstOffset)
 			}
@@ -70,135 +68,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// nilEmptySlices replaces every empty slice reachable from v with nil:
-// the side-file stores only a length, and an empty slice loads as nil.
-func nilEmptySlices(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Slice:
-		if v.Len() == 0 {
-			v.SetZero()
-		}
-		for i := range v.Len() {
-			nilEmptySlices(v.Index(i))
-		}
-	case reflect.Array:
-		for i := range v.Len() {
-			nilEmptySlices(v.Index(i))
-		}
-	case reflect.Struct:
-		for i := range v.NumField() {
-			nilEmptySlices(v.Field(i))
-		}
-	case reflect.Pointer:
-		if !v.IsNil() {
-			nilEmptySlices(v.Elem())
-		}
-	}
-}
-
-// fillDistinct sets everything reachable from v to non-zero values that
-// differ from one another (bools are simply true): integers get every
-// byte set, signed ones often negative, and each slice three elements.
-// It fails the test on an unexported field or a kind the side-file
-// cannot carry, so a new snapshot field the codec would refuse fails
-// here, not in a user's run.
-func fillDistinct(t testing.TB, v reflect.Value, at string, next *uint64) {
-	t.Helper()
-	switch v.Kind() {
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		*next++
-		v.SetInt(int64(*next*0x9E3779B97F4A7C15)>>(64-v.Type().Bits()) | 1)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		*next++
-		v.SetUint(*next*0x9E3779B97F4A7C15>>(64-v.Type().Bits()) | 1)
-	case reflect.String:
-		*next++
-		v.SetString(fmt.Sprintf("%s#%d", at, *next))
-	case reflect.Array:
-		for i := range v.Len() {
-			fillDistinct(t, v.Index(i), fmt.Sprintf("%s[%d]", at, i), next)
-		}
-	case reflect.Slice:
-		v.Set(reflect.MakeSlice(v.Type(), 3, 3))
-		for i := range v.Len() {
-			fillDistinct(t, v.Index(i), fmt.Sprintf("%s[%d]", at, i), next)
-		}
-	case reflect.Struct:
-		for i := range v.NumField() {
-			f := v.Type().Field(i)
-			if !f.IsExported() {
-				t.Fatalf("%s.%s is unexported: the side-file codec cannot carry it", at, f.Name)
-			}
-			fillDistinct(t, v.Field(i), at+"."+f.Name, next)
-		}
-	case reflect.Pointer:
-		v.Set(reflect.New(v.Type().Elem()))
-		fillDistinct(t, v.Elem(), at, next)
-	default:
-		t.Fatalf("%s has kind %s, which the side-file codec cannot carry", at, v.Kind())
-	}
-}
-
-// filledFile is a valid side-file whose first point has every field set
-// by fillDistinct, and whose second point has every pointer and slice
-// absent.
+// filledFile is a valid side-file of two points: the first carries a
+// few bytes of state, the second none. The container does not read the
+// state, so any bytes do.
 func filledFile(t testing.TB) *CheckpointFile {
 	t.Helper()
-	var next uint64
-	full := new(pipeline.Checkpoint)
-	fillDistinct(t, reflect.ValueOf(full).Elem(), "Checkpoint", &next)
-	full.InstOffset, full.ConfigName = 1, "cfg"
-	sparse := &pipeline.Checkpoint{InstOffset: 2, ConfigName: "cfg"}
-	return &CheckpointFile{TraceName: "trace", TraceInsts: 10, ConfigName: "cfg",
-		Points: []*pipeline.Checkpoint{full, sparse}}
+	return &CheckpointFile{TraceName: "trace", TraceInsts: 10, ConfigName: "cfg", Points: []*pipeline.Checkpoint{
+		{InstOffset: 1, ConfigName: "cfg", State: []byte("state")},
+		{InstOffset: 2, ConfigName: "cfg"},
+	}}
 }
 
 // encodeFile is the side-file bytes WriteCheckpoints would write for cf.
 func encodeFile(t testing.TB, cf *CheckpointFile) []byte {
 	t.Helper()
-	fp, err := checkpointLayout()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	e := ckptEncoder{w: bufio.NewWriter(&buf)}
-	if err := e.encode(cf, fp); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.w.Flush(); err != nil {
+	if err := encodeCheckpoints(bufio.NewWriter(&buf), cf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// readCheckpoints decodes a whole side-file of size bytes from r, as
+// readCheckpoints reads a whole side-file of size bytes from r, as
 // LoadCheckpoints does from a file.
 func readCheckpoints(r io.ReaderAt, size int64) (*CheckpointFile, error) {
 	s, err := readCheckpointSet(r, size)
 	if err != nil {
 		return nil, err
 	}
-	return s.decodeAll()
-}
-
-// TestCheckpointCodecCompleteness fills every exported field of
-// pipeline.Checkpoint, the value predictor snapshot included, and
-// requires an exact round trip through the side-file.
-func TestCheckpointCodecCompleteness(t *testing.T) {
-	cf := filledFile(t)
-	path := filepath.Join(t.TempDir(), "filled"+CheckpointExt)
-	if err := WriteCheckpoints(path, cf); err != nil {
-		t.Fatalf("WriteCheckpoints: %v", err)
-	}
-	got, err := LoadCheckpoints(path)
-	if err != nil {
-		t.Fatalf("LoadCheckpoints: %v", err)
-	}
-	if !reflect.DeepEqual(cf, got) {
-		t.Errorf("filled side-file does not round-trip:\nwrote %+v\nread  %+v", cf.Points[0], got.Points[0])
-	}
+	return s.readAll()
 }
 
 // TestSideFileIsReadableByAll: a side-file gets the trace's mode, not
@@ -218,61 +116,24 @@ func TestSideFileIsReadableByAll(t *testing.T) {
 	}
 }
 
-// TestCheckpointLayoutRefusesWhatItCannotEncode: the layout walk, which
-// both directions run before touching a file, names the offending field.
-func TestCheckpointLayoutRefusesWhatItCannotEncode(t *testing.T) {
-	type node struct{ Next *node }
-	for _, tc := range []struct {
-		name string
-		typ  reflect.Type
-	}{
-		{"unexported field", reflect.TypeFor[struct{ A, b int }]()},
-		{"float", reflect.TypeFor[struct{ F float64 }]()},
-		{"map", reflect.TypeFor[struct{ M map[int]int }]()},
-		{"interface with methods", reflect.TypeFor[struct{ E error }]()},
-		{"empty interface", reflect.TypeFor[struct{ A any }]()},
-		{"recursive struct", reflect.TypeFor[node]()},
-	} {
-		if err := describeLayout(new(bytes.Buffer), tc.typ, nil); err == nil {
-			t.Errorf("%s: layout accepted", tc.name)
-		}
-	}
-	if _, err := checkpointLayout(); err != nil {
-		t.Fatalf("pipeline.Checkpoint layout refused: %v", err)
-	}
-}
-
-// TestLoadCheckpointsRejects: every way a side-file can be wrong fails
-// the load with an error, so sim rebuilds the file.
+// TestLoadCheckpointsRejects: every way a side-file's container can be
+// wrong fails the load with an error, so sim rebuilds the file. What a
+// point's state may hold is Restore's to check.
 func TestLoadCheckpointsRejects(t *testing.T) {
 	valid := encodeFile(t, filledFile(t))
-
-	// The VP snapshot's presence byte is the first byte where the file
-	// with the snapshot and the file without it differ; a bool is found
-	// the same way.
-	firstDiff := func(edit func(*pipeline.Checkpoint)) int {
-		cf := filledFile(t)
-		edit(cf.Points[0])
-		at := 0
-		for other := encodeFile(t, cf); valid[at] == other[at]; at++ {
+	fixture := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return at
+		return b
 	}
-	presentAt := firstDiff(func(ck *pipeline.Checkpoint) { ck.VP = nil })
-	boolAt := firstDiff(func(ck *pipeline.Checkpoint) { ck.BTB.Valid[0] = false })
-
-	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v2.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header offsets: magic 0, version 4, fingerprint 6, trace-name
-	// length 14; with filledFile's identity the point count is at 46.
-	// The last 8 bytes locate the index, whose entry i holds point i's
-	// instruction offset and then its byte offset.
+	// Header offsets: magic 0, version 4, trace-name length 6; with
+	// filledFile's identity the point count is at 38. The last 8 bytes
+	// locate the index, whose entry i holds point i's instruction offset
+	// and then its byte offset. A point is its instruction offset, its
+	// config name's length at 8 and bytes at 16, and its state's length
+	// at 19.
 	patch := func(at int, b ...byte) []byte {
 		out := append([]byte(nil), valid...)
 		copy(out[at:], b)
@@ -283,20 +144,18 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 	entry := func(i, field int) uint64 {
 		return binary.LittleEndian.Uint64(valid[index+16*i+8*field:])
 	}
+	point0 := int(entry(0, 1))
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"gob v1", v1},
-		{"v2", v2},
+		{"v2", fixture("checkpoint-v2.ckpt")},
+		{"v3", fixture("checkpoint-v3.ckpt")},
 		{"bad magic", patch(0, 'X')},
 		{"bad version", patch(4, 1, 0)},
-		{"bad fingerprint", patch(6, valid[6]^0xFF)},
-		{"presence byte other than 0 or 1", patch(presentAt, 2)},
-		{"bool byte other than 0 or 1", patch(boolAt, 2)},
-		{"name longer than the file", patch(14, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)},
-		{"more points than the file holds", patch(46, 0, 0, 0, 0, 0, 1)},
+		{"name longer than the file", patch(6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)},
+		{"more points than the file holds", patch(38, 0, 0, 0, 0, 0, 1)},
 		{"truncated", valid[:len(valid)-1]},
 		{"truncated header", valid[:5]},
 		{"empty", nil},
@@ -306,6 +165,9 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 		{"point instruction disagrees with the index", patch(index, le(entry(0, 0)+1)...)},
 		{"point starts inside the previous one", patch(index+16+8, le(entry(1, 1)-1)...)},
 		{"header runs into the first point", patch(index+8, le(entry(0, 1)+1)...)},
+		{"point under another config", patch(point0+16, 'x')},
+		{"state longer than its point", patch(point0+19, 0xFF)},
+		{"state shorter than its point", patch(point0+19, 1)},
 	} {
 		path := filepath.Join(dir, tc.name+CheckpointExt)
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
@@ -320,8 +182,8 @@ func TestLoadCheckpointsRejects(t *testing.T) {
 	}
 	// An older format is refused when the file is opened, before any
 	// point is read.
-	if _, err := OpenCheckpoints(filepath.Join(dir, "v2"+CheckpointExt)); err == nil {
-		t.Error("opening a v2 side-file succeeded")
+	if _, err := OpenCheckpoints(filepath.Join(dir, "v3"+CheckpointExt)); err == nil {
+		t.Error("opening a v3 side-file succeeded")
 	}
 }
 
@@ -528,38 +390,43 @@ func TestRunSampledOverOneSetAnyParallelism(t *testing.T) {
 
 // FuzzLoadCheckpoints: arbitrary bytes give an error or a valid side-file
 // that re-encodes to the same bytes — never a panic, and never an
-// allocation beyond a small multiple of the input (an empty slice is 8
-// bytes on disk and a 24-byte header in memory). Every accepted point
-// is then restored into a baseline processor, which runs 1K
-// instructions: Restore refuses what the tables could never hold, so
-// the result is an error or a clean run, never a panic. Run with
+// allocation beyond a small multiple of the input. Every accepted point
+// is then restored into a Baseline_6_60 and an EOLE_4_60/Medium
+// processor, and one that restores runs 1K instructions: Restore refuses
+// what the tables could never hold, so each gives an error or a clean
+// run, never a panic. Run with
 // `go test -run '^$' -fuzz FuzzLoadCheckpoints ./internal/trace`.
 func FuzzLoadCheckpoints(f *testing.F) {
 	valid := encodeFile(f, filledFile(f))
-	for _, cut := range []int{0, 4, 14, 30, len(valid) / 2, len(valid) - 1} {
+	for _, cut := range []int{0, 4, 6, 30, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:cut])
 	}
 	f.Add(valid)
-	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.ckpt"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"checkpoint-v2.ckpt", "checkpoint-v3.ckpt"} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	f.Add(v1)
-	// A real point: a baseline warming pass over a recorded trace.
+	// Real points: warming passes over a recorded trace.
 	path := filepath.Join(f.TempDir(), "gcc"+Ext)
 	if err := os.WriteFile(path, mkTrace(f, 2_000, WriterOptions{}), 0o644); err != nil {
 		f.Fatal(err)
 	}
-	mk := core.Baseline()
-	points, name, err := core.BuildCheckpoints(NewFileSource(path), mk, 1_000, 2_000)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(encodeFile(f, &CheckpointFile{TraceName: "gcc", TraceInsts: 2_000, ConfigName: name, Points: points}))
-	if _, err := checkpointLayout(); err != nil { // computed once, outside the measurement
-		f.Fatal(err)
+	mks := []core.ConfigFactory{core.Baseline(), core.EOLEBeBoP("Medium", core.MediumConfig())}
+	for _, mk := range mks {
+		points, name, err := core.BuildCheckpoints(NewFileSource(path), mk, 1_000, 2_000)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeFile(f, &CheckpointFile{TraceName: "gcc", TraceInsts: 2_000, ConfigName: name, Points: points}))
 	}
 	gcc, _ := workload.ProfileByName("gcc")
+	procs := make([]*pipeline.Processor, len(mks))
+	for i, mk := range mks {
+		procs[i] = pipeline.New(mk(), nil)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -576,9 +443,14 @@ func FuzzLoadCheckpoints(f *testing.F) {
 			t.Fatalf("accepted %d bytes re-encode to %d different ones", len(data), len(again))
 		}
 		for _, ck := range cf.Points {
-			p := pipeline.New(mk(), workload.New(gcc, 1_000))
-			if p.Restore(ck) == nil {
-				p.RunWarm(0, 1_000_000) // the cycle cap bounds whatever state a fuzzed point restores
+			for i, p := range procs {
+				cfg := mks[i]()
+				ck := *ck
+				ck.ConfigName = cfg.Name // reach the state, whatever config the bytes name
+				p.Reset(cfg, workload.New(gcc, 1_000))
+				if p.Restore(&ck) == nil {
+					p.RunWarm(0, 1_000_000) // the cycle cap bounds whatever state a fuzzed point restores
+				}
 			}
 		}
 	})

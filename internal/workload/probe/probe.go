@@ -7,8 +7,8 @@
 // BeBoP's NPred — and is built so that the measured accuracy curve has
 // a cliff exactly where the configured geometry says it must. The
 // geometry oracle suite (internal/integration) turns those cliffs into
-// executable assertions; probe.Sweep (internal/experiments) renders
-// them as accuracy-vs-pressure curves.
+// executable assertions; experiments.Runner.ProbeSweep and ProbeCurves
+// (bebop-sweep -exp probe) render them as accuracy-vs-pressure curves.
 //
 // Probe streams are deterministic and seed-stable: a probe source is
 // fully identified by its name "probe/<family>/<pressure>", successive

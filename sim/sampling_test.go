@@ -124,9 +124,11 @@ func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
 		t.Errorf("checkpoint reuse changes the report:\n%+v\n%+v", rep1, rep2)
 	}
 
-	// A side-file in the old gob format, or one cut short, is rebuilt
+	// A side-file in an older format, or one cut short, is rebuilt
 	// once: counted as rebuilt and never as reused, rewritten in the
 	// current format, and the run reports what the fresh build reported.
+	// A current file stamped with the previous version stands for one an
+	// older warming built: the version alone refuses it.
 	fresh, err := os.ReadFile(ckPath)
 	if err != nil {
 		t.Fatal(err)
@@ -135,20 +137,22 @@ func TestSampledCheckpointSideFileLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := os.ReadFile(filepath.Join("..", "internal", "trace", "testdata", "checkpoint-v1.ckpt"))
-	if err != nil {
-		t.Fatal(err)
+	fixture := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("..", "internal", "trace", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	v2, err := os.ReadFile(filepath.Join("..", "internal", "trace", "testdata", "checkpoint-v2.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := append([]byte(nil), fresh...)
+	stale[4]-- // the header's version, after the magic
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"gob v1", v1},
-		{"v2", v2},
+		{"v2", fixture("checkpoint-v2.ckpt")},
+		{"v3", fixture("checkpoint-v3.ckpt")},
+		{"previous version", stale},
 		{"truncated", fresh[:len(fresh)/2]},
 	} {
 		if err := os.WriteFile(ckPath, tc.data, 0o644); err != nil {

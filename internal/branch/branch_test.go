@@ -98,7 +98,7 @@ func TestTAGELearnsBiasedBranch(t *testing.T) {
 		if p.Taken != taken {
 			misses++
 		}
-		tg.Update(pc, &h, &p, taken)
+		tg.Update(&p, taken)
 		h.Push(taken, pc+2)
 	}
 	// After warmup the always-taken branch must be near-perfect.
@@ -118,7 +118,7 @@ func TestTAGELearnsPeriodicPattern(t *testing.T) {
 		if i > 15000 && p.Taken != taken {
 			lateMisses++
 		}
-		tg.Update(pc, &h, &p, taken)
+		tg.Update(&p, taken)
 		h.Push(taken, pc+2)
 	}
 	if lateMisses > 500 {
@@ -139,7 +139,7 @@ func TestTAGERandomBranchMispredicts(t *testing.T) {
 		if p.Taken != taken {
 			misses++
 		}
-		tg.Update(pc, &h, &p, taken)
+		tg.Update(&p, taken)
 		h.Push(taken, pc+2)
 	}
 	if float64(misses)/n < 0.3 {
@@ -264,10 +264,10 @@ func TestTAGEDistinctPCsIndependent(t *testing.T) {
 	pcA := uint64(0x1000)
 	for i := 0; i < 500; i++ {
 		p := tg.Predict(pcA, &h)
-		tg.Update(pcA, &h, &p, true)
+		tg.Update(&p, true)
 		h.Push(true, pcA)
 	}
 	// No crash and the predictor still functions for a new PC.
 	p := tg.Predict(0x2000, &h)
-	tg.Update(0x2000, &h, &p, false)
+	tg.Update(&p, false)
 }

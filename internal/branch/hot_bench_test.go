@@ -96,7 +96,7 @@ func BenchmarkTAGEPredictUpdate(b *testing.B) {
 		if p.Taken != taken {
 			benchSink++
 		}
-		t.Update(pc, h, &p, taken)
+		t.Update(&p, taken)
 		h.Push(taken, pc+4)
 	}
 }

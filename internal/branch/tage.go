@@ -222,9 +222,10 @@ func (t *TAGE) Predict(pc uint64, h *History) Prediction {
 	return p
 }
 
-// Update trains the predictor with the architectural outcome. It must be
-// called with the same history the prediction used.
-func (t *TAGE) Update(pc uint64, h *History, p *Prediction, taken bool) {
+// Update trains the predictor with the architectural outcome of the
+// branch p predicted. p carries every index and tag the prediction
+// read, so training needs neither the PC nor the history.
+func (t *TAGE) Update(p *Prediction, taken bool) {
 	// useAltOnNA bookkeeping.
 	if p.provider >= 0 && p.provNew {
 		provTaken := t.comps[p.provider].ctr[p.provIdx] >= 0

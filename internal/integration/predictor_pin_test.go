@@ -174,7 +174,7 @@ func pinTAGE() string {
 		st := s.next()
 		p := t.Predict(st.brPC, &s.hist)
 		ph.add(true, true, b2u(p.Taken), b2u(st.taken))
-		t.Update(st.brPC, &s.hist, &p, st.taken)
+		t.Update(&p, st.taken)
 		s.advance(st)
 	}
 	return ph.line("TAGE")

@@ -90,7 +90,7 @@ func (p *Processor) retireInstControl(di *dynInst) {
 					p.h2pBr.bump(in.PC)
 				}
 			}
-			p.tage.Update(in.PC, &p.hist, &di.brPred, in.Taken)
+			p.tage.Update(&di.brPred, in.Taken)
 		}
 	} else if di.uops[len(di.uops)-1].BrMispredicted {
 		p.stats.BrMispredicts++

@@ -137,7 +137,7 @@ func (p *Processor) warmInst(in *isa.Inst, vpw VPWarmer) {
 	switch {
 	case in.Kind == isa.BranchCond:
 		pr := p.tage.Predict(in.PC, &p.hist)
-		p.tage.Update(in.PC, &p.hist, &pr, in.Taken)
+		p.tage.Update(&pr, in.Taken)
 		p.hist.Push(in.Taken, in.Target)
 	case in.Kind != isa.BranchNone && in.Taken:
 		p.hist.Push(true, in.Target)

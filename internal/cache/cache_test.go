@@ -208,6 +208,24 @@ func TestPrefetchInstallsIntoL2(t *testing.T) {
 	}
 }
 
+func TestMemoryPanicsOnBadGeometry(t *testing.T) {
+	for _, edit := range []func(*MemConfig){
+		func(c *MemConfig) { c.RowBytes = 6000 },
+		func(c *MemConfig) { c.Banks = 12 },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a row size or bank count that is not a power of two must panic")
+				}
+			}()
+			cfg := DefaultMemConfig()
+			edit(&cfg)
+			NewMemory(cfg)
+		}()
+	}
+}
+
 func TestMemoryRowBufferLocality(t *testing.T) {
 	m := NewMemory(DefaultMemConfig())
 	line := uint64(0x100000 >> 6)

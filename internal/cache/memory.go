@@ -38,26 +38,24 @@ type Memory struct {
 	//bebop:nosnap bus busy clock; Warm quiesces it and checkpoints need a processor that has run no detailed cycle, so it is zero
 	busFree int64
 
-	// rowShift/bankMask strength-reduce the per-access row and bank
-	// derivation when RowBytes and Banks are powers of two (they are in
-	// every Table I-shaped config); -1/0 fall back to divide/modulo.
+	// rowShift/bankMask derive an access's row and bank: RowBytes and
+	// Banks are powers of two.
 	rowShift int
 	bankMask uint64
 }
 
-// NewMemory builds the DRAM model.
+// NewMemory builds the DRAM model. RowBytes and Banks must be powers of
+// two.
 func NewMemory(cfg MemConfig) *Memory {
+	if !util.IsPowerOfTwo(cfg.RowBytes) || !util.IsPowerOfTwo(cfg.Banks) {
+		panic("cache: memory row size and bank count must be powers of two")
+	}
 	m := &Memory{
 		cfg:      cfg,
 		bankFree: make([]int64, cfg.Banks),
 		openRow:  make([]uint64, cfg.Banks),
-		rowShift: -1,
-	}
-	if util.IsPowerOfTwo(cfg.RowBytes) {
-		m.rowShift = util.Log2(cfg.RowBytes)
-	}
-	if util.IsPowerOfTwo(cfg.Banks) {
-		m.bankMask = uint64(cfg.Banks - 1)
+		rowShift: util.Log2(cfg.RowBytes),
+		bankMask: uint64(cfg.Banks - 1),
 	}
 	for i := range m.openRow {
 		m.openRow[i] = ^uint64(0)
@@ -87,19 +85,8 @@ func (m *Memory) QuiesceTiming() {
 // Access performs a line-fill read beginning no earlier than cycle now and
 // returns the data-available cycle.
 func (m *Memory) Access(line uint64, now int64) int64 {
-	addr := line << lineShift
-	var row uint64
-	if m.rowShift >= 0 {
-		row = addr >> m.rowShift
-	} else {
-		row = addr / uint64(m.cfg.RowBytes)
-	}
-	var bank int
-	if m.bankMask != 0 {
-		bank = int(util.Mix64(row) & m.bankMask)
-	} else {
-		bank = int(util.Mix64(row) % uint64(m.cfg.Banks))
-	}
+	row := line << lineShift >> m.rowShift
+	bank := int(util.Mix64(row) & m.bankMask)
 
 	start := now
 	if m.bankFree[bank] > start {

@@ -11,7 +11,9 @@ func (p *Processor) flushFrom(keepSeq uint64) {
 	p.closeBlock()
 
 	// Collect squashed instructions oldest-first for refetch, into the
-	// reusable scratch buffer.
+	// reusable scratch buffer. The ROB tail and then the decode queue
+	// append to it in program order, so an instruction whose µ-ops span
+	// both is a repeat of the last element, which markInst skips.
 	squashedInsts := p.squashScratch[:0]
 	markInst := func(u *UOp) {
 		di := u.inst
@@ -65,19 +67,6 @@ func (p *Processor) flushFrom(keepSeq uint64) {
 	keep := func(u *UOp) bool { return u.Seq <= keepSeq }
 	p.lq.Filter(keep)
 	p.sq.Filter(keep)
-
-	// squashedInsts currently holds ROB-order then feQ-order instructions;
-	// both are oldest-first, and feQ instructions are younger than ROB
-	// ones, so the concatenation is already oldest-first. Deduplicate
-	// against instructions partially in both (an instruction split across
-	// dispatch never is: µ-ops dispatch in order, but guard anyway).
-	dedup := squashedInsts[:0]
-	for _, di := range squashedInsts {
-		if len(dedup) == 0 || dedup[len(dedup)-1] != di {
-			dedup = append(dedup, di)
-		}
-	}
-	squashedInsts = dedup
 
 	// Repair the global history: restore the snapshot taken before the
 	// oldest squashed branch pushed its outcome.

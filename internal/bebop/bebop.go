@@ -98,10 +98,6 @@ func New(cfg Config) *BlockVP {
 // Name implements pipeline.VP.
 func (b *BlockVP) Name() string { return "BeBoP-D-VTAGE" }
 
-// RegisterFolds forwards fold registration to the D-VTAGE components, so
-// the per-block predictor access reads O(1) folded-history registers.
-func (b *BlockVP) RegisterFolds(h *branch.History) { b.dvt.RegisterFolds(h) }
-
 // StorageBits implements pipeline.VP.
 func (b *BlockVP) StorageBits() int { return b.dvt.StorageBits() }
 

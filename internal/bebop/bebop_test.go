@@ -14,8 +14,7 @@ func testConfig(winSize int, pol specwindow.Policy) Config {
 	return Config{
 		Predictor: predictor.DVTAGEConfig{
 			NPred: 6, BaseEntries: 256, LVTTagBits: 5,
-			TaggedEntries: 128, NumComps: 6,
-			HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
+			TaggedEntries: 128, HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
 			StrideBits: 64, FPCProbs: predictor.DefaultFPCProbs(), Seed: 0x77,
 		},
 		WindowSize:    winSize,

@@ -3,18 +3,17 @@ package branch
 import "bebop/internal/util"
 
 // BTB is a set-associative branch target buffer (Table I: 2-way, 8K-entry).
+// Its entries are stored struct-of-arrays, way-major within a set: entry
+// i is valid[i], tag[i], target[i] and lastUse[i], so the checkpoint
+// state is four slice appends.
 type BTB struct {
 	ways    int
 	sets    int
-	entries []btbEntry // sets*ways, way-major within a set
+	valid   []bool
+	tag     []uint64
+	target  []uint64
+	lastUse []uint64
 	clock   uint64
-}
-
-type btbEntry struct {
-	valid   bool
-	tag     uint64
-	target  uint64
-	lastUse uint64
 }
 
 // NewBTB builds a BTB with the given total entry count and associativity.
@@ -26,15 +25,19 @@ func NewBTB(totalEntries, ways int) *BTB {
 	return &BTB{
 		ways:    ways,
 		sets:    sets,
-		entries: make([]btbEntry, totalEntries),
+		valid:   make([]bool, totalEntries),
+		tag:     make([]uint64, totalEntries),
+		target:  make([]uint64, totalEntries),
+		lastUse: make([]uint64, totalEntries),
 	}
 }
 
-// Reset clears the BTB in place, reusing the entry array.
+// Reset clears the BTB in place, reusing the entry arrays.
 func (b *BTB) Reset() {
-	for i := range b.entries {
-		b.entries[i] = btbEntry{}
-	}
+	clear(b.valid)
+	clear(b.tag)
+	clear(b.target)
+	clear(b.lastUse)
 	b.clock = 0
 }
 
@@ -49,11 +52,10 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	b.clock++
 	set, tag := b.set(pc)
 	base := set * b.ways
-	for w := 0; w < b.ways; w++ {
-		e := &b.entries[base+w]
-		if e.valid && e.tag == tag {
-			e.lastUse = b.clock
-			return e.target, true
+	for i := base; i < base+b.ways; i++ {
+		if b.valid[i] && b.tag[i] == tag {
+			b.lastUse[i] = b.clock
+			return b.target[i], true
 		}
 	}
 	return 0, false
@@ -65,22 +67,21 @@ func (b *BTB) Insert(pc, target uint64) {
 	set, tag := b.set(pc)
 	base := set * b.ways
 	victim := base
-	for w := 0; w < b.ways; w++ {
-		e := &b.entries[base+w]
-		if e.valid && e.tag == tag {
-			e.target = target
-			e.lastUse = b.clock
+	for i := base; i < base+b.ways; i++ {
+		if b.valid[i] && b.tag[i] == tag {
+			b.target[i] = target
+			b.lastUse[i] = b.clock
 			return
 		}
-		if !e.valid {
-			victim = base + w
+		if !b.valid[i] {
+			victim = i
 			break
 		}
-		if e.lastUse < b.entries[victim].lastUse {
-			victim = base + w
+		if b.lastUse[i] < b.lastUse[victim] {
+			victim = i
 		}
 	}
-	b.entries[victim] = btbEntry{valid: true, tag: tag, target: target, lastUse: b.clock}
+	b.valid[victim], b.tag[victim], b.target[victim], b.lastUse[victim] = true, tag, target, b.clock
 }
 
 // RAS is a return address stack (Table I: 32 entries) with wrap-around

@@ -6,10 +6,10 @@ package branch
 // in hardware: each component keeps a circular-shift register (CSR) holding
 // the folded image of its history window, updated in O(1) when a branch
 // outcome shifts in (Seznec's TAGE, and the gem5 VTAGE infrastructure).
-// This file is the simulator-side equivalent: consumers register their
-// (histLen, width) fold pairs once, History.Push updates every register
-// with a rotate plus a handful of single-bit corrections, and
-// History.Fold becomes a register read.
+// This file is the simulator-side equivalent: the first History.Fold of a
+// (histLen, width) pair creates its register, History.Push updates every
+// register with a rotate plus a handful of single-bit corrections, and
+// every later Fold of the pair is a register read.
 //
 // The registers reproduce History.foldSlow bit for bit. foldSlow folds
 // each 64-bit history word separately and rotates the accumulator left by
@@ -27,8 +27,8 @@ package branch
 // (carry = bit entering the slice, leaving = bit falling off its end)
 // lifts through the per-word rotations: the whole register updates as one
 // rotate-left plus XORs of the inserted bit and the bits crossing word or
-// window boundaries, all of whose positions are fixed at registration
-// time. Because word-boundary carries are exactly the bits leaving the
+// window boundaries, all of whose positions are fixed when the register
+// is created. Because word-boundary carries are exactly the bits leaving the
 // previous word, each boundary contributes a precomputed two-bit XOR mask
 // gated on that bit of the pre-push history.
 //
@@ -38,7 +38,7 @@ package branch
 // restored bit vector, which keeps snapshots small and makes the
 // invariant value == foldSlow(n, width) impossible to desynchronize.
 
-// maxFoldWidth is the widest registrable fold. Index and tag widths are
+// maxFoldWidth is the widest fold with a register. Index and tag widths are
 // at most ~20 bits in any configuration; 63 keeps every shift in push()
 // well-defined.
 const maxFoldWidth = 63
@@ -99,7 +99,7 @@ func (r *foldedReg) push(dir *[MaxHistoryBits / 64]uint64, b uint64) {
 }
 
 // foldedSet is a History's register file. key[n][width] holds id+1 of the
-// register for that pair (0 = unregistered), so the zero value needs no
+// register for that pair (0 = none yet), so the zero value needs no
 // initialization and Fold's lookup is two array reads.
 type foldedSet struct {
 	regs []foldedReg
@@ -121,9 +121,9 @@ func (fs *foldedSet) zero() {
 	}
 }
 
-// clear drops every registration, reusing the regs backing array (the
-// key entries of registered pairs are un-marked individually, so the
-// 32KB key table is not re-zeroed wholesale).
+// clear drops every register, reusing the regs backing array (the key
+// entries of their pairs are un-marked individually, so the 32KB key
+// table is not re-zeroed wholesale).
 func (fs *foldedSet) clear() {
 	for i := range fs.regs {
 		r := &fs.regs[i]
@@ -133,9 +133,10 @@ func (fs *foldedSet) clear() {
 }
 
 // EnableFolds attaches an (empty) incremental folded-register file to the
-// history. Consumers then declare their fold pairs with RegisterFold.
-// A History without folds enabled — the zero value — computes every Fold
-// from scratch, which is the reference behavior the registers must match.
+// history: from then on, the first Fold of each (n, width) pair creates
+// its register. A History without folds enabled — the zero value —
+// computes every Fold from scratch, which is the reference behavior the
+// registers must match.
 func (h *History) EnableFolds() {
 	if h.folds == nil {
 		h.folds = &foldedSet{}
@@ -147,38 +148,30 @@ func (h *History) EnableFolds() {
 // incremental path against the original implementation.
 func (h *History) DisableFolds() { h.folds = nil }
 
-// ClearFolds drops every registered fold pair while keeping the register
-// file (and its allocations) attached. Processor.Reset calls this before
-// the new configuration's consumers re-register, so a pooled processor
-// recycled across configurations does not accumulate — and pay Push cost
-// for — registers belonging to predictors it no longer runs.
+// ClearFolds drops every register while keeping the register file (and
+// its allocations) attached. Processor.Reset calls this, so a pooled
+// processor recycled across configurations carries — and pays Push
+// cost for — only the registers its current predictors fold.
 func (h *History) ClearFolds() {
 	if h.folds != nil {
 		h.folds.clear()
 	}
 }
 
-// RegisterFold declares that some consumer folds the most recent n bits
-// of history to width bits, creating (or reusing) the incremental
-// register for the pair. Registration is idempotent; pairs outside the
-// supported range are ignored and served by the reference path. The new
-// register is initialized from the current history contents.
-func (h *History) RegisterFold(n, width int) {
+// addFold creates the register for a pair Fold has not read since the
+// register file was enabled or cleared, initialized from the current
+// history, and returns its value. Callers guarantee
+// 1 <= n <= MaxHistoryBits and 1 <= width <= maxFoldWidth.
+func (h *History) addFold(n, width int) uint64 {
 	fs := h.folds
-	if fs == nil || n <= 0 || n > MaxHistoryBits || width <= 0 || width > maxFoldWidth {
-		return
-	}
-	if fs.key[n][width] != 0 {
-		return
-	}
 	r := makeFoldedReg(n, width)
 	r.value = h.foldSlow(n, width)
 	fs.regs = append(fs.regs, r)
 	fs.key[n][width] = int16(len(fs.regs))
+	return r.value
 }
 
-// FoldRegisters returns the number of registered fold pairs (stats,
-// tests).
+// FoldRegisters returns the number of fold registers (stats, tests).
 func (h *History) FoldRegisters() int {
 	if h.folds == nil {
 		return 0

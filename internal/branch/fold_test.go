@@ -21,13 +21,13 @@ func foldPairs() [][2]int {
 
 // TestFoldedRegistersMatchSlowFold drives a fold-enabled history and a
 // plain one through the same random outcome stream and checks every
-// registered pair after every push: the incrementally maintained register
-// must equal the from-scratch fold bit for bit.
+// pair after every push: the register the first Fold created, then
+// maintained incrementally, must equal the from-scratch fold bit for bit.
 func TestFoldedRegistersMatchSlowFold(t *testing.T) {
 	var h, ref History
 	h.EnableFolds()
 	for _, p := range foldPairs() {
-		h.RegisterFold(p[0], p[1])
+		h.Fold(p[0], p[1])
 	}
 	if got, want := h.FoldRegisters(), len(foldPairs()); got != want {
 		t.Fatalf("FoldRegisters = %d, want %d", got, want)
@@ -46,8 +46,9 @@ func TestFoldedRegistersMatchSlowFold(t *testing.T) {
 	}
 }
 
-// TestFoldRegistrationMidstream registers a pair after history has
-// accumulated: the new register must be seeded from the live contents.
+// TestFoldRegistrationMidstream first folds a pair after history has
+// accumulated: the register that Fold creates must be seeded from the
+// live contents.
 func TestFoldRegistrationMidstream(t *testing.T) {
 	var h, ref History
 	h.EnableFolds()
@@ -57,7 +58,7 @@ func TestFoldRegistrationMidstream(t *testing.T) {
 		h.Push(taken, rng.Uint64())
 		ref.dir = h.dir
 		if i == 150 {
-			h.RegisterFold(100, 11)
+			h.Fold(100, 11)
 		}
 	}
 	if got, want := h.Fold(100, 11), ref.Fold(100, 11); got != want {
@@ -71,8 +72,8 @@ func TestFoldRegistrationMidstream(t *testing.T) {
 func TestFoldSnapshotRestoreRecomputes(t *testing.T) {
 	var h History
 	h.EnableFolds()
-	h.RegisterFold(70, 10)
-	h.RegisterFold(200, 13)
+	h.Fold(70, 10)
+	h.Fold(200, 13)
 	rng := util.NewRNG(0xC4)
 	for i := 0; i < 500; i++ {
 		h.Push(rng.Bool(0.5), rng.Uint64())
@@ -99,19 +100,19 @@ func TestFoldSnapshotRestoreRecomputes(t *testing.T) {
 	}
 }
 
-// TestFoldUnregisteredFallsBack pins that unregistered pairs and
-// out-of-range pairs still work through the reference path on a
-// fold-enabled history.
+// TestFoldUnregisteredFallsBack pins that out-of-range pairs create no
+// register and still work through the reference path on a fold-enabled
+// history, and that pairs first folded late are seeded correctly.
 func TestFoldUnregisteredFallsBack(t *testing.T) {
 	var h, ref History
 	h.EnableFolds()
-	h.RegisterFold(64, 9)
-	// Out-of-range registrations are ignored, not panics.
-	h.RegisterFold(0, 9)
-	h.RegisterFold(-3, 9)
-	h.RegisterFold(64, 0)
-	h.RegisterFold(MaxHistoryBits+1, 9)
-	h.RegisterFold(64, maxFoldWidth+1)
+	h.Fold(64, 9)
+	// Out-of-range folds create no register, and do not panic.
+	h.Fold(0, 9)
+	h.Fold(-3, 9)
+	h.Fold(64, 0)
+	h.Fold(MaxHistoryBits+1, 9)
+	h.Fold(64, maxFoldWidth+1)
 	if got := h.FoldRegisters(); got != 1 {
 		t.Fatalf("FoldRegisters = %d, want 1", got)
 	}
@@ -122,21 +123,24 @@ func TestFoldUnregisteredFallsBack(t *testing.T) {
 		h.Push(taken, tgt)
 		ref.Push(taken, tgt)
 	}
-	for _, p := range [][2]int{{50, 7}, {64, 9}, {256, 20}, {0, 5}, {5, 0}} {
+	for _, p := range [][2]int{{50, 7}, {64, 9}, {256, 20}, {0, 5}, {5, 0}, {MaxHistoryBits + 1, 9}} {
 		if got, want := h.Fold(p[0], p[1]), ref.Fold(p[0], p[1]); got != want {
 			t.Fatalf("Fold(%d,%d) = %#x, want %#x", p[0], p[1], got, want)
 		}
 	}
+	if got := h.FoldRegisters(); got != 3 {
+		t.Fatalf("FoldRegisters = %d, want 3: (64,9), (50,7) and (256,20)", got)
+	}
 }
 
-// TestClearFolds pins the recycled-processor contract: dropping all
-// registrations keeps the register file attached, reuses its backing
-// array, and leaves later re-registrations working.
+// TestClearFolds pins the recycled-processor contract: dropping every
+// register keeps the register file attached, and the next Fold of a
+// dropped pair creates its register afresh from the live history.
 func TestClearFolds(t *testing.T) {
 	var h History
 	h.EnableFolds()
-	h.RegisterFold(64, 9)
-	h.RegisterFold(128, 11)
+	h.Fold(64, 9)
+	h.Fold(128, 11)
 	rng := util.NewRNG(0xC1EA)
 	for i := 0; i < 100; i++ {
 		h.Push(rng.Bool(0.5), rng.Uint64())
@@ -145,17 +149,15 @@ func TestClearFolds(t *testing.T) {
 	if got := h.FoldRegisters(); got != 0 {
 		t.Fatalf("FoldRegisters after ClearFolds = %d, want 0", got)
 	}
-	// Cleared pairs fall back to the reference path, not a stale slot.
+	// A cleared pair's register is created again, seeded from the live
+	// history, not read from a stale slot.
 	var ref History
 	ref.dir = h.dir
 	if got, want := h.Fold(64, 9), ref.Fold(64, 9); got != want {
 		t.Fatalf("cleared Fold(64,9) = %#x, want reference %#x", got, want)
 	}
-	// Re-registration seeds from live history and resumes incremental
-	// maintenance.
-	h.RegisterFold(64, 9)
 	if got := h.FoldRegisters(); got != 1 {
-		t.Fatalf("FoldRegisters after re-register = %d, want 1", got)
+		t.Fatalf("FoldRegisters after the first Fold since ClearFolds = %d, want 1", got)
 	}
 	for i := 0; i < 100; i++ {
 		taken := rng.Bool(0.5)

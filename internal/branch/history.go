@@ -54,21 +54,25 @@ func (h *History) Push(taken bool, target uint64) {
 }
 
 // Fold compresses the most recent n bits of direction history into width
-// bits by XOR folding. Registered (n, width) pairs are served from their
-// incrementally maintained register in O(1); everything else falls back
-// to folding from scratch.
+// bits by XOR folding. With folds enabled, the first Fold of an
+// (n, width) pair in range creates its incrementally maintained register
+// and every later one reads it in O(1); without, or out of range, the
+// history is folded from scratch.
 func (h *History) Fold(n, width int) uint64 {
 	if fs := h.folds; fs != nil &&
-		uint(n) <= MaxHistoryBits && uint(width) <= maxFoldWidth {
+		uint(n-1) < MaxHistoryBits && uint(width-1) < maxFoldWidth {
 		if id := fs.key[n][width]; id != 0 {
 			return fs.regs[id-1].value
 		}
+		return h.addFold(n, width)
 	}
 	return h.foldSlow(n, width)
 }
 
 // foldSlow is the reference fold: it walks the history words at lookup
-// time. It is the behavior every incremental register must reproduce.
+// time. It is the behavior every incremental register must reproduce; it
+// initializes and recomputes the registers, and it serves every Fold of
+// a history without them.
 func (h *History) foldSlow(n, width int) uint64 {
 	if n <= 0 || width <= 0 {
 		return 0
@@ -110,8 +114,8 @@ func (h *History) Bits(n int) uint64 {
 	return h.dir[0] & ((uint64(1) << n) - 1)
 }
 
-// Reset clears the history to its zero state, keeping the registered
-// fold pairs (their values reset with the bits).
+// Reset clears the history to its zero state, keeping the fold
+// registers (their values reset with the bits).
 func (h *History) Reset() {
 	h.dir = [MaxHistoryBits / 64]uint64{}
 	h.path = 0

@@ -12,17 +12,18 @@ import (
 //
 // The folded/registered variants are the production configuration; the
 // plain/slow variants are the from-scratch reference path they replaced.
+// BenchmarkTaggedLookup is the tagged core's index-and-match alone.
 
 var benchSink uint64
 
 // benchHistory returns a history carrying the default TAGE predictor's
-// full fold registration (12 components × 3 widths), the realistic
-// per-branch register load.
+// fold registers (12 components × 3 widths, created by its first
+// lookup), the realistic per-branch register load.
 func benchHistory() (*History, *TAGE) {
 	var h History
 	h.EnableFolds()
 	t := NewTAGE(DefaultTAGEConfig())
-	t.RegisterFolds(&h)
+	t.Predict(0, &h)
 	return &h, t
 }
 
@@ -55,7 +56,7 @@ func BenchmarkHistoryFold(b *testing.B) {
 	b.Run("registered", func(b *testing.B) {
 		var h History
 		h.EnableFolds()
-		h.RegisterFold(n, width)
+		h.Fold(n, width)
 		fill(&h)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -98,5 +99,26 @@ func BenchmarkTAGEPredictUpdate(b *testing.B) {
 		}
 		t.Update(&p, taken)
 		h.Push(taken, pc+4)
+	}
+}
+
+func BenchmarkTaggedLookup(b *testing.B) {
+	h, t := benchHistory()
+	rng := util.NewRNG(0x7A66)
+	for i := 0; i < 4096; i++ { // train the tables so lookups match
+		pc := uint64(0x400000 + 16*(i&1023))
+		taken := rng.Bool(0.5)
+		p := t.Predict(pc, h)
+		t.Update(&p, taken)
+		h.Push(taken, pc+4)
+	}
+	var entries [16]int32
+	var tags [16]uint32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := util.Mix64(uint64(0x400000 + 16*(i&1023)))
+		if prov, _ := t.tagged.Lookup(key, key, h, entries[:], tags[:]); prov >= 0 {
+			benchSink++
+		}
 	}
 }

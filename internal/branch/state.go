@@ -11,36 +11,50 @@ import (
 // under another geometry; after a refusal the structure holds a mix of
 // old and new entries and must be Reset before reuse.
 
-// AppendState appends the predictor's tables, its counters and the
-// allocation RNG position.
+// AppendState appends the tag and usefulness lanes, the update count
+// and the allocation RNG position.
+func (t *Tagged) AppendState(b []byte) []byte {
+	b = util.AppendLen(b, len(t.comps))
+	b = util.AppendUint32s(b, t.tag)
+	b = util.AppendUint8s(b, t.useful)
+	b = util.AppendInt(b, t.updates)
+	return util.AppendUint64(b, t.rng.State())
+}
+
+// LoadState decodes what AppendState appended, refusing a usefulness
+// counter wider than the core's.
+func (t *Tagged) LoadState(r *util.StateReader) error {
+	r.Len(len(t.comps))
+	r.Uint32s(t.tag)
+	r.Uint8s(t.useful)
+	t.updates = r.Int()
+	t.rng.SetState(r.Uint64())
+	if err := r.Err(); err != nil {
+		return err
+	}
+	for e, u := range t.useful {
+		if u > t.usefulMax() {
+			return fmt.Errorf("entry %d's usefulness %d exceeds %d bits", e, u, t.usefulBits)
+		}
+	}
+	return nil
+}
+
+// AppendState appends the predictor's base and direction counters,
+// useAltOnNA and its tagged core.
 func (t *TAGE) AppendState(b []byte) []byte {
 	b = util.AppendInt8s(b, t.base)
-	b = util.AppendLen(b, len(t.comps))
-	for i := range t.comps {
-		c := &t.comps[i]
-		b = util.AppendInt8s(b, c.ctr)
-		b = util.AppendUint16s(b, c.tag)
-		b = util.AppendUint8s(b, c.useful)
-	}
+	b = util.AppendInt8s(b, t.ctr)
 	b = util.AppendUint8(b, uint8(t.useAltOnNA))
-	b = util.AppendInt(b, t.tick)
-	return util.AppendUint64(b, t.rng.State())
+	return t.tagged.AppendState(b)
 }
 
 // LoadState decodes what AppendState appended into the predictor.
 func (t *TAGE) LoadState(r *util.StateReader) error {
 	r.Int8s(t.base)
-	r.Len(len(t.comps))
-	for i := range t.comps {
-		c := &t.comps[i]
-		r.Int8s(c.ctr)
-		r.Uint16s(c.tag)
-		r.Uint8s(c.useful)
-	}
+	r.Int8s(t.ctr)
 	t.useAltOnNA = int8(r.Uint8())
-	t.tick = r.Int()
-	t.rng.SetState(r.Uint64())
-	if err := r.Err(); err != nil {
+	if err := t.tagged.LoadState(r); err != nil {
 		return fmt.Errorf("branch: TAGE state: %w", err)
 	}
 	return nil
@@ -48,23 +62,19 @@ func (t *TAGE) LoadState(r *util.StateReader) error {
 
 // AppendState appends the BTB's entries and its LRU clock.
 func (b *BTB) AppendState(s []byte) []byte {
-	s = util.AppendLen(s, len(b.entries))
-	for i := range b.entries {
-		e := &b.entries[i]
-		s = util.AppendBool(s, e.valid)
-		s = util.AppendUint64(s, e.tag)
-		s = util.AppendUint64(s, e.target)
-		s = util.AppendUint64(s, e.lastUse)
-	}
+	s = util.AppendBools(s, b.valid)
+	s = util.AppendUint64s(s, b.tag)
+	s = util.AppendUint64s(s, b.target)
+	s = util.AppendUint64s(s, b.lastUse)
 	return util.AppendUint64(s, b.clock)
 }
 
 // LoadState decodes what AppendState appended into the BTB.
 func (b *BTB) LoadState(r *util.StateReader) error {
-	r.Len(len(b.entries))
-	for i := range b.entries {
-		b.entries[i] = btbEntry{valid: r.Bool(), tag: r.Uint64(), target: r.Uint64(), lastUse: r.Uint64()}
-	}
+	r.Bools(b.valid)
+	r.Uint64s(b.tag)
+	r.Uint64s(b.target)
+	r.Uint64s(b.lastUse)
 	b.clock = r.Uint64()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("branch: BTB state: %w", err)

@@ -10,7 +10,7 @@ import (
 )
 
 // distinct sets every element of s to a distinct value, most non-zero.
-func distinct[T ~int8 | ~uint8 | ~uint16 | ~uint64](s []T, seed int) {
+func distinct[T ~int8 | ~uint8 | ~uint32 | ~uint64](s []T, seed int) {
 	for i := range s {
 		s[i] = T(i*7 + seed + 1)
 	}
@@ -39,19 +39,21 @@ func loadAll(c stateComponent, b []byte) error {
 func TestStateRoundTrip(t *testing.T) {
 	tage := NewTAGE(DefaultTAGEConfig())
 	distinct(tage.base, 1)
-	for i := range tage.comps {
-		c := &tage.comps[i]
-		distinct(c.ctr, 10*i+2)
-		distinct(c.tag, 10*i+3)
-		distinct(c.useful, 10*i+4)
+	distinct(tage.ctr, 2)
+	distinct(tage.tagged.tag, 3)
+	for e := range tage.tagged.useful {
+		tage.tagged.useful[e] = uint8(e % 4) // 2-bit counters
 	}
-	tage.useAltOnNA, tage.tick = -5, 1234
-	tage.rng.Uint64()
+	tage.useAltOnNA, tage.tagged.updates = -5, 1234
+	tage.tagged.rng.Uint64()
 
 	btb := NewBTB(4096, 4)
-	for i := range btb.entries {
-		btb.entries[i] = btbEntry{valid: i%3 != 0, tag: uint64(i + 1), target: uint64(2*i + 3), lastUse: uint64(3*i + 5)}
+	for i := range btb.valid {
+		btb.valid[i] = i%3 != 0
 	}
+	distinct(btb.tag, 1)
+	distinct(btb.target, 2)
+	distinct(btb.lastUse, 3)
 	btb.clock = 99
 
 	ras := NewRAS(16)
@@ -96,7 +98,8 @@ func TestRASStateIgnoresDeadSlots(t *testing.T) {
 
 // TestLoadStateRejectsImpossibleState: state of another geometry, a
 // RAS position outside its stack, a bool byte other than 0 or 1, a
-// short encoding, are refused with an error and no panic.
+// usefulness counter wider than TAGE's 2 bits, a short encoding, are
+// refused with an error and no panic.
 func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	rasState := func(edit func(r *RAS)) []byte {
 		r := NewRAS(16)
@@ -110,6 +113,8 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	btb := NewBTB(4096, 4).AppendState(nil)
 	btbBadBool := append([]byte(nil), btb...)
 	btbBadBool[8] = 2 // the first entry's valid byte, after the entry count
+	wideUseful := NewTAGE(DefaultTAGEConfig())
+	wideUseful.tagged.useful[7] = 4
 	for _, tc := range []struct {
 		name  string
 		into  stateComponent
@@ -121,6 +126,7 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 		{"RAS depth negative", NewRAS(16), rasState(func(r *RAS) { r.depth = -1 })},
 		{"RAS stack of another size", NewRAS(8), rasState(func(*RAS) {})},
 		{"TAGE tables of another size", NewTAGE(DefaultTAGEConfig()), NewTAGE(small).AppendState(nil)},
+		{"TAGE usefulness counter above 2 bits", NewTAGE(DefaultTAGEConfig()), wideUseful.AppendState(nil)},
 		{"BTB of another size", NewBTB(2048, 4), btb},
 		{"BTB valid byte other than 0 or 1", NewBTB(4096, 4), btbBadBool},
 		{"BTB truncated", NewBTB(4096, 4), btb[:len(btb)-1]},

@@ -323,7 +323,6 @@ func BlockConfig(npred, baseEntries, taggedEntries, strideBits, winSize int, pol
 			BaseEntries:   baseEntries,
 			LVTTagBits:    5,
 			TaggedEntries: taggedEntries,
-			NumComps:      6,
 			HistLens:      []int{2, 4, 8, 16, 32, 64},
 			TagBitsLo:     13,
 			StrideBits:    strideBits,

@@ -21,8 +21,7 @@ func TestAllWorkloadsConserveInstructions(t *testing.T) {
 		bb := bebop.Config{
 			Predictor: predictor.DVTAGEConfig{
 				NPred: 6, BaseEntries: 256, LVTTagBits: 5,
-				TaggedEntries: 256, NumComps: 6,
-				HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
+				TaggedEntries: 256, HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
 				StrideBits: 8, FPCProbs: predictor.DefaultFPCProbs(), Seed: 0xBEB0,
 			},
 			WindowSize: 32, WindowTagBits: 15, Policy: specwindow.PolicyDnRDnR,
@@ -92,8 +91,7 @@ func TestSpecWindowHitRate(t *testing.T) {
 	bb := bebop.New(bebop.Config{
 		Predictor: predictor.DVTAGEConfig{
 			NPred: 6, BaseEntries: 2048, LVTTagBits: 5,
-			TaggedEntries: 256, NumComps: 6,
-			HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
+			TaggedEntries: 256, HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
 			StrideBits: 64, FPCProbs: predictor.DefaultFPCProbs(), Seed: 1,
 		},
 		WindowSize: 32, WindowTagBits: 15, Policy: specwindow.PolicyDnRDnR,
@@ -125,8 +123,7 @@ func TestRecoveryPoliciesAllComplete(t *testing.T) {
 			bb := bebop.New(bebop.Config{
 				Predictor: predictor.DVTAGEConfig{
 					NPred: 6, BaseEntries: 256, LVTTagBits: 5,
-					TaggedEntries: 128, NumComps: 6,
-					HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
+					TaggedEntries: 128, HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
 					StrideBits: 8, FPCProbs: predictor.DefaultFPCProbs(), Seed: 2,
 				},
 				WindowSize: 16, WindowTagBits: 15, Policy: pol,

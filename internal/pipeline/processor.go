@@ -201,20 +201,15 @@ func (p *Processor) initH2P() {
 }
 
 // initHistoryFolds attaches the incremental folded-register file to the
-// global history and lets every fold consumer — the TAGE branch predictor
-// and, when it folds history, the value prediction infrastructure —
-// register its (histLen, width) pairs, turning per-lookup history folds
-// into O(1) register reads. Previous registrations are dropped first
-// (reusing the register allocations), so a pooled processor recycled
-// across configurations carries exactly the current consumers' registers
-// and every Push pays for those alone.
+// global history, so the first fold of each (histLen, width) pair by a
+// consumer — the TAGE branch predictor and, when it folds history, the
+// value predictor — creates a register that later lookups read in O(1).
+// Previous registers are dropped (reusing their allocations), so a
+// pooled processor recycled across configurations carries exactly the
+// current consumers' registers and every Push pays for those alone.
 func (p *Processor) initHistoryFolds() {
 	p.hist.EnableFolds()
 	p.hist.ClearFolds()
-	p.tage.RegisterFolds(&p.hist)
-	if fr, ok := p.cfg.VP.(interface{ RegisterFolds(*branch.History) }); ok {
-		fr.RegisterFolds(&p.hist)
-	}
 }
 
 // Reset rearms the processor for a fresh run of cfg over stream, reusing

@@ -83,19 +83,22 @@ func TestHotLoopAllocationFree(t *testing.T) {
 
 // TestResetDropsStaleFoldRegisters: a pooled processor recycled from a
 // VP configuration to a VP-less one must not keep paying Push cost for
-// the value predictor's folded-history registers.
+// the value predictor's folded-history registers. Registers are created
+// by the first fold of each pair, so each count is taken after a run.
 func TestResetDropsStaleFoldRegisters(t *testing.T) {
 	prof, _ := workload.ProfileByName("gcc")
 	p := New(DefaultConfig().WithVP(NewInstVP(predictor.NewDVTAGEInst(predictor.DefaultDVTAGEConfig()))), workload.New(prof, 2000))
-	withVP := p.hist.FoldRegisters()
 	p.RunWarm(0, 0)
+	withVP := p.hist.FoldRegisters()
 	p.Reset(DefaultConfig(), workload.New(prof, 2000))
+	p.RunWarm(0, 0)
 	baseOnly := p.hist.FoldRegisters()
 	if baseOnly >= withVP {
 		t.Fatalf("Reset kept stale VP fold registers: %d with VP, %d after reset to baseline", withVP, baseOnly)
 	}
-	fresh := New(DefaultConfig(), workload.New(prof, 2000)).hist.FoldRegisters()
-	if baseOnly != fresh {
-		t.Fatalf("reset processor has %d fold registers, fresh baseline has %d", baseOnly, fresh)
+	fresh := New(DefaultConfig(), workload.New(prof, 2000))
+	fresh.RunWarm(0, 0)
+	if n := fresh.hist.FoldRegisters(); baseOnly != n {
+		t.Fatalf("reset processor has %d fold registers, fresh baseline has %d", baseOnly, n)
 	}
 }

@@ -101,15 +101,6 @@ func NewInstVP(p predictor.Predictor) *InstVP { return &InstVP{P: p} }
 // Name implements VP.
 func (v *InstVP) Name() string { return v.P.Name() }
 
-// RegisterFolds forwards fold registration to the wrapped predictor when
-// it folds global history (VTAGE-family predictors do; last-value and
-// stride predictors do not).
-func (v *InstVP) RegisterFolds(h *branch.History) {
-	if fr, ok := v.P.(interface{ RegisterFolds(*branch.History) }); ok {
-		fr.RegisterFolds(h)
-	}
-}
-
 // OnFetchBlock implements VP.
 func (v *InstVP) OnFetchBlock(_, _ uint64, hist *branch.History, uops []*UOp) {
 	for _, u := range uops {

@@ -22,10 +22,8 @@ type DVTAGEConfig struct {
 	LVTTagBits int
 	// TaggedEntries is the entry count of each tagged component.
 	TaggedEntries int
-	// NumComps is the number of tagged components (6 in the paper).
-	NumComps int
-	// HistLens gives the global history length per tagged component,
-	// geometric 2..64 in the paper.
+	// HistLens gives the global history length of each tagged
+	// component, geometric 2..64 over 6 components in the paper.
 	HistLens []int
 	// TagBitsLo is the partial tag width of the first tagged component;
 	// it grows by one per component (13, 14, ... in Section V-B).
@@ -53,7 +51,6 @@ func DefaultDVTAGEConfig() DVTAGEConfig {
 		BaseEntries:   8192,
 		LVTTagBits:    5,
 		TaggedEntries: 1024,
-		NumComps:      6,
 		HistLens:      []int{2, 4, 8, 16, 32, 64},
 		TagBitsLo:     13,
 		StrideBits:    64,
@@ -74,7 +71,7 @@ func (cfg DVTAGEConfig) StorageBits() int {
 	lvt := cfg.BaseEntries * (cfg.LVTTagBits + cfg.NPred*(64+byteTagBits))
 	vt0 := cfg.BaseEntries * cfg.NPred * (cfg.StrideBits + confBits)
 	tagged := 0
-	for i := 0; i < cfg.NumComps; i++ {
+	for i := range cfg.HistLens {
 		tagged += cfg.TaggedEntries * (cfg.TagBitsLo + i + 1 + cfg.NPred*(cfg.StrideBits+confBits))
 	}
 	spec := cfg.SpecWinEntries * (cfg.SpecWinTagBits + 16 + cfg.NPred*(64+byteTagBits))
@@ -88,8 +85,8 @@ func (cfg DVTAGEConfig) StorageBits() int {
 // stride comes from the longest matching tagged component, VTAGE-style.
 //
 // All tables are stored struct-of-arrays and sized to the configured
-// NPred (not MaxNPred): the per-block lookup touches one tag/valid lane
-// per component plus exactly NPred slots of the providing entry, so the
+// NPred (not MaxNPred): the per-block lookup touches one tag lane per
+// component plus exactly NPred slots of the providing entry, so the
 // dense layout keeps a block access on a handful of cache lines — the
 // simulator-side analogue of BeBoP's one-read-per-block organization.
 // Per-entry slot state lives at entry*NPred in the slot-major slices.
@@ -108,28 +105,13 @@ type DVTAGE struct {
 	vt0Strides []int64
 	vt0Conf    []uint8
 
-	comps []dvtComp
-
-	// idxBits is log2(TaggedEntries), shared by every tagged component;
-	// the path fold depends only on it, so Lookup computes it once.
-	idxBits int
-
-	fpc  *FPC
-	rng  *util.RNG
-	tick int
-}
-
-// dvtComp is one tagged component, struct-of-arrays: tags[i]/useful[i]
-// describe entry i, strides/conf hold its NPred slots at i*NPred.
-type dvtComp struct {
-	tags    []uint32
-	useful  []bool
+	// The tagged components: a branch.Tagged core, and NPred strides and
+	// confidence counters per tagged entry.
+	tagged  *branch.Tagged
 	strides []int64
 	conf    []uint8
-	mask    uint64 // TaggedEntries-1 (power of two)
-	histLen int
-	tagBits int
-	idxBits int
+
+	fpc *FPC
 }
 
 // NewDVTAGE builds a D-VTAGE predictor.
@@ -140,10 +122,8 @@ func NewDVTAGE(cfg DVTAGEConfig) *DVTAGE {
 	if !util.IsPowerOfTwo(cfg.BaseEntries) || !util.IsPowerOfTwo(cfg.TaggedEntries) {
 		panic("predictor: D-VTAGE table sizes must be powers of two")
 	}
-	if len(cfg.HistLens) != cfg.NumComps {
-		panic("predictor: D-VTAGE needs one history length per component")
-	}
-	d := &DVTAGE{
+	tagged := branch.NewTagged(cfg.TaggedEntries, cfg.HistLens, tagWidths(cfg.TagBitsLo, len(cfg.HistLens)), 1, 1<<18, cfg.Seed^0xA110C)
+	return &DVTAGE{
 		cfg:        cfg,
 		lvtValid:   make([]bool, cfg.BaseEntries),
 		lvtTags:    make([]uint16, cfg.BaseEntries),
@@ -152,23 +132,11 @@ func NewDVTAGE(cfg DVTAGEConfig) *DVTAGE {
 		lvtBtag:    make([]uint8, cfg.BaseEntries*cfg.NPred),
 		vt0Strides: make([]int64, cfg.BaseEntries*cfg.NPred),
 		vt0Conf:    make([]uint8, cfg.BaseEntries*cfg.NPred),
-		idxBits:    util.Log2(cfg.TaggedEntries),
+		tagged:     tagged,
+		strides:    make([]int64, tagged.Entries()*cfg.NPred),
+		conf:       make([]uint8, tagged.Entries()*cfg.NPred),
 		fpc:        NewFPC(cfg.FPCProbs, cfg.Seed),
-		rng:        util.NewRNG(cfg.Seed ^ 0xA110C),
 	}
-	for i := 0; i < cfg.NumComps; i++ {
-		d.comps = append(d.comps, dvtComp{
-			tags:    make([]uint32, cfg.TaggedEntries),
-			useful:  make([]bool, cfg.TaggedEntries),
-			strides: make([]int64, cfg.TaggedEntries*cfg.NPred),
-			conf:    make([]uint8, cfg.TaggedEntries*cfg.NPred),
-			mask:    uint64(cfg.TaggedEntries - 1),
-			histLen: cfg.HistLens[i],
-			tagBits: cfg.TagBitsLo + i,
-			idxBits: d.idxBits,
-		})
-	}
-	return d
 }
 
 // NPred returns the number of prediction slots per entry.
@@ -176,19 +144,6 @@ func (d *DVTAGE) NPred() int { return d.cfg.NPred }
 
 // StorageBits returns the storage budget in bits.
 func (d *DVTAGE) StorageBits() int { return d.cfg.StorageBits() }
-
-// RegisterFolds declares every (histLen, width) fold the tagged
-// components perform with the history's incremental folded-register
-// file, so block lookups read O(1) registers instead of re-folding the
-// global history per component.
-func (d *DVTAGE) RegisterFolds(h *branch.History) {
-	for i := range d.comps {
-		c := &d.comps[i]
-		h.RegisterFold(c.histLen, c.idxBits)
-		h.RegisterFold(c.histLen, c.tagBits)
-		h.RegisterFold(c.histLen, c.tagBits-1)
-	}
-}
 
 // BlockLookup is the result of reading all D-VTAGE components for one
 // fetch block, before last values are (possibly) overridden by the
@@ -230,16 +185,13 @@ func (d *DVTAGE) lvtIndex(h uint64) (int32, uint16) {
 // Lookup reads the LVT, VT0 and all tagged components for blockPC under
 // the given history. All components are accessed in parallel in hardware;
 // the returned BlockLookup contains everything needed to form predictions
-// and to train at retire time. The block PC is hashed once (for indexes
-// and for tags) and shared across every component derivation, as is the
-// path fold.
+// and to train at retire time. The block PC is hashed once for indexes
+// and once for tags, and both hashes serve every component.
 func (d *DVTAGE) Lookup(blockPC uint64, hist *branch.History) BlockLookup {
 	var bl BlockLookup
-	bl.Provider = -1
 	np := d.cfg.NPred
 
 	idxHash := util.Mix64(blockPC)
-	tagHash := util.Mix64(blockPC ^ 0x9E37)
 	bl.lvtIdx, bl.lvtTag = d.lvtIndex(idxHash)
 	li := int(bl.lvtIdx)
 
@@ -253,42 +205,22 @@ func (d *DVTAGE) Lookup(blockPC uint64, hist *branch.History) BlockLookup {
 		}
 	}
 
-	pathFold := util.FoldBits(hist.Path(), 16, d.idxBits)
-	for i := range d.comps {
-		c := &d.comps[i]
-		folded := hist.Fold(c.histLen, c.idxBits)
-		bl.indices[i] = int32((idxHash ^ folded ^ pathFold<<1) & c.mask)
-		f1 := hist.Fold(c.histLen, c.tagBits)
-		f2 := hist.Fold(c.histLen, c.tagBits-1)
-		bl.tags[i] = uint32((tagHash ^ f1 ^ f2<<1) & ((uint64(1) << c.tagBits) - 1))
-	}
 	// Longest matching tagged component provides the strides; the next
 	// hit (or VT0) is the alternate used for usefulness.
-	alt := -2
-	for i := len(d.comps) - 1; i >= 0; i-- {
-		if d.comps[i].tags[bl.indices[i]] == bl.tags[i] {
-			if bl.Provider == -1 && alt == -2 {
-				bl.Provider = int8(i)
-			} else {
-				alt = i
-				break
-			}
-		}
-	}
+	prov, alt := d.tagged.Lookup(idxHash, util.Mix64(blockPC^0x9E37), hist, bl.indices[:], bl.tags[:])
+	bl.Provider = int8(prov)
 	vt0Base := li * np
-	if bl.Provider >= 0 {
-		c := &d.comps[bl.Provider]
-		base := int(bl.indices[bl.Provider]) * np
+	if prov >= 0 {
+		base := int(bl.indices[prov]) * np
 		for m := 0; m < np; m++ {
-			bl.Strides[m] = c.strides[base+m]
-			bl.Conf[m] = c.conf[base+m]
+			bl.Strides[m] = d.strides[base+m]
+			bl.Conf[m] = d.conf[base+m]
 		}
 		bl.altHas = true
 		if alt >= 0 {
-			ac := &d.comps[alt]
 			abase := int(bl.indices[alt]) * np
 			for m := 0; m < np; m++ {
-				bl.altStrides[m] = ac.strides[abase+m]
+				bl.altStrides[m] = d.strides[abase+m]
 			}
 		} else {
 			for m := 0; m < np; m++ {
@@ -386,10 +318,9 @@ func (d *DVTAGE) Update(u *UpdateBlock) {
 	var provStrides []int64
 	var provConf []uint8
 	if bl.Provider >= 0 {
-		c := &d.comps[bl.Provider]
 		base := int(bl.indices[bl.Provider]) * np
-		provStrides = c.strides[base : base+np]
-		provConf = c.conf[base : base+np]
+		provStrides = d.strides[base : base+np]
+		provConf = d.conf[base : base+np]
 	} else {
 		provStrides = d.vt0Strides[lvtBase : lvtBase+np]
 		provConf = d.vt0Conf[lvtBase : lvtBase+np]
@@ -412,17 +343,15 @@ func (d *DVTAGE) Update(u *UpdateBlock) {
 
 	// Usefulness bit, kept per block for tagged providers.
 	if bl.Provider >= 0 {
-		c := &d.comps[bl.Provider]
-		idx := int(bl.indices[bl.Provider])
 		if anyUseful {
-			c.useful[idx] = true
+			d.tagged.TrainUseful(bl.indices[bl.Provider], true)
 		} else if anyWrong && !anyCorrect {
-			c.useful[idx] = false
+			d.tagged.TrainUseful(bl.indices[bl.Provider], false)
 		}
 	}
 
 	// Allocate on a wrong prediction in the block (Section III-D(b)).
-	if anyWrong && int(bl.Provider) < len(d.comps)-1 {
+	if anyWrong {
 		d.allocate(u, &newStride, &haveStride, provStrides, provConf)
 	}
 
@@ -456,69 +385,35 @@ func (d *DVTAGE) Update(u *UpdateBlock) {
 		d.lvtHas[lvtBase+m] = true
 	}
 
-	// Periodic graceful usefulness reset.
-	d.tick++
-	if d.tick >= 1<<18 {
-		d.tick = 0
-		for i := range d.comps {
-			u := d.comps[i].useful
-			for j := range u {
-				u[j] = false
-			}
-		}
-	}
+	d.tagged.Age()
 }
 
+// allocate claims a tagged entry above the provider for the block and
+// fills its NPred slots.
 func (d *DVTAGE) allocate(u *UpdateBlock, newStride *[MaxNPred]int64, haveStride *[MaxNPred]bool, provStrides []int64, provConf []uint8) {
 	bl := &u.Lookup
+	e := d.tagged.Allocate(int(bl.Provider), bl.indices[:], bl.tags[:])
+	if e < 0 {
+		return
+	}
 	np := d.cfg.NPred
-	start := int(bl.Provider) + 1
-	free := 0
-	for i := start; i < len(d.comps); i++ {
-		if !d.comps[i].useful[bl.indices[i]] {
-			free++
+	base := int(e) * np
+	for m := 0; m < np; m++ {
+		s := &u.Slots[m]
+		correct := s.Used && s.WasPredicted && s.Predicted == s.Actual
+		switch {
+		case correct:
+			// Confidence propagation: duplicate high-confidence
+			// predictions into the new entry to preserve coverage.
+			d.strides[base+m] = provStrides[m]
+			d.conf[base+m] = provConf[m]
+		case s.Used && haveStride[m]:
+			d.conf[base+m] = 0
+			d.strides[base+m], _ = util.TruncateSigned(newStride[m], d.cfg.StrideBits)
+		default:
+			// Keep the provider's stride as a best guess.
+			d.strides[base+m] = provStrides[m]
+			d.conf[base+m] = 0
 		}
-	}
-	if free == 0 {
-		for i := start; i < len(d.comps); i++ {
-			d.comps[i].useful[bl.indices[i]] = false
-		}
-		return
-	}
-	pick := d.rng.Intn(free)
-	if free > 1 && d.rng.Bool(0.5) {
-		pick = 0
-	}
-	for i := start; i < len(d.comps); i++ {
-		c := &d.comps[i]
-		idx := int(bl.indices[i])
-		if c.useful[idx] {
-			continue
-		}
-		if pick > 0 {
-			pick--
-			continue
-		}
-		base := idx * np
-		c.tags[idx] = bl.tags[i]
-		for m := 0; m < np; m++ {
-			s := &u.Slots[m]
-			correct := s.Used && s.WasPredicted && s.Predicted == s.Actual
-			switch {
-			case correct:
-				// Confidence propagation: duplicate high-confidence
-				// predictions into the new entry to preserve coverage.
-				c.strides[base+m] = provStrides[m]
-				c.conf[base+m] = provConf[m]
-			case s.Used && haveStride[m]:
-				c.conf[base+m] = 0
-				c.strides[base+m], _ = util.TruncateSigned(newStride[m], d.cfg.StrideBits)
-			default:
-				// Keep the provider's stride as a best guess.
-				c.strides[base+m] = provStrides[m]
-				c.conf[base+m] = 0
-			}
-		}
-		return
 	}
 }

@@ -22,7 +22,6 @@ func benchDVTAGE() (*DVTAGE, *branch.History) {
 	d := NewDVTAGE(cfg)
 	var h branch.History
 	h.EnableFolds()
-	d.RegisterFolds(&h)
 	// Warm the tables and the history with a few hundred blocks.
 	for i := 0; i < 512; i++ {
 		pc := uint64(0x400000 + 64*(i&127))

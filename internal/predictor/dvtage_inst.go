@@ -20,9 +20,6 @@ func NewDVTAGEInst(cfg DVTAGEConfig) *DVTAGEInst {
 // Name implements Predictor.
 func (p *DVTAGEInst) Name() string { return "D-VTAGE" }
 
-// RegisterFolds forwards fold registration to the wrapped D-VTAGE.
-func (p *DVTAGEInst) RegisterFolds(h *branch.History) { p.d.RegisterFolds(h) }
-
 // StorageBits implements Predictor.
 func (p *DVTAGEInst) StorageBits() int { return p.d.StorageBits() }
 

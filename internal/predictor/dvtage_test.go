@@ -236,8 +236,7 @@ func TestDVTAGELVTTagAllocation(t *testing.T) {
 func TestDVTAGEStorageAccountingFormula(t *testing.T) {
 	cfg := DVTAGEConfig{
 		NPred: 6, BaseEntries: 256, LVTTagBits: 5,
-		TaggedEntries: 256, NumComps: 6,
-		HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
+		TaggedEntries: 256, HistLens: []int{2, 4, 8, 16, 32, 64}, TagBitsLo: 13,
 		StrideBits: 8, FPCProbs: DefaultFPCProbs(),
 		SpecWinEntries: 32, SpecWinTagBits: 15, Seed: 1,
 	}
@@ -309,7 +308,7 @@ func TestDVTAGEPanics(t *testing.T) {
 		func() { cfg := smallDVTAGE(0); NewDVTAGE(cfg) },
 		func() { cfg := smallDVTAGE(9); NewDVTAGE(cfg) },
 		func() { cfg := smallDVTAGE(1); cfg.BaseEntries = 1000; NewDVTAGE(cfg) },
-		func() { cfg := smallDVTAGE(1); cfg.HistLens = []int{2}; NewDVTAGE(cfg) },
+		func() { cfg := smallDVTAGE(1); cfg.TagBitsLo = 30; NewDVTAGE(cfg) },
 	} {
 		func() {
 			defer func() {

@@ -6,8 +6,8 @@ import (
 	"bebop/internal/util"
 )
 
-// AppendState appends the D-VTAGE tables and the FPC and allocation RNG
-// positions (util's state encoding). The RNG positions are part of the
+// AppendState appends the D-VTAGE tables, the FPC RNG position and the
+// tagged core (util's state encoding). The RNG positions are part of the
 // state: every probabilistic confidence decision after a restore must
 // replay exactly as it would have in the straight-through run.
 func (d *DVTAGE) AppendState(b []byte) []byte {
@@ -18,17 +18,10 @@ func (d *DVTAGE) AppendState(b []byte) []byte {
 	b = util.AppendUint8s(b, d.lvtBtag)
 	b = util.AppendInt64s(b, d.vt0Strides)
 	b = util.AppendUint8s(b, d.vt0Conf)
-	b = util.AppendLen(b, len(d.comps))
-	for i := range d.comps {
-		c := &d.comps[i]
-		b = util.AppendUint32s(b, c.tags)
-		b = util.AppendBools(b, c.useful)
-		b = util.AppendInt64s(b, c.strides)
-		b = util.AppendUint8s(b, c.conf)
-	}
+	b = util.AppendInt64s(b, d.strides)
+	b = util.AppendUint8s(b, d.conf)
 	b = util.AppendUint64(b, d.fpc.rng.State())
-	b = util.AppendUint64(b, d.rng.State())
-	return util.AppendInt(b, d.tick)
+	return d.tagged.AppendState(b)
 }
 
 // LoadState decodes what AppendState appended into the predictor. Every
@@ -42,18 +35,10 @@ func (d *DVTAGE) LoadState(r *util.StateReader) error {
 	r.Uint8s(d.lvtBtag)
 	r.Int64s(d.vt0Strides)
 	r.Uint8s(d.vt0Conf)
-	r.Len(len(d.comps))
-	for i := range d.comps {
-		c := &d.comps[i]
-		r.Uint32s(c.tags)
-		r.Bools(c.useful)
-		r.Int64s(c.strides)
-		r.Uint8s(c.conf)
-	}
+	r.Int64s(d.strides)
+	r.Uint8s(d.conf)
 	d.fpc.rng.SetState(r.Uint64())
-	d.rng.SetState(r.Uint64())
-	d.tick = r.Int()
-	if err := r.Err(); err != nil {
+	if err := d.tagged.LoadState(r); err != nil {
 		return fmt.Errorf("predictor: D-VTAGE state: %w", err)
 	}
 	return nil

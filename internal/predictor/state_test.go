@@ -4,11 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"bebop/internal/branch"
 	"bebop/internal/util"
 )
 
 // distinct sets every element of s to a distinct value, most non-zero.
-func distinct[T ~uint8 | ~uint16 | ~uint32 | ~int64 | ~uint64](s []T, seed int) {
+func distinct[T ~uint8 | ~uint16 | ~int64 | ~uint64](s []T, seed int) {
 	for i := range s {
 		s[i] = T(i*7 + seed + 1)
 	}
@@ -22,9 +23,19 @@ func alternate(s []bool) {
 }
 
 // filledDVTAGE is a default-geometry D-VTAGE with every table filled and
-// both RNGs advanced.
+// both RNGs advanced. Random blocks train the tagged core (tags,
+// usefulness, update count, allocation RNG) through its own calls; the
+// predictor's lanes are then overwritten with distinct values.
 func filledDVTAGE() *DVTAGE {
 	d := NewDVTAGE(DefaultDVTAGEConfig())
+	var h branch.History
+	rng := util.NewRNG(0xF111)
+	for i := 0; i < 20000; i++ {
+		u := UpdateBlock{Lookup: d.Lookup(rng.Uint64()&0xFFFF0, &h)}
+		u.Slots[0] = SlotUpdate{Used: true, Actual: rng.Uint64() & 3, WasPredicted: true}
+		d.Update(&u)
+		h.Push(rng.Bool(0.5), rng.Uint64())
+	}
 	alternate(d.lvtValid)
 	distinct(d.lvtTags, 1)
 	distinct(d.lvtVals, 2)
@@ -32,16 +43,9 @@ func filledDVTAGE() *DVTAGE {
 	distinct(d.lvtBtag, 3)
 	distinct(d.vt0Strides, 4)
 	distinct(d.vt0Conf, 5)
-	for i := range d.comps {
-		c := &d.comps[i]
-		distinct(c.tags, 10*i+6)
-		alternate(c.useful)
-		distinct(c.strides, 10*i+7)
-		distinct(c.conf, 10*i+8)
-	}
+	distinct(d.strides, 7)
+	distinct(d.conf, 8)
 	d.fpc.rng.Uint64()
-	d.rng.Uint64()
-	d.tick = 4321
 	return d
 }
 
@@ -62,8 +66,9 @@ func TestStateRoundTrip(t *testing.T) {
 }
 
 // TestLoadStateRejectsImpossibleState: state whose tables disagree with
-// the predictor's geometry, or with a bool byte other than 0 or 1, is
-// refused with an error and no panic.
+// the predictor's geometry, with a bool byte other than 0 or 1, or with
+// a usefulness counter above D-VTAGE's one bit, is refused with an
+// error and no panic.
 func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	short := func(edit func(d *DVTAGE)) []byte {
 		d := filledDVTAGE()
@@ -72,6 +77,12 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	}
 	badBool := filledDVTAGE().AppendState(nil)
 	badBool[8] = 2 // the first LVT valid byte, after the count
+	// The tagged core's state ends with its usefulness lane, the update
+	// count and the RNG position.
+	badUseful := filledDVTAGE().AppendState(nil)
+	badUseful[len(badUseful)-16-NewDVTAGE(DefaultDVTAGEConfig()).tagged.Entries()] = 2
+	fiveComps := DefaultDVTAGEConfig()
+	fiveComps.HistLens = fiveComps.HistLens[:5]
 	for _, tc := range []struct {
 		name  string
 		state []byte
@@ -80,10 +91,11 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 		{"LVT presence short", short(func(d *DVTAGE) { d.lvtHas = d.lvtHas[1:] })},
 		{"LVT byte tags short", short(func(d *DVTAGE) { d.lvtBtag = d.lvtBtag[1:] })},
 		{"VT0 confidences short", short(func(d *DVTAGE) { d.vt0Conf = d.vt0Conf[1:] })},
-		{"component useful bits short", short(func(d *DVTAGE) { c := &d.comps[0]; c.useful = c.useful[1:] })},
-		{"component confidences short", short(func(d *DVTAGE) { c := &d.comps[0]; c.conf = c.conf[1:] })},
-		{"a component missing", short(func(d *DVTAGE) { d.comps = d.comps[1:] })},
+		{"tagged strides short", short(func(d *DVTAGE) { d.strides = d.strides[1:] })},
+		{"tagged confidences short", short(func(d *DVTAGE) { d.conf = d.conf[1:] })},
+		{"a component missing", NewDVTAGE(fiveComps).AppendState(nil)},
 		{"LVT valid byte other than 0 or 1", badBool},
+		{"usefulness byte 2", badUseful},
 	} {
 		func() {
 			defer func() {

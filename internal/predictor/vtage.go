@@ -6,13 +6,13 @@ import (
 )
 
 // VTAGEConfig sizes a VTAGE predictor (Perais & Seznec, HPCA 2014): a
-// tagless last-value base table and NumComps partially tagged components
-// indexed with a hash of the PC, the global branch history and the path
-// history, with geometrically growing history lengths.
+// tagless last-value base table and one partially tagged component per
+// history length, indexed with a hash of the PC, the global branch
+// history and the path history, with geometrically growing history
+// lengths.
 type VTAGEConfig struct {
 	BaseEntries int
 	CompEntries int
-	NumComps    int
 	HistLens    []int // per component; geometric 2..64 by default
 	TagBitsLo   int   // tag width of component 0; +1 per component
 	FPCProbs    []int
@@ -26,7 +26,6 @@ func DefaultVTAGEConfig() VTAGEConfig {
 	return VTAGEConfig{
 		BaseEntries: 8192,
 		CompEntries: 1024,
-		NumComps:    6,
 		HistLens:    []int{2, 4, 8, 16, 32, 64},
 		TagBitsLo:   13,
 		FPCProbs:    DefaultFPCProbs(),
@@ -37,28 +36,25 @@ func DefaultVTAGEConfig() VTAGEConfig {
 // VTAGE is the per-instruction VTAGE value predictor: a direct application
 // of the TAGE branch predictor to value prediction. The base component is a
 // tagless last value predictor; each tagged component is a gshare-like
-// value table using a different global history length. Components are
-// stored struct-of-arrays (tag, value, confidence and usefulness lanes),
-// so the provider scan touches dense tag lanes instead of striding over
-// 16-byte entries.
+// value table using a different global history length. The tagged
+// components are a branch.Tagged core, beside which VTAGE keeps its
+// payload: a value and a confidence counter per tagged entry.
 type VTAGE struct {
-	base    []lvEntry
-	comps   []vtageComp
-	idxBits int // log2(CompEntries), shared by every component
-	fpc     *FPC
-	rng     *util.RNG
-	tick    int
+	base   []lvEntry
+	tagged *branch.Tagged
+	values []uint64 // per tagged entry
+	conf   []uint8  // per tagged entry
+	fpc    *FPC
 }
 
-type vtageComp struct {
-	values  []uint64
-	tags    []uint32
-	conf    []uint8
-	useful  []bool
-	mask    uint64 // CompEntries-1 (power of two)
-	histLen int
-	tagBits int
-	idxBits int
+// tagWidths returns n tag widths growing by one from lo, the VTAGE and
+// D-VTAGE component tags.
+func tagWidths(lo, n int) []int {
+	w := make([]int, n)
+	for i := range w {
+		w[i] = lo + i
+	}
+	return w
 }
 
 // NewVTAGE builds a VTAGE predictor.
@@ -66,90 +62,46 @@ func NewVTAGE(cfg VTAGEConfig) *VTAGE {
 	if !util.IsPowerOfTwo(cfg.BaseEntries) || !util.IsPowerOfTwo(cfg.CompEntries) {
 		panic("predictor: VTAGE table sizes must be powers of two")
 	}
-	if len(cfg.HistLens) != cfg.NumComps {
-		panic("predictor: VTAGE needs one history length per component")
+	tagged := branch.NewTagged(cfg.CompEntries, cfg.HistLens, tagWidths(cfg.TagBitsLo, len(cfg.HistLens)), 1, 1<<18, cfg.Seed^0xC0FFEE)
+	return &VTAGE{
+		base:   make([]lvEntry, cfg.BaseEntries),
+		tagged: tagged,
+		values: make([]uint64, tagged.Entries()),
+		conf:   make([]uint8, tagged.Entries()),
+		fpc:    NewFPC(cfg.FPCProbs, cfg.Seed),
 	}
-	v := &VTAGE{
-		base:    make([]lvEntry, cfg.BaseEntries),
-		idxBits: util.Log2(cfg.CompEntries),
-		fpc:     NewFPC(cfg.FPCProbs, cfg.Seed),
-		rng:     util.NewRNG(cfg.Seed ^ 0xC0FFEE),
-	}
-	for i := 0; i < cfg.NumComps; i++ {
-		v.comps = append(v.comps, vtageComp{
-			values:  make([]uint64, cfg.CompEntries),
-			tags:    make([]uint32, cfg.CompEntries),
-			conf:    make([]uint8, cfg.CompEntries),
-			useful:  make([]bool, cfg.CompEntries),
-			mask:    uint64(cfg.CompEntries - 1),
-			histLen: cfg.HistLens[i],
-			tagBits: cfg.TagBitsLo + i,
-			idxBits: v.idxBits,
-		})
-	}
-	return v
 }
 
 func (v *VTAGE) Name() string { return "VTAGE" }
 
-// RegisterFolds declares every (histLen, width) fold the tagged
-// components perform with the history's incremental folded-register file.
-func (v *VTAGE) RegisterFolds(h *branch.History) {
-	for i := range v.comps {
-		c := &v.comps[i]
-		h.RegisterFold(c.histLen, c.idxBits)
-		h.RegisterFold(c.histLen, c.tagBits)
-		h.RegisterFold(c.histLen, c.tagBits-1)
-	}
-}
-
 // Predict implements Predictor. VTAGE ignores the speculative last value:
 // its predictions never depend on in-flight results, one of its key
 // implementation advantages (Section III-B). The instruction key is
-// hashed once (for indexes and for tags) and shared by every component,
-// as is the path fold.
+// hashed once for indexes and once for tags, and both hashes serve
+// every component.
 func (v *VTAGE) Predict(pc uint64, uopIdx int, hist *branch.History, _ uint64, _ bool) Outcome {
 	key := instKey(pc, uopIdx)
 	var o Outcome
-	o.provider = -1
 	idxHash := util.Mix64(key)
-	tagHash := util.Mix64(key ^ 0x9E37)
 	o.baseIdx = int32(idxHash & uint64(len(v.base)-1))
-	pathFold := util.FoldBits(hist.Path(), 16, v.idxBits)
-	for i := range v.comps {
-		c := &v.comps[i]
-		folded := hist.Fold(c.histLen, c.idxBits)
-		o.indices[i] = int32((idxHash ^ folded ^ pathFold<<1) & c.mask)
-		f1 := hist.Fold(c.histLen, c.tagBits)
-		f2 := hist.Fold(c.histLen, c.tagBits-1)
-		o.tags[i] = uint32((tagHash ^ f1 ^ f2<<1) & ((uint64(1) << c.tagBits) - 1))
-	}
-	// Longest-history hit provides; remember the next-longest as alternate
-	// for the usefulness computation.
-	for i := len(v.comps) - 1; i >= 0; i-- {
-		c := &v.comps[i]
-		idx := o.indices[i]
-		if c.tags[idx] == o.tags[i] {
-			if o.provider == -1 {
-				o.provider = int8(i)
-				o.Predicted = true
-				o.Value = c.values[idx]
-				o.Confident = v.fpc.Saturated(c.conf[idx])
-			} else {
-				o.altPred = true
-				o.altValue = c.values[idx]
-				break
-			}
-		}
-	}
-	if o.provider == -1 {
+	prov, alt := v.tagged.Lookup(idxHash, util.Mix64(key^0x9E37), hist, o.indices[:], o.tags[:])
+	o.provider = int8(prov)
+	o.Predicted = true
+	if prov < 0 {
 		be := &v.base[o.baseIdx]
-		o.Predicted = true
 		o.Value = be.value
 		o.Confident = v.fpc.Saturated(be.conf)
-	} else if !o.altPred {
-		// Alternate is the base prediction.
-		o.altPred = true
+		return o
+	}
+	// The longest-history hit provides; the next longest, or else the
+	// base, is the alternate for the usefulness computation.
+	e := o.indices[prov]
+	o.Value = v.values[e]
+	o.Confident = v.fpc.Saturated(v.conf[e])
+	o.altPred = true
+	if alt >= 0 {
+		o.altValue = v.values[o.indices[alt]]
+	} else {
 		o.altValue = v.base[o.baseIdx].value
 	}
 	return o
@@ -162,19 +114,18 @@ func (v *VTAGE) Predict(pc uint64, uopIdx int, hist *branch.History, _ uint64, _
 func (v *VTAGE) Update(o *Outcome, actual uint64) {
 	correct := o.Value == actual
 	if o.provider >= 0 {
-		c := &v.comps[o.provider]
-		idx := o.indices[o.provider]
+		e := o.indices[o.provider]
 		if correct {
-			c.conf[idx] = v.fpc.Correct(c.conf[idx])
+			v.conf[e] = v.fpc.Correct(v.conf[e])
 			// Useful iff correct and the alternate prediction differs.
 			if o.altPred && o.altValue != actual {
-				c.useful[idx] = true
+				v.tagged.TrainUseful(e, true)
 			}
 		} else {
-			c.conf[idx] = v.fpc.Wrong(c.conf[idx])
-			c.values[idx] = actual
+			v.conf[e] = v.fpc.Wrong(v.conf[e])
+			v.values[e] = actual
 			if o.altPred && o.altValue == actual {
-				c.useful[idx] = false
+				v.tagged.TrainUseful(e, false)
 			}
 		}
 	} else {
@@ -186,65 +137,19 @@ func (v *VTAGE) Update(o *Outcome, actual uint64) {
 			be.value = actual
 		}
 	}
-	if !correct && int(o.provider) < len(v.comps)-1 {
-		v.allocate(o, actual)
-	}
-	v.tick++
-	if v.tick >= 1<<18 {
-		v.tick = 0
-		for i := range v.comps {
-			u := v.comps[i].useful
-			for j := range u {
-				u[j] = false
-			}
+	if !correct {
+		// With every candidate useful, allocate nothing (Section III-A).
+		if e := v.tagged.Allocate(int(o.provider), o.indices[:], o.tags[:]); e >= 0 {
+			v.values[e] = actual
+			v.conf[e] = 0
 		}
 	}
-}
-
-func (v *VTAGE) allocate(o *Outcome, actual uint64) {
-	start := int(o.provider) + 1
-	free := 0
-	for i := start; i < len(v.comps); i++ {
-		if !v.comps[i].useful[o.indices[i]] {
-			free++
-		}
-	}
-	if free == 0 {
-		// All useful: reset them, allocate nothing (Section III-A).
-		for i := start; i < len(v.comps); i++ {
-			v.comps[i].useful[o.indices[i]] = false
-		}
-		return
-	}
-	pick := v.rng.Intn(free)
-	if free > 1 && v.rng.Bool(0.5) {
-		pick = 0
-	}
-	for i := start; i < len(v.comps); i++ {
-		c := &v.comps[i]
-		idx := o.indices[i]
-		if c.useful[idx] {
-			continue
-		}
-		if pick == 0 {
-			c.values[idx] = actual
-			c.tags[idx] = o.tags[i]
-			c.conf[idx] = 0
-			c.useful[idx] = false
-			return
-		}
-		pick--
-	}
+	v.tagged.Age()
 }
 
 // StorageBits implements Predictor.
 func (v *VTAGE) StorageBits() int {
-	bits := len(v.base) * (64 + v.fpc.Bits())
-	for i := range v.comps {
-		c := &v.comps[i]
-		bits += len(c.values) * (64 + c.tagBits + v.fpc.Bits() + 1)
-	}
-	return bits
+	return len(v.base)*(64+v.fpc.Bits()) + len(v.values)*(64+v.fpc.Bits()) + v.tagged.StorageBits()
 }
 
 // VTAGE2dStride is the naive hybrid of Fig. 5(a): a VTAGE and a 2-delta
@@ -266,10 +171,6 @@ func NewVTAGE2dStride(vcfg VTAGEConfig, strideEntries int) *VTAGE2dStride {
 }
 
 func (h *VTAGE2dStride) Name() string { return "VTAGE-2d-Stride" }
-
-// RegisterFolds forwards fold registration to the VTAGE component (the
-// stride side folds no history).
-func (h *VTAGE2dStride) RegisterFolds(hist *branch.History) { h.V.RegisterFolds(hist) }
 
 // hybridOutcome packs both component outcomes; the exported Outcome fields
 // reflect the arbitration result and the component outcomes ride along in

@@ -84,11 +84,11 @@ func TestVTAGEStorage(t *testing.T) {
 func TestVTAGEPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mismatched history lengths must panic")
+			t.Fatal("a tag wider than 32 bits must panic")
 		}
 	}()
 	cfg := smallVTAGE()
-	cfg.HistLens = []int{2, 4}
+	cfg.TagBitsLo = 30 // the sixth component's tags would be 35 bits
 	NewVTAGE(cfg)
 }
 

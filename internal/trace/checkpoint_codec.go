@@ -11,7 +11,7 @@ import (
 	"bebop/internal/util"
 )
 
-// Side-file layout, format version 4, in util's state encoding
+// Side-file layout, format version 5, in util's state encoding
 // (little-endian fixed-width integers, u64-length-prefixed strings):
 //
 //	File   := Header | count × Point | Index | indexOffset u64
@@ -34,7 +34,7 @@ import (
 // TestCheckpointStatePinned fails until it is bumped.
 const (
 	checkpointMagic   = "BBCk"
-	checkpointVersion = 4
+	checkpointVersion = 5
 	// ckptPrefix is the fixed-width start of the header: magic and
 	// version.
 	ckptPrefix int64 = 4 + 2

@@ -50,9 +50,6 @@ func NewTagged(entries int, histLens, tagBits []int, usefulBits, resetAt int, se
 	if !util.IsPowerOfTwo(entries) {
 		panic("branch: tagged component entries must be a power of two")
 	}
-	if len(tagBits) != len(histLens) {
-		panic("branch: tagged components need one tag width per history length")
-	}
 	t := &Tagged{
 		tag:        make([]uint32, entries*len(histLens)),
 		useful:     make([]uint8, entries*len(histLens)),

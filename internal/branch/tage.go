@@ -77,8 +77,8 @@ func (cfg TAGEConfig) HistoryLengths() []int {
 
 // NewTAGE builds a predictor from cfg.
 func NewTAGE(cfg TAGEConfig) *TAGE {
-	if !util.IsPowerOfTwo(cfg.BaseEntries) || !util.IsPowerOfTwo(cfg.CompEntries) {
-		panic("branch: TAGE table sizes must be powers of two")
+	if !util.IsPowerOfTwo(cfg.BaseEntries) {
+		panic("branch: TAGE base entries must be a power of two")
 	}
 	lengths := cfg.HistoryLengths()
 	tagBits := make([]int, len(lengths))

@@ -119,8 +119,8 @@ func NewDVTAGE(cfg DVTAGEConfig) *DVTAGE {
 	if cfg.NPred < 1 || cfg.NPred > MaxNPred {
 		panic("predictor: NPred out of range")
 	}
-	if !util.IsPowerOfTwo(cfg.BaseEntries) || !util.IsPowerOfTwo(cfg.TaggedEntries) {
-		panic("predictor: D-VTAGE table sizes must be powers of two")
+	if !util.IsPowerOfTwo(cfg.BaseEntries) {
+		panic("predictor: D-VTAGE base entries must be a power of two")
 	}
 	tagged := branch.NewTagged(cfg.TaggedEntries, cfg.HistLens, tagWidths(cfg.TagBitsLo, len(cfg.HistLens)), 1, 1<<18, cfg.Seed^0xA110C)
 	return &DVTAGE{

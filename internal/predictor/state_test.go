@@ -23,9 +23,10 @@ func alternate(s []bool) {
 }
 
 // filledDVTAGE is a default-geometry D-VTAGE with every table filled and
-// both RNGs advanced. Random blocks train the tagged core (tags,
-// usefulness, update count, allocation RNG) through its own calls; the
-// predictor's lanes are then overwritten with distinct values.
+// both RNGs advanced. Random blocks fill the tagged core (tags, update
+// count, allocation RNG) through the predictor's own calls, and every
+// third entry is marked useful; the predictor's lanes are then
+// overwritten with distinct values.
 func filledDVTAGE() *DVTAGE {
 	d := NewDVTAGE(DefaultDVTAGEConfig())
 	var h branch.History
@@ -35,6 +36,9 @@ func filledDVTAGE() *DVTAGE {
 		u.Slots[0] = SlotUpdate{Used: true, Actual: rng.Uint64() & 3, WasPredicted: true}
 		d.Update(&u)
 		h.Push(rng.Bool(0.5), rng.Uint64())
+	}
+	for e := int32(0); e < int32(d.tagged.Entries()); e += 3 {
+		d.tagged.TrainUseful(e, true)
 	}
 	alternate(d.lvtValid)
 	distinct(d.lvtTags, 1)

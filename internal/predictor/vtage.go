@@ -59,8 +59,8 @@ func tagWidths(lo, n int) []int {
 
 // NewVTAGE builds a VTAGE predictor.
 func NewVTAGE(cfg VTAGEConfig) *VTAGE {
-	if !util.IsPowerOfTwo(cfg.BaseEntries) || !util.IsPowerOfTwo(cfg.CompEntries) {
-		panic("predictor: VTAGE table sizes must be powers of two")
+	if !util.IsPowerOfTwo(cfg.BaseEntries) {
+		panic("predictor: VTAGE base entries must be a power of two")
 	}
 	tagged := branch.NewTagged(cfg.CompEntries, cfg.HistLens, tagWidths(cfg.TagBitsLo, len(cfg.HistLens)), 1, 1<<18, cfg.Seed^0xC0FFEE)
 	return &VTAGE{

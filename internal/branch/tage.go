@@ -113,7 +113,7 @@ type Prediction struct {
 	altTaken bool
 	provNew  bool // provider entry looked newly allocated (weak & not useful)
 	baseIdx  int
-	entries  [16]int32
+	indices  [16]int32
 	tags     [16]uint32
 }
 
@@ -129,12 +129,12 @@ func (t *TAGE) Predict(pc uint64, h *History) Prediction {
 	p.Taken = t.base[p.baseIdx] >= 2
 	p.altTaken = p.Taken
 	var alt int
-	p.provider, alt = t.tagged.Lookup(pcHash, pcHash, h, p.entries[:], p.tags[:])
+	p.provider, alt = t.tagged.Lookup(pcHash, pcHash, h, p.indices[:], p.tags[:])
 	if p.provider >= 0 {
-		e := p.entries[p.provider]
+		e := p.indices[p.provider]
 		ctr := t.ctr[e]
 		if alt >= 0 {
-			p.altTaken = t.ctr[p.entries[alt]] >= 0
+			p.altTaken = t.ctr[p.indices[alt]] >= 0
 		}
 		p.provNew = (ctr == 0 || ctr == -1) && t.tagged.Useful(e) == 0
 		if p.provNew && t.useAltOnNA >= 0 {
@@ -151,7 +151,7 @@ func (t *TAGE) Predict(pc uint64, h *History) Prediction {
 // read, so training needs neither the PC nor the history.
 func (t *TAGE) Update(p *Prediction, taken bool) {
 	if p.provider >= 0 {
-		e := p.entries[p.provider]
+		e := p.indices[p.provider]
 		// useAltOnNA bookkeeping.
 		if p.provNew && (t.ctr[e] >= 0) != p.altTaken {
 			if p.altTaken == taken {
@@ -189,7 +189,7 @@ func (t *TAGE) Update(p *Prediction, taken bool) {
 
 	// Allocate on misprediction in a longer component.
 	if p.Taken != taken {
-		if e := t.tagged.Allocate(p.provider, p.entries[:], p.tags[:]); e >= 0 {
+		if e := t.tagged.Allocate(p.provider, p.indices[:], p.tags[:]); e >= 0 {
 			if taken {
 				t.ctr[e] = 0
 			} else {

@@ -87,11 +87,9 @@ func NewCache(name string, cfg Config) *Cache {
 // Reset invalidates every line and clears MSHRs and statistics, reusing
 // the tag/LRU arrays: a Reset cache behaves identically to a new one.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.tags[i] = 0
-		c.lastUse[i] = 0
-	}
+	clear(c.valid)
+	clear(c.tags)
+	clear(c.lastUse)
 	c.clock = 0
 	c.mshrs = c.mshrs[:0]
 	c.mshrMin = 0

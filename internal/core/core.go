@@ -112,12 +112,14 @@ func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) 
 // runStream is the one lifecycle of a stream this package simulates,
 // opened by the caller with open or openBudgeted: it runs fn on a pooled
 // processor over the stream inside simulate, reports an error the
-// stream recorded mid-run (a corrupt trace), and closes it. The
-// processor reads through a cancelStream only when ctx can be cancelled
-// or on wants progress, which keeps the polling wrapper off the hot path
-// of plain context.Background runs (benchmarks, allocation gates). fn
-// closes over the raw stream when it seeks.
-func runStream(ctx context.Context, src workload.Source, stream isa.Stream, total int64, on func(streamed, total int64), mk ConfigFactory, fn func(*pipeline.Processor) error) error {
+// stream recorded mid-run (a corrupt trace), and closes it when owned.
+// Only a sampling worker's trace reader is not owned: it outlives the
+// interval that runs it (see runInterval). The processor reads through
+// a cancelStream only when ctx can be cancelled or on wants progress,
+// which keeps the polling wrapper off the hot path of plain
+// context.Background runs (benchmarks, allocation gates). fn closes over
+// the raw stream when it seeks.
+func runStream(ctx context.Context, src workload.Source, stream isa.Stream, owned bool, total int64, on func(streamed, total int64), mk ConfigFactory, fn func(*pipeline.Processor) error) error {
 	run := stream
 	if ctx.Done() != nil || on != nil {
 		run = &cancelStream{inner: stream, ctx: ctx, total: total, on: on}
@@ -125,6 +127,9 @@ func runStream(ctx context.Context, src workload.Source, stream isa.Stream, tota
 	err := simulate(mk, run, fn)
 	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
 		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
+	}
+	if !owned {
+		return err
 	}
 	if cerr := closeStream(stream); cerr != nil && err == nil {
 		err = cerr
@@ -229,7 +234,7 @@ func RunSourceProgress(ctx context.Context, src workload.Source, warmup, insts i
 	}
 	sp := telemetry.TraceFrom(ctx).Start("detailed").SetInsts(warmup + insts)
 	var r pipeline.Result
-	err = runStream(ctx, src, stream, warmup+insts, on, mk, func(p *pipeline.Processor) error {
+	err = runStream(ctx, src, stream, true, warmup+insts, on, mk, func(p *pipeline.Processor) error {
 		if err := faultinject.Fire("core.run"); err != nil {
 			return err
 		}

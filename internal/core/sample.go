@@ -112,6 +112,15 @@ func (sp SamplingParams) validate(insts int64) error {
 // instruction position (trace.Reader).
 type instSeeker interface{ SeekInst(n int64) error }
 
+// rearmable is implemented by streams a sampling worker keeps across
+// its intervals (trace.Reader): each interval moves the stream's end
+// with SetLimit and its position with SeekInst.
+type rearmable interface {
+	isa.Stream
+	instSeeker
+	SetLimit(n int64)
+}
+
 // RunSampled estimates the measured region [warmup, warmup+insts) of a
 // workload by detailed simulation of evenly-spaced intervals, sharded
 // across up to GOMAXPROCS pooled processors. The aggregate Result sums
@@ -155,13 +164,15 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	for w := 0; w < nw; w++ {
 		go func() {
 			defer wg.Done()
+			var reader rearmable // the worker's trace reader, see runInterval
+			defer func() { closeStream(reader) }()
 			for i := range idxCh {
 				if err := ctx.Err(); err != nil {
 					outs[i].err = err
 					continue
 				}
 				t0 := time.Now() //bebop:allow detlint -- wall time feeds only the interval-latency histogram, never the Result
-				res, used, err := runInterval(ctx, src, warmup+int64(i)*stride, i, mk, sp)
+				res, used, err := runInterval(ctx, src, &reader, warmup+int64(i)*stride, i, mk, sp)
 				mIntervalSeconds.Observe(time.Since(t0).Seconds()) //bebop:allow detlint -- telemetry observation only
 				outs[i] = intervalOut{res: res, usedCkpt: used, err: err}
 				if sp.OnInterval != nil && err == nil {
@@ -219,12 +230,26 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 // injection at the "core.interval" point) fails that interval, and with
 // it the sampled run, instead of crashing the process. idx is the
 // interval index, used only to tag telemetry spans.
-func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, usedCkpt bool, err error) {
-	stream, err := open(src, s+sp.DetailWarmup+sp.IntervalInsts)
-	if err != nil {
-		return pipeline.Result{}, false, err
+//
+// *reader is the worker's trace reader. Opening one decodes the trace's
+// whole frame index, so the worker's first interval opens it and every
+// later one re-arms it: SetLimit here, SeekInst in measureInterval. An
+// interval that fails or panics closes it and leaves *reader nil, as a
+// seized processor is never pooled, so a later interval opens a fresh
+// one. A generator cannot seek: each interval opens its own, and
+// runStream closes it.
+func runInterval(ctx context.Context, src workload.Source, reader *rearmable, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, usedCkpt bool, err error) {
+	end := s + sp.DetailWarmup + sp.IntervalInsts
+	var stream isa.Stream = *reader
+	if *reader != nil {
+		(*reader).SetLimit(end)
+	} else {
+		if stream, err = open(src, end); err != nil {
+			return pipeline.Result{}, false, err
+		}
+		*reader, _ = stream.(rearmable)
 	}
-	err = runStream(ctx, src, stream, 0, nil, mk, func(p *pipeline.Processor) error {
+	err = runStream(ctx, src, stream, *reader == nil, 0, nil, mk, func(p *pipeline.Processor) error {
 		if err := faultinject.Fire("core.interval"); err != nil {
 			return err
 		}
@@ -232,6 +257,10 @@ func runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk 
 		r, usedCkpt, err = measureInterval(telemetry.TraceFrom(ctx), p, stream, s, idx, sp)
 		return err
 	})
+	if err != nil && *reader != nil {
+		closeStream(*reader)
+		*reader = nil
+	}
 	return r, usedCkpt, err
 }
 
@@ -257,15 +286,17 @@ func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stre
 			return pipeline.Result{}, false, err
 		}
 	}
-	if start > 0 {
-		if sk, ok := stream.(instSeeker); ok {
-			if err := sk.SeekInst(start); err != nil {
-				return pipeline.Result{}, false, err
-			}
-		} else if n := p.FastForward(start); n != start {
-			return pipeline.Result{}, false, fmt.Errorf(
-				"stream ended at instruction %d, warming starts at %d", n, start)
+	// A worker's reader stands where its last interval stopped, so it
+	// seeks even to instruction 0.
+	if sk, ok := stream.(instSeeker); ok {
+		if err := sk.SeekInst(start); err != nil {
+			return pipeline.Result{}, false, err
 		}
+	} else if n := p.FastForward(start); n != start {
+		return pipeline.Result{}, false, fmt.Errorf(
+			"stream ended at instruction %d, warming starts at %d", n, start)
+	}
+	if start > 0 {
 		span.SetInterval(idx).SetInsts(start).End()
 	}
 	if gap := s - start; gap > 0 {
@@ -344,7 +375,7 @@ func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) 
 		name = cfg.Name
 		return cfg
 	}
-	err = runStream(context.Background(), src, stream, upTo, nil, named, func(p *pipeline.Processor) error {
+	err = runStream(context.Background(), src, stream, true, upTo, nil, named, func(p *pipeline.Processor) error {
 		for at := every; at < upTo; at += every {
 			if n := p.Warm(every); n != every {
 				return fmt.Errorf("core: workload %q ended at instruction %d, checkpoint wanted %d",

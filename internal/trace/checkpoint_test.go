@@ -388,6 +388,62 @@ func TestRunSampledOverOneSetAnyParallelism(t *testing.T) {
 	}
 }
 
+// TestRunSampledWarmFromZeroOverOneReader: a sampling worker keeps one
+// trace reader for all its intervals, so an interval that warms from
+// instruction 0 must seek its reader back there. Intervals warm from 0
+// under windowed warming over the whole prefix, and below the first
+// point of a side-file whose first point lies past the first two
+// intervals. Warming is split-invariant, so either run, at 1 worker and
+// at 4, must measure what the generator-backed run with windowed
+// warming measures.
+func TestRunSampledWarmFromZeroOverOneReader(t *testing.T) {
+	const warmup, insts = 8_000, 24_000
+	path := filepath.Join(t.TempDir(), "gcc"+Ext)
+	if err := os.WriteFile(path, mkTrace(t, warmup+insts, WriterOptions{}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := NewFileSource(path)
+	gcc, _ := workload.ProfileByName("gcc")
+	mk := core.EOLEBeBoP("Medium", core.MediumConfig())
+	// Intervals start every 3,000 instructions from 8,000; points at
+	// 12,000 and 24,000 leave the first two with none to restore.
+	points, name, err := core.BuildCheckpoints(src, mk, 12_000, warmup+insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := &CheckpointFile{TraceName: "gcc", TraceInsts: warmup + insts, ConfigName: name, Points: points}
+	whole := core.SamplingParams{Intervals: 8, IntervalInsts: 1_000, DetailWarmup: 200, WarmupInsts: warmup + insts}
+	fromLate := whole
+	fromLate.WarmupInsts, fromLate.Checkpoints = 0, late
+
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	run := func(src workload.Source, sp core.SamplingParams, par int) (pipeline.Result, []float64) {
+		runtime.GOMAXPROCS(par) // RunSampled starts GOMAXPROCS interval workers
+		res, st, err := core.RunSampled(context.Background(), src, warmup, insts, mk, sp)
+		if err != nil {
+			t.Fatalf("%s, parallelism %d: %v", src.Name(), par, err)
+		}
+		if sp.Checkpoints != nil && st.CheckpointsUsed != sp.Intervals-2 {
+			t.Errorf("parallelism %d: %d of %d intervals restored, want all but the first two", par, st.CheckpointsUsed, sp.Intervals)
+		}
+		return res, st.IntervalIPCs
+	}
+	wantRes, wantIPCs := run(workload.ProfileSource{Prof: gcc}, whole, 1)
+	for _, c := range []struct {
+		name string
+		sp   core.SamplingParams
+	}{{"windowed warming over the whole prefix", whole}, {"a side-file past the first interval", fromLate}} {
+		for _, par := range []int{1, 4} {
+			res, ipcs := run(src, c.sp, par)
+			if !reflect.DeepEqual(res, wantRes) || !reflect.DeepEqual(ipcs, wantIPCs) {
+				t.Errorf("%s, parallelism %d: the trace-backed run differs from the generator-backed one:\n%+v %v\n%+v %v",
+					c.name, par, res, ipcs, wantRes, wantIPCs)
+			}
+		}
+	}
+}
+
 // FuzzLoadCheckpoints: arbitrary bytes give an error or a valid side-file
 // that re-encodes to the same bytes — never a panic, and never an
 // allocation beyond a small multiple of the input. Every accepted point

@@ -222,6 +222,49 @@ func TestSetLimit(t *testing.T) {
 	if got := count(t, r); got != 3000 {
 		t.Fatalf("unlimited replay produced %d insts, want 3000", got)
 	}
+
+	// One Reader serves round after round, as a sampling worker's does:
+	// each (SetLimit, SeekInst) round replays what a fresh Reader replays.
+	replay := func(r *trace.Reader, limit, at int64) []isa.Inst {
+		t.Helper()
+		r.SetLimit(limit)
+		if err := r.SeekInst(at); err != nil {
+			t.Fatal(err)
+		}
+		var out []isa.Inst
+		var in isa.Inst
+		for r.Next(&in) {
+			out = append(out, in)
+		}
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		return out
+	}
+	reused := openBytes(t, data)
+	for _, round := range []struct {
+		name      string
+		limit, at int64
+	}{
+		{"into the middle of a frame", 1150, 1100},
+		{"forward within a frame", 1400, 1300},
+		{"backward across frames", 900, 100},
+		{"to 0", 600, 0},
+		{"to 0 again", 300, 0},
+		{"past the limit", 2400, 2500},
+		{"unlimited, backward", -1, 2000},
+	} {
+		want := replay(openBytes(t, data), round.limit, round.at)
+		got := replay(reused, round.limit, round.at)
+		if len(got) != len(want) {
+			t.Fatalf("%s: the reused Reader replayed %d insts, a fresh one %d", round.name, len(got), len(want))
+		}
+		for i := range want {
+			if !sameInst(&want[i], &got[i]) {
+				t.Fatalf("%s: instruction %d differs from a fresh Reader's", round.name, round.at+int64(i))
+			}
+		}
+	}
 }
 
 // TestReplayAllocationFree extends the pipeline's hot-loop property to

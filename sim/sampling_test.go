@@ -434,4 +434,21 @@ func TestSamplingSpecValidation(t *testing.T) {
 			t.Errorf("checkpoints over workload %q, profile %v: %v, want ErrInvalidSpec", spec.Workload, spec.Profile != nil, err)
 		}
 	}
+
+	// Checkpoints need a value predictor that can snapshot: BeBoP's
+	// blocks, or none. A trace path is not opened to validate, so the
+	// file need not exist.
+	for cfg, ok := range map[string]bool{
+		"baseline": true, "eole-bebop": true, "eole/Large": true,
+		"baseline-vp": false, "baseline-vp/VTAGE": false, "eole": false,
+	} {
+		spec := RunSpec{Trace: "missing.bbt", Config: cfg, Insts: 40_000, Sampling: &SamplingSpec{Checkpoints: true}}
+		_, err := spec.Validate()
+		if ok && err != nil {
+			t.Errorf("checkpoints under %q: unexpected error %v", cfg, err)
+		}
+		if !ok && !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("checkpoints under %q: %v, want ErrInvalidSpec", cfg, err)
+		}
+	}
 }

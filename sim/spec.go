@@ -126,7 +126,8 @@ type SamplingSpec struct {
 	// .ckpt side-file: an existing valid side-file is restored from, a
 	// missing or stale one is built (one continuous warming pass) and
 	// written next to the trace. Only trace-backed workloads can carry
-	// checkpoints.
+	// checkpoints, and only the baseline and eole-bebop configurations
+	// can take them.
 	Checkpoints bool `json:"checkpoints,omitempty"`
 }
 
@@ -422,6 +423,12 @@ func (s RunSpec) resolve() (RunSpec, workload.Source, core.ConfigFactory, error)
 		}
 	default:
 		return RunSpec{}, nil, nil, util.UnknownName("configuration", out.Config, Configs())
+	}
+	// Only BeBoP's block-based value predictor can checkpoint; the
+	// idealistic per-instruction infrastructure of baseline-vp and eole
+	// cannot.
+	if out.Sampling != nil && out.Sampling.Checkpoints && cfg != "baseline" && cfg != "eole-bebop" {
+		return RunSpec{}, nil, nil, fmt.Errorf("sim: %w: config %q cannot checkpoint its value predictor; sampling checkpoints need baseline or eole-bebop", ErrInvalidSpec, cfg)
 	}
 	if mk == nil {
 		var err error

@@ -241,13 +241,13 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 func runInterval(ctx context.Context, src workload.Source, reader *rearmable, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, usedCkpt bool, err error) {
 	end := s + sp.DetailWarmup + sp.IntervalInsts
 	var stream isa.Stream = *reader
-	if *reader != nil {
-		(*reader).SetLimit(end)
-	} else {
+	if stream == nil {
 		if stream, err = open(src, end); err != nil {
 			return pipeline.Result{}, false, err
 		}
 		*reader, _ = stream.(rearmable)
+	} else {
+		(*reader).SetLimit(end)
 	}
 	err = runStream(ctx, src, stream, *reader == nil, 0, nil, mk, func(p *pipeline.Processor) error {
 		if err := faultinject.Fire("core.interval"); err != nil {

@@ -32,8 +32,9 @@ func (t *Tagged) LoadState(r *util.StateReader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	top := t.usefulMax()
 	for e, u := range t.useful {
-		if u > t.usefulMax() {
+		if u > top {
 			return fmt.Errorf("entry %d's usefulness %d exceeds %d bits", e, u, t.usefulBits)
 		}
 	}
@@ -102,7 +103,10 @@ func (r *RAS) AppendState(b []byte) []byte {
 // LoadState decodes what AppendState appended into the RAS, refusing a
 // top or depth the stack could never hold.
 func (r *RAS) LoadState(rd *util.StateReader) error {
-	rd.Uint64s(r.stack)
+	rd.Len(len(r.stack))
+	for i := range r.stack {
+		r.stack[i] = rd.Uint64()
+	}
 	r.top, r.depth = rd.Int(), rd.Int()
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("branch: RAS state: %w", err)

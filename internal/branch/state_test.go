@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bebop/internal/util"
@@ -111,25 +112,35 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	small := DefaultTAGEConfig()
 	small.CompEntries /= 2
 	btb := NewBTB(4096, 4).AppendState(nil)
-	btbBadBool := append([]byte(nil), btb...)
-	btbBadBool[8] = 2 // the first entry's valid byte, after the entry count
+	// Every entry valid makes the valid table dense: its count, form
+	// byte 0, then one byte per entry.
+	full := NewBTB(4096, 4)
+	for i := range full.valid {
+		full.valid[i] = true
+	}
+	btbBadBool := full.AppendState(nil)
+	if btbBadBool[8] != 0 || btbBadBool[9] != 1 {
+		t.Fatalf("BTB valid table of form %d, first byte %d; want a dense table whose entry 0 is valid", btbBadBool[8], btbBadBool[9])
+	}
+	btbBadBool[9] = 2 // the first entry's valid byte, after the entry count and the form
 	wideUseful := NewTAGE(DefaultTAGEConfig())
 	wideUseful.tagged.useful[7] = 4
 	for _, tc := range []struct {
 		name  string
 		into  stateComponent
 		state []byte
+		want  string // in the refusal; "" for any
 	}{
-		{"RAS top past the stack", NewRAS(16), rasState(func(r *RAS) { r.top = len(r.stack) + 3 })},
-		{"RAS top negative", NewRAS(16), rasState(func(r *RAS) { r.top = -1 })},
-		{"RAS depth past the stack", NewRAS(16), rasState(func(r *RAS) { r.depth = len(r.stack) + 1 })},
-		{"RAS depth negative", NewRAS(16), rasState(func(r *RAS) { r.depth = -1 })},
-		{"RAS stack of another size", NewRAS(8), rasState(func(*RAS) {})},
-		{"TAGE tables of another size", NewTAGE(DefaultTAGEConfig()), NewTAGE(small).AppendState(nil)},
-		{"TAGE usefulness counter above 2 bits", NewTAGE(DefaultTAGEConfig()), wideUseful.AppendState(nil)},
-		{"BTB of another size", NewBTB(2048, 4), btb},
-		{"BTB valid byte other than 0 or 1", NewBTB(4096, 4), btbBadBool},
-		{"BTB truncated", NewBTB(4096, 4), btb[:len(btb)-1]},
+		{"RAS top past the stack", NewRAS(16), rasState(func(r *RAS) { r.top = len(r.stack) + 3 }), ""},
+		{"RAS top negative", NewRAS(16), rasState(func(r *RAS) { r.top = -1 }), ""},
+		{"RAS depth past the stack", NewRAS(16), rasState(func(r *RAS) { r.depth = len(r.stack) + 1 }), ""},
+		{"RAS depth negative", NewRAS(16), rasState(func(r *RAS) { r.depth = -1 }), ""},
+		{"RAS stack of another size", NewRAS(8), rasState(func(*RAS) {}), ""},
+		{"TAGE tables of another size", NewTAGE(DefaultTAGEConfig()), NewTAGE(small).AppendState(nil), ""},
+		{"TAGE usefulness counter above 2 bits", NewTAGE(DefaultTAGEConfig()), wideUseful.AppendState(nil), ""},
+		{"BTB of another size", NewBTB(2048, 4), btb, ""},
+		{"BTB valid byte other than 0 or 1", NewBTB(4096, 4), btbBadBool, "bool byte 2"},
+		{"BTB truncated", NewBTB(4096, 4), btb[:len(btb)-1], ""},
 	} {
 		func() {
 			defer func() {
@@ -137,12 +148,39 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 					t.Errorf("%s: LoadState panicked: %v", tc.name, rec)
 				}
 			}()
-			if err := tc.into.LoadState(util.NewStateReader(tc.state)); err == nil {
+			switch err := tc.into.LoadState(util.NewStateReader(tc.state)); {
+			case err == nil:
 				t.Errorf("%s: loaded", tc.name)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s: refused with %q, want %q in it", tc.name, err, tc.want)
 			}
 		}()
 	}
 	if err := loadAll(NewRAS(16), rasState(func(*RAS) {})); err != nil {
 		t.Fatalf("the unbroken RAS state does not load: %v", err)
+	}
+}
+
+// TestSparseBTBStateIsSmall: a BTB holding 50 entries of 8,192, about
+// as many as warming leaves in one, encodes each lane as its bitmap and
+// its non-zero elements, not 8,192 elements per lane (204,840 bytes).
+func TestSparseBTBStateIsSmall(t *testing.T) {
+	btb, got := NewBTB(8192, 2), NewBTB(8192, 2)
+	for i := range uint64(50) {
+		btb.Insert(0x40_0000+i*0x1234, 0x50_0000+i*8)
+	}
+	valid := 0
+	for _, v := range btb.valid {
+		if v {
+			valid++
+		}
+	}
+	state := btb.AppendState(nil)
+	t.Logf("%d valid entries: %d bytes", valid, len(state))
+	if valid != 50 || len(state) >= 8<<10 {
+		t.Errorf("a BTB with %d valid entries encodes in %d bytes, want 50 in under 8 KiB", valid, len(state))
+	}
+	if err := loadAll(got, state); err != nil || !reflect.DeepEqual(btb, got) {
+		t.Errorf("the sparse BTB does not round-trip (%v)", err)
 	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"bebop/internal/util"
@@ -58,8 +59,14 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	noPrefetcher := h.Mem.AppendState(h.L2.AppendState(h.L1D.AppendState(h.L1I.AppendState(nil))))
 	small := DefaultHierarchyConfig()
 	small.L2.SizeBytes /= 2
+	// L1I's tags and valid bits are mostly non-zero, so both tables are
+	// dense: a count, form byte 0, then the elements.
 	badValid := h.AppendState(nil)
-	badValid[8+8*len(h.L1I.tags)+8] = 2 // L1I's first valid byte: past its tags and the valid count
+	valid := 8 + 1 + 8*len(h.L1I.tags) + 8 + 1 // L1I's first valid byte: past its tags and the valid count and form
+	if badValid[valid-1] != 0 || badValid[valid] != 0 {
+		t.Fatalf("L1I's valid table has form %d, first byte %d; want a dense table whose line 0 is invalid", badValid[valid-1], badValid[valid])
+	}
+	badValid[valid] = 2
 	shortPrefetcher := util.AppendLen(noPrefetcher, len(h.Prefetch.entries)-1)
 	for range len(h.Prefetch.entries) - 1 {
 		shortPrefetcher = append(shortPrefetcher, make([]byte, 8+8+8+1)...)
@@ -67,11 +74,12 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		state []byte
+		want  string // in the refusal; "" for any
 	}{
-		{"no prefetcher", noPrefetcher},
-		{"prefetcher entries short", shortPrefetcher},
-		{"L2 of another size", NewHierarchy(small).AppendState(nil)},
-		{"valid byte other than 0 or 1", badValid},
+		{"no prefetcher", noPrefetcher, ""},
+		{"prefetcher entries short", shortPrefetcher, ""},
+		{"L2 of another size", NewHierarchy(small).AppendState(nil), ""},
+		{"valid byte other than 0 or 1", badValid, "L1I state: bool byte 2"},
 	} {
 		func() {
 			defer func() {
@@ -79,8 +87,11 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 					t.Errorf("%s: LoadState panicked: %v", tc.name, rec)
 				}
 			}()
-			if err := NewHierarchy(DefaultHierarchyConfig()).LoadState(util.NewStateReader(tc.state)); err == nil {
+			switch err := NewHierarchy(DefaultHierarchyConfig()).LoadState(util.NewStateReader(tc.state)); {
+			case err == nil:
 				t.Errorf("%s: loaded", tc.name)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s: refused with %q, want %q in it", tc.name, err, tc.want)
 			}
 		}()
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -53,11 +54,8 @@ type VPSnapshotter interface {
 
 // maxWarmUOps bounds the µ-ops of the block Warm has open: a taken
 // branch ends an occurrence, so it holds at most one instruction per
-// byte of the block. warmUOpBytes is the encoded size of one.
-const (
-	maxWarmUOps  = isa.FetchBlockSize * isa.MaxUOpsPerInst
-	warmUOpBytes = 8 + 1 + 1 + 1 + 8 + 8 + 1
-)
+// byte of the block.
+const maxWarmUOps = isa.FetchBlockSize * isa.MaxUOpsPerInst
 
 // errDetailed is returned by Snapshot and Restore on a processor that
 // has run a detailed cycle since New or Reset: from then on structures
@@ -89,8 +87,7 @@ func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
 		return nil, err
 	}
 	h := p.hist.Snapshot()
-	b := make([]byte, 0, p.stateLen+maxWarmUOps*warmUOpBytes)
-	b = util.AppendUint64s(b, h.Dir[:])
+	b := util.AppendUint64s(p.stateBuf[:0], h.Dir[:])
 	b = util.AppendUint64(b, h.Path)
 	b = p.tage.AppendState(b)
 	b = p.btb.AppendState(b)
@@ -113,8 +110,8 @@ func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
 		b = util.AppendUint64(b, u.PrevValue)
 		b = util.AppendBool(b, u.HasPrev)
 	}
-	p.stateLen = len(b)
-	return &Checkpoint{InstOffset: instOffset, ConfigName: p.cfg.Name, State: b}, nil
+	p.stateBuf = b
+	return &Checkpoint{InstOffset: instOffset, ConfigName: p.cfg.Name, State: bytes.Clone(b)}, nil
 }
 
 // Restore decodes a checkpoint taken under the same configuration name

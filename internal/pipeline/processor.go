@@ -83,10 +83,11 @@ type Processor struct {
 	warmingBlockPC   uint64
 	warmingBlockOpen bool
 	warmingUOps      []WarmUOp
-	// stateLen is the length of the last checkpoint state Snapshot
-	// built: under one configuration the next differs only by the open
-	// block's µ-ops, so it sizes the next state's buffer.
-	stateLen int
+	// stateBuf is the buffer Snapshot encodes into, kept across points;
+	// each point copies its state out at its length. A point's size
+	// follows what warming has filled, so a buffer sized from the last
+	// point would regrow, or leave room to spare.
+	stateBuf []byte
 
 	stats Stats
 	// H2P attribution tables (nil unless cfg.CollectH2P); cleared at the

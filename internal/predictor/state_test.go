@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"bebop/internal/branch"
@@ -79,27 +80,37 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 		edit(d)
 		return d.AppendState(nil)
 	}
+	// Two thirds of the LVT valid bits are set, so the table is dense:
+	// its count, form byte 0, then one byte per entry.
 	badBool := filledDVTAGE().AppendState(nil)
-	badBool[8] = 2 // the first LVT valid byte, after the count
+	if badBool[8] != 0 || badBool[9] != 0 {
+		t.Fatalf("LVT valid table starts with form %d, first byte %d; want a dense table whose entry 0 is false", badBool[8], badBool[9])
+	}
+	badBool[9] = 2 // the first LVT valid byte, after the count and the form
 	// The tagged core's state ends with its usefulness lane, the update
-	// count and the RNG position.
+	// count and the RNG position. A third of the counters are 1, so the
+	// lane is masked and its last byte is the last of them.
 	badUseful := filledDVTAGE().AppendState(nil)
-	badUseful[len(badUseful)-16-NewDVTAGE(DefaultDVTAGEConfig()).tagged.Entries()] = 2
+	if at := len(badUseful) - 16 - 1; badUseful[at] != 1 {
+		t.Fatalf("the last usefulness byte reads %d, want 1", badUseful[at])
+	}
+	badUseful[len(badUseful)-16-1] = 2
 	fiveComps := DefaultDVTAGEConfig()
 	fiveComps.HistLens = fiveComps.HistLens[:5]
 	for _, tc := range []struct {
 		name  string
 		state []byte
+		want  string // in the refusal; "" for any
 	}{
-		{"LVT tags short", short(func(d *DVTAGE) { d.lvtTags = d.lvtTags[1:] })},
-		{"LVT presence short", short(func(d *DVTAGE) { d.lvtHas = d.lvtHas[1:] })},
-		{"LVT byte tags short", short(func(d *DVTAGE) { d.lvtBtag = d.lvtBtag[1:] })},
-		{"VT0 confidences short", short(func(d *DVTAGE) { d.vt0Conf = d.vt0Conf[1:] })},
-		{"tagged strides short", short(func(d *DVTAGE) { d.strides = d.strides[1:] })},
-		{"tagged confidences short", short(func(d *DVTAGE) { d.conf = d.conf[1:] })},
-		{"a component missing", NewDVTAGE(fiveComps).AppendState(nil)},
-		{"LVT valid byte other than 0 or 1", badBool},
-		{"usefulness byte 2", badUseful},
+		{"LVT tags short", short(func(d *DVTAGE) { d.lvtTags = d.lvtTags[1:] }), ""},
+		{"LVT presence short", short(func(d *DVTAGE) { d.lvtHas = d.lvtHas[1:] }), ""},
+		{"LVT byte tags short", short(func(d *DVTAGE) { d.lvtBtag = d.lvtBtag[1:] }), ""},
+		{"VT0 confidences short", short(func(d *DVTAGE) { d.vt0Conf = d.vt0Conf[1:] }), ""},
+		{"tagged strides short", short(func(d *DVTAGE) { d.strides = d.strides[1:] }), ""},
+		{"tagged confidences short", short(func(d *DVTAGE) { d.conf = d.conf[1:] }), ""},
+		{"a component missing", NewDVTAGE(fiveComps).AppendState(nil), ""},
+		{"LVT valid byte other than 0 or 1", badBool, "bool byte 2"},
+		{"usefulness byte 2", badUseful, "usefulness 2 exceeds"},
 	} {
 		func() {
 			defer func() {
@@ -107,8 +118,11 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 					t.Errorf("%s: LoadState panicked: %v", tc.name, rec)
 				}
 			}()
-			if err := NewDVTAGE(DefaultDVTAGEConfig()).LoadState(util.NewStateReader(tc.state)); err == nil {
+			switch err := NewDVTAGE(DefaultDVTAGEConfig()).LoadState(util.NewStateReader(tc.state)); {
+			case err == nil:
 				t.Errorf("%s: loaded", tc.name)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s: refused with %q, want %q in it", tc.name, err, tc.want)
 			}
 		}()
 	}

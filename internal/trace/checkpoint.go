@@ -30,11 +30,14 @@ const CheckpointExt = ".ckpt"
 // instruction 0 — which is what makes the warmup cost amortizable
 // across sampled-simulation requests, whatever spacing built the file.
 //
-// The file format lives in checkpoint_codec.go. It is fixed-width, so a
-// side-file is about as large as the state it restores: roughly 540 KB
-// per point for the baseline configuration and 660 KB for
-// EOLE_4_60/Medium. Sampled runs open it as a CheckpointSet instead,
-// which reads only the points they restore.
+// The file format lives in checkpoint_codec.go. A point stores each
+// table dense or, when fewer than half its elements are non-zero, as a
+// bitmap and its non-zero elements, so it grows with what warming has
+// filled: over the 29 points of each of perfbench's six 150K-instruction
+// traces, a point averages 182 KiB (36–324) under the baseline
+// configuration and 201 KiB (45–344) under EOLE_4_60/Medium, about a
+// third of its tables' dense 540 and 658 KiB. Sampled runs open it as
+// a CheckpointSet instead, which reads only the points they restore.
 type CheckpointFile struct {
 	// TraceName and TraceInsts identify the trace the snapshots were
 	// trained on; CheckpointSet.Validate refuses a side-file whose

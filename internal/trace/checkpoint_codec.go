@@ -11,7 +11,7 @@ import (
 	"bebop/internal/util"
 )
 
-// Side-file layout, format version 5, in util's state encoding
+// Side-file layout, format version 6, in util's state encoding
 // (little-endian fixed-width integers, u64-length-prefixed strings):
 //
 //	File   := Header | count × Point | Index | indexOffset u64
@@ -21,11 +21,14 @@ import (
 //	Index  := count × (instOffset i64 | byteOffset u64)
 //
 // A point's state is pipeline.Checkpoint.State, the bytes each
-// component appended. The index gives each point's instruction offset
-// and the file offset its encoding starts at; a point ends where the
-// next one (or the index) starts. The last 8 bytes locate the index, as
-// the .bbt trailer does, so opening a side-file reads the header and
-// the index only, and each point is read when it is restored.
+// component appended. Every table in it is a count, a form byte and
+// its elements, dense or masked (a bitmap of its non-zero elements,
+// then those alone) as its contents pick. The index gives each point's
+// instruction offset and the file offset its encoding starts at; a
+// point ends where the next one (or the index) starts. The last 8 bytes
+// locate the index, as the .bbt trailer does, so opening a side-file
+// reads the header and the index only, and each point is read when it
+// is restored.
 //
 // checkpointVersion pins the state encoding as well as this layout: a
 // side-file holds what warming trained when it was built, so a change to
@@ -34,7 +37,7 @@ import (
 // TestCheckpointStatePinned fails until it is bumped.
 const (
 	checkpointMagic   = "BBCk"
-	checkpointVersion = 5
+	checkpointVersion = 6
 	// ckptPrefix is the fixed-width start of the header: magic and
 	// version.
 	ckptPrefix int64 = 4 + 2

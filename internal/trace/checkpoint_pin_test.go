@@ -26,7 +26,12 @@ var update = flag.Bool("update", false, "rewrite testdata/checkpoint_state.golde
 // change would be reused and answer differently from a fresh build.
 // -update rewrites the golden, and only once the version differs from
 // the one it records.
+//
+// Each Baseline_6_60 point must also encode in under a quarter of the
+// 552,875 bytes its tables take dense: warming leaves most of them
+// mostly zero, and the codec masks those.
 func TestCheckpointStatePinned(t *testing.T) {
+	const baselineDense = 552_875
 	var got strings.Builder
 	fmt.Fprintf(&got, "checkpointVersion %d\n", checkpointVersion)
 	for _, mk := range []core.ConfigFactory{core.Baseline(), core.EOLEBeBoP("Medium", core.MediumConfig())} {
@@ -38,6 +43,9 @@ func TestCheckpointStatePinned(t *testing.T) {
 			}
 			for _, ck := range points {
 				fmt.Fprintf(&got, "%s %s %d %x\n", name, bench, ck.InstOffset, sha256.Sum256(ck.State))
+				if name == "Baseline_6_60" && len(ck.State) >= baselineDense/4 {
+					t.Errorf("%s point at %d encodes in %d bytes, want under %d", bench, ck.InstOffset, len(ck.State), baselineDense/4)
+				}
 			}
 		}
 	}

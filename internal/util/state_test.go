@@ -55,11 +55,86 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTableForms: every table type round-trips at every occupancy and
+// length, into a destination holding other values, in the form its
+// contents pick: masked, its bitmap and its non-zero elements alone,
+// when fewer than half its elements are non-zero, and dense otherwise.
+func TestTableForms(t *testing.T) {
+	val := func(i int) uint64 { return uint64(i+1)*0x9E3779B97F4A7C15 | 1 } // non-zero at every width
+	checkForms(t, "bool", AppendBools, (*StateReader).Bools, 0, func(int) bool { return true })
+	checkForms(t, "int8", AppendInt8s, (*StateReader).Int8s, 1, func(i int) int8 { return int8(val(i)) })
+	checkForms(t, "uint8", AppendUint8s, (*StateReader).Uint8s, 1, func(i int) uint8 { return uint8(val(i)) })
+	checkForms(t, "uint16", AppendUint16s, (*StateReader).Uint16s, 2, func(i int) uint16 { return uint16(val(i)) })
+	checkForms(t, "uint32", AppendUint32s, (*StateReader).Uint32s, 4, func(i int) uint32 { return uint32(val(i)) })
+	checkForms(t, "int64", AppendInt64s, (*StateReader).Int64s, 8, func(i int) int64 { return -int64(val(i) >> 1) })
+	checkForms(t, "uint64", AppendUint64s, (*StateReader).Uint64s, 8, val)
+}
+
+// checkForms round-trips tables of one type, size bytes per listed
+// element (0 for bools, which list none), whose non-zero elements are
+// nz(i).
+func checkForms[T comparable](t *testing.T, name string, app func([]byte, []T) []byte, read func(*StateReader, []T), size int, nz func(i int) T) {
+	t.Helper()
+	var forms [2]int
+	for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 8192} {
+		for _, occ := range []struct {
+			name string
+			set  func(i int) bool
+		}{
+			{"empty", func(int) bool { return false }},
+			{"one element", func(i int) bool { return i == n/2 }},
+			{"sparse", func(i int) bool { return i%7 == 3 }},
+			{"half", func(i int) bool { return i%2 == 0 }},
+			{"full", func(int) bool { return true }},
+		} {
+			src, dst := make([]T, n), make([]T, n)
+			set := 0
+			for i := range src {
+				dst[i] = nz(i + 1)
+				if occ.set(i) {
+					src[i] = nz(i)
+					set++
+				}
+			}
+			b := app([]byte{0xEE}, src)[1:]
+			form, want := byte(formDense), 8+1+n*max(size, 1)
+			if 2*set < n {
+				form, want = formMasked, 8+1+(n+7)/8+set*size
+			}
+			forms[form]++
+			if len(b) != want || b[8] != form {
+				t.Errorf("%s, %d elements, %s: %d bytes, form %d; want %d bytes, form %d", name, n, occ.name, len(b), b[8], want, form)
+				continue
+			}
+			r := NewStateReader(b)
+			read(r, dst)
+			if r.Err() != nil || r.Left() != 0 || !reflect.DeepEqual(src, dst) {
+				t.Errorf("%s, %d elements, %s: error %v, %d bytes left, equal %v", name, n, occ.name, r.Err(), r.Left(), reflect.DeepEqual(src, dst))
+			}
+		}
+	}
+	if forms[formDense] == 0 || forms[formMasked] == 0 {
+		t.Errorf("%s: %d dense and %d masked tables, want both forms", name, forms[formDense], forms[formMasked])
+	}
+}
+
 // TestStateReaderRefuses: a table of another length, a bool byte other
-// than 0 or 1, a byte string longer than the input and a short input
-// are errors.
+// than 0 or 1, a table form other than dense or masked, a bitmap bit
+// past the table, a bitmap whose elements are missing, a byte string
+// longer than the input and a short input are errors.
 func TestStateReaderRefuses(t *testing.T) {
 	three := AppendUint64s(nil, []uint64{1, 2, 3})
+	// Form 2, then a byte that would decode under either known form.
+	unknownForm := append(AppendLen(nil, 1), 2, 0)
+	// Three zero elements: masked, a one-byte bitmap and no elements.
+	// Setting bit 3 and appending its element leaves the padding check
+	// the only guard against a store past the table.
+	padding := AppendUint64s(nil, make([]uint64, 3))
+	padding[8+1] |= 1 << 3
+	padding = AppendUint64(padding, 9)
+	// One set bit of four, and its one element.
+	missing := AppendUint16s(nil, []uint16{0, 0, 5, 0})
+	missing[8+1] |= 1
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -70,7 +145,12 @@ func TestStateReaderRefuses(t *testing.T) {
 		{"a short table", three[:len(three)-1], func(r *StateReader) { r.Uint64s(make([]uint64, 3)) }},
 		{"a short scalar", []byte{1, 2}, func(r *StateReader) { r.Uint64() }},
 		{"bool byte 2", []byte{2}, func(r *StateReader) { r.Bool() }},
-		{"bool byte 2 in a table", AppendUint8s(nil, []uint8{1, 2}), func(r *StateReader) { r.Bools(make([]bool, 2)) }},
+		{"bool byte 2 in a dense table", AppendUint8s(nil, []uint8{1, 2}), func(r *StateReader) { r.Bools(make([]bool, 2)) }},
+		{"an unknown table form", unknownForm, func(r *StateReader) { r.Uint8s(make([]uint8, 1)) }},
+		{"an unknown bool table form", unknownForm, func(r *StateReader) { r.Bools(make([]bool, 1)) }},
+		{"a bitmap bit past the table", padding, func(r *StateReader) { r.Uint64s(make([]uint64, 3)) }},
+		{"a bool bitmap bit past the table", padding, func(r *StateReader) { r.Bools(make([]bool, 3)) }},
+		{"fewer elements than set bits", missing, func(r *StateReader) { r.Uint16s(make([]uint16, 4)) }},
 		{"a byte string past the input", AppendLen(nil, 1<<40), func(r *StateReader) { r.Bytes() }},
 	} {
 		r := NewStateReader(tc.data)

@@ -15,9 +15,9 @@ import (
 // it exactly as it runs from the live generator the trace was recorded
 // from. Opening a Reader reads the header, the trailer and the frame
 // index; each frame is then loaded with one ReadAt when the replay
-// reaches it or SeekInst lands in it. The frame buffer is reused across
-// frames, so replay is steady-state allocation-free and preserves the
-// pipeline's allocation-free hot loop.
+// reaches it or SeekInst lands in it, into one buffer that open sizes
+// to the largest frame, so replay allocates nothing after open and
+// preserves the pipeline's allocation-free hot loop.
 //
 // Errors are sticky: Next returns false and Err reports what went
 // wrong. A nil Err after exhaustion means the replay reached the end of
@@ -36,7 +36,7 @@ type Reader struct {
 
 	frameRem int
 	dec      instDecoder
-	buf      []byte
+	buf      []byte // every frame's payload in turn, sized at open to the largest
 
 	// Telemetry accumulates locally (plain counters on the decode path)
 	// and flushes to the process registry on Close, never per frame.
@@ -150,7 +150,7 @@ func (r *Reader) Next(in *isa.Inst) bool {
 	return true
 }
 
-// loadFrame reads frame i with one ReadAt into the reusable buffer and
+// loadFrame reads frame i with one ReadAt into the frame buffer and
 // arms the decoder on it. It returns false on error.
 func (r *Reader) loadFrame(i int) bool {
 	if err := faultinject.Fire("trace.frame.decode"); err != nil {
@@ -163,17 +163,14 @@ func (r *Reader) loadFrame(i int) bool {
 		end = r.index[i+1].offset
 	}
 	n := int(end - e.offset)
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if err := readFull(r.src, r.buf, int64(e.offset)); err != nil {
+	b := r.buf[:n]
+	if err := readFull(r.src, b, int64(e.offset)); err != nil {
 		r.err = formatErr("frame %d: %v", i, err)
 		return false
 	}
 	r.framesRead++
 	r.payloadBytes += uint64(n)
-	r.dec.reset(r.buf)
+	r.dec.reset(b)
 	r.frameRem = int(e.instCount)
 	r.next = i + 1
 	return true
@@ -265,7 +262,7 @@ func (r *Reader) open(size int64) error {
 
 // readIndex decodes the index and checks that its frames tile
 // [dataOff, indexOff) in instruction order and that its totals agree
-// with them.
+// with them, then sizes the frame buffer to the largest frame.
 func (r *Reader) readIndex(idx []byte, dataOff uint64) error {
 	size := len(idx)
 	uvarint := func() (uint64, error) {
@@ -287,6 +284,7 @@ func (r *Reader) readIndex(idx []byte, dataOff uint64) error {
 	}
 	r.index = make([]frameIndexEntry, numFrames)
 	var prev frameIndexEntry
+	var span uint64 // the largest frame's bytes
 	for i := range r.index {
 		var d [3]uint64 // firstInstΔ, offsetΔ, instCount
 		for k := range d {
@@ -308,6 +306,9 @@ func (r *Reader) readIndex(idx []byte, dataOff uint64) error {
 		case e.offset >= r.indexOff:
 			return formatErr("frame %d starts at byte %d, not before the index at %d", i, e.offset, r.indexOff)
 		}
+		if i > 0 {
+			span = max(span, d[1])
+		}
 		r.index[i] = e
 		prev = e
 	}
@@ -316,6 +317,8 @@ func (r *Reader) readIndex(idx []byte, dataOff uint64) error {
 		return formatErr("%d bytes between the header and an empty index", r.indexOff-dataOff)
 	case numFrames > 0 && r.indexOff-prev.offset > maxFrameBytes:
 		return formatErr("frame %d spans %d bytes (bound %d)", numFrames-1, r.indexOff-prev.offset, maxFrameBytes)
+	case numFrames > 0:
+		span = max(span, r.indexOff-prev.offset)
 	}
 	totalInsts, err := uvarint()
 	if err != nil {
@@ -335,5 +338,6 @@ func (r *Reader) readIndex(idx []byte, dataOff uint64) error {
 	}
 	r.hdr.Insts = totalInsts
 	r.hdr.UOps = totalUOps
+	r.buf = make([]byte, span)
 	return nil
 }

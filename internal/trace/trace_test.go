@@ -270,9 +270,9 @@ func TestSetLimit(t *testing.T) {
 // TestReplayAllocationFree extends the pipeline's hot-loop property to
 // traces: once buffers are warm, a processor replaying a trace allocates
 // (near) nothing. The budget is TestHotLoopAllocationFree's 500; opening
-// the Reader, a fresh one per run, accounts for a handful of allocations
-// and its frame buffer is reused across frames. Frames are stored raw,
-// so the one case is the uncompressed replay.
+// the Reader, a fresh one per run, accounts for a handful of allocations,
+// its frame buffer among them. Frames are stored raw, so the one case is
+// the uncompressed replay.
 func TestReplayAllocationFree(t *testing.T) {
 	t.Run("uncompressed", func(t *testing.T) {
 		prof, _ := workload.ProfileByName("gcc")
@@ -288,6 +288,30 @@ func TestReplayAllocationFree(t *testing.T) {
 			t.Fatalf("trace replay allocates: %.0f allocs for 30k insts (budget 500)", allocs)
 		}
 	})
+}
+
+// TestReaderAllocatesOnlyAtOpen: open sizes the frame buffer to the
+// largest frame, so draining a Reader, frames of every size included,
+// allocates no more than reading its first instruction.
+func TestReaderAllocatesOnlyAtOpen(t *testing.T) {
+	prof, _ := workload.ProfileByName("gcc")
+	data := record(t, prof, 30000, trace.WriterOptions{})
+	read := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			r := openBytes(t, data)
+			var in isa.Inst
+			got := 0
+			for got != n && r.Next(&in) {
+				got++
+			}
+			if r.Err() != nil || (n < 0 && got != 30000) {
+				t.Fatalf("read %d insts, error %v", got, r.Err())
+			}
+		})
+	}
+	if one, all := read(1), read(-1); all > one {
+		t.Errorf("draining a Reader allocates %.0f times, reading one instruction %.0f", all, one)
+	}
 }
 
 // TestCatalogFromDir builds the CLI catalog: 36 profiles plus scanned

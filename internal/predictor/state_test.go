@@ -91,10 +91,11 @@ func TestLoadStateRejectsImpossibleState(t *testing.T) {
 	// count and the RNG position. A third of the counters are 1, so the
 	// lane is masked and its last byte is the last of them.
 	badUseful := filledDVTAGE().AppendState(nil)
-	if at := len(badUseful) - 16 - 1; badUseful[at] != 1 {
-		t.Fatalf("the last usefulness byte reads %d, want 1", badUseful[at])
+	useful := len(badUseful) - 16 - 1
+	if badUseful[useful] != 1 {
+		t.Fatalf("the last usefulness byte reads %d, want 1", badUseful[useful])
 	}
-	badUseful[len(badUseful)-16-1] = 2
+	badUseful[useful] = 2
 	fiveComps := DefaultDVTAGEConfig()
 	fiveComps.HistLens = fiveComps.HistLens[:5]
 	for _, tc := range []struct {

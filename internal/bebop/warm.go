@@ -77,5 +77,17 @@ func (b *BlockVP) WarmFetchBlock(blockPC uint64, hist *branch.History, uops []pi
 // in detailed runs, and checkpoints are taken before any.
 func (b *BlockVP) AppendState(s []byte) []byte { return b.dvt.AppendState(s) }
 
-// LoadState implements pipeline.VPSnapshotter.
-func (b *BlockVP) LoadState(r *util.StateReader) error { return b.dvt.LoadState(r) }
+// LoadState implements pipeline.VPSnapshotter. A checkpoint implies an
+// empty speculative window and FIFO update queue, so it empties both,
+// as New leaves them, before decoding the D-VTAGE tables: a processor
+// re-armed after a detailed run (pipeline.Processor.Rearm) keeps its
+// BlockVP, and the blocks that run left in flight must not train or
+// supply last values.
+func (b *BlockVP) LoadState(r *util.StateReader) error {
+	for b.fifo.Len() > 0 {
+		b.freeRec(b.fifo.PopFront())
+	}
+	b.reuseRec = nil
+	b.win.Reset()
+	return b.dvt.LoadState(r)
+}

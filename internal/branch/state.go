@@ -11,6 +11,27 @@ import (
 // under another geometry; after a refusal the structure holds a mix of
 // old and new entries and must be Reset before reuse.
 
+// AppendState appends the direction bits and the path register: the
+// HistorySnapshot, in util's state encoding.
+func (h *History) AppendState(b []byte) []byte {
+	b = util.AppendUint64s(b, h.dir[:])
+	return util.AppendUint64(b, h.path)
+}
+
+// LoadState decodes what AppendState appended, as Restore would restore
+// it: the folded registers are recomputed from the decoded bits.
+func (h *History) LoadState(r *util.StateReader) error {
+	r.Uint64s(h.dir[:])
+	h.path = r.Uint64()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("branch: history state: %w", err)
+	}
+	if h.folds != nil {
+		h.folds.recompute(h)
+	}
+	return nil
+}
+
 // AppendState appends the tag and usefulness lanes, the update count
 // and the allocation RNG position.
 func (t *Tagged) AppendState(b []byte) []byte {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -106,6 +107,52 @@ func TestCheckpointsRefuseADetailedProcessor(t *testing.T) {
 		p.Reset(mk(), nil)
 		if err := p.Restore(ck); err != nil {
 			t.Errorf("%s: Restore after Reset: %v", name, err)
+		}
+	}
+}
+
+// TestRunSampledBuildingHoldsFewPoints: a run that restores from the
+// pass building its checkpoints reports what RunSampled reports over
+// the finished points, hands the pass's every point to emit, and never
+// holds more than workers+1 copies, at any number of workers.
+func TestRunSampledBuildingHoldsFewPoints(t *testing.T) {
+	src := sampleProfile(t, "gcc")
+	mk := EOLEBeBoP("Medium", MediumConfig())
+	const warmup, insts = 4_000, 48_000
+	sp := SamplingParams{Intervals: 12, IntervalInsts: 1_000, DetailWarmup: 200}
+	every := insts / int64(sp.Intervals) // a point on every interval start
+	points, _, err := BuildCheckpoints(src, mk, every, warmup+insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sp
+	ref.Checkpoints = memCheckpoints(points)
+	wantRes, wantSt, err := RunSampled(context.Background(), src, warmup, insts, mk, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		setWorkers(t, workers)
+		f, err := newCheckpointFeed(sp, warmup, insts, every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var emitted []int64
+		res, st, err := f.run(context.Background(), src, warmup, insts, mk, sp, func(ck *pipeline.Checkpoint) error {
+			emitted = append(emitted, ck.InstOffset)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if res != wantRes || !reflect.DeepEqual(st, wantSt) {
+			t.Errorf("%d workers: the run over the pass differs from the run over its points:\n%+v\n%+v", workers, res, wantRes)
+		}
+		if len(emitted) != len(points) || emitted[len(emitted)-1] != points[len(points)-1].InstOffset {
+			t.Errorf("%d workers: the pass emitted points at %v, BuildCheckpoints took %d", workers, emitted, len(points))
+		}
+		if f.peak < 1 || f.peak > workers+1 {
+			t.Errorf("%d workers: %d points were alive at once, want 1 to %d", workers, f.peak, workers+1)
 		}
 	}
 }

@@ -93,12 +93,13 @@ func open(src workload.Source, n int64) (stream isa.Stream, err error) {
 	return stream, err
 }
 
-// simulate is the one way this package drives a processor: it arms a
-// pooled processor for mk() over stream and hands it to fn, inside the
-// guard. On a normal return, fn's error included, the processor is
-// released back to procPool; after a panic the seized processor is
-// dropped, not pooled, so its unknown state cannot poison a later run.
-// runStream is its one caller.
+// simulate drives a processor for one job: it arms a pooled processor
+// for mk() over stream and hands it to fn, inside the guard. On a normal
+// return, fn's error included, the processor is released back to
+// procPool; after a panic the seized processor is dropped, not pooled,
+// so its unknown state cannot poison a later run. runStream is its one
+// caller; a sampling worker holds its processor across intervals under
+// the same rules (sampleWorker).
 func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) error) error {
 	return guard(func() error {
 		proc := acquireProc(mk(), stream)
@@ -109,17 +110,16 @@ func simulate(mk ConfigFactory, stream isa.Stream, fn func(*pipeline.Processor) 
 	})
 }
 
-// runStream is the one lifecycle of a stream this package simulates,
-// opened by the caller with open or openBudgeted: it runs fn on a pooled
-// processor over the stream inside simulate, reports an error the
-// stream recorded mid-run (a corrupt trace), and closes it when owned.
-// Only a sampling worker's trace reader is not owned: it outlives the
-// interval that runs it (see runInterval). The processor reads through
-// a cancelStream only when ctx can be cancelled or on wants progress,
-// which keeps the polling wrapper off the hot path of plain
-// context.Background runs (benchmarks, allocation gates). fn closes over
-// the raw stream when it seeks.
-func runStream(ctx context.Context, src workload.Source, stream isa.Stream, owned bool, total int64, on func(streamed, total int64), mk ConfigFactory, fn func(*pipeline.Processor) error) error {
+// runStream is the one lifecycle of a stream a whole run or a
+// checkpoint pass simulates, opened by the caller with open or
+// openBudgeted: it runs fn on a pooled processor over the stream inside
+// simulate, reports an error the stream recorded mid-run (a corrupt
+// trace), and closes it. Sampling workers keep their stream and their
+// processor across intervals instead (see sampleWorker). The processor
+// reads through a cancelStream only when ctx can be cancelled or on
+// wants progress, which keeps the polling wrapper off the hot path of
+// plain context.Background runs (benchmarks, allocation gates).
+func runStream(ctx context.Context, src workload.Source, stream isa.Stream, total int64, on func(streamed, total int64), mk ConfigFactory, fn func(*pipeline.Processor) error) error {
 	run := stream
 	if ctx.Done() != nil || on != nil {
 		run = &cancelStream{inner: stream, ctx: ctx, total: total, on: on}
@@ -127,9 +127,6 @@ func runStream(ctx context.Context, src workload.Source, stream isa.Stream, owne
 	err := simulate(mk, run, fn)
 	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
 		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
-	}
-	if !owned {
-		return err
 	}
 	if cerr := closeStream(stream); cerr != nil && err == nil {
 		err = cerr
@@ -234,7 +231,7 @@ func RunSourceProgress(ctx context.Context, src workload.Source, warmup, insts i
 	}
 	sp := telemetry.TraceFrom(ctx).Start("detailed").SetInsts(warmup + insts)
 	var r pipeline.Result
-	err = runStream(ctx, src, stream, true, warmup+insts, on, mk, func(p *pipeline.Processor) error {
+	err = runStream(ctx, src, stream, warmup+insts, on, mk, func(p *pipeline.Processor) error {
 		if err := faultinject.Fire("core.run"); err != nil {
 			return err
 		}

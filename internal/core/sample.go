@@ -67,9 +67,11 @@ type SamplingParams struct {
 
 // CheckpointSource restores pre-built snapshots. RestoreNearest
 // restores the snapshot with the largest instruction offset ≤ inst into
-// p and returns that offset; when none qualifies it returns 0 and false
-// and leaves p untouched. Interval workers call it concurrently, each
-// with its own processor.
+// p, through Processor.Restore, and returns that offset; when none
+// qualifies it returns 0 and false and leaves p untouched. Interval
+// workers call it concurrently, each with its own processor, which may
+// be re-armed (Processor.Rearm) and still hold the tables of its last
+// interval until Restore overwrites them.
 type CheckpointSource interface {
 	RestoreNearest(p *pipeline.Processor, inst int64) (at int64, ok bool, err error)
 }
@@ -123,12 +125,37 @@ type rearmable interface {
 
 // RunSampled estimates the measured region [warmup, warmup+insts) of a
 // workload by detailed simulation of evenly-spaced intervals, sharded
-// across up to GOMAXPROCS pooled processors. The aggregate Result sums
-// the per-interval statistics; its IPC is the mean of per-interval IPCs
-// (the quantity the confidence interval in SampleStats describes). The
+// across up to GOMAXPROCS workers, each of which keeps one processor for
+// all its intervals (see sampleWorker). The aggregate Result sums the
+// per-interval statistics; its IPC is the mean of per-interval IPCs (the
+// quantity the confidence interval in SampleStats describes). The
 // reduction is performed in interval order, so the outcome is
-// bit-identical regardless of worker scheduling.
+// bit-identical regardless of worker scheduling. A run whose context is
+// cancelled before its last interval ends returns the context's error.
 func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, mk ConfigFactory, sp SamplingParams) (pipeline.Result, SampleStats, error) {
+	return runSampled(ctx, src, warmup, insts, mk, sp, nil)
+}
+
+// sampleWorkers is the number of workers RunSampled starts.
+func sampleWorkers(sp SamplingParams) int {
+	return min(runtime.GOMAXPROCS(0), sp.Intervals)
+}
+
+// starts returns the instruction each interval's detailed execution
+// starts at, in interval order.
+func (sp SamplingParams) starts(warmup, insts int64) []int64 {
+	stride := insts / int64(sp.Intervals)
+	starts := make([]int64, sp.Intervals)
+	for i := range starts {
+		starts[i] = warmup + int64(i)*stride
+	}
+	return starts
+}
+
+// runSampled is RunSampled calling ended, when set, with each interval's
+// index once the interval has ended, however it ended: run, failed or
+// skipped after a cancellation.
+func runSampled(ctx context.Context, src workload.Source, warmup, insts int64, mk ConfigFactory, sp SamplingParams, ended func(i int)) (pipeline.Result, SampleStats, error) {
 	if err := sp.validate(insts); err != nil {
 		return pipeline.Result{}, SampleStats{}, err
 	}
@@ -143,7 +170,7 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	}
 	closeStream(probe)
 
-	stride := insts / int64(sp.Intervals)
+	starts := sp.starts(warmup, insts)
 	type intervalOut struct {
 		res      pipeline.Result
 		usedCkpt bool
@@ -151,10 +178,7 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	}
 	outs := make([]intervalOut, sp.Intervals)
 
-	nw := runtime.GOMAXPROCS(0)
-	if nw > sp.Intervals {
-		nw = sp.Intervals
-	}
+	nw := sampleWorkers(sp)
 	root := telemetry.TraceFrom(ctx).Start("sampled").SetInsts(insts)
 	var progMu sync.Mutex
 	progDone := 0
@@ -164,23 +188,26 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	for w := 0; w < nw; w++ {
 		go func() {
 			defer wg.Done()
-			var reader rearmable // the worker's trace reader, see runInterval
-			defer func() { closeStream(reader) }()
+			var wk sampleWorker
+			defer wk.close()
 			for i := range idxCh {
 				if err := ctx.Err(); err != nil {
 					outs[i].err = err
-					continue
+				} else {
+					t0 := time.Now() //bebop:allow detlint -- wall time feeds only the interval-latency histogram, never the Result
+					res, used, err := wk.runInterval(ctx, src, starts[i], i, mk, sp)
+					mIntervalSeconds.Observe(time.Since(t0).Seconds()) //bebop:allow detlint -- telemetry observation only
+					outs[i] = intervalOut{res: res, usedCkpt: used, err: err}
+					if sp.OnInterval != nil && err == nil {
+						progMu.Lock()
+						//bebop:allow detlint -- mutex-guarded progress counter feeding the OnInterval callback; the Report is reduced from outs in index order
+						progDone++
+						sp.OnInterval(progDone, sp.Intervals)
+						progMu.Unlock()
+					}
 				}
-				t0 := time.Now() //bebop:allow detlint -- wall time feeds only the interval-latency histogram, never the Result
-				res, used, err := runInterval(ctx, src, &reader, warmup+int64(i)*stride, i, mk, sp)
-				mIntervalSeconds.Observe(time.Since(t0).Seconds()) //bebop:allow detlint -- telemetry observation only
-				outs[i] = intervalOut{res: res, usedCkpt: used, err: err}
-				if sp.OnInterval != nil && err == nil {
-					progMu.Lock()
-					//bebop:allow detlint -- mutex-guarded progress counter feeding the OnInterval callback; the Report is reduced from outs in index order
-					progDone++
-					sp.OnInterval(progDone, sp.Intervals)
-					progMu.Unlock()
+				if ended != nil {
+					ended(i)
 				}
 			}
 		}()
@@ -199,6 +226,11 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	for i := range outs {
 		o := &outs[i]
 		if o.err != nil {
+			if err := ctx.Err(); err != nil {
+				// An interval the cancellation cut short fails on its
+				// stream's early end; the cause is the context.
+				return pipeline.Result{}, SampleStats{}, err
+			}
 			return pipeline.Result{}, SampleStats{}, fmt.Errorf("core: sampled interval %d: %w", i, o.err)
 		}
 		if o.usedCkpt {
@@ -224,42 +256,102 @@ func RunSampled(ctx context.Context, src workload.Source, warmup, insts int64, m
 	return agg, st, nil
 }
 
-// runInterval simulates one measurement interval whose detailed
-// execution starts at absolute instruction s, on a processor driven
-// through the panic guard: a panic mid-interval (simulator bug, chaos
-// injection at the "core.interval" point) fails that interval, and with
-// it the sampled run, instead of crashing the process. idx is the
-// interval index, used only to tag telemetry spans.
+// sampleWorker is what one RunSampled worker keeps across its intervals:
+// its trace reader, its processor — with the configuration mk built for
+// it, the BeBoP D-VTAGE included, and the state buffer side-file points
+// are read into (Processor.PointBuf) — and the wrapper that ends its
+// stream when the context is cancelled.
 //
-// *reader is the worker's trace reader. Opening one decodes the trace's
-// whole frame index, so the worker's first interval opens it and every
+// An interval re-arms the kept processor (Processor.Rearm) when it may
+// restore a checkpoint: Rearm resets only what a checkpoint does not
+// carry, and Restore overwrites the rest. An interval without
+// checkpoints, one whose start no point precedes, and the first one
+// after a failure get a full Reset with a fresh configuration instead,
+// as a refused restore leaves tables half overwritten. A panic drops the
+// processor, as simulate drops a seized one, and the next interval
+// acquires another from the pool. Opening a trace reader decodes the
+// trace's whole frame index, so the first interval opens it and every
 // later one re-arms it: SetLimit here, SeekInst in measureInterval. An
-// interval that fails or panics closes it and leaves *reader nil, as a
-// seized processor is never pooled, so a later interval opens a fresh
-// one. A generator cannot seek: each interval opens its own, and
-// runStream closes it.
-func runInterval(ctx context.Context, src workload.Source, reader *rearmable, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, usedCkpt bool, err error) {
+// interval that fails closes it, and the next opens a fresh one. A
+// generator cannot seek: each interval opens its own and closes it.
+type sampleWorker struct {
+	reader rearmable
+	proc   *pipeline.Processor
+	// rearm is set while proc ended its last interval without an error,
+	// so its tables hold only what a restore overwrites.
+	rearm  bool
+	cancel cancelStream
+}
+
+// close returns the kept processor to the pool and closes the reader.
+func (w *sampleWorker) close() {
+	if w.proc != nil {
+		w.proc.Release()
+		procPool.Put(w.proc)
+		w.proc = nil
+	}
+	closeStream(w.reader)
+	w.reader = nil
+}
+
+// runInterval simulates one measurement interval whose detailed
+// execution starts at absolute instruction s, inside the panic guard: a
+// panic mid-interval (simulator bug, chaos injection at the
+// "core.interval" point) fails that interval, and with it the sampled
+// run, instead of crashing the process. idx is the interval index, used
+// only to tag telemetry spans.
+func (w *sampleWorker) runInterval(ctx context.Context, src workload.Source, s int64, idx int, mk ConfigFactory, sp SamplingParams) (r pipeline.Result, usedCkpt bool, err error) {
 	end := s + sp.DetailWarmup + sp.IntervalInsts
-	var stream isa.Stream = *reader
+	var stream isa.Stream = w.reader
 	if stream == nil {
 		if stream, err = open(src, end); err != nil {
 			return pipeline.Result{}, false, err
 		}
-		*reader, _ = stream.(rearmable)
+		w.reader, _ = stream.(rearmable)
 	} else {
-		(*reader).SetLimit(end)
+		w.reader.SetLimit(end)
 	}
-	err = runStream(ctx, src, stream, *reader == nil, 0, nil, mk, func(p *pipeline.Processor) error {
-		if err := faultinject.Fire("core.interval"); err != nil {
-			return err
+	// The processor reads through the cancellation wrapper only when ctx
+	// can be cancelled, as in runStream.
+	run := stream
+	if ctx.Done() != nil {
+		w.cancel = cancelStream{inner: stream, ctx: ctx}
+		run = &w.cancel
+	}
+	p, rearm := w.proc, w.rearm && sp.Checkpoints != nil
+	w.proc = nil // seized until the interval returns: a panic drops it
+	err = guard(func() error {
+		switch {
+		case p == nil:
+			p = acquireProc(mk(), run)
+		case rearm:
+			p.Rearm(run)
+		default:
+			p.Reset(mk(), run)
 		}
-		var err error
-		r, usedCkpt, err = measureInterval(telemetry.TraceFrom(ctx), p, stream, s, idx, sp)
+		err := faultinject.Fire("core.interval")
+		if err == nil {
+			r, usedCkpt, err = measureInterval(telemetry.TraceFrom(ctx), p, stream, s, idx, sp, func() {
+				if rearm {
+					p.Reset(mk(), run) // no point overwrites what the last interval left
+				}
+			})
+		}
+		w.proc = p // returned, an error included: kept, to be Reset
 		return err
 	})
-	if err != nil && *reader != nil {
-		closeStream(*reader)
-		*reader = nil
+	if es, ok := run.(errStream); ok && es.Err() != nil && err == nil {
+		err = fmt.Errorf("core: workload %q: %w", src.Name(), es.Err())
+	}
+	w.rearm = err == nil
+	switch {
+	case w.reader == nil:
+		if cerr := closeStream(stream); cerr != nil && err == nil {
+			err = cerr
+		}
+	case err != nil:
+		closeStream(w.reader)
+		w.reader = nil
 	}
 	return r, usedCkpt, err
 }
@@ -269,8 +361,10 @@ func runInterval(ctx context.Context, src workload.Source, reader *rearmable, s 
 // warms it up to s, then runs in detail to the end of the stream, which
 // runInterval opened to end DetailWarmup+IntervalInsts instructions
 // past s, and measures the final IntervalInsts. stream is the raw
-// stream p runs from, consulted for seeking.
-func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stream, s int64, idx int, sp SamplingParams) (pipeline.Result, bool, error) {
+// stream p runs from, consulted for seeking. unrestored is called when
+// the run has checkpoints but none lies at or before s, before p warms
+// from instruction 0.
+func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stream, s int64, idx int, sp SamplingParams, unrestored func()) (pipeline.Result, bool, error) {
 	// Without checkpoints warming starts WarmupInsts before s. With them
 	// it starts at the restored point, or at instruction 0 below the
 	// first point, as the points do, so the interval's state does not
@@ -284,6 +378,9 @@ func measureInterval(tr *telemetry.Trace, p *pipeline.Processor, stream isa.Stre
 		var err error
 		if start, usedCkpt, err = sp.Checkpoints.RestoreNearest(p, s); err != nil {
 			return pipeline.Result{}, false, err
+		}
+		if !usedCkpt {
+			unrestored()
 		}
 	}
 	// A worker's reader stands where its last interval stopped, so it
@@ -347,50 +444,4 @@ func closeStream(s isa.Stream) error {
 		return c.Close()
 	}
 	return nil
-}
-
-// BuildCheckpoints warms one processor continuously over [0, upTo) and
-// snapshots its microarchitectural state at every multiple of `every`
-// below upTo. Warming is split-invariant, so restoring a point and
-// warming or running detailed from it is equivalent to warming straight
-// through: one build serves every later sampled run, and an interval
-// that starts on a point restores it and warms nothing. Configurations
-// whose value predictor cannot snapshot (the idealistic
-// per-instruction infrastructure) are reported as an error, and so is a
-// panic during the pass (the processor runs inside simulate's guard).
-func BuildCheckpoints(src workload.Source, mk ConfigFactory, every, upTo int64) ([]*pipeline.Checkpoint, string, error) {
-	if every < 1 || upTo < every {
-		return nil, "", fmt.Errorf("core: checkpoint spacing %d over %d instructions", every, upTo)
-	}
-	stream, err := open(src, upTo)
-	if err != nil {
-		return nil, "", err
-	}
-	var (
-		name   string
-		points []*pipeline.Checkpoint
-	)
-	named := func() pipeline.Config {
-		cfg := mk()
-		name = cfg.Name
-		return cfg
-	}
-	err = runStream(context.Background(), src, stream, true, upTo, nil, named, func(p *pipeline.Processor) error {
-		for at := every; at < upTo; at += every {
-			if n := p.Warm(every); n != every {
-				return fmt.Errorf("core: workload %q ended at instruction %d, checkpoint wanted %d",
-					src.Name(), at-every+n, at)
-			}
-			ck, err := p.Snapshot(at)
-			if err != nil {
-				return fmt.Errorf("core: checkpoint at instruction %d: %w", at, err)
-			}
-			points = append(points, ck)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	return points, name, nil
 }

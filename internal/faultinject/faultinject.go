@@ -16,7 +16,7 @@
 //
 //	trace.checkpoint.read   checkpoint side-file open
 //	trace.checkpoint.point  one side-file point's read
-//	trace.checkpoint.write  checkpoint side-file encode/rename
+//	trace.checkpoint.write  checkpoint side-file creation, then each point's write
 //	trace.frame.decode      .bbt frame header/payload decode
 //	engine.worker           engine job execution (inside the recover scope)
 //	core.run                one detailed simulation (inside the recover scope)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -330,5 +332,83 @@ func TestChaosCheckpointBuildPanicFailsRunNotProcess(t *testing.T) {
 	}
 	if rep.Sampling == nil || rep.Sampling.CheckpointsUsed != spec.Sampling.Intervals {
 		t.Fatalf("disarmed run did not restore every interval: %+v", rep.Sampling)
+	}
+}
+
+// TestChaosCheckpointPassFailureReleasesWorkers: when the warming pass
+// that rebuilds a side-file fails or panics mid-pass, while the rebuilt
+// run's intervals wait for its points, every waiting interval is
+// released: the run fails with the pass's error, and leaves no
+// side-file, no temp file and no goroutine behind. It covers both
+// failures the chaos suite and CI arm: a side-file write fault, here at
+// the second point, and a panic in the trace frame decoder feeding the
+// pass, here after its first point. Every interval starts on the second
+// point or later, so all of them wait.
+func TestChaosCheckpointPassFailureReleasesWorkers(t *testing.T) {
+	const warmup, insts = 40_000, 80_000
+	for _, tc := range []struct {
+		name  string
+		point string
+		plan  faultinject.Plan
+		ok    func(error) bool
+	}{
+		// Fires on creating the file, on the first point, on the second.
+		{"write fault", "trace.checkpoint.write", faultinject.Plan{Nth: 3},
+			func(err error) bool { return errors.Is(err, faultinject.ErrInjected) }},
+		// The pass decodes a frame every 256 instructions, and takes its
+		// first point, at 20,000, before its 100th.
+		{"decode panic", "trace.frame.decode", faultinject.Plan{Mode: faultinject.ModePanic, Nth: 100},
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "panicked") }},
+	} {
+		dir := t.TempDir()
+		src := recordTestTrace(t, dir, "gcc", warmup+insts)
+		w := int64(warmup)
+		spec := sim.RunSpec{
+			Trace:     src.Path,
+			Config:    "eole-bebop",
+			Predictor: "Medium",
+			Insts:     insts,
+			Warmup:    &w,
+			Sampling: &sim.SamplingSpec{
+				Intervals:     4,
+				IntervalInsts: 2_000,
+				DetailWarmup:  500,
+				Checkpoints:   true,
+			},
+		}
+		goroutines := runtime.NumGoroutine()
+		armFault(t, tc.point, tc.plan)
+		done := make(chan error, 1)
+		go func() {
+			_, err := sim.Run(context.Background(), spec)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: the run still waits a minute after the pass failed", tc.name)
+		}
+		if faultinject.Default.Fires(tc.point) == 0 {
+			t.Fatalf("%s: the fault never fired; the test proved nothing", tc.name)
+		}
+		faultinject.Default.Reset()
+		if !tc.ok(err) {
+			t.Errorf("%s: err = %v, want the pass's failure", tc.name, err)
+		}
+		mk, _ := core.NamedFactory(spec.Config, spec.Predictor)
+		if _, err := os.Stat(trace.CheckpointPath(src.Path, mk().Name)); !os.IsNotExist(err) {
+			t.Errorf("%s: a side-file was left behind (stat: %v)", tc.name, err)
+		}
+		if tmp, _ := filepath.Glob(filepath.Join(dir, ".bebop-ckpt-*")); len(tmp) != 0 {
+			t.Errorf("%s: temp files were left behind: %v", tc.name, tmp)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %d goroutines after the run, %d before", tc.name, runtime.NumGoroutine(), goroutines)
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bebop/internal/core"
+	"bebop/internal/isa"
 	"bebop/internal/perf"
 	"bebop/internal/pipeline"
 	"bebop/internal/trace"
@@ -19,6 +21,14 @@ func recordTestTrace(t *testing.T, dir, bench string, insts int64) trace.FileSou
 	if !ok {
 		t.Fatalf("unknown workload %q", bench)
 	}
+	return recordProfileTrace(t, dir, prof, insts)
+}
+
+// recordProfileTrace records insts instructions of prof into a .bbt
+// file under dir, named after the profile, and returns its source.
+func recordProfileTrace(t *testing.T, dir string, prof workload.Profile, insts int64) trace.FileSource {
+	t.Helper()
+	bench := prof.Name
 	path := filepath.Join(dir, bench+trace.Ext)
 	f, err := os.Create(path)
 	if err != nil {
@@ -134,6 +144,77 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 
 				if got != ref {
 					t.Errorf("restored run diverges from straight-through run:\nref: %+v\ngot: %+v", ref, got)
+				}
+			})
+		}
+	}
+}
+
+// TestRearmedProcessorMatchesFresh: a sampling worker keeps its
+// processor across intervals, re-arms it (Processor.Rearm) and restores
+// the next interval's point over the tables the last interval left. For
+// every point of a side-file, a processor that has just run a detailed
+// interval from another point, re-armed and restored, must run the
+// interval from this point exactly as a fresh processor restored to it
+// does: nothing the last interval left — store sets, MSHRs, DRAM clocks,
+// counters, BeBoP's speculative window and FIFO update queue — may
+// reach the next. The synthetic profiles almost never reorder a load
+// before a store it aliases, so povray runs with a 64-byte footprint
+// too: its memory-order flushes train the store sets.
+func TestRearmedProcessorMatchesFresh(t *testing.T) {
+	const insts, every, interval = 40_000, 5_000, 4_000
+	var profs []workload.Profile
+	for _, bench := range []string{"gcc", "mcf", "povray"} {
+		prof, _ := workload.ProfileByName(bench)
+		profs = append(profs, prof)
+	}
+	aliased := profs[2]
+	aliased.Name, aliased.FootprintLog2 = "povray-64B", 6
+	profs = append(profs, aliased)
+	for _, cfg := range perf.Configs() {
+		cfg := cfg
+		for _, prof := range profs {
+			prof := prof
+			t.Run(cfg.Name+"/"+prof.Name, func(t *testing.T) {
+				t.Parallel()
+				src := recordProfileTrace(t, t.TempDir(), prof, insts)
+				points, _, err := core.BuildCheckpoints(src, cfg.Mk, every, insts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// from opens the trace for the interval that starts at
+				// instruction at, positioned there.
+				from := func(at int64) isa.Stream {
+					s, err := src.Open(at + interval)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { s.(*trace.Reader).Close() })
+					if err := s.(*trace.Reader).SeekInst(at); err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				last := points[len(points)-1]
+				used := pipeline.New(cfg.Mk(), from(last.InstOffset))
+				if err := used.Restore(last); err != nil {
+					t.Fatal(err)
+				}
+				used.RunWarm(0, 0)
+				for _, ck := range points {
+					fresh := pipeline.New(cfg.Mk(), from(ck.InstOffset))
+					if err := fresh.Restore(ck); err != nil {
+						t.Fatal(err)
+					}
+					want := fresh.RunWarm(0, 0)
+					used.Rearm(from(ck.InstOffset))
+					if err := used.Restore(ck); err != nil {
+						t.Fatalf("point %d: %v", ck.InstOffset, err)
+					}
+					if got := used.RunWarm(0, 0); got != want {
+						t.Errorf("point %d: the re-armed processor diverges from a fresh one:\nfresh:    %+v\nre-armed: %+v",
+							ck.InstOffset, want, got)
+					}
 				}
 			})
 		}

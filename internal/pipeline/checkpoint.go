@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"bebop/internal/branch"
 	"bebop/internal/isa"
 	"bebop/internal/util"
 )
@@ -14,14 +13,14 @@ import (
 // history, TAGE, BTB, RAS, the cache hierarchy, the value predictor's
 // tables and the fetch-block occurrence Warm has open. Nothing else
 // travels. Checkpoints are taken and restored only on a processor that
-// has run no detailed cycle (errDetailed), and there every structure
-// Warm leaves alone still holds its reset value: the pipeline queues,
-// the store sets, MSHRs and DRAM bank/bus clocks (Warm quiesces both
-// before it returns), and the value predictor's speculative window and
-// update queue. No counter travels either:
-// every counter Result reports, the caches' and the value predictor's
-// included, is zeroed where the measured window starts, so a restored
-// processor reports only what it counts after that boundary.
+// has run no detailed cycle since New, Reset or Rearm (errDetailed),
+// and there every structure Warm leaves alone still holds its reset
+// value: the pipeline queues, the store sets, MSHRs and DRAM bank/bus
+// clocks (Warm quiesces both before it returns), and the value
+// predictor's speculative window and update queue. No counter travels
+// either: every counter Result reports, the caches' and the value
+// predictor's included, is zeroed where the measured window starts, so
+// a restored processor reports only what it counts after that boundary.
 //
 // A checkpoint represents *continuous functional warming from
 // instruction 0* up to InstOffset. Warming is split-invariant — Warm(a),
@@ -46,7 +45,10 @@ type Checkpoint struct {
 }
 
 // VPSnapshotter is the optional checkpoint interface of a VP
-// implementation: LoadState decodes what AppendState appended.
+// implementation: LoadState decodes what AppendState appended. A
+// checkpoint implies that nothing is in flight, so LoadState also
+// empties whatever speculative state a detailed run left (a speculative
+// window, an update queue): Processor.Rearm leaves it to LoadState.
 type VPSnapshotter interface {
 	AppendState(b []byte) []byte
 	LoadState(r *util.StateReader) error
@@ -58,9 +60,10 @@ type VPSnapshotter interface {
 const maxWarmUOps = isa.FetchBlockSize * isa.MaxUOpsPerInst
 
 // errDetailed is returned by Snapshot and Restore on a processor that
-// has run a detailed cycle since New or Reset: from then on structures
-// a Checkpoint does not carry may have left their reset values.
-var errDetailed = errors.New("pipeline: checkpoints need a processor that has run no detailed cycle since New or Reset")
+// has run a detailed cycle since New, Reset or Rearm: from then on
+// structures a Checkpoint does not carry may have left their reset
+// values.
+var errDetailed = errors.New("pipeline: checkpoints need a processor that has run no detailed cycle since New, Reset or Rearm")
 
 // snapshotter returns the configuration's value predictor as a
 // VPSnapshotter, nil when there is none, or an error when it cannot
@@ -76,19 +79,30 @@ func (p *Processor) snapshotter() (VPSnapshotter, error) {
 	return vs, nil
 }
 
-// Snapshot captures the state warming trains as a Checkpoint.
-// instOffset is the stream position the caller has advanced to.
+// Snapshot captures the state warming trains as a Checkpoint of its
+// own. instOffset is the stream position the caller has advanced to.
 func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
-	if p.now != 0 {
-		return nil, errDetailed
-	}
-	vs, err := p.snapshotter()
+	ck, err := p.SnapshotView(instOffset)
 	if err != nil {
 		return nil, err
 	}
-	h := p.hist.Snapshot()
-	b := util.AppendUint64s(p.stateBuf[:0], h.Dir[:])
-	b = util.AppendUint64(b, h.Path)
+	ck.State = bytes.Clone(ck.State)
+	return &ck, nil
+}
+
+// SnapshotView is Snapshot without the copy: the returned State is a
+// view of the processor's state buffer, valid until the processor
+// encodes or reads another point into it (SnapshotView, PointBuf). A
+// build that hands each point on before taking the next uses it.
+func (p *Processor) SnapshotView(instOffset int64) (Checkpoint, error) {
+	if p.now != 0 {
+		return Checkpoint{}, errDetailed
+	}
+	vs, err := p.snapshotter()
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	b := p.hist.AppendState(p.stateBuf[:0])
 	b = p.tage.AppendState(b)
 	b = p.btb.AppendState(b)
 	b = p.ras.AppendState(b)
@@ -111,15 +125,28 @@ func (p *Processor) Snapshot(instOffset int64) (*Checkpoint, error) {
 		b = util.AppendBool(b, u.HasPrev)
 	}
 	p.stateBuf = b
-	return &Checkpoint{InstOffset: instOffset, ConfigName: p.cfg.Name, State: bytes.Clone(b)}, nil
+	return Checkpoint{InstOffset: instOffset, ConfigName: p.cfg.Name, State: b}, nil
+}
+
+// PointBuf returns the processor's state buffer, at least n bytes long,
+// for a side-file reader to read a point into and hand to Restore,
+// which keeps no reference to it. A worker restoring interval after
+// interval thus reads every point into the one buffer; a reader that
+// asks for its largest point grows it once.
+func (p *Processor) PointBuf(n int) []byte {
+	if cap(p.stateBuf) < n {
+		p.stateBuf = make([]byte, n)
+	}
+	return p.stateBuf[:n]
 }
 
 // Restore decodes a checkpoint taken under the same configuration name
 // straight into the processor's tables; every component checks its own
-// geometry, and every byte of the state must be consumed. Restore keeps
-// no reference to ck.State. A refused checkpoint may leave the tables
-// partly overwritten, so after an error the processor must be Reset
-// before it is used again.
+// geometry, and every byte of the state must be consumed. It overwrites
+// every table a checkpoint carries, so after Rearm it is the reset of
+// those tables. Restore keeps no reference to ck.State. A refused
+// checkpoint may leave the tables partly overwritten, so after an error
+// the processor must be Reset before it is used again.
 func (p *Processor) Restore(ck *Checkpoint) error {
 	if p.now != 0 {
 		return errDetailed
@@ -132,15 +159,10 @@ func (p *Processor) Restore(ck *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	r := util.NewStateReader(ck.State)
-	var h branch.HistorySnapshot
-	r.Uint64s(h.Dir[:])
-	h.Path = r.Uint64()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("pipeline: history state: %w", err)
-	}
-	p.hist.Restore(h)
-	for _, load := range []func(*util.StateReader) error{p.tage.LoadState, p.btb.LoadState, p.ras.LoadState, p.mem.LoadState} {
+	r := &p.stateRd
+	r.Reset(ck.State)
+	defer r.Reset(nil)
+	for _, load := range [...]func(*util.StateReader) error{p.hist.LoadState, p.tage.LoadState, p.btb.LoadState, p.ras.LoadState, p.mem.LoadState} {
 		if err := load(r); err != nil {
 			return err
 		}

@@ -16,7 +16,7 @@ import (
 // number of instructions consumed.
 func (p *Processor) FastForward(insts int64) int64 {
 	var n int64
-	var in isa.Inst
+	in := &p.scratch
 	for n < insts {
 		if p.pending.Len() > 0 {
 			p.freeInst(p.pending.PopFront())
@@ -26,7 +26,7 @@ func (p *Processor) FastForward(insts int64) int64 {
 		if p.streamDone {
 			break
 		}
-		if !p.stream.Next(&in) {
+		if !p.stream.Next(in) {
 			p.streamDone = true
 			break
 		}
@@ -76,23 +76,23 @@ type VPWarmer interface {
 func (p *Processor) Warm(insts int64) int64 {
 	vpw, _ := p.cfg.VP.(VPWarmer)
 	var n int64
-	var in isa.Inst
+	in := &p.scratch
 	for n < insts {
 		if p.pending.Len() > 0 {
 			di := p.pending.PopFront()
-			in = di.inst
+			*in = di.inst
 			p.freeInst(di)
 		} else {
 			if p.streamDone {
 				break
 			}
-			if !p.stream.Next(&in) {
+			if !p.stream.Next(in) {
 				p.streamDone = true
 				break
 			}
 		}
 		n++
-		p.warmInst(&in, vpw)
+		p.warmInst(in, vpw)
 	}
 	p.mem.QuiesceTiming()
 	return n

@@ -6,6 +6,7 @@ import (
 	"bebop/internal/isa"
 	"bebop/internal/memdep"
 	"bebop/internal/ring"
+	"bebop/internal/util"
 )
 
 // Processor is the cycle-level superscalar model. Create one with New,
@@ -83,11 +84,17 @@ type Processor struct {
 	warmingBlockPC   uint64
 	warmingBlockOpen bool
 	warmingUOps      []WarmUOp
-	// stateBuf is the buffer Snapshot encodes into, kept across points;
-	// each point copies its state out at its length. A point's size
-	// follows what warming has filled, so a buffer sized from the last
-	// point would regrow, or leave room to spare.
+	// stateBuf is the buffer a checkpoint's state passes through, kept
+	// across points: SnapshotView encodes into it, and a side-file
+	// reader reads the point it restores into it (PointBuf).
 	stateBuf []byte
+	// stateRd is the reader Restore decodes a point with, kept so a
+	// restore allocates nothing; it holds no state between restores.
+	stateRd util.StateReader
+	// scratch is the instruction Warm and FastForward read the stream
+	// into, kept so reading through the Stream interface allocates
+	// nothing.
+	scratch isa.Inst
 
 	stats Stats
 	// H2P attribution tables (nil unless cfg.CollectH2P); cleared at the
@@ -222,7 +229,7 @@ func (p *Processor) initHistoryFolds() {
 // pooled processors across jobs.
 func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	// Predictor/cache tables: clear in place when the geometry matches,
-	// rebuild otherwise.
+	// rebuild otherwise. Rearm clears the store sets.
 	if cfg.BranchCfg == p.cfg.BranchCfg {
 		p.tage.Reset()
 	} else {
@@ -243,18 +250,37 @@ func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	} else {
 		p.mem = cache.NewHierarchy(cfg.MemCfg)
 	}
-	if cfg.StoreSetEntries == p.cfg.StoreSetEntries {
-		p.sset.Reset()
-	} else {
+	if cfg.StoreSetEntries != p.cfg.StoreSetEntries {
 		p.sset = memdep.New(cfg.StoreSetEntries)
 	}
 
 	p.cfg = cfg
+	p.hist.Reset()
+	p.initHistoryFolds()
+	p.warmingBlockPC = 0
+	p.warmingBlockOpen = false
+	p.warmingUOps = p.warmingUOps[:0]
+	p.Rearm(stream)
+}
+
+// Rearm readies the processor, under the configuration it holds, for
+// Restore over stream: it resets what a checkpoint does not carry — the
+// pipeline queues and clocks, the store sets, the caches' MSHRs and DRAM
+// bank and bus clocks, every counter and the H2P tables — and leaves the
+// tables a checkpoint carries for Restore, which overwrites every one of
+// them (the value predictor's speculative state included: a checkpoint
+// implies it is empty, see VPSnapshotter). Rearm then Restore leaves the
+// state Reset then Restore leaves, without clearing the tables twice.
+// Until Restore succeeds the processor holds the previous run's tables,
+// so one that is not restored, or whose checkpoint Restore refuses, must
+// be Reset before it runs.
+func (p *Processor) Rearm(stream isa.Stream) {
 	p.stream = stream
 	p.now = 0
 	p.seqCtr = 1
-	p.hist.Reset()
-	p.initHistoryFolds()
+	p.sset.Reset()
+	p.mem.QuiesceTiming()
+	p.mem.ResetStats()
 	p.initH2P()
 	p.streamDone = false
 	p.fetchStallUntil = 0
@@ -281,9 +307,6 @@ func (p *Processor) Reset(cfg Config, stream isa.Stream) {
 	p.squashScratch = p.squashScratch[:0]
 	p.fwdStore = nil
 	p.warmingClock = 0
-	p.warmingBlockPC = 0
-	p.warmingBlockOpen = false
-	p.warmingUOps = p.warmingUOps[:0]
 	p.stats = Stats{}
 	p.warmed = false
 	p.warmCycles = 0

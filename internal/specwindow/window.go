@@ -111,6 +111,17 @@ func New(size int, tagBits int) *Window {
 	return w
 }
 
+// Reset empties the window, as New leaves it, keeping its allocation.
+// The probe counters are measurement state and stay for their owner to
+// zero.
+func (w *Window) Reset() {
+	clear(w.entries)
+	if w.infinite {
+		w.entries = w.entries[:0]
+	}
+	w.head = 0
+}
+
 // Enabled reports whether the window stores anything.
 func (w *Window) Enabled() bool { return w.infinite || len(w.entries) > 0 }
 

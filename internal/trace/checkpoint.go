@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"bebop/internal/faultinject"
 	"bebop/internal/pipeline"
@@ -59,10 +58,11 @@ type CheckpointSet struct {
 	traceInsts int64
 	configName string
 
-	path  string
-	r     io.ReaderAt
-	insts []int64 // each point's instruction offset, increasing
-	offs  []int64 // each point's first byte, then the index's
+	path     string
+	r        io.ReaderAt
+	insts    []int64 // each point's instruction offset, increasing
+	offs     []int64 // each point's first byte, then the index's
+	maxPoint int     // the largest point's size in bytes
 }
 
 // ErrBadPoint marks every error CheckpointSet.RestoreNearest returns:
@@ -79,33 +79,131 @@ func CheckpointPath(tracePath, configName string) string {
 	return tracePath + "." + safe + CheckpointExt
 }
 
-// WriteCheckpoints streams the side-file to path via a temp file and
-// rename, so a crashed build never leaves a truncated file a later run
-// would trust. The file is readable by all, like the trace beside it.
-func WriteCheckpoints(path string, cf *CheckpointFile) error {
-	if err := cf.check(); err != nil {
+// CheckpointWriter writes a side-file one point at a time, through the
+// encoder WriteCheckpoints also uses: the header when it is created,
+// each point as it is added, and the index when it is committed, so a
+// build that streams its points into it holds none it has written. It
+// writes a temp file beside the side-file and renames it into place on
+// Commit, so a failed or crashed build never leaves a truncated file a
+// later run would trust. It checks, point by point, the invariants
+// OpenCheckpoints and the point reader check again. It is not safe for
+// concurrent use.
+type CheckpointWriter struct {
+	path       string
+	tmp        *os.File
+	enc        *encoder
+	traceInsts int64
+	configName string
+	count      int   // the points the header declares
+	added      int   // the points written so far
+	prev       int64 // the last point's instruction offset
+}
+
+// CreateCheckpoints starts the side-file at path for a trace and a
+// configuration, declaring the count points that Add will write before
+// Commit.
+func CreateCheckpoints(path, traceName string, traceInsts int64, configName string, count int) (*CheckpointWriter, error) {
+	if configName == "" || traceName == "" {
+		return nil, fmt.Errorf("trace: write checkpoints: checkpoint file missing trace or config identity")
+	}
+	if err := faultinject.Fire("trace.checkpoint.write"); err != nil {
+		return nil, fmt.Errorf("trace: write checkpoints: %w", err)
+	}
+	// Same directory as the target: rename must not cross filesystems.
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".bebop-ckpt-*")
+	if err != nil {
+		return nil, err
+	}
+	return &CheckpointWriter{
+		path: path, tmp: tmp, traceInsts: traceInsts, configName: configName, count: count, prev: -1,
+		enc: newEncoder(bufio.NewWriterSize(tmp, ckptBufSize), traceName, traceInsts, configName, count),
+	}, nil
+}
+
+// Add writes the next point. The writer keeps no reference to ck, so a
+// build may hand it a view of a buffer it reuses.
+func (w *CheckpointWriter) Add(ck *pipeline.Checkpoint) error {
+	if err := w.checkPoint(ck); err != nil {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
 	if err := faultinject.Fire("trace.checkpoint.write"); err != nil {
 		return fmt.Errorf("trace: write checkpoints: %w", err)
 	}
-	// Same directory as the target: rename must not cross filesystems.
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".bebop-ckpt-*")
+	w.enc.point(ck)
+	w.added++
+	w.prev = ck.InstOffset
+	return nil
+}
+
+// checkPoint refuses a point that cannot be the next one of the file.
+func (w *CheckpointWriter) checkPoint(ck *pipeline.Checkpoint) error {
+	i := w.added
+	switch {
+	case ck == nil:
+		return fmt.Errorf("checkpoint %d is nil", i)
+	case i == w.count:
+		return fmt.Errorf("checkpoint %d past the %d the header declares", i, w.count)
+	case ck.ConfigName != w.configName:
+		return fmt.Errorf("checkpoint %d was taken under config %q, file declares %q",
+			i, ck.ConfigName, w.configName)
+	case ck.InstOffset <= w.prev:
+		return fmt.Errorf("checkpoint offsets not strictly increasing at %d (%d after %d)",
+			i, ck.InstOffset, w.prev)
+	case ck.InstOffset > w.traceInsts:
+		return fmt.Errorf("checkpoint %d at instruction %d past the trace end (%d)",
+			i, ck.InstOffset, w.traceInsts)
+	}
+	return nil
+}
+
+// Commit writes the index, closes the file and renames it into place,
+// readable by all like the trace beside it. Every declared point must
+// have been added. A Commit that fails removes the temp file.
+func (w *CheckpointWriter) Commit() error {
+	defer w.Abort()
+	if w.added != w.count {
+		return fmt.Errorf("trace: write checkpoints: %d of the %d points the header declares", w.added, w.count)
+	}
+	if err := w.enc.finish(); err != nil {
+		return fmt.Errorf("trace: write checkpoints: %w", err)
+	}
+	if err := w.tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Chmod(w.tmp.Name(), 0o644); err != nil {
+		return err
+	}
+	if err := os.Rename(w.tmp.Name(), w.path); err != nil {
+		return err
+	}
+	w.tmp = nil
+	return nil
+}
+
+// Abort closes and removes the temp file, leaving no side-file; it does
+// nothing once Commit has renamed the file into place.
+func (w *CheckpointWriter) Abort() {
+	if w.tmp == nil {
+		return
+	}
+	w.tmp.Close() // a second Close after a failed Commit only reports it closed
+	os.Remove(w.tmp.Name())
+	w.tmp = nil
+}
+
+// WriteCheckpoints writes cf to path through a CheckpointWriter.
+func WriteCheckpoints(path string, cf *CheckpointFile) error {
+	w, err := CreateCheckpoints(path, cf.TraceName, cf.TraceInsts, cf.ConfigName, len(cf.Points))
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := encodeCheckpoints(bufio.NewWriterSize(tmp, ckptBufSize), cf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("trace: write checkpoints: %w", err)
+	for _, ck := range cf.Points {
+		if err := w.Add(ck); err != nil {
+			w.Abort()
+			return err
+		}
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return w.Commit()
 }
 
 // OpenCheckpoints opens a side-file and reads and checks its header and
@@ -168,24 +266,20 @@ func (s *CheckpointSet) FirstPoint() (inst int64, ok bool) {
 	return s.insts[0], true
 }
 
-// pointBufs holds the buffers RestoreNearest reads points into, so a
-// worker restoring interval after interval reuses one the previous read
-// already sized.
-var pointBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // RestoreNearest reads the point with the largest instruction offset
 // ≤ inst, restores it into p and returns that offset; ok is false, and
 // p untouched, when every point lies past inst. No other point is read.
-// Every error wraps ErrBadPoint, and after one p must be Reset before it
-// is used again, as after a refused Processor.Restore.
+// The point is read into p's state buffer (Processor.PointBuf), sized to
+// the set's largest point, so a worker that keeps its processor reads
+// every point it restores into one allocation. Every error wraps
+// ErrBadPoint, and after one p must be Reset before it is used again,
+// as after a refused Processor.Restore.
 func (s *CheckpointSet) RestoreNearest(p *pipeline.Processor, inst int64) (at int64, ok bool, err error) {
 	i := sort.Search(len(s.insts), func(i int) bool { return s.insts[i] > inst }) - 1
 	if i < 0 {
 		return 0, false, nil
 	}
-	buf := pointBufs.Get().(*[]byte)
-	defer pointBufs.Put(buf)
-	state, err := s.readPoint(i, buf)
+	state, err := s.readPoint(i, p.PointBuf(s.maxPoint))
 	if err == nil {
 		err = p.Restore(&pipeline.Checkpoint{InstOffset: s.insts[i], ConfigName: s.configName, State: state})
 	}
@@ -219,9 +313,9 @@ func (s *CheckpointSet) readAll() (*CheckpointFile, error) {
 		ConfigName: s.configName,
 		Points:     make([]*pipeline.Checkpoint, len(s.insts)),
 	}
-	var buf []byte
+	buf := make([]byte, s.maxPoint)
 	for i := range cf.Points {
-		state, err := s.readPoint(i, &buf)
+		state, err := s.readPoint(i, buf)
 		if err != nil {
 			return nil, s.pointErr(i, err)
 		}
@@ -230,34 +324,6 @@ func (s *CheckpointSet) readAll() (*CheckpointFile, error) {
 		}
 	}
 	return cf, nil
-}
-
-// check enforces the structural invariants WriteCheckpoints guarantees
-// and OpenCheckpoints and the point reader check again.
-func (cf *CheckpointFile) check() error {
-	if cf.ConfigName == "" || cf.TraceName == "" {
-		return fmt.Errorf("checkpoint file missing trace or config identity")
-	}
-	prev := int64(-1)
-	for i, ck := range cf.Points {
-		if ck == nil {
-			return fmt.Errorf("checkpoint %d is nil", i)
-		}
-		if ck.ConfigName != cf.ConfigName {
-			return fmt.Errorf("checkpoint %d was taken under config %q, file declares %q",
-				i, ck.ConfigName, cf.ConfigName)
-		}
-		if ck.InstOffset <= prev {
-			return fmt.Errorf("checkpoint offsets not strictly increasing at %d (%d after %d)",
-				i, ck.InstOffset, prev)
-		}
-		if ck.InstOffset > cf.TraceInsts {
-			return fmt.Errorf("checkpoint %d at instruction %d past the trace end (%d)",
-				i, ck.InstOffset, cf.TraceInsts)
-		}
-		prev = ck.InstOffset
-	}
-	return nil
 }
 
 // Nearest returns the checkpoint with the largest InstOffset ≤ inst,

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"bebop/internal/faultinject"
+	"bebop/internal/pipeline"
 	"bebop/internal/util"
 )
 
@@ -53,31 +54,46 @@ const (
 // errTruncated reports a side-file that ends before its layout does.
 var errTruncated = errors.New("unexpected end of file")
 
-// encodeCheckpoints writes the whole side-file to w. A write error
-// sticks in the bufio.Writer, which turns every later write into a
-// no-op and returns the error from Flush, so only Flush is checked.
-func encodeCheckpoints(w *bufio.Writer, cf *CheckpointFile) error {
+// encoder writes a side-file to a bufio.Writer in one pass: the header
+// first, then each point as it is handed over, then the index, which it
+// has collected on the way, and the trailer. A write error sticks in the
+// bufio.Writer, which turns every later write into a no-op and returns
+// the error from Flush, so only finish checks for one.
+type encoder struct {
+	w     *bufio.Writer
+	n     int64  // bytes written so far
+	index []byte // the index entries of the points written so far
+	b     []byte // scratch for a point's fixed fields
+}
+
+// newEncoder writes the header of a side-file of count points to w.
+func newEncoder(w *bufio.Writer, traceName string, traceInsts int64, configName string, count int) *encoder {
 	b := append([]byte(checkpointMagic), 0, 0)
 	binary.LittleEndian.PutUint16(b[4:], checkpointVersion)
-	b = util.AppendString(b, cf.TraceName)
-	b = util.AppendUint64(b, uint64(cf.TraceInsts))
-	b = util.AppendString(b, cf.ConfigName)
-	b = util.AppendLen(b, len(cf.Points))
-	_, _ = w.Write(b) // sticky, see above
-	n := int64(len(b))
-	index := make([]byte, 0, ckptIndexEntry*len(cf.Points)+8)
-	for _, ck := range cf.Points {
-		index = util.AppendUint64(index, uint64(ck.InstOffset))
-		index = util.AppendUint64(index, uint64(n))
-		b = util.AppendUint64(b[:0], uint64(ck.InstOffset))
-		b = util.AppendString(b, ck.ConfigName)
-		b = util.AppendLen(b, len(ck.State))
-		_, _ = w.Write(b)
-		_, _ = w.Write(ck.State)
-		n += int64(len(b) + len(ck.State))
-	}
-	_, _ = w.Write(util.AppendUint64(index, uint64(n)))
-	return w.Flush()
+	b = util.AppendString(b, traceName)
+	b = util.AppendUint64(b, uint64(traceInsts))
+	b = util.AppendString(b, configName)
+	b = util.AppendLen(b, count)
+	_, _ = w.Write(b) // sticky, see encoder
+	return &encoder{w: w, n: int64(len(b)), index: make([]byte, 0, ckptIndexEntry*count+8), b: b[:0]}
+}
+
+// point writes one point and notes it in the index.
+func (e *encoder) point(ck *pipeline.Checkpoint) {
+	e.index = util.AppendUint64(e.index, uint64(ck.InstOffset))
+	e.index = util.AppendUint64(e.index, uint64(e.n))
+	e.b = util.AppendUint64(e.b[:0], uint64(ck.InstOffset))
+	e.b = util.AppendString(e.b, ck.ConfigName)
+	e.b = util.AppendLen(e.b, len(ck.State))
+	_, _ = e.w.Write(e.b)
+	_, _ = e.w.Write(ck.State)
+	e.n += int64(len(e.b) + len(ck.State))
+}
+
+// finish writes the index and the trailer that locates it, and flushes.
+func (e *encoder) finish() error {
+	_, _ = e.w.Write(util.AppendUint64(e.index, uint64(e.n)))
+	return e.w.Flush()
 }
 
 // readFull fills b from r at off. A read that ends early means the
@@ -145,6 +161,7 @@ func readCheckpointSet(r io.ReaderAt, size int64) (*CheckpointSet, error) {
 		if end := s.offs[i+1]; end < s.offs[i] || end-s.offs[i] < ckptMinPoint {
 			return nil, fmt.Errorf("checkpoint %d spans bytes %d to %d, too few for a point", i, s.offs[i], end)
 		}
+		s.maxPoint = max(s.maxPoint, int(s.offs[i+1]-s.offs[i]))
 		prev = inst
 	}
 	return s, nil
@@ -175,18 +192,15 @@ func (s *CheckpointSet) readHeader(n int64) error {
 	return nil
 }
 
-// readPoint reads point i into *buf, which it grows as needed, and
-// returns the point's state, which aliases *buf. The point must fill
-// its span exactly and agree with the index and the header.
-func (s *CheckpointSet) readPoint(i int, buf *[]byte) ([]byte, error) {
+// readPoint reads point i into buf, which holds at least the set's
+// largest point, and returns the point's state, which aliases buf. The
+// point must fill its span exactly and agree with the index and the
+// header.
+func (s *CheckpointSet) readPoint(i int, buf []byte) ([]byte, error) {
 	if err := faultinject.Fire("trace.checkpoint.point"); err != nil {
 		return nil, err
 	}
-	n := int(s.offs[i+1] - s.offs[i])
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
+	b := buf[:s.offs[i+1]-s.offs[i]]
 	if err := readFull(s.r, b, s.offs[i]); err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -79,11 +80,16 @@ func filledFile(t testing.TB) *CheckpointFile {
 	}}
 }
 
-// encodeFile is the side-file bytes WriteCheckpoints would write for cf.
+// encodeFile is the side-file bytes WriteCheckpoints would write for cf,
+// through the encoder it writes with.
 func encodeFile(t testing.TB, cf *CheckpointFile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := encodeCheckpoints(bufio.NewWriter(&buf), cf); err != nil {
+	e := newEncoder(bufio.NewWriter(&buf), cf.TraceName, cf.TraceInsts, cf.ConfigName, len(cf.Points))
+	for _, ck := range cf.Points {
+		e.point(ck)
+	}
+	if err := e.finish(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -385,6 +391,58 @@ func TestRunSampledOverOneSetAnyParallelism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one, ref) {
 		t.Errorf("the opened set and the loaded file differ:\n%+v\n%+v", one, ref)
+	}
+}
+
+// TestCheckpointedIntervalsAllocateNothing: a sampling worker keeps its
+// processor, its BeBoP configuration and its point buffer across
+// intervals, so a checkpointed run's allocations do not grow with its
+// intervals. Ten intervals may allocate more than two only as the
+// processor's pools of in-flight records reach a higher mark, a bounded
+// one-off cost; building a BeBoP predictor per interval cost about 85
+// allocations each. The collector is off, so the processor pool keeps
+// the worker's processor from one run to the next.
+func TestCheckpointedIntervalsAllocateNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops pooled processors at random, so allocation counts vary")
+	}
+	const warmup, insts = 10_000, 40_000
+	path := filepath.Join(t.TempDir(), "gcc"+Ext)
+	if err := os.WriteFile(path, mkTrace(t, warmup+insts, WriterOptions{}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := NewFileSource(path)
+	mk := core.EOLEBeBoP("Medium", core.MediumConfig())
+	points, name, err := core.BuildCheckpoints(src, mk, 4_000, warmup+insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckPath := CheckpointPath(path, name)
+	if err := WriteCheckpoints(ckPath, &CheckpointFile{
+		TraceName: "gcc", TraceInsts: warmup + insts, ConfigName: name, Points: points,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	set, err := OpenCheckpoints(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(intervals int) float64 {
+		sp := core.SamplingParams{Intervals: intervals, IntervalInsts: 1_000, DetailWarmup: 200, Checkpoints: set}
+		// AllocsPerRun runs at GOMAXPROCS 1: one worker.
+		return testing.AllocsPerRun(3, func() {
+			if _, st, err := core.RunSampled(context.Background(), src, warmup, insts, mk, sp); err != nil || st.CheckpointsUsed != intervals {
+				t.Fatalf("%d intervals: %d restored, %v", intervals, st.CheckpointsUsed, err)
+			}
+		})
+	}
+	two, ten := allocs(2), allocs(10)
+	t.Logf("2 intervals: %.0f allocations, 10 intervals: %.0f", two, ten)
+	const bound = 64
+	if ten-two > bound {
+		t.Errorf("10 intervals allocate %.0f more than 2, want at most %d", ten-two, bound)
 	}
 }
 

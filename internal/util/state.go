@@ -221,6 +221,11 @@ type StateReader struct {
 // last read.
 func NewStateReader(b []byte) *StateReader { return &StateReader{b: b} }
 
+// Reset makes r read from b, as NewStateReader(b) would, so a caller
+// that decodes state after state can keep one reader; Reset(nil) drops
+// the reference to the last b.
+func (r *StateReader) Reset(b []byte) { *r = StateReader{b: b} }
+
 // Err returns the first error a read met, or nil.
 func (r *StateReader) Err() error { return r.err }
 

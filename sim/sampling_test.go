@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bebop/internal/core"
 	"bebop/internal/trace"
 	"bebop/internal/workload"
 )
@@ -450,5 +451,107 @@ func TestSamplingSpecValidation(t *testing.T) {
 		if !ok && !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("checkpoints under %q: %v, want ErrInvalidSpec", cfg, err)
 		}
+	}
+}
+
+// TestStreamedSideFileIsWhatWriteCheckpointsWrites: a rebuild streams
+// its side-file through the encoder WriteCheckpoints uses, so the file
+// is byte for byte what trace.WriteCheckpoints writes for
+// core.BuildCheckpoints' points, the way builds wrote it whole; and such
+// a file is reused as it stands, not rebuilt.
+func TestStreamedSideFileIsWhatWriteCheckpointsWrites(t *testing.T) {
+	for _, bench := range []string{"gcc", "hmmer"} {
+		path := recordTrace(t, bench, 60_000)
+		r, err := trace.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := r.Header()
+		r.Close()
+		for _, config := range []string{"baseline", "eole-bebop/Medium"} {
+			spec := RunSpec{
+				Trace:    path,
+				Config:   config,
+				Insts:    40_000,
+				Sampling: &SamplingSpec{Intervals: 4, IntervalInsts: 2_000, DetailWarmup: 500, Checkpoints: true},
+			}
+			norm, src, mk, err := spec.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused, rebuilt := mCkptReused.Value(), mCkptRebuilt.Value()
+			rep, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s %s: %v", bench, config, err)
+			}
+			if mCkptRebuilt.Value()-rebuilt != 1 || mCkptReused.Value() != reused {
+				t.Fatalf("%s %s: the first run did not build the side-file", bench, config)
+			}
+			points, name, err := core.BuildCheckpoints(src, mk, checkpointSpacing(norm), *norm.Warmup+norm.Insts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckPath := trace.CheckpointPath(path, name)
+			streamed, err := os.ReadFile(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(ckPath); err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.WriteCheckpoints(ckPath, &trace.CheckpointFile{
+				TraceName: hdr.Name, TraceInsts: int64(hdr.Insts), ConfigName: name, Points: points,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			written, err := os.ReadFile(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(streamed, written) {
+				t.Errorf("%s %s: the streamed side-file (%d bytes) differs from WriteCheckpoints' (%d bytes)",
+					bench, config, len(streamed), len(written))
+			}
+
+			reused, rebuilt = mCkptReused.Value(), mCkptRebuilt.Value()
+			again, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mCkptReused.Value()-reused != 1 || mCkptRebuilt.Value() != rebuilt {
+				t.Errorf("%s %s: a side-file WriteCheckpoints wrote was not reused", bench, config)
+			}
+			if got, err := os.ReadFile(ckPath); err != nil || !bytes.Equal(got, written) {
+				t.Errorf("%s %s: the reused side-file was rewritten (%v)", bench, config, err)
+			}
+			if !reflect.DeepEqual(again, rep) {
+				t.Errorf("%s %s: the run over the written side-file differs from the run that streamed it", bench, config)
+			}
+		}
+	}
+}
+
+// TestCancelledRebuildLeavesNoSideFile: a sampled run cancelled while
+// the pass beside it rebuilds its side-file returns the context's error
+// and leaves neither the side-file nor its temp file.
+func TestCancelledRebuildLeavesNoSideFile(t *testing.T) {
+	path := recordTrace(t, "gcc", 120_000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := New(
+		WithTrace(path),
+		WithConfig("eole-bebop/Medium"),
+		WithInsts(80_000),
+		WithSampling(SamplingSpec{Intervals: 8, IntervalInsts: 2_000, DetailWarmup: 500, Checkpoints: true}),
+		WithProgress(func(streamed, total int64) { cancel() }), // after the first interval
+	).Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(trace.CheckpointPath(path, "EOLE_4_60/Medium")); !os.IsNotExist(err) {
+		t.Errorf("a cancelled rebuild left a side-file (stat: %v)", err)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".bebop-ckpt-*")); len(tmp) != 0 {
+		t.Errorf("a cancelled rebuild left temp files: %v", tmp)
 	}
 }

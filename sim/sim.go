@@ -259,7 +259,7 @@ func (s *Sim) runSampled(ctx context.Context, spec RunSpec, src workload.Source,
 // continuous functional-warming pass, every later one restores. A
 // side-file that is missing, fails to open, belongs to a different
 // trace or configuration, or whose first point lies past the spacing
-// this spec would build is rebuilt before the run; one whose point
+// this spec would build is rebuilt as the run goes; one whose point
 // fails to decode or restore when an interval needs it is rebuilt and
 // the run repeated. Either way the file counts as rebuilt, once, and
 // never as reused. A spec's own side-file always passes the spacing
@@ -289,12 +289,7 @@ func runCheckpointed(ctx context.Context, fs trace.FileSource, mk core.ConfigFac
 		}
 	}
 	mCkptRebuilt.Inc()
-	cf, err := rebuildCheckpoints(fs, mk, spec, hdr, path)
-	if err != nil {
-		return pipeline.Result{}, core.SampleStats{}, err
-	}
-	sp.Checkpoints = cf
-	return core.RunSampled(ctx, fs, *spec.Warmup, spec.Insts, mk, sp)
+	return runRebuilding(ctx, fs, mk, spec, sp, hdr, cfgName, path)
 }
 
 // checkpointSpacing is the point spacing a side-file built for spec
@@ -304,23 +299,29 @@ func checkpointSpacing(spec RunSpec) int64 {
 	return max(spec.Insts/int64(spec.Sampling.Intervals), (*spec.Warmup+spec.Insts)/64, 1)
 }
 
-// rebuildCheckpoints builds the side-file at path in one continuous
-// functional-warming pass over the trace, writes it and returns it.
-func rebuildCheckpoints(fs trace.FileSource, mk core.ConfigFactory, spec RunSpec, hdr trace.Header, path string) (*trace.CheckpointFile, error) {
-	points, name, err := core.BuildCheckpoints(fs, mk, checkpointSpacing(spec), *spec.Warmup+spec.Insts)
+// runRebuilding runs a sampled spec while one continuous
+// functional-warming pass rebuilds the side-file at path beside it: the
+// pass streams each point into the file and to the intervals that
+// restore it (core.RunSampledBuilding), so neither holds the points and
+// the run never reads the new file back. The file is renamed into place
+// only when both the pass and the run succeed; otherwise no side-file
+// and no temp file is left.
+func runRebuilding(ctx context.Context, fs trace.FileSource, mk core.ConfigFactory, spec RunSpec, sp core.SamplingParams, hdr trace.Header, cfgName, path string) (pipeline.Result, core.SampleStats, error) {
+	every, upTo := checkpointSpacing(spec), *spec.Warmup+spec.Insts
+	w, err := trace.CreateCheckpoints(path, hdr.Name, int64(hdr.Insts), cfgName, core.CheckpointCount(every, upTo))
 	if err != nil {
-		return nil, err
+		return pipeline.Result{}, core.SampleStats{}, err
 	}
-	cf := &trace.CheckpointFile{
-		TraceName:  hdr.Name,
-		TraceInsts: int64(hdr.Insts),
-		ConfigName: name,
-		Points:     points,
+	res, st, err := core.RunSampledBuilding(ctx, fs, *spec.Warmup, spec.Insts, mk, sp, every, w.Add)
+	if err == nil {
+		err = w.Commit()
+	} else {
+		w.Abort()
 	}
-	if err := trace.WriteCheckpoints(path, cf); err != nil {
-		return nil, err
+	if err != nil {
+		return pipeline.Result{}, core.SampleStats{}, err
 	}
-	return cf, nil
+	return res, st, nil
 }
 
 // Run executes a declarative spec: shorthand for FromSpec(spec).Run(ctx).

@@ -89,7 +89,8 @@ func buildCheckpoints(ctx context.Context, src workload.Source, mk ConfigFactory
 // is copied until every interval that restores it has done so or ended,
 // and the pass waits while workers+1 copies are alive, so the run holds
 // at most that many points, however long the trace. Its outcome is what
-// RunSampled reports over the finished side-file.
+// RunSampled reports over the finished side-file; sp.Checkpoints is
+// ignored.
 //
 // A pass that fails or panics releases every interval waiting for a
 // point, which then fails with its error; a run that fails stops the
